@@ -217,27 +217,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(refs)/b.Elapsed().Seconds(), "refs/s")
 }
 
-// BenchmarkSimulatorThroughputLegacy is the pre-arena baseline: the
-// synthetic workload is re-generated inside every iteration and consumed
-// one Next() call at a time, the way sweeps ran before the decode-once
-// engine. The gap between this and BenchmarkSimulatorThroughput is the
-// per-point cost the arena removes.
-func BenchmarkSimulatorThroughputLegacy(b *testing.B) {
-	cfg := experiments.BaseMachine(4,
-		experiments.L2Config(512*1024, 30, 1), mainmem.Base())
-	b.ReportAllocs()
-	b.ResetTimer()
-	var refs int64
-	for i := 0; i < b.N; i++ {
-		res, err := Simulate(cfg, SyntheticWorkload(1, 200_000), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		refs += res.CPUReads + res.Stores
-	}
-	b.ReportMetric(float64(refs)/b.Elapsed().Seconds(), "refs/s")
-}
-
 // BenchmarkSynthThroughput measures trace-generation speed alone.
 func BenchmarkSynthThroughput(b *testing.B) {
 	b.ReportAllocs()

@@ -443,6 +443,43 @@ func (c *Cache) AccessQuiet(addr uint64, isWrite bool) Result {
 	return c.access(addr, isWrite, false)
 }
 
+// TryHit is the hit-only fast path in front of Access. When the access is
+// a full hit that sends nothing downstream — a read hit, or a write hit in
+// a write-back cache — it makes exactly the state and statistics updates
+// Access would (clock, LRU stamp, reference count, dirty bit) and returns
+// true. Any other outcome — a miss, a sub-block miss, a write-through
+// store — returns false with the cache untouched, and the caller must
+// present the access to Access. Replacement draws happen only on fills, so
+// the Random policy's PRNG sequence is the same either way.
+func (c *Cache) TryHit(addr uint64, isWrite bool) bool {
+	if isWrite && c.cfg.Write != WriteBack {
+		return false
+	}
+	set := c.sets[c.setIndex(addr)]
+	tag := c.tag(addr)
+	for i := range set {
+		l := &set[i]
+		if l.tag != tag || !l.valid() {
+			continue
+		}
+		if l.validMask&c.subMask(addr) == 0 {
+			return false
+		}
+		c.clock++
+		l.lastUse = c.clock
+		if isWrite {
+			if c.recording {
+				c.stats.WriteRefs++
+			}
+			c.markDirty(l)
+		} else if c.recording {
+			c.stats.ReadRefs++
+		}
+		return true
+	}
+	return false
+}
+
 func (c *Cache) access(addr uint64, isWrite, record bool) Result {
 	c.clock++
 	set := c.sets[c.setIndex(addr)]

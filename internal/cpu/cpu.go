@@ -8,6 +8,7 @@ package cpu
 import (
 	"fmt"
 	"io"
+	"math/bits"
 
 	"mlcache/internal/memsys"
 	"mlcache/internal/trace"
@@ -114,17 +115,12 @@ func (r Result) String() string {
 }
 
 // stallBucket maps a stall in cycles to its histogram bucket: 0 for none,
-// i ≥ 1 for [2^(i-1), 2^i).
+// i ≥ 1 for [2^(i-1), 2^i), with the last bucket open-ended.
 func stallBucket(cycles int64) int {
 	if cycles <= 0 {
 		return 0
 	}
-	b := 1
-	for cycles > 1 && b < 15 {
-		cycles >>= 1
-		b++
-	}
-	return b
+	return min(bits.Len64(uint64(cycles)), len(Result{}.StallHist)-1)
 }
 
 // StallAtMost returns the fraction of issue slots whose stall was below
@@ -143,93 +139,89 @@ func (r Result) StallAtMost(bucket int) float64 {
 	return float64(below) / float64(total)
 }
 
-// batchRefs is how many references the issue loop pulls per source call.
+// batchRefs is how many references the issue loop pulls per refill.
 // One Interrupt poll per batch keeps cancellation latency in the
-// microseconds while staying entirely off the per-reference path.
-const batchRefs = 4096
+// microseconds while staying entirely off the per-reference path. It is a
+// variable only so tests can move the batch boundaries.
+var batchRefs = 4096
 
-// refSource feeds the issue loop from either a trace.BatchReader (the
-// decode-once arena fast path: one interface call per batch) or a legacy
-// trace.Stream (one call per reference, buffered here so the loop itself
-// is identical). It provides the one-reference lookahead the issue model
-// needs. A terminal error is sticky and delivered only after every
-// already-buffered reference has been consumed, matching the stream
-// semantics the loop always had.
+// refSource feeds the issue loop in batches from one of two sources: an
+// arena *trace.Cursor (zero-copy: each batch is a Chunk aliasing the
+// arena) or any other trace.Stream (one Next call per reference, buffered
+// here so the loop itself is identical). It provides the one-reference
+// lookahead the issue model needs. A terminal error is sticky and
+// delivered only after every already-buffered reference has been
+// consumed, matching the stream semantics the loop always had.
 type refSource struct {
-	br    trace.BatchReader
+	cur   *trace.Cursor
 	s     trace.Stream
 	check func() error
-	buf   []trace.Ref
+	// batch is the current batch and pos the next unread index in it;
+	// store backs the batch for sources other than a Cursor.
+	batch []trace.Ref
+	store []trace.Ref
 	pos   int
-	n     int
 	err   error
 }
 
 func newRefSource(s trace.Stream, check func() error) *refSource {
-	rs := &refSource{s: s, check: check, buf: make([]trace.Ref, batchRefs)}
-	if br, ok := s.(trace.BatchReader); ok {
-		rs.br = br
+	rs := &refSource{s: s, check: check}
+	if cur, ok := s.(*trace.Cursor); ok {
+		rs.cur = cur
+	} else {
+		rs.store = make([]trace.Ref, batchRefs)
 	}
 	return rs
 }
 
-// fill refills the buffer after it has drained. It leaves rs.err set once
-// the source is exhausted or failed, or when the Interrupt hook fired.
-func (rs *refSource) fill() {
+// peek returns the next reference without consuming it (the caller
+// advances rs.pos to consume it). It returns false once the source has
+// ended; rs.err then says why (io.EOF at a clean end).
+func (rs *refSource) peek() (trace.Ref, bool) {
+	if rs.pos >= len(rs.batch) && !rs.refill() {
+		return trace.Ref{}, false
+	}
+	return rs.batch[rs.pos], true
+}
+
+// refill is the out-of-line half of peek: it fetches the next batch once
+// the current one has drained and reports whether it holds a reference.
+// It leaves rs.err set once the source is exhausted or failed, or when the
+// Interrupt hook fired. It stays out of line so that peek inlines into the
+// issue loop.
+//
+//go:noinline
+func (rs *refSource) refill() bool {
 	if rs.err != nil {
-		return
+		return false
 	}
 	if rs.check != nil {
-		if err := rs.check(); err != nil {
-			rs.err = err
-			return
+		if rs.err = rs.check(); rs.err != nil {
+			return false
 		}
 	}
-	rs.pos, rs.n = 0, 0
-	if rs.br != nil {
-		n, err := rs.br.ReadRefs(rs.buf)
-		rs.n, rs.err = n, err
-		return
-	}
-	for rs.n < len(rs.buf) {
-		r, err := rs.s.Next()
-		if err != nil {
-			rs.err = err
-			return
-		}
-		rs.buf[rs.n] = r
-		rs.n++
-	}
-}
-
-// next returns the next reference, consuming it.
-func (rs *refSource) next() (trace.Ref, error) {
-	if rs.pos >= rs.n {
-		rs.fill()
-		if rs.pos >= rs.n {
-			if rs.err == nil {
-				rs.err = io.ErrNoProgress
+	rs.pos = 0
+	if rs.cur != nil {
+		rs.batch, rs.err = rs.cur.Chunk(batchRefs)
+	} else {
+		n := 0
+		for ; n < len(rs.store); n++ {
+			r, err := rs.s.Next()
+			if err != nil {
+				rs.err = err
+				break
 			}
-			return trace.Ref{}, rs.err
+			rs.store[n] = r
 		}
+		rs.batch = rs.store[:n]
 	}
-	r := rs.buf[rs.pos]
-	rs.pos++
-	return r, nil
-}
-
-// peek returns the next reference without consuming it.
-func (rs *refSource) peek() (trace.Ref, error) {
-	if rs.pos >= rs.n {
-		rs.fill()
-		if rs.pos >= rs.n {
-			if rs.err == nil {
-				rs.err = io.ErrNoProgress
-			}
-			return trace.Ref{}, rs.err
-		}
+	if len(rs.batch) > 0 {
+		return true
 	}
-	return rs.buf[rs.pos], nil
+	if rs.err == nil {
+		rs.err = io.ErrNoProgress
+	}
+	return false
 }
 
 // pidTally accumulates per-process statistics without touching a map on
@@ -267,9 +259,9 @@ func (t *pidTally) result() map[uint16]PIDStats {
 
 // Run executes the trace on the hierarchy and returns the result. The
 // hierarchy must be freshly constructed or Reset and must use the same CPU
-// cycle time. When s implements trace.BatchReader (an arena Cursor does)
-// the issue loop reads it in batches — one interface call per few thousand
-// references; any other Stream is buffered internally, so results are
+// cycle time. When s is an arena *trace.Cursor the issue loop reads the
+// arena in place, a few thousand references per chunk; any other Stream is
+// buffered internally in batches of the same size, so results are
 // identical either way.
 func Run(h *memsys.Hierarchy, s trace.Stream, cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
@@ -316,14 +308,15 @@ func Run(h *memsys.Hierarchy, s trace.Stream, cfg Config) (Result, error) {
 	var sawRef bool
 
 	for {
-		r, err := rs.next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
+		r, ok := rs.peek()
+		if !ok {
+			if rs.err == io.EOF {
+				break
+			}
 			res.PerPID = pids.result()
-			return res, err
+			return res, rs.err
 		}
+		rs.pos++
 
 		if !recording && warmLeft == 0 {
 			recording = true
@@ -357,11 +350,8 @@ func Run(h *memsys.Hierarchy, s trace.Stream, cfg Config) (Result, error) {
 		slotStore := r.Kind == trace.Store
 
 		if r.Kind == trace.IFetch {
-			if d, err := rs.peek(); err == nil && d.Kind != trace.IFetch {
-				if _, err := rs.next(); err != nil {
-					res.PerPID = pids.result()
-					return res, err
-				}
+			if d, ok := rs.peek(); ok && d.Kind != trace.IFetch {
+				rs.pos++ // consume d
 				now = h.Access(d, now)
 				note(d)
 				if d.Kind == trace.Store {
@@ -386,7 +376,13 @@ func Run(h *memsys.Hierarchy, s trace.Stream, cfg Config) (Result, error) {
 			if slotStore {
 				base += cfg.CycleNS
 			}
-			res.StallHist[stallBucket((now-slotStart-base)/cfg.CycleNS)]++
+			// Most slots are stall-free hits: bucket them without a
+			// division.
+			if stall := now - slotStart - base; stall < cfg.CycleNS {
+				res.StallHist[0]++
+			} else {
+				res.StallHist[stallBucket(stall/cfg.CycleNS)]++
+			}
 		}
 
 		if !recording {

@@ -278,7 +278,7 @@ func TestStallBucketBoundaries(t *testing.T) {
 		want   int
 	}{
 		{-1, 0}, {0, 0}, {1, 1}, {2, 2}, {3, 2}, {4, 3}, {7, 3}, {8, 4},
-		{1 << 20, 15},
+		{1<<14 - 1, 14}, {1 << 14, 15}, {1 << 20, 15}, {1<<63 - 1, 15},
 	}
 	for _, c := range cases {
 		if got := stallBucket(c.cycles); got != c.want {

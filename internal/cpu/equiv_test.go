@@ -1,6 +1,7 @@
 package cpu_test
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -39,7 +40,9 @@ func equivLevel(name string, sizeBytes int64, blockBytes int, cycleNS int64) mem
 }
 
 // equivConfigs enumerates the hierarchy shapes required by the suite:
-// base machine, split and unified L1, write-through, prefetch, 3-level.
+// base machine, split and unified L1, write-through, prefetch into L1 and
+// into L2, a TLB, 3-level, and one run with the invariant checker on — the
+// paths on either side of the first-level hit fast path.
 func equivConfigs() map[string]memsys.Config {
 	base := func() memsys.Config {
 		return memsys.Config{
@@ -70,6 +73,20 @@ func equivConfigs() map[string]memsys.Config {
 	pf.Down[0].Prefetch = true
 	cfgs["prefetch-l2"] = pf
 
+	pf1 := base()
+	pf1.L1I.Prefetch, pf1.L1D.Prefetch = true, true
+	cfgs["prefetch-l1"] = pf1
+
+	tlb := base()
+	tlb.TLB = memsys.TLBConfig{Entries: 16}
+	cfgs["tlb"] = tlb
+
+	// The checker sweeps every line per access: a small L2 keeps it quick.
+	checked := base()
+	checked.Down[0] = equivLevel("L2", 4*1024, 32, 3*equivCycleNS)
+	checked.CheckInvariants = true
+	cfgs["checked"] = checked
+
 	three := base()
 	three.Down = []memsys.LevelConfig{
 		equivLevel("L2", 64*1024, 32, 2*equivCycleNS),
@@ -96,7 +113,7 @@ func runOn(t *testing.T, cfg memsys.Config, s trace.Stream) cpu.Result {
 	return res
 }
 
-// slowStream strips any BatchReader implementation from a stream, forcing
+// slowStream hides a stream's concrete type, so even an arena Cursor takes
 // the one-call-per-reference legacy path.
 type slowStream struct{ s trace.Stream }
 
@@ -219,5 +236,105 @@ func TestInterruptStopsRun(t *testing.T) {
 	}
 	if _, err := cpu.Run(h, arena.Cursor(), cfg); err != stop.err {
 		t.Fatalf("Run error = %v, want the interrupt error", err)
+	}
+}
+
+// refSources returns, by name, fresh streams over refs for each way the
+// issue loop can receive them: zero-copy Cursor chunks, and one Next call
+// per reference from a Cursor or a plain Stream. All of them place batch
+// boundaries every 4096 references and poll Interrupt at the same points.
+func refSources(refs []trace.Ref) map[string]func() trace.Stream {
+	arena := trace.NewArena(refs)
+	return map[string]func() trace.Stream{
+		"cursor":      func() trace.Stream { return arena.Cursor() },
+		"cursor-next": func() trace.Stream { return slowStream{arena.Cursor()} },
+		"stream":      func() trace.Stream { return trace.Trace(refs).Stream() },
+	}
+}
+
+func runCPU(t *testing.T, s trace.Stream, ccfg cpu.Config) (cpu.Result, error) {
+	t.Helper()
+	h, err := memsys.New(equivConfigs()["base"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cpu.Run(h, s, ccfg)
+}
+
+// TestBatchBoundaryEquivalence puts the issue loop's state transitions
+// exactly on the 4096-reference batch boundary — the warm-up flip at the
+// last reference of a batch and at the first of the next, an instruction
+// fetch ending one batch whose paired data reference starts the next — and
+// requires identical results from every source. They must also match a run
+// in batches of 1000, whose boundaries fall elsewhere.
+func TestBatchBoundaryEquivalence(t *testing.T) {
+	base, err := trace.Collect(synth.PaperStream(1, 3*4096+500), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type tcase struct {
+		refs   []trace.Ref
+		warmup int64
+	}
+	cases := map[string]tcase{
+		"warmup-4095": {base, 4095},
+		"warmup-4096": {base, 4096},
+	}
+	for _, k := range []trace.Kind{trace.Load, trace.Store} {
+		refs := append([]trace.Ref(nil), base...)
+		refs[4095].Kind, refs[4096].Kind = trace.IFetch, k
+		cases["ifetch-pair-across-batches-"+k.String()] = tcase{refs, 1000}
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			ccfg := cpu.Config{CycleNS: equivCycleNS, WarmupRefs: tc.warmup}
+			restore := cpu.SetBatchRefs(1000)
+			want, err := runCPU(t, trace.NewArena(tc.refs).Cursor(), ccfg)
+			restore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for src, mk := range refSources(tc.refs) {
+				got, err := runCPU(t, mk(), ccfg)
+				if err != nil {
+					t.Fatalf("%s: %v", src, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s diverged from short batches:\ngot:  %+v\nwant: %+v", src, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestInterruptBetweenBatches stops a run at its third batch refill: every
+// source must stop at the same reference with the same partial result.
+func TestInterruptBetweenBatches(t *testing.T) {
+	refs, err := trace.Collect(synth.PaperStream(1, 4*4096), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := errors.New("stop")
+	var want *cpu.Result
+	for src, mk := range refSources(refs) {
+		calls := 0
+		ccfg := cpu.Config{CycleNS: equivCycleNS, Interrupt: func() error {
+			if calls++; calls == 3 {
+				return stop
+			}
+			return nil
+		}}
+		got, err := runCPU(t, mk(), ccfg)
+		if !errors.Is(err, stop) {
+			t.Fatalf("%s: Run error = %v, want the interrupt error", src, err)
+		}
+		if n := got.CPUReads + got.Stores; n != 2*4096 {
+			t.Fatalf("%s: stopped after %d references, want the two batches before the poll", src, n)
+		}
+		if want == nil {
+			want = &got
+		} else if !reflect.DeepEqual(got, *want) {
+			t.Fatalf("%s: interrupted result diverged:\ngot:  %+v\nwant: %+v", src, got, *want)
+		}
 	}
 }

@@ -230,6 +230,20 @@ type firstLevel struct {
 	cache      *cache.Cache
 	prefetches int64
 	recording  bool
+	// readExtra and writeExtra are the CPU stall of a read hit and of a
+	// write hit beyond the one base cycle the caller charges: nonzero only
+	// when the level cycles slower than the CPU, or for the extra write
+	// cycles. Derived from cfg by setTiming.
+	readExtra  int64
+	writeExtra int64
+}
+
+// setTiming adopts lc and precomputes its hit extras for a CPU cycling
+// every cpuCycleNS.
+func (fl *firstLevel) setTiming(lc LevelConfig, cpuCycleNS int64) {
+	fl.cfg = lc
+	fl.readExtra = max(lc.CycleNS-cpuCycleNS, 0)
+	fl.writeExtra = max(lc.WriteNS()-cpuCycleNS, 0)
 }
 
 // Hierarchy is a runnable memory hierarchy. It is not safe for concurrent
@@ -276,7 +290,9 @@ func New(cfg Config) (*Hierarchy, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &firstLevel{cfg: lc, cache: c}, nil
+		fl := &firstLevel{cache: c}
+		fl.setTiming(lc, cfg.CPUCycleNS)
+		return fl, nil
 	}
 	var err error
 	if cfg.SplitL1 {
@@ -423,7 +439,7 @@ func (h *Hierarchy) ResetFor(cfg Config) bool {
 	h.cfg = cfg
 	for i, lc := range cfg.firstLevels() {
 		fl := h.firstLevels()[i]
-		fl.cfg = lc
+		fl.setTiming(lc, cfg.CPUCycleNS)
 		fl.cache.ResetFor(lc.Cache)
 		fl.prefetches = 0
 	}
@@ -516,8 +532,17 @@ func (h *Hierarchy) Access(r trace.Ref, now int64) int64 {
 func (h *Hierarchy) access(r trace.Ref, now int64) int64 {
 	now = h.translate(r.Addr, now)
 	fl := h.route(r.Kind)
+	isStore := r.Kind == trace.Store
+	// Fast path: a first-level hit that sends nothing downstream costs
+	// only its precomputed extra and never pends a tap event.
+	if fl.cache.TryHit(r.Addr, isStore) {
+		if isStore {
+			return now + fl.writeExtra
+		}
+		return now + fl.readExtra
+	}
 	var done int64
-	if r.Kind == trace.Store {
+	if isStore {
 		done = h.accessStore(fl, r.Addr, now)
 	} else {
 		done = h.accessRead(fl, r.Addr, now)
@@ -528,21 +553,17 @@ func (h *Hierarchy) access(r trace.Ref, now int64) int64 {
 	return done
 }
 
+// accessRead completes a first-level read that TryHit declined: a miss or
+// a sub-block miss.
 func (h *Hierarchy) accessRead(fl *firstLevel, addr uint64, now int64) int64 {
 	res := fl.cache.Access(addr, false)
-	// A first level slower than the CPU stalls even on hits.
-	extra := fl.cfg.CycleNS - h.cfg.CPUCycleNS
-	if extra < 0 {
-		extra = 0
-	}
-	if res.Hit {
-		return now + extra
-	}
 	region := fl.fetchRegion(res)
 	if h.tap != nil {
 		h.tap.pend(evFetch, addr, res.VictimAddr, res.Writeback, region)
 	}
-	done := h.fetchBlock(0, addr, now+extra, originRead, region)
+	// A first level slower than the CPU spends its extra cycles before the
+	// fetch goes down.
+	done := h.fetchBlock(0, addr, now+fl.readExtra, originRead, region)
 	if res.Writeback {
 		done = maxI64(done, h.pushVictim(0, res.VictimAddr, now))
 	}
@@ -591,12 +612,6 @@ func (h *Hierarchy) maybePrefetchFirst(fl *firstLevel, addr uint64, done int64) 
 
 func (h *Hierarchy) accessStore(fl *firstLevel, addr uint64, now int64) int64 {
 	res := fl.cache.Access(addr, true)
-	// Write hits take WriteCycles level cycles in total; one CPU cycle is
-	// already charged by the caller.
-	writeExtra := fl.cfg.WriteNS() - h.cfg.CPUCycleNS
-	if writeExtra < 0 {
-		writeExtra = 0
-	}
 	if h.tap != nil && (res.Fill || res.WriteDown || res.Writeback) {
 		flags := evStoreAcc
 		if res.Fill {
@@ -620,7 +635,9 @@ func (h *Hierarchy) accessStore(fl *firstLevel, addr uint64, now int64) int64 {
 	if res.Writeback {
 		done = maxI64(done, h.pushVictim(0, res.VictimAddr, now))
 	}
-	return done + writeExtra
+	// Write hits take WriteCycles level cycles in total; one CPU cycle is
+	// already charged by the caller.
+	return done + fl.writeExtra
 }
 
 // fetchBlock obtains the region of reqBytes containing addr from

@@ -150,6 +150,31 @@ func TestStoreHitCost(t *testing.T) {
 	}
 }
 
+// TestHitExtrasFollowResetFor pins what a first-level hit costs beyond
+// the base cycle when the L1D cycles slower than the CPU, and that
+// ResetFor recomputes it for new L1 timing.
+func TestHitExtrasFollowResetFor(t *testing.T) {
+	hitCosts := func(h *Hierarchy) (read, store int64) {
+		h.Access(trace.Ref{Kind: trace.Load, Addr: 0x2000}, 10)
+		return h.Access(trace.Ref{Kind: trace.Load, Addr: 0x2000}, 1000) - 1000,
+			h.Access(trace.Ref{Kind: trace.Store, Addr: 0x2000}, 2000) - 2000
+	}
+	slow := baseConfig()
+	slow.L1D.CycleNS = 20
+	h := MustNew(slow)
+	// A 20 ns L1D: a read hit takes one more 10 ns CPU cycle, a store hit
+	// its two 20 ns write cycles less the base cycle.
+	if read, store := hitCosts(h); read != 10 || store != 30 {
+		t.Errorf("slow L1D hit extras = %d, %d; want 10, 30", read, store)
+	}
+	if !h.ResetFor(baseConfig()) {
+		t.Fatal("ResetFor refused an L1 timing change")
+	}
+	if read, store := hitCosts(h); read != 0 || store != 10 {
+		t.Errorf("hit extras after ResetFor = %d, %d; want 0, 10", read, store)
+	}
+}
+
 func TestStoreMissAllocatesQuietly(t *testing.T) {
 	h := MustNew(baseConfig())
 	done := h.Access(trace.Ref{Kind: trace.Store, Addr: 0x3000}, 10)

@@ -155,10 +155,6 @@ func (h *Hierarchy) ReplayDown(log *DownLog, interrupt func() error) (int64, err
 		return 0, fmt.Errorf("memsys: replay on a hierarchy with a tap attached")
 	}
 	sfl := h.route(trace.Store)
-	storeExtra := sfl.cfg.WriteNS() - h.cfg.CPUCycleNS
-	if storeExtra < 0 {
-		storeExtra = 0
-	}
 
 	var lastOut, startNS int64
 	h.SetRecording(false)
@@ -189,7 +185,7 @@ func (h *Hierarchy) ReplayDown(log *DownLog, interrupt func() error) (int64, err
 			done = maxI64(done, h.pushVictim(0, ev.Victim, now))
 		}
 		if ev.Flags&evStoreAcc != 0 {
-			done += storeExtra
+			done += sfl.writeExtra
 		}
 		lastOut = done
 	}

@@ -100,12 +100,16 @@ type tlb struct {
 
 // translate consults the TLB for the page of addr at time now, performing
 // a page-table walk through the hierarchy on a miss, and returns the time
-// the translation is available.
+// the translation is available. Without a TLB it is an inlined no-op.
 func (h *Hierarchy) translate(addr uint64, now int64) int64 {
-	t := h.tlb
-	if t == nil {
+	if h.tlb == nil {
 		return now
 	}
+	return h.lookupTLB(addr, now)
+}
+
+func (h *Hierarchy) lookupTLB(addr uint64, now int64) int64 {
+	t := h.tlb
 	if t.recording {
 		t.stats.Refs++
 	}

@@ -165,8 +165,8 @@ func TestParallelSweepsIdenticalWithRandomRepl(t *testing.T) {
 	}
 }
 
-// TestCursorSatisfiesBatchReader pins the type assertion the CPU fast path
-// relies on.
+// TestCursorSatisfiesBatchReader pins that an arena cursor also serves
+// readers that batch through trace.BatchReader.
 func TestCursorSatisfiesBatchReader(t *testing.T) {
 	var s trace.Stream = trace.NewArena(nil).Cursor()
 	if _, ok := s.(trace.BatchReader); !ok {

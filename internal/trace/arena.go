@@ -10,8 +10,9 @@ import (
 // the next references and returns how many were written. Like io.Reader,
 // it may return n > 0 together with an error (including io.EOF); a return
 // of n == 0 with a nil error is not permitted. Consumers that know about
-// BatchReader (the CPU issue loop) amortize one interface call over a whole
-// batch instead of paying one per reference.
+// BatchReader amortize one interface call over a whole batch instead of
+// paying one per reference; the CPU issue loop goes further and reads an
+// arena Cursor in place through Chunk.
 type BatchReader interface {
 	ReadRefs(buf []Ref) (n int, err error)
 }
@@ -72,7 +73,7 @@ func (a *Arena) Cursors() int64 { return a.cursors.Load() }
 
 // Cursor reads an Arena sequentially. It implements both Stream (Next) for
 // compatibility with every existing consumer and BatchReader (ReadRefs)
-// for the allocation-free hot path.
+// for bulk copies; Chunk reads the arena in place without copying.
 type Cursor struct {
 	refs []Ref
 	pos  int
@@ -97,6 +98,28 @@ func (c *Cursor) ReadRefs(buf []Ref) (int, error) {
 	n := copy(buf, c.refs[c.pos:])
 	c.pos += n
 	return n, nil
+}
+
+// Chunk returns up to max of the next references without copying them:
+// the slice aliases the arena's backing array, with its capacity clipped
+// to its length so an append reallocates instead of writing past it. The
+// references are read-only and stay valid for the arena's lifetime (for a
+// mapped Artifact, until Close). Chunk returns io.EOF (with no references)
+// once the arena is exhausted; max must be positive.
+func (c *Cursor) Chunk(max int) ([]Ref, error) {
+	if max <= 0 {
+		return nil, fmt.Errorf("trace: chunk size %d must be positive", max)
+	}
+	if c.pos >= len(c.refs) {
+		return nil, io.EOF
+	}
+	end := len(c.refs)
+	if max < end-c.pos {
+		end = c.pos + max
+	}
+	out := c.refs[c.pos:end:end]
+	c.pos = end
+	return out, nil
 }
 
 // Remaining returns how many references are left to read.

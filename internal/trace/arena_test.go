@@ -96,6 +96,41 @@ func TestCursorReadRefs(t *testing.T) {
 	}
 }
 
+func TestCursorChunkAliasesArena(t *testing.T) {
+	a := NewArena(arenaRefs(10))
+	c := a.Cursor()
+	if _, err := c.Next(); err != nil {
+		t.Fatal(err)
+	}
+	var sizes []int
+	for {
+		chunk, err := c.Chunk(4)
+		if err == io.EOF {
+			if len(chunk) != 0 {
+				t.Fatalf("Chunk at EOF returned %d refs", len(chunk))
+			}
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := 10 - c.Remaining() - len(chunk)
+		if &chunk[0] != &a.Refs()[start] {
+			t.Fatalf("chunk at ref %d is a copy, want an alias of the arena", start)
+		}
+		if cap(chunk) != len(chunk) {
+			t.Fatalf("chunk cap %d exceeds its len %d: an append would overwrite the arena", cap(chunk), len(chunk))
+		}
+		sizes = append(sizes, len(chunk))
+	}
+	if len(sizes) != 3 || sizes[0] != 4 || sizes[1] != 4 || sizes[2] != 1 {
+		t.Fatalf("chunk sizes %v, want [4 4 1] after one Next", sizes)
+	}
+	if _, err := a.Cursor().Chunk(0); err == nil {
+		t.Fatal("Chunk(0) succeeded; want an error")
+	}
+}
+
 func TestCursorMixedNextAndReadRefs(t *testing.T) {
 	refs := arenaRefs(6)
 	c := NewArena(refs).Cursor()
