@@ -50,7 +50,6 @@ import (
 	"mlcache/internal/serve"
 	"mlcache/internal/store"
 	"mlcache/internal/store/backend"
-	"mlcache/internal/sweep"
 )
 
 // options collects every flag value so validation is testable apart from
@@ -65,7 +64,6 @@ type options struct {
 	tenantsPath   string
 	anonRate      float64
 	anonBurst     int
-	plan          string
 	maxAttempts   int
 	maxJobBytes   int64
 	maxJobCost    int64
@@ -105,9 +103,6 @@ func validate(o options) (*serve.Tenants, error) {
 	}
 	if o.anonBurst < 0 {
 		return nil, fmt.Errorf("-tenant-burst must be non-negative, got %d", o.anonBurst)
-	}
-	if _, err := sweep.ParsePlanMode(o.plan); err != nil {
-		return nil, fmt.Errorf("-plan: %v", err)
 	}
 	if o.maxAttempts <= 0 {
 		return nil, fmt.Errorf("-max-job-attempts must be positive, got %d", o.maxAttempts)
@@ -260,10 +255,9 @@ func main() {
 		tlsCert      = flag.String("tls-cert", "", "serve HTTPS with this PEM certificate (with -tls-key)")
 		tlsKey       = flag.String("tls-key", "", "PEM private key for -tls-cert")
 		insecure     = flag.Bool("insecure", false, "allow API keys over plaintext HTTP (testing only)")
-		plan         = flag.String("plan", "full", "default grid evaluation plan for jobs that do not name one (full or onepass)")
 		maxAttempts  = flag.Int("max-job-attempts", 3, "interrupted attempts before a job is quarantined as poisoned (with -state-dir)")
 		maxJobBytes  = flag.Int64("max-job-bytes", 0, "reject jobs whose estimated arena exceeds this many bytes with 413 (0 = unlimited)")
-		maxJobCost   = flag.Int64("max-job-cost", 0, "reject jobs whose estimated work (grid points x trace refs) exceeds this with 413 (0 = unlimited)")
+		maxJobCost   = flag.Int64("max-job-cost", 0, "reject jobs whose estimated work in reference simulations (trace refs x (1 + points/16), or points x refs with check_invariants) exceeds this with 413 (0 = unlimited)")
 		maxInflight  = flag.Int64("max-inflight-bytes", 0, "aggregate estimated bytes admitted at once before 503 (0 = 2x arena budget, negative = unlimited)")
 		maxDeadline  = flag.Duration("max-job-deadline", 0, "cap on the deadline a job spec may request (0 = no cap)")
 		streamWrite  = flag.Duration("stream-write-timeout", 60*time.Second, "disconnect a client whose stream write blocks this long (0 = disabled)")
@@ -286,7 +280,7 @@ func main() {
 		jobs: *jobs, queue: *queue, arenaBudget: *arenaBudget,
 		stateDir: *stateDir, artifactDir: *artifactDir, journalMaxMB: *journalMax,
 		tenantsPath: *tenantsPath, anonRate: *anonRate, anonBurst: *anonBurst,
-		plan: *plan, maxAttempts: *maxAttempts, maxJobBytes: *maxJobBytes,
+		maxAttempts: *maxAttempts, maxJobBytes: *maxJobBytes,
 		maxJobCost: *maxJobCost, maxInflight: *maxInflight, maxDeadline: *maxDeadline,
 		streamTimeout: *streamWrite, faultPoint: *faultPoint, sec: sec,
 		artifactBackend: *artifactBE, s3Endpoint: *s3Endpoint, s3Bucket: *s3Bucket,
@@ -331,7 +325,6 @@ func main() {
 		Tenants:           tenants,
 		AnonRatePerSec:    *anonRate,
 		AnonBurst:         *anonBurst,
-		DefaultPlan:       *plan,
 		MaxJobAttempts:    *maxAttempts,
 		Cost: serve.CostModel{
 			MaxJobBytes:      *maxJobBytes,

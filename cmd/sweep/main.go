@@ -30,14 +30,13 @@
 // both the protocol and the transfers; -publish additionally accepts
 // artifact uploads into a store directory.
 //
-// -plan onepass switches the engine to the one-pass planner: points whose
-// timing the L1 boundary replay reproduces exactly share a single trace
-// pass, and only timing-sensitive configurations are fully simulated. The
-// output is byte-identical to -plan full.
+// The grid runs through the one-pass planner: points whose timing the L1
+// boundary replay reproduces exactly share a single trace pass, and only
+// timing-sensitive configurations (-check, among others) are fully
+// simulated. The output is byte-identical to simulating every point.
 //
 // Usage:
 //
-//	sweep -sizes 16-4096 -cycles 1-10 -plan onepass
 //	sweep -sizes 16-4096 -cycles 1-10 -assoc 1 -n 1000000
 //	sweep -sizes 64-1024 -cycles 2-6 -assoc 2 -l1 32 -csv > out.csv
 //	sweep -sizes 16-4096 -cycles 1-10 -checkpoint run.ckpt
@@ -90,7 +89,6 @@ func main() {
 		tracePath = flag.String("trace", "", "trace file to sweep (text/binary/artifact by suffix; default: synthetic workload)")
 		lenient   = flag.Int("lenient", 0, "corrupt-record skip budget for non-artifact -trace files (0 = strict)")
 		shardArg  = flag.String("shard", "", "run only shard i of n of the grid, as i/n (e.g. 0/4)")
-		plan      = flag.String("plan", "full", "grid evaluation plan: full simulates every point; onepass captures the L1 boundary once per group and replays it (identical output, fewer trace passes)")
 		csv       = flag.Bool("csv", false, "emit CSV instead of a table")
 
 		par      = flag.Int("par", 0, "concurrent simulations (0 = GOMAXPROCS)")
@@ -196,7 +194,6 @@ func main() {
 		Seed:            *seed,
 		Lenient:         *lenient,
 		CheckInvariants: *check,
-		Plan:            *plan,
 	}
 	if err := spec.Validate(); err != nil {
 		log.Fatal(err)
@@ -523,8 +520,8 @@ func runLocal(ctx context.Context, spec coord.JobSpec, shardI, shardN int, lo lo
 		defer journal.Close()
 	}
 
+	runner.Parallelism = lo.par
 	opts := sweep.Options{
-		Parallelism:  lo.par,
 		PointTimeout: lo.timeout,
 		Retries:      lo.retries,
 		Backoff:      200 * time.Millisecond,

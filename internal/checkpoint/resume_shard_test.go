@@ -73,9 +73,10 @@ func TestResumeJournalCoversSubsetOfShard(t *testing.T) {
 	}
 
 	r := resumeTestRunner()
+	r.Parallelism = 1
 
 	// Reference: the shard simulated end to end with no journal.
-	want, err := r.RunContext(context.Background(), shard, sweep.Options{Parallelism: 1})
+	want, err := r.RunContext(context.Background(), shard, sweep.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +112,7 @@ func TestResumeJournalCoversSubsetOfShard(t *testing.T) {
 		t.Fatalf("journal holds %d records, want 2", set.Len())
 	}
 	got, err := r.RunContext(context.Background(), shard, sweep.Options{
-		Parallelism: 1,
-		Skip:        func(pt sweep.Point) bool { return set.Has(pt.String()) },
+		Skip: func(pt sweep.Point) bool { return set.Has(pt.String()) },
 	})
 	if err != nil {
 		t.Fatal(err)

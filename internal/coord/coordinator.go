@@ -616,9 +616,9 @@ func (c *Coordinator) runLocalShard(ctx context.Context, runner sweep.Runner, lr
 	for j, pt := range shardPts {
 		index[pt] = lr.Shard + j*c.cfg.Shards
 	}
+	runner.Parallelism = c.cfg.LocalParallelism
 	opts := sweep.Options{
-		Parallelism: c.cfg.LocalParallelism,
-		Retries:     1,
+		Retries: 1,
 		OnResult: func(r sweep.Result) {
 			c.mu.Lock()
 			defer c.mu.Unlock()

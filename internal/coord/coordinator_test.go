@@ -280,25 +280,3 @@ func TestBackoffIsCappedWithBoundedJitter(t *testing.T) {
 		}
 	}
 }
-
-// TestJobSpecPlan: the plan field is vetted at the trust boundary (a
-// worker or service rejects a bad spec instead of silently planning
-// differently) and threaded into the runner every front end shares.
-func TestJobSpecPlan(t *testing.T) {
-	spec := stateTestSpec()
-	spec.Plan = "bogus"
-	if err := spec.Validate(); err == nil {
-		t.Error("bogus plan accepted")
-	}
-	spec.Plan = "onepass"
-	if err := spec.Validate(); err != nil {
-		t.Errorf("onepass rejected: %v", err)
-	}
-	if r := spec.RunnerFor(nil); r.Plan != sweep.PlanOnePass {
-		t.Errorf("RunnerFor plan = %v, want onepass", r.Plan)
-	}
-	spec.Plan = ""
-	if r := spec.RunnerFor(nil); r.Plan != sweep.PlanFull {
-		t.Errorf("empty plan = %v, want full", r.Plan)
-	}
-}

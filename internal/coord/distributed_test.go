@@ -42,7 +42,8 @@ func referenceRun(t *testing.T, spec coord.JobSpec) []sweep.Result {
 		t.Fatal(err)
 	}
 	defer res.Close()
-	results, err := runner.RunContext(context.Background(), spec.Points(), sweep.Options{Parallelism: 1})
+	runner.Parallelism = 1
+	results, err := runner.RunContext(context.Background(), spec.Points(), sweep.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

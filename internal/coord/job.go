@@ -63,13 +63,6 @@ type JobSpec struct {
 	Lenient int `json:"lenient,omitempty"`
 	// CheckInvariants enables the per-access cache-state validator.
 	CheckInvariants bool `json:"check_invariants,omitempty"`
-	// Plan selects the grid evaluation strategy: "" or "full" simulates
-	// every point end to end; "onepass" lets the sweep planner capture the
-	// first-level boundary once per group of analytic points and replay it
-	// for the rest. Tables are byte-identical either way; the spec carries
-	// the mode so distributed workers and mlcserve jobs plan exactly like
-	// the submitting front end.
-	Plan string `json:"plan,omitempty"`
 	// Tenant labels the job with the submitting tenant's name. It is
 	// metadata only — set authoritatively by the serve layer from the
 	// request's API key (any client-supplied value is overwritten), never
@@ -199,9 +192,6 @@ func (s JobSpec) Validate() error {
 			return err
 		}
 	}
-	if _, err := sweep.ParsePlanMode(s.Plan); err != nil {
-		return err
-	}
 	return nil
 }
 
@@ -291,9 +281,6 @@ func (s JobSpec) RunnerFor(arena *trace.Arena) sweep.Runner {
 	if s.SlowMem {
 		mem = mainmem.Slow()
 	}
-	// Validate has vetted s.Plan wherever a spec crosses a trust boundary;
-	// a bad mode here falls back to the full plan rather than failing.
-	plan, _ := sweep.ParsePlanMode(s.Plan)
 	r := sweep.Runner{
 		Configure: func(pt sweep.Point) memsys.Config {
 			cfg := experiments.BaseMachine(s.L1KB,
@@ -301,7 +288,6 @@ func (s JobSpec) RunnerFor(arena *trace.Arena) sweep.Runner {
 			cfg.CheckInvariants = s.CheckInvariants
 			return cfg
 		},
-		Plan: plan,
 	}
 	if arena != nil {
 		r.Arena = arena

@@ -251,10 +251,10 @@ func (w *Worker) runShard(ctx context.Context, runner sweep.Runner, all []sweep.
 		}
 	}()
 
+	runner.Parallelism = w.Parallelism
 	opts := sweep.Options{
-		Parallelism: w.Parallelism,
-		Retries:     w.PointRetries,
-		Backoff:     100 * time.Millisecond,
+		Retries: w.PointRetries,
+		Backoff: 100 * time.Millisecond,
 		OnResult: func(r sweep.Result) {
 			mu.Lock()
 			done = append(done, PointResult{Index: index[r.Point], Run: r.Run})

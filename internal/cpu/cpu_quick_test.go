@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mlcache/internal/memsys"
 	"mlcache/internal/trace"
 )
 
@@ -57,8 +58,12 @@ func TestQuickRunAccounting(t *testing.T) {
 	}
 }
 
-// Property: flushing at context switches never makes a run faster and
-// never changes the reference accounting.
+// Property: flushing at context switches never makes the first level
+// faster — it never yields fewer first-level misses — and never changes
+// the reference accounting. Execution time is not monotone: with seed
+// -4018306397712216929 the flushing run finishes 160 ns sooner, because
+// dirty L1D blocks reach the direct-mapped L2 at the switches instead of
+// later as victims that miss there.
 func TestQuickFlushNeverFaster(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -74,11 +79,25 @@ func TestQuickFlushNeverFaster(t *testing.T) {
 		if flush.Instructions != plain.Instructions || flush.Stores != plain.Stores {
 			return false
 		}
-		return flush.TimeNS >= plain.TimeNS
+		return firstLevelMisses(flush) >= firstLevelMisses(plain)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+	if !f(-4018306397712216929) {
+		t.Error("property fails on seed -4018306397712216929")
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
+}
+
+// firstLevelMisses sums read and write misses over the first-level caches.
+func firstLevelMisses(r Result) int64 {
+	var n int64
+	for _, ls := range []*memsys.LevelStats{r.Mem.L1I, r.Mem.L1D, r.Mem.L1} {
+		if ls != nil {
+			n += ls.Cache.ReadMisses + ls.Cache.WriteMisses
+		}
+	}
+	return n
 }
 
 func TestFlushOnSwitchCountsSwitches(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"mlcache/internal/coord"
-	"mlcache/internal/sweep"
 	"mlcache/internal/trace"
 )
 
@@ -22,10 +21,11 @@ import (
 //     count comes from the artifact's 32-byte header; for other trace
 //     files, from the file size (an overestimate — text records are wider
 //     on disk than in memory — which errs on the safe side).
-//   - Cost: the grid work in reference-simulations, points × refs for a
-//     full plan. The onepass planner decodes the trace once and replays a
-//     recorded boundary through each point's timing model, so its cost is
-//     refs + points × refs / onepassReplayShare.
+//   - Cost: the grid work in reference-simulations. The sweep planner
+//     decodes the trace once and replays a recorded boundary through each
+//     point's timing model, so the cost is
+//     refs + points × refs / onepassReplayShare. Invariant checking sends
+//     every point to full simulation, so such a spec costs points × refs.
 //
 // Estimates are deliberately crude: they only need to separate "a few
 // hundred MB for a minute" from "OOM-kill every tenant at materialization
@@ -107,10 +107,10 @@ func EstimateJob(spec coord.JobSpec) (JobEstimate, error) {
 	}
 	points := len(spec.SizesBytes) * len(spec.CyclesNS)
 	est := JobEstimate{Bytes: refs * refBytes, Points: points, Refs: refs}
-	if mode, err := sweep.ParsePlanMode(spec.Plan); err == nil && mode == sweep.PlanOnePass {
-		est.Cost = refs + int64(points)*refs/onepassReplayShare
-	} else {
+	if spec.CheckInvariants {
 		est.Cost = int64(points) * refs
+	} else {
+		est.Cost = refs + int64(points)*refs/onepassReplayShare
 	}
 	return est, nil
 }

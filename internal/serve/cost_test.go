@@ -13,8 +13,9 @@ import (
 )
 
 // TestEstimateJobSynthetic: a synthetic spec prices at refs×16 bytes and
-// points×refs work; the onepass plan is priced at a fraction of a full
-// pass per point.
+// at one trace pass plus a sixteenth of a pass per replayed point;
+// invariant checking sends every point to full simulation, so it prices at
+// points×refs.
 func TestEstimateJobSynthetic(t *testing.T) {
 	spec := gridSpec() // 2×2 grid, 30000 refs
 	est, err := EstimateJob(spec)
@@ -27,17 +28,17 @@ func TestEstimateJobSynthetic(t *testing.T) {
 	if est.Points != 4 || est.Refs != 30000 {
 		t.Errorf("Points/Refs = %d/%d, want 4/30000", est.Points, est.Refs)
 	}
-	if est.Cost != 4*30000 {
-		t.Errorf("full-plan Cost = %d, want %d", est.Cost, 4*30000)
+	if want := int64(30000 + 4*30000/onepassReplayShare); est.Cost != want {
+		t.Errorf("Cost = %d, want %d", est.Cost, want)
 	}
 
-	spec.Plan = "onepass"
-	op, err := EstimateJob(spec)
+	spec.CheckInvariants = true
+	checked, err := EstimateJob(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if op.Cost >= est.Cost || op.Cost < 30000 {
-		t.Errorf("onepass Cost = %d, want within [refs, full=%d)", op.Cost, est.Cost)
+	if checked.Cost != 4*30000 {
+		t.Errorf("check_invariants Cost = %d, want %d", checked.Cost, 4*30000)
 	}
 }
 

@@ -35,6 +35,10 @@ func TestJobDeadlineCancelsCleanly(t *testing.T) {
 
 	spec := slowSpec()
 	spec.DeadlineSec = 1
+	// Invariant checking sends every point to full simulation, which keeps
+	// the job well past its deadline; the planner alone can finish it in
+	// time.
+	spec.CheckInvariants = true
 	js := postJob(t, ts.Client(), ts.URL+"/jobs", spec)
 	if js.status != http.StatusOK {
 		t.Fatalf("deadline job status = %d, want 200 (accepted, then bounded)", js.status)

@@ -69,9 +69,9 @@ type jobRecord struct {
 // specDigest is the stable identity of a job's workload+grid for the
 // quarantine registry: the tenant label is cleared first (it never affects
 // execution, and a poison spec is poison no matter who submits it), then
-// the canonical JSON encoding is hashed. Digested after tenant stamping,
-// plan defaulting, and artifact resolution, so the submit path and the
-// journal replay path hash the same bytes.
+// the canonical JSON encoding is hashed. Digested after tenant stamping
+// and artifact resolution, so the submit path and the journal replay path
+// hash the same bytes.
 func specDigest(spec coord.JobSpec) string {
 	spec.Tenant = ""
 	b, _ := json.Marshal(spec)

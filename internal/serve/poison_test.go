@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -167,6 +169,59 @@ func TestQuarantineSurvivesRestart(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("resubmission after restart = %d, want 422", resp.StatusCode)
+	}
+}
+
+// TestQuarantineKeyedByDecodedSpec: a poisoned record whose journaled spec
+// carries a field JobSpec no longer has (the retired "plan"), with a
+// SpecDigest computed over those bytes, still quarantines the spec: a
+// resubmission, which cannot carry the field, is refused with 422.
+func TestQuarantineKeyedByDecodedSpec(t *testing.T) {
+	dir := t.TempDir()
+	bad := poisonSpec()
+	var fields map[string]any
+	raw, err := json.Marshal(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields["plan"] = "full"
+	if raw, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(raw)
+	jobs, err := checkpoint.OpenSegmented(dir, "jobs", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := jobs.Append(jobKey(1), map[string]any{
+		"spec":        json.RawMessage(raw),
+		"status":      statusPoisoned,
+		"attempts":    3,
+		"spec_digest": hex.EncodeToString(sum[:]),
+		"error":       "crashed the process on 3 consecutive attempts",
+		"poisoned_at": "2026-01-01T00:00:00Z",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jobs.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s := newTestServer(t, Config{StateDir: dir})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	body, _ := json.Marshal(bad)
+	resp, err := ts.Client().Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("resubmission of a spec quarantined with a legacy digest = %d, want 422", resp.StatusCode)
 	}
 }
 

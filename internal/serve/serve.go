@@ -124,11 +124,6 @@ type Config struct {
 	// is nil (0 = unlimited).
 	AnonRatePerSec float64
 	AnonBurst      int
-	// DefaultPlan is applied to submitted jobs that leave JobSpec.Plan
-	// empty ("full" or "onepass"; "" keeps the full plan). A spec that
-	// names a plan explicitly wins. Applied before journaling, so a
-	// replayed job re-runs under the plan it was admitted with.
-	DefaultPlan string
 	// MaxJobAttempts is how many times a journaled job may be found
 	// interrupted before ResumeInterrupted quarantines it as poisoned
 	// instead of re-running it (default 3). Only meaningful with StateDir.
@@ -289,9 +284,6 @@ func (f FaultPoint) matches(spec coord.JobSpec) bool {
 // mlcserve_points_replayed_total) and interrupted jobs are queued for
 // ResumeInterrupted.
 func New(cfg Config) (*Server, error) {
-	if _, err := sweep.ParsePlanMode(cfg.DefaultPlan); err != nil {
-		return nil, err
-	}
 	fault, err := ParseFaultPoint(cfg.FaultPoint)
 	if err != nil {
 		return nil, err
@@ -373,11 +365,12 @@ func New(cfg Config) (*Server, error) {
 			case statusRunning:
 				s.pending = append(s.pending, pendingJob{id: seq, rec: rec})
 			case statusPoisoned:
-				d := rec.SpecDigest
-				if d == "" {
-					d = specDigest(rec.Spec)
-				}
-				s.poisoned[d] = rec
+				// Keyed by the digest of the decoded spec, as the submit
+				// path computes it, not by the journaled SpecDigest: a
+				// record may predate a field's removal from JobSpec, and
+				// its stored digest then covers bytes no submission can
+				// reproduce.
+				s.poisoned[specDigest(rec.Spec)] = rec
 			}
 		}
 		sort.Slice(s.pending, func(i, j int) bool { return s.pending[i].id < s.pending[j].id })
@@ -523,8 +516,8 @@ func (s *Server) quarantine(id int64, rec jobRecord) {
 }
 
 // poisonedFor looks up a submission's spec in the quarantine registry.
-// Call after tenant stamping, plan defaulting, and artifact resolution so
-// the digest matches what was journaled.
+// Call after tenant stamping and artifact resolution so the digest
+// matches what was journaled.
 func (s *Server) poisonedFor(spec coord.JobSpec) (jobRecord, bool) {
 	d := specDigest(spec)
 	s.poisonMu.Lock()
@@ -789,9 +782,6 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	// The tenant label is the server's to assign; a client cannot claim
 	// another tenant's name.
 	spec.Tenant = tn.name
-	if spec.Plan == "" {
-		spec.Plan = s.cfg.DefaultPlan
-	}
 	if s.cfg.MaxJobDeadline > 0 && time.Duration(spec.DeadlineSec)*time.Second > s.cfg.MaxJobDeadline {
 		rejectJSON(w, http.StatusBadRequest, map[string]any{
 			"error":            "deadline exceeds server cap",

@@ -213,39 +213,40 @@ func TestJobStreamMatchesCLI(t *testing.T) {
 	}
 }
 
-// TestDefaultPlanOnePass: a server configured with DefaultPlan "onepass"
-// runs plan-less jobs through the one-pass planner and still streams a
-// table byte-identical to the full-simulation reference; an explicit plan
-// in the spec wins over the default, and a bad default is rejected at
-// construction.
-func TestDefaultPlanOnePass(t *testing.T) {
+// TestLegacyPlanFieldAccepted: a spec that still carries the retired
+// "plan" field (as journals and clients written before its removal do) is
+// accepted, and the field is ignored — the job streams the reference table.
+func TestLegacyPlanFieldAccepted(t *testing.T) {
 	spec := gridSpec()
 	want := referenceTable(t, spec, false)
 
-	s := newTestServer(t, Config{DefaultPlan: "onepass"})
+	s := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	js := postJob(t, ts.Client(), ts.URL+"/jobs", spec)
-	if !js.gotDone {
-		t.Fatal("no done line")
+	var fields map[string]any
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(body, &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields["plan"] = "full"
+	if body, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	js := parseStream(t, resp)
+	if js.status != http.StatusOK || !js.gotDone {
+		t.Fatalf("legacy spec: status %d, done %v", js.status, js.gotDone)
 	}
 	if js.done.Table != want {
-		t.Errorf("one-pass table differs from full reference:\ngot:\n%s\nwant:\n%s", js.done.Table, want)
-	}
-
-	// A spec that names its plan keeps it: "full" on a onepass-default
-	// server must still render the reference bytes (and is served from the
-	// shared result cache — the cache key deliberately ignores the plan).
-	full := spec
-	full.Plan = "full"
-	js2 := postJob(t, ts.Client(), ts.URL+"/jobs", full)
-	if !js2.gotDone || js2.done.Table != want {
-		t.Errorf("explicit full plan on onepass-default server: done=%v", js2.gotDone)
-	}
-
-	if _, err := New(Config{DefaultPlan: "bogus"}); err == nil {
-		t.Error("bad DefaultPlan accepted")
+		t.Errorf("legacy spec table differs from the reference:\ngot:\n%s\nwant:\n%s", js.done.Table, want)
 	}
 }
 

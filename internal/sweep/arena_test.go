@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"io"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -61,29 +60,6 @@ func TestGridDecodesTraceOnce(t *testing.T) {
 	// refs successful Next calls plus the final io.EOF.
 	if got := nextCalls.Load(); got != refs+1 {
 		t.Errorf("trace decoded with %d Next calls, want %d (refs+EOF)", got, refs+1)
-	}
-}
-
-// TestStreamPerPointRedecodes pins the escape hatch: with StreamPerPoint
-// the factory is consulted for every point, the legacy behavior for traces
-// too large to materialize.
-func TestStreamPerPointRedecodes(t *testing.T) {
-	var factoryCalls atomic.Int64
-	r := Runner{
-		Configure: testConfigure,
-		Trace: func() trace.Stream {
-			factoryCalls.Add(1)
-			return synth.PaperStream(1, 2000)
-		},
-		CPU:            cpu.Config{CycleNS: 10},
-		StreamPerPoint: true,
-	}
-	g := Grid{SizesBytes: []int64{8 * 1024, 16 * 1024}, CyclesNS: []int64{10, 20}}
-	if _, err := r.Run(g); err != nil {
-		t.Fatal(err)
-	}
-	if got := factoryCalls.Load(); got != 4 {
-		t.Errorf("Trace factory called %d times, want 4 (one per point)", got)
 	}
 }
 
@@ -162,17 +138,5 @@ func TestParallelSweepsIdenticalWithRandomRepl(t *testing.T) {
 			}
 		}
 		t.Fatal("parallel sweeps diverged")
-	}
-}
-
-// TestCursorSatisfiesBatchReader pins that an arena cursor also serves
-// readers that batch through trace.BatchReader.
-func TestCursorSatisfiesBatchReader(t *testing.T) {
-	var s trace.Stream = trace.NewArena(nil).Cursor()
-	if _, ok := s.(trace.BatchReader); !ok {
-		t.Fatal("*trace.Cursor does not implement trace.BatchReader")
-	}
-	if _, err := s.Next(); err != io.EOF {
-		t.Fatalf("empty cursor Next = %v, want io.EOF", err)
 	}
 }

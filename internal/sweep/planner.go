@@ -7,14 +7,13 @@ import (
 	"runtime/debug"
 	"sort"
 	"sync"
-	"time"
 
 	"mlcache/internal/cache"
 	"mlcache/internal/cpu"
 	"mlcache/internal/memsys"
 )
 
-// The one-pass planner (-plan=onepass) splits a grid into *analytic* points
+// The engine is a one-pass planner. It splits a grid into *analytic* points
 // — whose first-level boundary stream is a pure function of the trace, so
 // they can be reproduced exactly by replaying a captured boundary log
 // through their own downstream machinery — and *timing-sensitive* points
@@ -26,36 +25,6 @@ import (
 // full simulation (see internal/memsys/onepass.go); only the diagnostic
 // PerPID and StallHist fields, which no table reads, are left empty on
 // replayed points. See DESIGN.md §13.
-
-// PlanMode selects how a Runner evaluates a grid.
-type PlanMode int
-
-const (
-	// PlanFull simulates every point end to end (the default).
-	PlanFull PlanMode = iota
-	// PlanOnePass captures the first-level boundary once per group of
-	// analytic points and replays it everywhere else.
-	PlanOnePass
-)
-
-// ParsePlanMode parses a -plan flag value. The empty string means PlanFull.
-func ParsePlanMode(s string) (PlanMode, error) {
-	switch s {
-	case "", "full":
-		return PlanFull, nil
-	case "onepass":
-		return PlanOnePass, nil
-	}
-	return PlanFull, fmt.Errorf("sweep: unknown plan mode %q (want full or onepass)", s)
-}
-
-// String renders the mode as its flag value.
-func (m PlanMode) String() string {
-	if m == PlanOnePass {
-		return "onepass"
-	}
-	return "full"
-}
 
 // upstreamKey fingerprints everything that determines the first-level
 // boundary stream: the first-level configuration and the CPU rate. Points
@@ -119,79 +88,107 @@ func analyticReason(hcfg memsys.Config, ccfg cpu.Config) string {
 
 // opGroup is one set of analytic points sharing a first level.
 type opGroup struct {
-	pivot   int   // index into pts/results
-	replays []int // remaining members, replayed from the pivot's log
-	log     *memsys.DownLog
-	run     cpu.Result // the pivot's full result
+	pivot int // index into pts/results of the capturing member
+	log   *memsys.DownLog
+	run   cpu.Result // the pivot's full result
 }
 
-// runOnePass is RunContext's PlanOnePass engine: phase 1 runs the
-// timing-sensitive points and one capturing pivot per analytic group,
-// phase 2 replays the boundary logs (and falls back to full simulation for
-// any group whose pivot failed). Per-point semantics — Skip, OnResult,
-// retries, timeouts, cancellation — match the full engine.
-func (r Runner) runOnePass(ctx context.Context, pts []Point, opts Options) ([]Result, error) {
-	par := opts.Parallelism
-	if par <= 0 {
-		par = r.Parallelism
+// RunContext evaluates the given points on a worker pool and returns a
+// result for every point, in input order, even when some fail. Per-point
+// outcomes land in Result.Err rather than aborting the grid: a panic, an
+// invalid configuration, or a timeout marks only its own point failed.
+// Cancelling ctx (e.g. on SIGINT via signal.NotifyContext) stops workers at
+// the next batch check and returns the completed prefix — the partial
+// results are valid and, with Options.OnResult journaling them,
+// resumable. The returned error is nil unless ctx was cancelled.
+//
+// Phase 1 fully simulates the timing-sensitive points and captures each
+// group's pivot; phase 2 replays the other members from their pivot's log.
+// A group whose pivot failed is demoted: its members are fully simulated
+// in phase 2 instead.
+func (r Runner) RunContext(ctx context.Context, pts []Point, opts Options) ([]Result, error) {
+	if r.Configure == nil || (r.Trace == nil && r.Arena == nil) {
+		return nil, fmt.Errorf("sweep: Runner needs Configure and Trace (or Arena)")
 	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	par := r.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	if par > len(pts) {
-		par = len(pts)
-	}
-	if par < 1 {
-		par = 1
-	}
-
 	results := make([]Result, len(pts))
 	for i, pt := range pts {
 		results[i] = Result{Point: pt}
 	}
 	shared := &gridTrace{runner: &r, ctx: ctx}
 
-	// Classification. Configure may panic for a bad point; such points take
-	// the full path, whose per-point recovery converts the panic into the
-	// same *PanicError the full engine reports.
-	cfgs := make([]memsys.Config, len(pts))
-	var fullIdx []int
+	// Classification calls Configure once per point. A panic there is the
+	// point's first attempt; the point then takes the full path, whose
+	// retry loop calls Configure again while the budget lasts.
+	cfgs := make([]*memsys.Config, len(pts))
+	var phase1, phase2 []int
 	byKey := map[upstreamKey][]int{}
 	for i := range pts {
-		if opts.Skip != nil && opts.Skip(pts[i]) {
-			results[i].Skipped = true
+		res := &results[i]
+		if opts.Skip != nil && opts.Skip(res.Point) {
+			res.Skipped = true
 			continue
 		}
-		cfg, ok := safeConfigure(r.Configure, pts[i])
-		if !ok {
-			fullIdx = append(fullIdx, i)
+		cfg, err := r.configure(res.Point)
+		if err != nil {
+			res.Attempts, res.Err = 1, fmt.Errorf("sweep: point %v: %w", res.Point, err)
+			phase1 = append(phase1, i)
 			continue
 		}
-		cfgs[i] = cfg
+		cfgs[i] = &cfg
 		if analyticReason(cfg, r.CPU) != "" {
-			fullIdx = append(fullIdx, i)
+			phase1 = append(phase1, i)
 			continue
 		}
 		k := upstreamKeyOf(cfg)
 		byKey[k] = append(byKey[k], i)
 	}
-	var groups []*opGroup
+	groupOf := make([]*opGroup, len(pts))
 	for _, members := range byKey {
-		if len(members) < 2 {
-			// A lone analytic point gains nothing from capture overhead.
-			fullIdx = append(fullIdx, members...)
+		// members[0] runs in phase 1: as its group's capturing pivot or,
+		// alone, as a plain simulation, since a lone point gains nothing
+		// from capture overhead.
+		phase1 = append(phase1, members[0])
+		if len(members) == 1 {
 			continue
 		}
-		groups = append(groups, &opGroup{pivot: members[0], replays: members[1:]})
-	}
-	sort.Slice(groups, func(a, b int) bool { return groups[a].pivot < groups[b].pivot })
-	groupOf := map[int]*opGroup{}
-	for _, g := range groups {
-		groupOf[g.pivot] = g
+		g := &opGroup{pivot: members[0]}
+		for _, i := range members {
+			groupOf[i] = g
+		}
+		phase2 = append(phase2, members[1:]...)
 	}
 
 	var onResultMu sync.Mutex
-	report := func(res *Result) {
+	work := func(ws *workerState, i int) {
+		res := &results[i]
+		g := groupOf[i]
+		runPoint(ctx, opts, ws, res, func(interrupt func() error) (cpu.Result, error) {
+			switch {
+			case g == nil:
+				cfg := cfgs[i]
+				if cfg == nil { // Configure panicked during classification
+					c := r.Configure(res.Point)
+					cfg = &c
+				}
+				return r.simulate(*cfg, shared, ws, nil, interrupt)
+			case g.pivot == i:
+				rec := memsys.NewDownRecorder()
+				run, err := r.simulate(*cfgs[i], shared, ws, rec, interrupt)
+				if err == nil {
+					g.log, g.run = rec.Finish(run.TimeNS), run
+				}
+				return run, err
+			default:
+				return replay(*cfgs[i], g, ws, interrupt)
+			}
+		})
 		if res.Err == nil && opts.OnResult != nil {
 			onResultMu.Lock()
 			opts.OnResult(*res)
@@ -199,51 +196,17 @@ func (r Runner) runOnePass(ctx context.Context, pts []Point, opts Options) ([]Re
 		}
 	}
 
-	// Phase 1: timing-sensitive points plus one capturing pivot per group.
-	phase1 := append(append([]int{}, fullIdx...), pivots(groups)...)
-	r.runPhase(ctx, par, orderByGeometry(pts, phase1), func(ws *workerState, i int) {
-		res := &results[i]
-		if g := groupOf[i]; g != nil {
-			r.retryPoint(ctx, opts, res, func() (cpu.Result, error) {
-				run, log, err := r.runOnceCapture(ctx, opts.PointTimeout, res.Point, cfgs[i], shared, ws)
-				if err == nil {
-					g.log, g.run = log, run
-				}
-				return run, err
-			})
-		} else {
-			r.runPoint(ctx, opts, shared, ws, res)
-		}
-		report(res)
-	})
-
-	// Phase 2: replays, plus full simulation for members of any group whose
-	// pivot failed (its capture never completed).
-	var phase2 []int
-	demoted := map[int]bool{}
-	for _, g := range groups {
-		for _, i := range g.replays {
-			phase2 = append(phase2, i)
-			if g.log == nil {
-				demoted[i] = true
-			} else {
-				groupOf[i] = g
-			}
+	r.runPhase(ctx, par, orderByGeometry(pts, phase1), work)
+	for _, i := range phase2 {
+		if groupOf[i].log == nil {
+			groupOf[i] = nil // demoted: the pivot's capture never completed
 		}
 	}
-	r.runPhase(ctx, par, orderByGeometry(pts, phase2), func(ws *workerState, i int) {
-		res := &results[i]
-		if g := groupOf[i]; g != nil && !demoted[i] {
-			r.retryPoint(ctx, opts, res, func() (cpu.Result, error) {
-				return r.runOnceReplay(ctx, opts.PointTimeout, res.Point, cfgs[i], g, ws)
-			})
-		} else {
-			r.runPoint(ctx, opts, shared, ws, res)
-		}
-		report(res)
-	})
+	r.runPhase(ctx, par, orderByGeometry(pts, phase2), work)
 
 	if err := ctx.Err(); err != nil {
+		// Points never attempted inherit the cancellation error so the
+		// caller can tell "not run" from "ran and succeeded".
 		for i := range results {
 			if results[i].Attempts == 0 && !results[i].Skipped {
 				results[i].Err = err
@@ -254,27 +217,21 @@ func (r Runner) runOnePass(ctx context.Context, pts []Point, opts Options) ([]Re
 	return results, nil
 }
 
-func pivots(groups []*opGroup) []int {
-	out := make([]int, len(groups))
-	for j, g := range groups {
-		out[j] = g.pivot
-	}
-	return out
-}
-
-// safeConfigure calls configure, absorbing panics (ok == false).
-func safeConfigure(configure func(Point) memsys.Config, pt Point) (cfg memsys.Config, ok bool) {
+// configure calls r.Configure, converting a panic into a *PanicError.
+func (r Runner) configure(pt Point) (cfg memsys.Config, err error) {
 	defer func() {
-		if recover() != nil {
-			ok = false
+		if p := recover(); p != nil {
+			err = &PanicError{Point: pt, Value: p, Stack: debug.Stack()}
 		}
 	}()
-	return configure(pt), true
+	return r.Configure(pt), nil
 }
 
-// orderByGeometry returns idxs reordered so points sharing an L2 tag-array
-// shape are adjacent, preserving the full engine's ResetFor reuse.
+// orderByGeometry sorts idxs in place and returns them regrouped so points
+// sharing an L2 tag-array shape are adjacent, which keeps each worker's
+// hierarchy reusable by ResetFor. The schedule never affects results.
 func orderByGeometry(pts []Point, idxs []int) []int {
+	sort.Ints(idxs)
 	sub := make([]Point, len(idxs))
 	for j, i := range idxs {
 		sub[j] = pts[i]
@@ -287,7 +244,10 @@ func orderByGeometry(pts []Point, idxs []int) []int {
 }
 
 // runPhase drains one phase's indices through a worker pool. Each worker
-// owns reusable hierarchy state exactly like the full engine's workers.
+// owns one reusable hierarchy: neighbors that share cache geometry are
+// evaluated by Reset instead of reallocating tag arrays, and with a
+// Runner.Pool the hierarchy outlives this run for the next job over the
+// same geometry.
 func (r Runner) runPhase(ctx context.Context, par int, order []int, work func(*workerState, int)) {
 	if len(order) == 0 {
 		return
@@ -320,99 +280,39 @@ feed:
 	wg.Wait()
 }
 
-// retryPoint wraps one attempt function in the engine's retry/backoff
-// policy, mirroring runPoint.
-func (r Runner) retryPoint(ctx context.Context, opts Options, res *Result, attempt func() (cpu.Result, error)) {
-	backoff := opts.Backoff
-	for n := 0; ; n++ {
-		if ctx.Err() != nil {
-			if res.Err == nil {
-				res.Err = ctx.Err()
-			}
-			return
-		}
-		res.Attempts = n + 1
-		run, err := attempt()
-		if err == nil {
-			res.Run, res.Err = run, nil
-			return
-		}
-		res.Err = fmt.Errorf("sweep: point %v: %w", res.Point, err)
-		if ctx.Err() != nil || n >= opts.Retries {
-			return
-		}
-		if backoff > 0 {
-			t := time.NewTimer(backoff)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return
-			case <-t.C:
-			}
-			backoff *= 2
-		}
-	}
-}
-
-// runOnceCapture is runOnce with a boundary recorder attached: a normal
-// full simulation of the pivot whose byproduct is the group's DownLog.
-func (r Runner) runOnceCapture(ctx context.Context, timeout time.Duration, pt Point, hcfg memsys.Config, shared *gridTrace, ws *workerState) (run cpu.Result, log *memsys.DownLog, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			ws.h = nil
-			err = &PanicError{Point: pt, Value: p, Stack: debug.Stack()}
-		}
-	}()
-	pctx := ctx
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		pctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	h, err := ws.hierarchy(hcfg)
-	if err != nil {
-		return cpu.Result{}, nil, err
-	}
-	s, err := shared.source()
-	if err != nil {
-		return cpu.Result{}, nil, err
-	}
-	rec := memsys.NewDownRecorder()
-	h.SetTap(rec)
-	defer h.SetTap(nil) // the hierarchy is reused for later points
-	cfg := r.CPU
-	cfg.Interrupt = pctx.Err
-	cfg.OnRecordingStart = rec.MarkRecordingStart
-	if cfg.WarmupRefs == 0 {
-		rec.MarkRecordingStart(0)
-	}
-	run, err = cpu.Run(h, s, cfg)
-	if err != nil {
-		return run, nil, err
-	}
-	return run, rec.Finish(run.TimeNS), nil
-}
-
-// runOnceReplay evaluates one analytic point by replaying its group's
-// boundary log through the point's own downstream machinery.
-func (r Runner) runOnceReplay(ctx context.Context, timeout time.Duration, pt Point, hcfg memsys.Config, g *opGroup, ws *workerState) (run cpu.Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			ws.h = nil
-			err = &PanicError{Point: pt, Value: p, Stack: debug.Stack()}
-		}
-	}()
-	pctx := ctx
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		pctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+// simulate runs one full simulation of hcfg over the shared trace on the
+// worker's hierarchy. With rec non-nil the first-level boundary stream is
+// captured into it as a byproduct.
+func (r Runner) simulate(hcfg memsys.Config, shared *gridTrace, ws *workerState, rec *memsys.DownRecorder, interrupt func() error) (cpu.Result, error) {
 	h, err := ws.hierarchy(hcfg)
 	if err != nil {
 		return cpu.Result{}, err
 	}
-	timeNS, err := h.ReplayDown(g.log, pctx.Err)
+	s, err := shared.source()
+	if err != nil {
+		return cpu.Result{}, err
+	}
+	cfg := r.CPU
+	cfg.Interrupt = interrupt
+	if rec != nil {
+		h.SetTap(rec)
+		defer h.SetTap(nil) // the hierarchy is reused for later points
+		cfg.OnRecordingStart = rec.MarkRecordingStart
+		if cfg.WarmupRefs == 0 {
+			rec.MarkRecordingStart(0)
+		}
+	}
+	return cpu.Run(h, s, cfg)
+}
+
+// replay evaluates one analytic point by replaying its group's boundary
+// log through the point's own downstream machinery.
+func replay(hcfg memsys.Config, g *opGroup, ws *workerState, interrupt func() error) (cpu.Result, error) {
+	h, err := ws.hierarchy(hcfg)
+	if err != nil {
+		return cpu.Result{}, err
+	}
+	timeNS, err := h.ReplayDown(g.log, interrupt)
 	if err != nil {
 		return cpu.Result{}, err
 	}

@@ -5,29 +5,12 @@ import (
 	"context"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"mlcache/internal/cache"
 	"mlcache/internal/cpu"
 	"mlcache/internal/memsys"
-	"mlcache/internal/synth"
 	"mlcache/internal/trace"
 )
-
-func TestParsePlanMode(t *testing.T) {
-	for in, want := range map[string]PlanMode{"": PlanFull, "full": PlanFull, "onepass": PlanOnePass} {
-		got, err := ParsePlanMode(in)
-		if err != nil || got != want {
-			t.Errorf("ParsePlanMode(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParsePlanMode("magic"); err == nil {
-		t.Error("bad mode accepted")
-	}
-	if PlanFull.String() != "full" || PlanOnePass.String() != "onepass" {
-		t.Error("String round-trip broken")
-	}
-}
 
 func TestAnalyticReason(t *testing.T) {
 	ccfg := cpu.Config{CycleNS: 10}
@@ -74,30 +57,52 @@ func renderTable(t *testing.T, results []Result) []byte {
 	return buf.Bytes()
 }
 
-// TestOnePassTableByteIdentical: the acceptance criterion — a multi-size,
-// multi-cycle, multi-associativity grid renders byte-for-byte the same
-// table under -plan=onepass and -plan=full.
+// simulateEach is the oracle the planner is checked against: every point
+// gets a fresh memsys.New hierarchy and a cpu.Run over a fresh cursor, in
+// input order, with no planner, worker pool, Pool or hierarchy reuse.
+func simulateEach(t *testing.T, r Runner, pts []Point) []Result {
+	t.Helper()
+	arena := r.Arena
+	if arena == nil {
+		var err error
+		if arena, err = trace.Materialize(r.Trace()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := make([]Result, len(pts))
+	for i, pt := range pts {
+		h, err := memsys.New(r.Configure(pt))
+		if err != nil {
+			t.Fatalf("oracle: point %v: %v", pt, err)
+		}
+		run, err := cpu.Run(h, arena.Cursor(), r.CPU)
+		if err != nil {
+			t.Fatalf("oracle: point %v: %v", pt, err)
+		}
+		out[i] = Result{Point: pt, Run: run}
+	}
+	return out
+}
+
+// TestOnePassTableByteIdentical: a multi-size, multi-cycle,
+// multi-associativity grid renders byte-for-byte the same table through
+// the planner as through the oracle.
 func TestOnePassTableByteIdentical(t *testing.T) {
 	pts := Grid{
 		SizesBytes: SizesPow2(8, 64),
 		CyclesNS:   []int64{10, 30, 50},
 		Assocs:     []int{1, 2},
 	}.Points()
-	full := Runner{Configure: testConfigure, Trace: testTrace, CPU: cpu.Config{CycleNS: 10, WarmupRefs: 6000}}
-	onepass := full
-	onepass.Plan = PlanOnePass
+	r := Runner{Configure: testConfigure, Trace: testTrace, CPU: cpu.Config{CycleNS: 10, WarmupRefs: 6000}}
 
-	wantRes, err := full.RunContext(context.Background(), pts, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotRes, err := onepass.RunContext(context.Background(), pts, Options{})
+	wantRes := simulateEach(t, r, pts)
+	gotRes, err := r.RunContext(context.Background(), pts, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, got := renderTable(t, wantRes), renderTable(t, gotRes)
 	if !bytes.Equal(want, got) {
-		t.Fatalf("tables differ\nfull:\n%s\nonepass:\n%s", want, got)
+		t.Fatalf("tables differ\noracle:\n%s\nplanner:\n%s", want, got)
 	}
 	// Beyond the table: execution time and downstream stats match exactly.
 	for i := range wantRes {
@@ -124,7 +129,6 @@ func TestOnePassTraceBudget(t *testing.T) {
 	r := Runner{
 		Configure: testConfigure,
 		Arena:     arena,
-		Plan:      PlanOnePass,
 		CPU:       cpu.Config{CycleNS: 10, WarmupRefs: 6000},
 	}
 	results, err := r.RunContext(context.Background(), pts, Options{})
@@ -137,7 +141,7 @@ func TestOnePassTraceBudget(t *testing.T) {
 		}
 	}
 	if got := arena.Cursors(); got > 5 {
-		t.Errorf("one-pass plan opened %d trace cursors for analytic points, budget is 5", got)
+		t.Errorf("planner opened %d trace cursors for analytic points, budget is 5", got)
 	}
 	if got := arena.Cursors(); got != 1 {
 		t.Errorf("expected exactly 1 trace pass (single group), got %d", got)
@@ -155,31 +159,24 @@ func TestOnePassMixedClassification(t *testing.T) {
 		return cfg
 	}
 	pts := Grid{SizesBytes: SizesPow2(8, 32), CyclesNS: []int64{10, 30, 50}}.Points()
-	full := Runner{Configure: configure, Trace: testTrace, CPU: cpu.Config{CycleNS: 10, WarmupRefs: 5000}}
-	onepass := full
-	onepass.Plan = PlanOnePass
-	wantRes, err := full.RunContext(context.Background(), pts, Options{})
+	r := Runner{Configure: configure, Trace: testTrace, CPU: cpu.Config{CycleNS: 10, WarmupRefs: 5000}}
+	gotRes, err := r.RunContext(context.Background(), pts, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotRes, err := onepass.RunContext(context.Background(), pts, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want, got := renderTable(t, wantRes), renderTable(t, gotRes); !bytes.Equal(want, got) {
-		t.Fatalf("tables differ\nfull:\n%s\nonepass:\n%s", want, got)
+	if want, got := renderTable(t, simulateEach(t, r, pts)), renderTable(t, gotRes); !bytes.Equal(want, got) {
+		t.Fatalf("tables differ\noracle:\n%s\nplanner:\n%s", want, got)
 	}
 }
 
 // TestOnePassSkipAndOnResult: Skip marks points without running them, and
-// OnResult fires exactly once per completed point, in both plan modes.
+// OnResult fires exactly once per completed point.
 func TestOnePassSkipAndOnResult(t *testing.T) {
 	pts := gridPoints(3, 2)
 	var completed int32
 	r := Runner{
 		Configure: testConfigure,
 		Trace:     testTrace,
-		Plan:      PlanOnePass,
 		CPU:       cpu.Config{CycleNS: 10},
 	}
 	skip := func(pt Point) bool { return pt.L2CycleNS == 20 }
@@ -213,20 +210,19 @@ func TestOnePassSkipAndOnResult(t *testing.T) {
 }
 
 // TestOnePassCancellation: cancelling mid-grid returns the completed
-// prefix with ctx errors on the rest, like the full engine.
+// prefix with ctx errors on the rest.
 func TestOnePassCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var completed int32
 	r := Runner{
-		Configure: testConfigure,
-		Trace:     testTrace,
-		Plan:      PlanOnePass,
-		CPU:       cpu.Config{CycleNS: 10},
+		Configure:   testConfigure,
+		Trace:       testTrace,
+		CPU:         cpu.Config{CycleNS: 10},
+		Parallelism: 1,
 	}
 	pts := gridPoints(4, 2)
 	results, err := r.RunContext(ctx, pts, Options{
-		Parallelism: 1,
 		OnResult: func(Result) {
 			if atomic.AddInt32(&completed, 1) == 2 {
 				cancel()
@@ -246,72 +242,33 @@ func TestOnePassCancellation(t *testing.T) {
 	}
 }
 
-// TestOnePassPivotFailureDemotesGroup: when the pivot's capture fails, the
-// group's members fall back to full simulation and still succeed.
+// TestOnePassPivotFailureDemotesGroup: when the pivot's capture itself
+// fails, the group is demoted — every other member is fully simulated and
+// still matches the oracle, one trace pass each.
 func TestOnePassPivotFailureDemotesGroup(t *testing.T) {
-	pts := gridPoints(2, 2)
-	var calls int32
-	configure := func(pt Point) memsys.Config {
-		// The pivot (first classified member, smallest size/cycle) panics on
-		// its first configuration; later calls succeed, so the demoted full
-		// simulations complete.
-		if pt == pts[0] && atomic.AddInt32(&calls, 1) == 1 {
-			panic("transient pivot fault")
-		}
-		return testConfigure(pt)
+	arena, err := trace.Materialize(testTrace())
+	if err != nil {
+		t.Fatal(err)
 	}
-	r := Runner{
-		Configure: configure,
-		Trace:     testTrace,
-		Plan:      PlanOnePass,
-		CPU:       cpu.Config{CycleNS: 10},
-	}
+	// The prepended point's L2 is smaller than one 32-byte block, so
+	// memsys.New rejects it; it is analytic and first in its group, so it
+	// is the pivot.
+	bad := Point{L2SizeBytes: 16, L2CycleNS: 10, L2Assoc: 1}
+	members := gridPoints(2, 2)
+	pts := append([]Point{bad}, members...)
+	r := Runner{Configure: testConfigure, Arena: arena, CPU: cpu.Config{CycleNS: 10, WarmupRefs: 5000}}
 	results, err := r.RunContext(context.Background(), pts, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, res := range results {
-		if !res.OK() {
-			t.Errorf("point %v: %v", res.Point, res.Err)
-		}
+	if results[0].Err == nil {
+		t.Fatal("pivot with an unbuildable L2 reported no error")
 	}
-}
-
-// TestOnePassSpeedup: the acceptance benchmark — on a Fig 4-1-style
-// size × cycle grid the one-pass plan is at least 3× faster end to end.
-func TestOnePassSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock benchmark")
+	if got := arena.Cursors(); got != int64(len(members)) {
+		t.Errorf("trace cursors = %d, want %d (one full simulation per demoted member)", got, len(members))
 	}
-	arena, err := trace.Materialize(synth.PaperStream(1, 150_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := Grid{
-		SizesBytes: SizesPow2(4, 4096),
-		CyclesNS:   CyclesRange(1, 10, 10),
-	}.Points() // the paper's Fig 4-1 grid: 11 sizes × 10 cycles
-	mk := func(plan PlanMode) Runner {
-		return Runner{
-			Configure:   testConfigure,
-			Arena:       arena,
-			Plan:        plan,
-			CPU:         cpu.Config{CycleNS: 10, WarmupRefs: 6000},
-			Parallelism: 2,
-		}
-	}
-	start := time.Now()
-	if _, err := mk(PlanFull).RunContext(context.Background(), pts, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	fullDur := time.Since(start)
-	start = time.Now()
-	if _, err := mk(PlanOnePass).RunContext(context.Background(), pts, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	onepassDur := time.Since(start)
-	t.Logf("full %v, onepass %v (%.1fx)", fullDur, onepassDur, float64(fullDur)/float64(onepassDur))
-	if onepassDur*3 > fullDur {
-		t.Errorf("one-pass speedup below 3x: full %v, onepass %v", fullDur, onepassDur)
+	want := renderTable(t, simulateEach(t, r, members))
+	if got := renderTable(t, results[1:]); !bytes.Equal(want, got) {
+		t.Fatalf("demoted members differ from the oracle\noracle:\n%s\nplanner:\n%s", want, got)
 	}
 }

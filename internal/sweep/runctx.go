@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -16,9 +15,6 @@ import (
 
 // Options tunes the fault-tolerant sweep engine.
 type Options struct {
-	// Parallelism bounds concurrent simulations; <= 0 means the Runner's
-	// Parallelism, falling back to GOMAXPROCS.
-	Parallelism int
 	// PointTimeout bounds one simulation attempt; 0 means no limit. A
 	// point that exceeds it fails with context.DeadlineExceeded (wrapped
 	// in its Result.Err) without disturbing the rest of the grid.
@@ -53,106 +49,10 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("sweep: point %v panicked: %v", e.Point, e.Value)
 }
 
-// RunContext simulates the given points on a worker pool and returns a
-// result for every point, in input order, even when some fail. Per-point
-// outcomes land in Result.Err rather than aborting the grid: a panic, an
-// invalid configuration, or a timeout marks only its own point failed.
-// Cancelling ctx (e.g. on SIGINT via signal.NotifyContext) stops workers at
-// the next reference-stream check and returns the completed prefix — the
-// partial results are valid and, with Options.OnResult journaling them,
-// resumable. The returned error is nil unless ctx was cancelled.
-func (r Runner) RunContext(ctx context.Context, pts []Point, opts Options) ([]Result, error) {
-	if r.Configure == nil || (r.Trace == nil && r.Arena == nil) {
-		return nil, fmt.Errorf("sweep: Runner needs Configure and Trace (or Arena)")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if r.Plan == PlanOnePass && !r.StreamPerPoint {
-		return r.runOnePass(ctx, pts, opts)
-	}
-	par := opts.Parallelism
-	if par <= 0 {
-		par = r.Parallelism
-	}
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > len(pts) {
-		par = len(pts)
-	}
-	if par < 1 {
-		par = 1
-	}
-
-	results := make([]Result, len(pts))
-	for i, pt := range pts {
-		results[i] = Result{Point: pt}
-	}
-
-	jobs := make(chan int)
-	shared := &gridTrace{runner: &r, ctx: ctx}
-	var onResultMu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Each worker owns one reusable hierarchy: grid neighbors that
-			// share cache geometry are simulated by Reset instead of
-			// reallocating tag arrays. With a Runner.Pool the hierarchy
-			// outlives this run for the next job over the same geometry.
-			ws := &workerState{pool: r.Pool}
-			defer ws.retire()
-			for i := range jobs {
-				res := &results[i]
-				if opts.Skip != nil && opts.Skip(res.Point) {
-					res.Skipped = true
-					continue
-				}
-				r.runPoint(ctx, opts, shared, ws, res)
-				if res.Err == nil && opts.OnResult != nil {
-					onResultMu.Lock()
-					opts.OnResult(*res)
-					onResultMu.Unlock()
-				}
-			}
-		}()
-	}
-
-	// Points are fed in geometry order, not input order: grouping the grid
-	// by tag-array shape turns almost every worker transition into a
-	// timing-only ResetFor. Results stay in input order regardless, so the
-	// rendered table is byte-identical either way.
-feed:
-	for _, i := range GeometryOrder(pts) {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-
-	if err := ctx.Err(); err != nil {
-		// Points never attempted inherit the cancellation error so the
-		// caller can tell "not run" from "ran and succeeded".
-		for i := range results {
-			if results[i].Attempts == 0 && !results[i].Skipped {
-				results[i].Err = err
-			}
-		}
-		return results, err
-	}
-	return results, nil
-}
-
 // gridTrace owns the grid's shared trace: the runner's stream is
 // materialized into an immutable arena exactly once (by whichever worker
-// gets there first), and every point reads it through an independent
-// zero-copy cursor. With StreamPerPoint set it degrades to the legacy
-// fresh-stream-per-point behavior.
+// gets there first), and every simulation reads it through an independent
+// zero-copy cursor.
 type gridTrace struct {
 	runner *Runner
 	ctx    context.Context
@@ -163,9 +63,6 @@ type gridTrace struct {
 
 // source returns the reference source for one simulation attempt.
 func (g *gridTrace) source() (trace.Stream, error) {
-	if g.runner.StreamPerPoint && g.runner.Arena == nil {
-		return g.runner.Trace(), nil
-	}
 	g.once.Do(func() {
 		if g.runner.Arena != nil {
 			g.arena = g.runner.Arena
@@ -226,45 +123,54 @@ func (ws *workerState) retire() {
 	}
 }
 
-// runPoint executes one point with the retry budget, filling res in place.
-func (r Runner) runPoint(ctx context.Context, opts Options, shared *gridTrace, ws *workerState, res *Result) {
+// attemptFunc is one attempt's work on a point; interrupt reports the
+// grid's cancellation or the attempt's timeout.
+type attemptFunc func(interrupt func() error) (cpu.Result, error)
+
+// runPoint evaluates one point, filling res in place: attempts run until
+// one succeeds, the retry budget is spent, or ctx ends, with a doubling
+// backoff between them. An attempt already recorded in res (a Configure
+// panic during classification) counts against the budget.
+func runPoint(ctx context.Context, opts Options, ws *workerState, res *Result, work attemptFunc) {
 	backoff := opts.Backoff
-	for attempt := 0; ; attempt++ {
-		if ctx.Err() != nil {
+	for {
+		if res.Attempts > 0 {
+			// The previous attempt failed. The grid being cancelled is not
+			// a per-point fault; don't burn retries on it.
+			if ctx.Err() != nil || res.Attempts > opts.Retries {
+				return
+			}
+			if backoff > 0 {
+				t := time.NewTimer(backoff)
+				select {
+				case <-ctx.Done():
+					t.Stop()
+					return
+				case <-t.C:
+				}
+				backoff *= 2
+			}
+		}
+		if err := ctx.Err(); err != nil {
 			if res.Err == nil {
-				res.Err = ctx.Err()
+				res.Err = err
 			}
 			return
 		}
-		res.Attempts = attempt + 1
-		run, err := r.runOnce(ctx, opts.PointTimeout, res.Point, shared, ws)
+		res.Attempts++
+		run, err := ws.attempt(ctx, opts.PointTimeout, res.Point, work)
 		if err == nil {
 			res.Run, res.Err = run, nil
 			return
 		}
 		res.Err = fmt.Errorf("sweep: point %v: %w", res.Point, err)
-		// The grid being cancelled is not a per-point fault; don't burn
-		// retries on it.
-		if ctx.Err() != nil || attempt >= opts.Retries {
-			return
-		}
-		if backoff > 0 {
-			t := time.NewTimer(backoff)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return
-			case <-t.C:
-			}
-			backoff *= 2
-		}
 	}
 }
 
-// runOnce performs a single simulation attempt, converting panics into a
-// *PanicError and honoring the per-point timeout through the CPU loop's
-// per-batch Interrupt check.
-func (r Runner) runOnce(ctx context.Context, timeout time.Duration, pt Point, shared *gridTrace, ws *workerState) (run cpu.Result, err error) {
+// attempt performs one attempt at pt, converting a panic into a
+// *PanicError and bounding it by timeout through work's interrupt, which
+// the CPU loop and the replay poll once per batch.
+func (ws *workerState) attempt(ctx context.Context, timeout time.Duration, pt Point, work attemptFunc) (run cpu.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			// A panic may have left the cached hierarchy mid-update; drop
@@ -273,23 +179,12 @@ func (r Runner) runOnce(ctx context.Context, timeout time.Duration, pt Point, sh
 			err = &PanicError{Point: pt, Value: p, Stack: debug.Stack()}
 		}
 	}()
-	pctx := ctx
 	if timeout > 0 {
 		var cancel context.CancelFunc
-		pctx, cancel = context.WithTimeout(ctx, timeout)
+		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	h, err := ws.hierarchy(r.Configure(pt))
-	if err != nil {
-		return cpu.Result{}, err
-	}
-	s, err := shared.source()
-	if err != nil {
-		return cpu.Result{}, err
-	}
-	cfg := r.CPU
-	cfg.Interrupt = pctx.Err
-	return cpu.Run(h, s, cfg)
+	return work(ctx.Err)
 }
 
 // watchInterval is how many references the materialization pass consumes

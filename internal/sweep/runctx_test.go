@@ -15,16 +15,6 @@ import (
 	"mlcache/internal/trace"
 )
 
-// endless yields instruction fetches forever; only cancellation (via the
-// engine's watch stream) can stop a simulation consuming it.
-func endless() trace.Stream {
-	var addr uint64
-	return trace.Func(func() (trace.Ref, error) {
-		addr += 4
-		return trace.Ref{Kind: trace.IFetch, Addr: addr % (1 << 14)}, nil
-	})
-}
-
 func gridPoints(sizes, cycles int) []Point {
 	var pts []Point
 	for i := 0; i < sizes; i++ {
@@ -69,13 +59,13 @@ func TestRunContextCancelMidGrid(t *testing.T) {
 	defer cancel()
 	var completed int32
 	r := Runner{
-		Configure: testConfigure,
-		Trace:     testTrace,
-		CPU:       cpu.Config{CycleNS: 10},
+		Configure:   testConfigure,
+		Trace:       testTrace,
+		CPU:         cpu.Config{CycleNS: 10},
+		Parallelism: 1,
 	}
 	pts := gridPoints(4, 2)
 	results, err := r.RunContext(ctx, pts, Options{
-		Parallelism: 1,
 		OnResult: func(Result) {
 			if atomic.AddInt32(&completed, 1) == 3 {
 				cancel()
@@ -116,11 +106,12 @@ func TestRunContextPanicIsolated(t *testing.T) {
 			}
 			return testConfigure(pt)
 		},
-		Trace: testTrace,
-		CPU:   cpu.Config{CycleNS: 10},
+		Trace:       testTrace,
+		CPU:         cpu.Config{CycleNS: 10},
+		Parallelism: 2,
 	}
 	pts := gridPoints(2, 2) // includes bad: sizes {8K,16K} × cycles {10,20}
-	results, err := r.RunContext(context.Background(), pts, Options{Parallelism: 2})
+	results, err := r.RunContext(context.Background(), pts, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,15 +167,13 @@ func TestRunContextRetries(t *testing.T) {
 func TestRunContextPointTimeout(t *testing.T) {
 	r := Runner{
 		Configure: testConfigure,
-		Trace:     endless,
-		// An endless trace cannot be materialized into the shared arena;
-		// unbounded streams must opt out of decode-once. The timeout is
-		// then enforced by the CPU loop's per-batch Interrupt check.
-		StreamPerPoint: true,
-		CPU:            cpu.Config{CycleNS: 10},
+		Trace:     testTrace,
+		CPU:       cpu.Config{CycleNS: 10},
 	}
+	// The deadline has passed by the time the CPU loop first polls its
+	// per-batch Interrupt check.
 	results, err := r.RunContext(context.Background(), gridPoints(1, 1), Options{
-		PointTimeout: 30 * time.Millisecond,
+		PointTimeout: time.Nanosecond,
 	})
 	if err != nil {
 		t.Fatalf("grid error = %v, want nil (timeout is per-point)", err)
@@ -212,8 +201,9 @@ func TestResumeAfterInterrupt(t *testing.T) {
 				}
 				return testConfigure(pt)
 			},
-			Trace: func() trace.Stream { return trace.Limit(testTrace(), 4000) },
-			CPU:   cpu.Config{CycleNS: 10},
+			Trace:       func() trace.Stream { return trace.Limit(testTrace(), 4000) },
+			CPU:         cpu.Config{CycleNS: 10},
+			Parallelism: 2,
 		}
 	}
 	ckptPath := filepath.Join(t.TempDir(), "sweep.ckpt")
@@ -226,7 +216,6 @@ func TestResumeAfterInterrupt(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var phase1 int32
 	_, err = mk().RunContext(ctx, pts, Options{
-		Parallelism: 2,
 		OnResult: func(res Result) {
 			if err := j.Append(res.Point.String(), res.Run); err != nil {
 				t.Errorf("journal: %v", err)
@@ -253,9 +242,8 @@ func TestResumeAfterInterrupt(t *testing.T) {
 	}
 	var resimulated int32
 	results, err := mk().RunContext(context.Background(), pts, Options{
-		Parallelism: 2,
-		Skip:        func(pt Point) bool { return set.Has(pt.String()) },
-		OnResult:    func(Result) { atomic.AddInt32(&resimulated, 1) },
+		Skip:     func(pt Point) bool { return set.Has(pt.String()) },
+		OnResult: func(Result) { atomic.AddInt32(&resimulated, 1) },
 	})
 	if err != nil {
 		t.Fatal(err)

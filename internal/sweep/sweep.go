@@ -165,30 +165,17 @@ func CyclesRange(lo, hi int, cpuCycleNS int64) []int64 {
 type Runner struct {
 	// Configure builds the hierarchy configuration for a point.
 	Configure func(Point) memsys.Config
-	// Trace returns a fresh stream for a run; it must yield the same
-	// references on every call so that points are comparable. By default
-	// the engine calls it once per grid, materializes the result into a
-	// shared trace.Arena, and hands every point a zero-copy cursor — the
-	// trace is decoded exactly once no matter how many points run. The
-	// stream must therefore be finite; unbounded or won't-fit-in-memory
-	// traces must set StreamPerPoint.
+	// Trace returns the grid's reference stream. The engine calls it once
+	// per grid, materializes the result into a shared trace.Arena, and
+	// hands every simulation a zero-copy cursor — the trace is decoded
+	// exactly once no matter how many points run. The stream must
+	// therefore be finite and fit in memory.
 	Trace func() trace.Stream
 	// Arena, when non-nil, is used directly as the shared trace and Trace
 	// is never called. Callers running several grids over the same
 	// workload materialize once and share it here.
 	Arena *trace.Arena
-	// StreamPerPoint disables the shared arena: every point calls Trace
-	// afresh, re-decoding or re-generating the workload. The escape hatch
-	// for traces too large to hold in memory.
-	StreamPerPoint bool
-	CPU            cpu.Config
-	// Plan selects the evaluation strategy: PlanFull simulates every point
-	// end to end; PlanOnePass captures the first-level boundary stream once
-	// per group of analytic points and replays it for the rest, producing
-	// bit-identical tables in a fraction of the trace passes (see
-	// planner.go). One-pass needs the shared arena, so StreamPerPoint
-	// forces the full plan.
-	Plan PlanMode
+	CPU   cpu.Config
 	// Parallelism bounds concurrent simulations; 0 means GOMAXPROCS.
 	Parallelism int
 	// Pool, when non-nil, shares hierarchies beyond this run: workers draw

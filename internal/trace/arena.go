@@ -6,17 +6,6 @@ import (
 	"sync/atomic"
 )
 
-// BatchReader is the bulk counterpart of Stream: ReadRefs fills buf with
-// the next references and returns how many were written. Like io.Reader,
-// it may return n > 0 together with an error (including io.EOF); a return
-// of n == 0 with a nil error is not permitted. Consumers that know about
-// BatchReader amortize one interface call over a whole batch instead of
-// paying one per reference; the CPU issue loop goes further and reads an
-// arena Cursor in place through Chunk.
-type BatchReader interface {
-	ReadRefs(buf []Ref) (n int, err error)
-}
-
 // Arena is an immutable in-memory trace, materialized exactly once from any
 // Stream and shared read-only by any number of concurrent simulations. It
 // is the decode-once backbone of the sweep engine: grid points read the
@@ -71,9 +60,10 @@ func (a *Arena) Cursor() *Cursor {
 // upper bound on the number of passes readers have made over the trace.
 func (a *Arena) Cursors() int64 { return a.cursors.Load() }
 
-// Cursor reads an Arena sequentially. It implements both Stream (Next) for
-// compatibility with every existing consumer and BatchReader (ReadRefs)
-// for bulk copies; Chunk reads the arena in place without copying.
+// Cursor reads an Arena sequentially. It implements Stream (Next) for
+// every reference-at-a-time consumer; ReadRefs copies a batch out, and
+// Chunk, which the CPU issue loop uses, reads the arena in place without
+// copying.
 type Cursor struct {
 	refs []Ref
 	pos  int
@@ -89,8 +79,8 @@ func (c *Cursor) Next() (Ref, error) {
 	return r, nil
 }
 
-// ReadRefs copies the next references into buf, implementing BatchReader.
-// It returns io.EOF (with n == 0) once the arena is exhausted.
+// ReadRefs copies the next references into buf and returns how many it
+// copied. It returns io.EOF (with n == 0) once the arena is exhausted.
 func (c *Cursor) ReadRefs(buf []Ref) (int, error) {
 	if c.pos >= len(c.refs) {
 		return 0, io.EOF
