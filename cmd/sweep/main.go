@@ -110,7 +110,7 @@ func main() {
 
 		publishDir = flag.String("publish", "", "with -serve: also accept artifact uploads (PUT /artifacts/{digest}) into this store directory and serve them")
 		cacheDir   = flag.String("artifact-cache", "", "with -join: directory for the content-addressed artifact cache (default <user cache dir>/mlcache/artifacts)")
-		cacheMB    = flag.Int64("artifact-cache-mb", 4096, "with -join: artifact cache budget in MiB")
+		cacheMB    = flag.Int64("artifact-cache-mb", 4096, "with -join: artifact cache budget in MiB (<= 0 = unbounded)")
 		throttle   = flag.Int64("fetch-throttle-bps", 0, "with -join: cap artifact download throughput in bytes/sec (0 = unlimited)")
 		s3Endpoint = flag.String("s3-endpoint", "", "with -join: fetch artifacts from this S3-compatible endpoint instead of the coordinator")
 		s3Bucket   = flag.String("s3-bucket", "", "with -join -s3-endpoint: bucket holding the artifact objects")
@@ -302,19 +302,15 @@ func runWorker(ctx context.Context, addr string, wo workerOptions) error {
 		}
 		cacheDir = filepath.Join(base, "mlcache", "artifacts")
 	}
-	cache, err := store.NewCache(cacheDir, wo.cacheMB<<20)
+	local, err := store.OpenFileStore(cacheDir)
 	if err != nil {
 		return err
 	}
-	w := &coord.Worker{
-		ID:               id,
-		Coordinator:      addr,
-		Client:           client,
-		Parallelism:      wo.par,
-		PointRetries:     wo.retries,
-		Artifacts:        cache,
-		FetchThrottleBPS: wo.throttleBPS,
-		Logf:             log.Printf,
+	var remote backend.Backend = &backend.HTTP{
+		Base:        addr,
+		HTTPClient:  client,
+		ThrottleBPS: wo.throttleBPS,
+		Logf:        log.Printf,
 	}
 	if wo.s3Endpoint != "" {
 		s3, err := backend.NewS3(backend.S3Config{
@@ -330,13 +326,25 @@ func runWorker(ctx context.Context, addr string, wo workerOptions) error {
 		if err != nil {
 			return err
 		}
-		w.Fetch = backend.Fetcher{B: s3}
+		remote = s3
 		log.Printf("worker %s: filling artifact cache from %s/%s", id, wo.s3Endpoint, wo.s3Bucket)
 	}
+	cache := backend.NewTiered(local, remote)
+	cache.Budget = wo.cacheMB << 20
+	cache.Logf = log.Printf
+	w := &coord.Worker{
+		ID:           id,
+		Coordinator:  addr,
+		Client:       client,
+		Parallelism:  wo.par,
+		PointRetries: wo.retries,
+		Artifacts:    cache,
+		Logf:         log.Printf,
+	}
 	err = w.Run(ctx)
-	if st := cache.Stats(); st.Fetches > 0 || st.Hits > 0 {
-		log.Printf("artifact cache %s: %d hits, %d fetches, %d evictions, %d bytes resident",
-			cacheDir, st.Hits, st.Fetches, st.Evictions, st.Bytes)
+	if st := cache.Stats(); st.Promotions > 0 || st.LocalHits > 0 {
+		log.Printf("artifact cache %s: %d hits, %d fetches, %d evictions",
+			cacheDir, st.LocalHits, st.Promotions, st.Evictions)
 	}
 	return err
 }

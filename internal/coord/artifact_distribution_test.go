@@ -2,8 +2,10 @@ package coord_test
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -16,6 +18,7 @@ import (
 	"mlcache/internal/cpu"
 	"mlcache/internal/experiments"
 	"mlcache/internal/store"
+	"mlcache/internal/store/backend"
 	"mlcache/internal/sweep"
 	"mlcache/internal/trace"
 )
@@ -55,7 +58,7 @@ func publishArtifact(t *testing.T, refs int64) (string, store.Digest, uint32) {
 type artifactFleetWorker struct {
 	fleetWorker
 	throttleBPS int64
-	cacheBytes  int64 // 0 = default budget
+	cacheBytes  int64 // 0 = unbounded
 }
 
 // runArtifactFleet is runFleet with the store mounted: the coordinator
@@ -63,7 +66,7 @@ type artifactFleetWorker struct {
 // gets a private cache directory — no path in the JobSpec, no shared
 // disk. Returns the merged CSV, per-point merge counts, artifact GET
 // count, and each worker's cache for post-run inspection.
-func runArtifactFleet(t *testing.T, cfg coord.Config, src store.Resolver, fleet []artifactFleetWorker) (string, map[string]int, int64, []*store.Cache) {
+func runArtifactFleet(t *testing.T, cfg coord.Config, src store.Resolver, fleet []artifactFleetWorker) (string, map[string]int, int64, []*backend.Tiered) {
 	t.Helper()
 	var mergeMu sync.Mutex
 	merges := map[string]int{}
@@ -93,29 +96,36 @@ func runArtifactFleet(t *testing.T, cfg coord.Config, src store.Resolver, fleet 
 	defer cancel()
 	go c.Run(ctx)
 
-	caches := make([]*store.Cache, len(fleet))
+	caches := make([]*backend.Tiered, len(fleet))
 	var wg sync.WaitGroup
 	errs := make([]error, len(fleet))
 	for i, fw := range fleet {
-		cache, err := store.NewCache(t.TempDir(), fw.cacheBytes)
+		local, err := store.OpenFileStore(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
-		caches[i] = cache
 		wctx, wcancel := context.WithCancel(ctx)
 		defer wcancel()
 		tr := &chaos.Transport{Rules: fw.rules}
 		if fw.kill {
 			tr.OnFire = func(chaos.Rule, *http.Request) { wcancel() }
 		}
+		client := &http.Client{Transport: tr}
+		cache := backend.NewTiered(local, &backend.HTTP{
+			Base:        srv.URL,
+			HTTPClient:  client,
+			ThrottleBPS: fw.throttleBPS,
+			Logf:        t.Logf,
+		})
+		cache.Budget = fw.cacheBytes
+		caches[i] = cache
 		w := &coord.Worker{
-			ID:               fw.id,
-			Coordinator:      srv.URL,
-			Client:           &http.Client{Transport: tr},
-			Parallelism:      1,
-			Artifacts:        cache,
-			FetchThrottleBPS: fw.throttleBPS,
-			Logf:             t.Logf,
+			ID:          fw.id,
+			Coordinator: srv.URL,
+			Client:      client,
+			Parallelism: 1,
+			Artifacts:   cache,
+			Logf:        t.Logf,
 		}
 		wg.Add(1)
 		go func(i int) {
@@ -178,7 +188,7 @@ func TestArtifactDistributionMatchesSingleProcess(t *testing.T) {
 		t.Errorf("%d artifact GETs, want 2 (one per worker)", gets)
 	}
 	for i, cache := range caches {
-		if _, ok := cache.Path(d); !ok {
+		if _, err := cache.Local.Resolve(d); err != nil {
 			t.Errorf("worker %d cache does not hold the artifact after the run", i)
 		}
 	}
@@ -255,9 +265,109 @@ func TestArtifactDistributionSurvivesWorkerKilledMidFetch(t *testing.T) {
 		t.Errorf("CSV after worker killed mid-fetch differs:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 	assertMergedOnce(t, dist, counts, nil)
-	if _, ok := caches[0].Path(d); ok {
+	if _, err := caches[0].Local.Resolve(d); err == nil {
 		t.Error("killed worker's cache committed an object it never verified")
 	}
+}
+
+// TestWorkerRefetchesDamagedArtifact damages a cached artifact twice:
+// in the same process (a header byte) and in the next one, over the same
+// directory (deep in the record body). Each time the worker's pre-open
+// hash must catch it and cost exactly one refetch, and the run must
+// still match the single-process reference. A spec whose CRC disagrees
+// with its digest's bytes must fail without refetching.
+func TestWorkerRefetchesDamagedArtifact(t *testing.T) {
+	path, d, crc := publishArtifact(t, 5000)
+	dist, ref := artifactChaosSpecs(path, d, crc)
+	want := renderCSV(t, referenceRun(t, ref))
+
+	var gets atomic.Int64
+	h := &store.Handler{Source: store.Static{d: path}}
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet {
+			gets.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer origin.Close()
+	dir := t.TempDir()
+	openCache := func(t *testing.T) *backend.Tiered {
+		local, err := store.OpenFileStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return backend.NewTiered(local, &backend.HTTP{Base: origin.URL, Logf: t.Logf})
+	}
+	run := func(t *testing.T, cache *backend.Tiered, spec coord.JobSpec) (string, error) {
+		c, err := coord.New(coord.Config{Job: spec, Shards: 2, LeaseTTL: 2 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(c.Handler())
+		defer srv.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		go c.Run(ctx)
+		w := &coord.Worker{ID: "w", Coordinator: srv.URL, Parallelism: 1, Artifacts: cache, Logf: t.Logf}
+		if err := w.Run(ctx); err != nil {
+			return "", err
+		}
+		return renderCSV(t, c.Results()), nil
+	}
+	damage := func(cache *backend.Tiered, at func(n int) int) {
+		p, err := cache.Local.Resolve(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf[at(len(buf))] ^= 0xFF
+		if err := os.WriteFile(p, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// step runs the grid over cache as a subtest and reports whether it
+	// passed; each step builds on the cache state the previous one left.
+	step := func(name string, cache *backend.Tiered, wantGets int64) bool {
+		return t.Run(name, func(t *testing.T) {
+			got, err := run(t, cache, dist)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("CSV differs from single-process run:\n--- got ---\n%s--- want ---\n%s", got, want)
+			}
+			if n := gets.Load(); n != wantGets {
+				t.Fatalf("%d artifact GETs in total, want %d", n, wantGets)
+			}
+		})
+	}
+
+	cache := openCache(t)
+	if !step("cold run", cache, 1) {
+		return
+	}
+	damage(cache, func(int) int { return 12 })
+	if !step("header damaged in the same process", cache, 2) {
+		return
+	}
+	damage(cache, func(n int) int { return n - 3 })
+	if !step("body damaged before a restart", openCache(t), 3) {
+		return
+	}
+	t.Run("stale spec CRC", func(t *testing.T) {
+		stale := dist
+		stale.ArtifactCRC = crc ^ 1
+		_, err := run(t, openCache(t), stale)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%08x", crc^1)) || !strings.Contains(err.Error(), fmt.Sprintf("%08x", crc)) {
+			t.Fatalf("%v, want an error naming %08x and %08x", err, crc^1, crc)
+		}
+		if n := gets.Load(); n != 3 {
+			t.Fatalf("refetched: %d artifact GETs in total, want 3", n)
+		}
+	})
 }
 
 func TestWorkerWithoutCacheRejectsDigestJob(t *testing.T) {

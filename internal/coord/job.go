@@ -53,8 +53,8 @@ type JobSpec struct {
 	// coordinator fetches it from the artifact store into its local cache.
 	// When both digest and TracePath are set, the path is a local hint for
 	// processes that already have the file; the digest is authoritative.
-	// ArtifactCRC carries the artifact header's CRC-32C as the cheap
-	// pre-check for already-cached copies (0 = unknown).
+	// ArtifactCRC carries the artifact header's CRC-32C (0 = unknown); a
+	// worker refuses a spec whose CRC disagrees with its digest's bytes.
 	ArtifactDigest string `json:"artifact_digest,omitempty"`
 	ArtifactCRC    uint32 `json:"artifact_crc32c,omitempty"`
 	// Lenient, for non-artifact trace files, is the corrupt-record skip

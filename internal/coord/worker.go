@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"mlcache/internal/store"
+	"mlcache/internal/store/backend"
 	"mlcache/internal/sweep"
 	"mlcache/internal/trace"
 )
@@ -44,19 +45,12 @@ type Worker struct {
 	// Run returns the error — from the coordinator's side it died, and
 	// its shards are reassigned.
 	RequestRetries int
-	// Artifacts is the local content-addressed cache backing jobs whose
-	// spec names the trace by digest. Fetches go to the coordinator's
-	// /artifacts/ endpoint over the same Client (same TLS and auth). A nil
-	// cache limits the worker to path- or synthetic-trace jobs.
-	Artifacts *store.Cache
-	// Fetch, when non-nil, overrides where cache misses are filled from —
-	// e.g. a backend.Fetcher over an S3 backend, so a fleet pulls straight
-	// from the bucket instead of funneling through the coordinator. The
-	// cache's digest verification applies either way.
-	Fetch store.Fetcher
-	// FetchThrottleBPS caps artifact download throughput (0 = unlimited);
-	// a fault-injection knob for the transfer chaos tests.
-	FetchThrottleBPS int64
+	// Artifacts is the artifact cache backing jobs whose spec names the
+	// trace by digest: a local FileStore tier filled from the
+	// coordinator's /artifacts/ endpoint (backend.HTTP) or straight from
+	// a bucket. A nil cache limits the worker to path- or synthetic-trace
+	// jobs.
+	Artifacts *backend.Tiered
 	// Logf receives operational events; nil means silent.
 	Logf func(format string, args ...any)
 
@@ -149,11 +143,10 @@ func (w *Worker) Run(ctx context.Context) error {
 }
 
 // buildRunner constructs the job's sweep runner. A spec that names its
-// trace by digest resolves through the worker's artifact cache — fetched
-// from the coordinator's own /artifacts/ endpoint, verified, and pinned
-// for the life of the run — unless the spec's TracePath hint already
-// exists locally (shared-filesystem deployments skip the transfer). All
-// other specs go through JobSpec.NewRunner unchanged.
+// trace by digest resolves through the worker's artifact cache, pinned
+// against eviction for the life of the run, unless the spec's TracePath
+// hint already exists locally (shared-filesystem deployments skip the
+// transfer). All other specs go through JobSpec.NewRunner unchanged.
 func (w *Worker) buildRunner(ctx context.Context, job JobSpec) (sweep.Runner, int64, func(), error) {
 	d := job.Digest()
 	if !d.IsZero() && job.TracePath != "" {
@@ -171,25 +164,57 @@ func (w *Worker) buildRunner(ctx context.Context, job JobSpec) (sweep.Runner, in
 	if w.Artifacts == nil {
 		return sweep.Runner{}, 0, nil, fmt.Errorf("job trace is content-addressed (%s) but this worker has no artifact cache; run it with one", d)
 	}
-	src := w.Fetch
-	if src == nil {
-		src = &store.Client{
-			Base:        w.Coordinator,
-			HTTPClient:  w.Client,
-			ThrottleBPS: w.FetchThrottleBPS,
-			Logf:        w.Logf,
-		}
-	}
-	art, err := w.Artifacts.Open(ctx, src, d, job.ArtifactCRC)
+	w.Artifacts.Pin(d)
+	art, err := w.openArtifact(ctx, d, job.ArtifactCRC)
 	if err != nil {
+		w.Artifacts.Unpin(d)
 		return sweep.Runner{}, 0, nil, fmt.Errorf("fetching artifact %s: %w", d, err)
 	}
 	arena := art.Arena()
 	if job.Refs > 0 && int64(arena.Len()) > job.Refs {
 		arena = trace.NewArena(arena.Refs()[:job.Refs])
 	}
-	// The pin holds the mmap against cache eviction until the run ends.
-	return job.RunnerFor(arena), 0, art.Unpin, nil
+	return job.RunnerFor(arena), 0, func() {
+		art.Close()
+		w.Artifacts.Unpin(d)
+	}, nil
+}
+
+// openArtifact maps the cached copy of d, filling it on a miss. The
+// committed copy is hashed before it is mapped: bytes that rotted on
+// disk since their verified commit are deleted and refetched, at most
+// twice. A spec whose CRC disagrees with its own digest's bytes fails
+// at once, since refetching the same digest cannot change them.
+func (w *Worker) openArtifact(ctx context.Context, d store.Digest, wantCRC uint32) (*trace.Artifact, error) {
+	for refetches := 0; ; refetches++ {
+		path, err := w.Artifacts.ResolveContext(ctx, d)
+		if err != nil {
+			return nil, err
+		}
+		got, _, err := store.DigestFile(path)
+		if err != nil {
+			return nil, err
+		}
+		if got != d {
+			if refetches == 2 {
+				return nil, fmt.Errorf("cached copy hashes to %s after %d refetches: %w", got, refetches, store.ErrDigestMismatch)
+			}
+			w.logf("worker %s: cached %s hashes to %s; refetching", w.ID, d, got)
+			if err := w.Artifacts.Local.Delete(d); err != nil && !errors.Is(err, os.ErrNotExist) {
+				return nil, err
+			}
+			continue
+		}
+		art, err := trace.OpenArtifact(path)
+		if err != nil {
+			return nil, err
+		}
+		if wantCRC != 0 && art.Checksum() != wantCRC {
+			art.Close()
+			return nil, fmt.Errorf("job spec says artifact CRC-32C %08x but the bytes of %s carry %08x", wantCRC, d, art.Checksum())
+		}
+		return art, nil
+	}
 }
 
 // runShard simulates one leased shard. Completed points stream to the

@@ -1,9 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -11,6 +15,8 @@ import (
 	"mlcache/internal/coord"
 	"mlcache/internal/experiments"
 	"mlcache/internal/store"
+	"mlcache/internal/store/backend"
+	"mlcache/internal/store/backend/fakes3"
 	"mlcache/internal/trace"
 )
 
@@ -37,8 +43,13 @@ func publishedSpec(t *testing.T, srvURL string, cl *http.Client) (coord.JobSpec,
 	if err != nil {
 		t.Fatal(err)
 	}
-	pusher := &store.Client{Base: srvURL, HTTPClient: cl}
-	if err := pusher.Push(context.Background(), d, path); err != nil {
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	pusher := &backend.HTTP{Base: srvURL, HTTPClient: cl}
+	if _, err := pusher.Put(context.Background(), d, f, -1); err != nil {
 		t.Fatal(err)
 	}
 	spec := gridSpec()
@@ -61,9 +72,8 @@ func TestJobByDigestMatchesLocalRun(t *testing.T) {
 	refSpec := spec
 	refSpec.ArtifactDigest = ""
 	refSpec.ArtifactCRC = 0
-	refSpec.TracePath = filepath.Join(t.TempDir(), "copy.mlca")
-	fetcher := &store.Client{Base: srv.URL}
-	if _, err := fetcher.Fetch(context.Background(), d, refSpec.TracePath); err != nil {
+	var err error
+	if refSpec.TracePath, err = s.artifacts.Resolve(d); err != nil {
 		t.Fatal(err)
 	}
 	want := referenceTable(t, refSpec, false)
@@ -110,6 +120,55 @@ func TestJobByUnpublishedDigestRejected(t *testing.T) {
 	js = postJob(t, http.DefaultClient, srv2.URL+"/jobs", spec)
 	if js.status != http.StatusNotFound {
 		t.Fatalf("storeless server: got %d, want 404", js.status)
+	}
+}
+
+// TestJobByDigestRemoteOutage503 publishes an object to a tiered
+// store's bucket and then fails every bucket GET: the job must be told
+// the store is unavailable (503, Retry-After, the cause), not that the
+// object is unpublished.
+func TestJobByDigestRemoteOutage503(t *testing.T) {
+	fake := fakes3.New(fakes3.Config{Bucket: "artifacts"})
+	bucket := httptest.NewServer(fake)
+	defer bucket.Close()
+	s3, err := backend.NewS3(backend.S3Config{Endpoint: bucket.URL, Bucket: "artifacts", Retries: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := store.OpenFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := []byte("a published artifact")
+	d := store.DigestBytes(data)
+	fake.PutObject(backend.ObjectKey("mlca/", d), data)
+	fake.SetFaults(fakes3.Faults{FailGets: 100})
+
+	s := newTestServer(t, Config{Artifacts: backend.NewTiered(local, s3)})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	spec := gridSpec()
+	spec.Refs = 0
+	spec.Seed = 0
+	spec.ArtifactDigest = d.String()
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("bucket outage: got %d (%s), want 503", resp.StatusCode, msg)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("503 without Retry-After")
+	}
+	if !strings.Contains(string(msg), "500 Internal Server Error") {
+		t.Errorf("body %q does not carry the cause", msg)
 	}
 }
 

@@ -791,7 +791,15 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.resolveArtifact(&spec); err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
+		code := http.StatusNotFound
+		if errors.Is(err, errArtifactUnavailable) {
+			// The object may well be published; the store could not
+			// produce it now. A few seconds covers a remote tier's own
+			// fill retries.
+			code = http.StatusServiceUnavailable
+			w.Header().Set("Retry-After", s.retryAfter(5))
+		}
+		http.Error(w, err.Error(), code)
 		return
 	}
 
@@ -921,6 +929,11 @@ func rejectJSON(w http.ResponseWriter, code int, payload map[string]any) {
 	_ = json.NewEncoder(w).Encode(payload)
 }
 
+// errArtifactUnavailable marks a digest the artifact store failed to
+// resolve for a reason other than its absence, such as a remote tier
+// answering 500: retrying may succeed, re-uploading would not help.
+var errArtifactUnavailable = errors.New("artifact store unavailable")
+
 // resolveArtifact rewrites a content-addressed spec to a local path: an
 // already-valid TracePath hint wins (shared filesystem), otherwise the
 // digest must name an object published to this server's artifact store.
@@ -943,8 +956,11 @@ func (s *Server) resolveArtifact(spec *coord.JobSpec) error {
 		return fmt.Errorf("job names trace by digest %s but this server has no artifact store (-artifact-store)", d)
 	}
 	path, err := s.artifacts.Resolve(d)
-	if err != nil {
+	if errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("artifact %s not published to this server: PUT it to %s%s first", d, store.PathArtifacts, d)
+	}
+	if err != nil {
+		return fmt.Errorf("%w: resolving %s: %w", errArtifactUnavailable, d, err)
 	}
 	spec.TracePath = path
 	s.addArtifactRoot(d)

@@ -1,22 +1,20 @@
 // Package backend makes the artifact store's storage layer pluggable: a
 // Backend moves verified, content-addressed objects (Get/Put/Head/List/
 // Delete over digests) so the rest of the system — serve origins, sweep
-// workers, the GC — is written once against the interface. Three
+// workers, the GC — is written once against the interface. Four
 // implementations ship: FS (a local FileStore directory), S3 (a minimal
-// S3-compatible REST client with SigV4 signing), and Tiered (a local
+// S3-compatible REST client with SigV4 signing), HTTP (an artifact
+// endpoint on a coordinator or mlcserve origin), and Tiered (a local
 // persistent cache tier over a remote tier, with read-through verified
 // promotion and write-back upload). Every byte that crosses a backend
-// boundary re-derives its identity from content: promotion and download
-// both commit through digest verification, so a torn remote body or a
-// lying endpoint costs a retry, never a poisoned object.
+// boundary re-derives its identity from content: promotion commits
+// through FileStore.Put's digest verification, so a torn remote body or
+// a lying endpoint costs a retry, never a poisoned object.
 package backend
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"mlcache/internal/store"
@@ -36,7 +34,7 @@ type ObjectInfo struct {
 // Get returns the object's bytes as a stream; the caller owns closing
 // it. A Backend does NOT promise the stream is verified — transport can
 // tear it — so consumers must hash what they read before trusting it
-// (Download and Tiered promotion do).
+// (Tiered promotion does, through FileStore.Put).
 //
 // Put stores r as object d. size is the byte count when known, or < 0;
 // implementations that need a length (S3) spool to a temp file first.
@@ -83,92 +81,6 @@ type Sink struct {
 // Put implements store.BlobSink.
 func (s Sink) Put(r io.Reader, d store.Digest) (int64, error) {
 	return s.B.Put(context.Background(), d, r, -1)
-}
-
-// Fetcher adapts a Backend to store.Fetcher, the interface the worker
-// cache downloads through. Fetches verify the digest of the complete
-// file and retry torn transfers.
-type Fetcher struct {
-	B Backend
-	// Retries bounds attempts per fetch (default 4).
-	Retries int
-}
-
-// Fetch implements store.Fetcher: download d into dst, verified.
-func (f Fetcher) Fetch(ctx context.Context, d store.Digest, dst string) (int64, error) {
-	retries := f.Retries
-	if retries <= 0 {
-		retries = 4
-	}
-	return Download(ctx, f.B, d, dst, retries)
-}
-
-// Download copies object d from b into the file at dst, verifying the
-// digest of the complete file before returning. A torn or corrupt
-// transfer is retried up to retries times; a failed download removes
-// dst so no partial is mistaken for an object.
-func Download(ctx context.Context, b Backend, d store.Digest, dst string, retries int) (int64, error) {
-	var lastErr error
-	backoff := 50 * time.Millisecond
-	for attempt := 0; attempt <= retries; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-ctx.Done():
-				return 0, ctx.Err()
-			case <-time.After(backoff):
-			}
-			if backoff < 2*time.Second {
-				backoff *= 2
-			}
-		}
-		n, err := downloadOnce(ctx, b, d, dst)
-		if err == nil {
-			return n, nil
-		}
-		if errors.Is(err, os.ErrNotExist) || errors.Is(err, context.Canceled) {
-			os.Remove(dst)
-			return 0, err
-		}
-		lastErr = err
-	}
-	os.Remove(dst)
-	return 0, fmt.Errorf("backend: download %s failed after %d attempts: %w", d, retries+1, lastErr)
-}
-
-func downloadOnce(ctx context.Context, b Backend, d store.Digest, dst string) (int64, error) {
-	rc, err := b.Get(ctx, d)
-	if err != nil {
-		return 0, err
-	}
-	defer rc.Close()
-	f, err := os.Create(dst)
-	if err != nil {
-		return 0, err
-	}
-	got, n, err := store.DigestReader(io.TeeReader(rc, f))
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return 0, fmt.Errorf("backend: download %s: %w", d, err)
-	}
-	if got != d {
-		return 0, fmt.Errorf("backend: downloaded %s but content hashes to %s: %w", d, got, store.ErrDigestMismatch)
-	}
-	if err := syncFile(dst); err != nil {
-		return 0, err
-	}
-	return n, nil
-}
-
-// syncFile fsyncs dst so a verified download survives power loss.
-func syncFile(path string) error {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return f.Sync()
 }
 
 // pinSet is the shared refcounted pin tracker.

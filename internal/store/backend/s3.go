@@ -199,7 +199,7 @@ func (b *S3) backoffLoop(ctx context.Context, op func() (done bool, err error)) 
 
 // Get implements Backend. The returned stream is NOT verified — the
 // transport can tear it after the 200 — so consumers hash before
-// trusting (Download, Tiered promotion). Retries cover the request
+// trusting (Tiered promotion). Retries cover the request
 // itself; a mid-stream fault surfaces to the consumer's verify-retry.
 func (b *S3) Get(ctx context.Context, d store.Digest) (io.ReadCloser, error) {
 	var body io.ReadCloser

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -131,55 +130,6 @@ func TestS3PutRefusesWrongETag(t *testing.T) {
 	}
 	if st := fake.Stats(); st.Puts != 2 {
 		t.Fatalf("stats %+v, want the wrong-ETag attempt retried once", st)
-	}
-}
-
-func TestS3DownloadSurvivesFaults(t *testing.T) {
-	cases := []struct {
-		name   string
-		faults fakes3.Faults
-	}{
-		{"500s", fakes3.Faults{FailGets: 2}},
-		{"torn bodies", fakes3.Faults{TornGets: 2}},
-		{"corrupt bodies", fakes3.Faults{CorruptGets: 2}},
-		{"slow reads", fakes3.Faults{SlowReadBPS: 256 << 10}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			s3, fake := newFakeS3(t)
-			data := testBlob(64<<10, 4)
-			d := seedObject(fake, data)
-			fake.SetFaults(tc.faults)
-			dst := filepath.Join(t.TempDir(), "obj")
-			n, err := backend.Download(context.Background(), s3, d, dst, 6)
-			if err != nil {
-				t.Fatalf("Download under %s: %v", tc.name, err)
-			}
-			if n != int64(len(data)) {
-				t.Fatalf("size %d, want %d", n, len(data))
-			}
-			got, _ := os.ReadFile(dst)
-			if !bytes.Equal(got, data) {
-				t.Fatal("downloaded bytes differ")
-			}
-		})
-	}
-}
-
-func TestS3DownloadGivesUpCleanly(t *testing.T) {
-	s3, fake := newFakeS3(t)
-	data := testBlob(8192, 5)
-	d := seedObject(fake, data)
-	// More corrupt bodies than the retry budget: every attempt fails
-	// verification, the download errors, and no partial file remains.
-	fake.SetFaults(fakes3.Faults{CorruptGets: 100})
-	dst := filepath.Join(t.TempDir(), "obj")
-	_, err := backend.Download(context.Background(), s3, d, dst, 2)
-	if err == nil || !errors.Is(err, store.ErrDigestMismatch) {
-		t.Fatalf("download of permanently corrupt object: %v, want ErrDigestMismatch", err)
-	}
-	if _, err := os.Stat(dst); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("failed download left bytes behind")
 	}
 }
 

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"mlcache/internal/store"
 )
@@ -22,18 +24,27 @@ import (
 // then uploads to the remote, and only returns success once the remote
 // confirmed — a caller that saw Put succeed may lose the local disk
 // without losing the object. Concurrent fills of one digest coalesce
-// into a single download.
+// into a single download. With a Budget the local tier is a bounded
+// cache: each promotion evicts least-recently-used objects that nobody
+// has pinned until the tier fits.
 type Tiered struct {
 	Local  *store.FileStore
 	Remote Backend
 	// FillRetries bounds promotion attempts per digest (default 4).
 	FillRetries int
+	// Budget bounds the local tier's committed bytes; <= 0 means
+	// unbounded.
+	Budget int64
 	// Logf receives tier events; nil means silent.
 	Logf func(format string, args ...any)
 
 	mu      sync.Mutex
 	flights map[store.Digest]*fill
 	pins    pinSet
+	// used is the LRU clock: the tick at which this process last
+	// resolved or promoted each digest.
+	used map[store.Digest]int64
+	tick int64
 
 	localHits   atomic.Int64
 	localMisses atomic.Int64
@@ -42,6 +53,7 @@ type Tiered struct {
 	remotePuts  atomic.Int64
 	uploadedB   atomic.Int64
 	fillRetries atomic.Int64
+	evictions   atomic.Int64
 }
 
 // fill is one in-progress promotion; latecomers wait on done.
@@ -67,6 +79,8 @@ type TierStats struct {
 	RemotePuts, UploadedBytes int64
 	// FillRetries counts promotion attempts discarded by verification.
 	FillRetries int64
+	// Evictions counts local objects deleted to fit Budget.
+	Evictions int64
 }
 
 // NewTiered composes local over remote.
@@ -91,12 +105,16 @@ func (t *Tiered) fillRetriesMax() int {
 // remote tier on a miss. This is what lets serve mmap artifacts while
 // the durable copy lives in a bucket.
 func (t *Tiered) Resolve(d store.Digest) (string, error) {
-	return t.resolve(context.Background(), d)
+	return t.ResolveContext(context.Background(), d)
 }
 
-func (t *Tiered) resolve(ctx context.Context, d store.Digest) (string, error) {
+// ResolveContext is Resolve with a context bounding the promotion. A
+// caller that must keep the path past a concurrent promotion's eviction
+// pins d first.
+func (t *Tiered) ResolveContext(ctx context.Context, d store.Digest) (string, error) {
 	if path, err := t.Local.Resolve(d); err == nil {
 		t.localHits.Add(1)
+		t.touch(d)
 		return path, nil
 	}
 	t.localMisses.Add(1)
@@ -163,6 +181,8 @@ func (t *Tiered) fillOnce(ctx context.Context, d store.Digest) (string, error) {
 			t.promotions.Add(1)
 			t.promotedB.Add(n)
 			t.logf("backend: tiered: promoted %s (%d bytes)", d, n)
+			t.touch(d)
+			t.evict()
 			return t.Local.Resolve(d)
 		}
 		// Torn body or a lying endpoint: FileStore.Put discarded the staged
@@ -182,7 +202,7 @@ func (t *Tiered) fillOnce(ctx context.Context, d store.Digest) (string, error) {
 
 // Get implements Backend: the verified local copy, promoted on demand.
 func (t *Tiered) Get(ctx context.Context, d store.Digest) (io.ReadCloser, error) {
-	path, err := t.resolve(ctx, d)
+	path, err := t.ResolveContext(ctx, d)
 	if err != nil {
 		return nil, err
 	}
@@ -275,6 +295,96 @@ func (t *Tiered) Delete(ctx context.Context, d store.Digest) error {
 	return nil
 }
 
+// touch marks d most recently used.
+func (t *Tiered) touch(d store.Digest) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.used == nil {
+		t.used = map[store.Digest]int64{}
+	}
+	t.tick++
+	t.used[d] = t.tick
+}
+
+// evict deletes local objects until the tier fits Budget: first those
+// this process has not resolved (warm objects from an earlier run),
+// oldest mtime first, then the least recently used. Pinned digests are
+// skipped; the fill window pins the digest being promoted.
+func (t *Tiered) evict() {
+	if t.Budget <= 0 {
+		return
+	}
+	digests, err := t.Local.List()
+	if err != nil {
+		t.logf("backend: tiered: evict: %v", err)
+		return
+	}
+	type object struct {
+		d    store.Digest
+		size int64
+		mod  time.Time
+		used int64
+	}
+	var objs []object
+	var total int64
+	for _, d := range digests {
+		size, mod, err := t.Local.Stat(d)
+		if err != nil {
+			continue // deleted under us
+		}
+		objs = append(objs, object{d: d, size: size, mod: mod})
+		total += size
+	}
+	if total <= t.Budget {
+		return
+	}
+	t.mu.Lock()
+	for i := range objs {
+		objs[i].used = t.used[objs[i].d]
+	}
+	t.mu.Unlock()
+	sort.Slice(objs, func(i, j int) bool {
+		if objs[i].used != objs[j].used {
+			return objs[i].used < objs[j].used
+		}
+		return objs[i].mod.Before(objs[j].mod)
+	})
+	for _, o := range objs {
+		if total <= t.Budget {
+			return
+		}
+		pinned, err := t.evictOne(o.d)
+		switch {
+		case pinned:
+		case errors.Is(err, os.ErrNotExist):
+			total -= o.size // a concurrent eviction got there first
+		case err != nil:
+			t.logf("backend: tiered: evict %s: %v", o.d, err)
+		default:
+			total -= o.size
+			t.evictions.Add(1)
+			t.logf("backend: tiered: evicted %s (%d bytes)", o.d, o.size)
+		}
+	}
+}
+
+// evictOne deletes d from the local tier unless it is pinned. The pin
+// check and the delete hold t.mu, the lock Pin takes, so d is either
+// pinned before eviction looks at it or gone before its pinner resolves
+// it.
+func (t *Tiered) evictOne(d store.Digest) (pinned bool, err error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.pins.pins[d] > 0 {
+		return true, nil
+	}
+	err = t.Local.Delete(d)
+	if err == nil || errors.Is(err, os.ErrNotExist) {
+		delete(t.used, d)
+	}
+	return false, err
+}
+
 // Pin implements Pins.
 func (t *Tiered) Pin(d store.Digest) {
 	t.mu.Lock()
@@ -306,5 +416,6 @@ func (t *Tiered) Stats() TierStats {
 		RemotePuts:    t.remotePuts.Load(),
 		UploadedBytes: t.uploadedB.Load(),
 		FillRetries:   t.fillRetries.Load(),
+		Evictions:     t.evictions.Load(),
 	}
 }

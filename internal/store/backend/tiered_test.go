@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"sync"
 	"testing"
+	"time"
 
 	"mlcache/internal/cache"
 	"mlcache/internal/cpu"
@@ -170,6 +173,49 @@ func TestTieredCoalescesConcurrentFills(t *testing.T) {
 	}
 }
 
+// TestTieredCoalescesConcurrentHTTPFills runs the worker's configuration
+// of TestTieredCoalescesConcurrentFills: concurrent ResolveContext calls
+// over a throttled HTTP origin share one GET and one promotion, and all
+// get the same path.
+func TestTieredCoalescesConcurrentHTTPFills(t *testing.T) {
+	path, d := writeArtifact(t, t.TempDir(), 5000, 50)
+	remote, gets := httpOrigin(t, store.Static{d: path})
+	// Throttle so the flight stays open long enough for real overlap.
+	remote.ThrottleBPS = 1 << 20
+	local, err := store.OpenFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiered := backend.NewTiered(local, remote)
+
+	const workers = 8
+	var wg sync.WaitGroup
+	paths := make([]string, workers)
+	errs := make([]error, workers)
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			paths[i], errs[i] = tiered.ResolveContext(context.Background(), d)
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < workers; i++ {
+		if errs[i] != nil {
+			t.Fatalf("worker %d: %v", i, errs[i])
+		}
+		if paths[i] != paths[0] {
+			t.Fatalf("worker %d got %s, want %s", i, paths[i], paths[0])
+		}
+	}
+	if n := gets.Load(); n != 1 {
+		t.Fatalf("%d GETs for %d concurrent resolves, want 1", n, workers)
+	}
+	if st := tiered.Stats(); st.Promotions != 1 {
+		t.Fatalf("stats %+v, want 1 promotion", st)
+	}
+}
+
 func TestTieredDeleteBothTiers(t *testing.T) {
 	tiered, fake := newTiered(t)
 	ctx := context.Background()
@@ -310,5 +356,297 @@ func TestTieredSweepTableByteIdentical(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("tables differ:\n--- tiered cold path ---\n%s--- local filesystem ---\n%s",
 			got, want)
+	}
+}
+
+// TestTieredWarmStartAdopts resolves an artifact twice through a cold
+// tier over an HTTP origin (one GET), then opens a fresh Tiered over the
+// same directory, as a restarted worker does: it adopts the committed
+// object without touching the origin.
+func TestTieredWarmStartAdopts(t *testing.T) {
+	path, d := writeArtifact(t, t.TempDir(), 300, 10)
+	remote, gets := httpOrigin(t, store.Static{d: path})
+	dir := t.TempDir()
+	open := func() *backend.Tiered {
+		local, err := store.OpenFileStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return backend.NewTiered(local, remote)
+	}
+
+	tiered := open()
+	p1, err := tiered.Resolve(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := tiered.Resolve(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p1 != p2 || gets.Load() != 1 {
+		t.Fatalf("second Resolve missed: %s vs %s, %d GETs", p1, p2, gets.Load())
+	}
+	want, _ := os.ReadFile(path)
+	if got, _ := os.ReadFile(p1); !bytes.Equal(got, want) {
+		t.Fatal("cached bytes differ from origin")
+	}
+	if st := tiered.Stats(); st.Promotions != 1 || st.LocalHits != 1 {
+		t.Fatalf("stats %+v, want 1 promotion and 1 hit", st)
+	}
+
+	warm := open()
+	if _, err := warm.Resolve(d); err != nil {
+		t.Fatal(err)
+	}
+	if gets.Load() != 1 {
+		t.Fatalf("warm start refetched: %d GETs", gets.Load())
+	}
+	if st := warm.Stats(); st.Promotions != 0 || st.LocalHits != 1 {
+		t.Fatalf("warm stats %+v, want 0 promotions and 1 hit", st)
+	}
+}
+
+// TestTieredBudgetEvictsLRUUnpinned fills budgeted tiers past their
+// budget: warm objects this process never touched go first (oldest
+// mtime first), then the least recently used, and a pinned object
+// survives however old it is until it is unpinned.
+func TestTieredBudgetEvictsLRUUnpinned(t *testing.T) {
+	const size = 4096
+	// newBudgeted returns a tier with room for two objects and a function
+	// that publishes a distinct object to its remote.
+	newBudgeted := func(t *testing.T) (*backend.Tiered, func(seed byte) store.Digest) {
+		tiered, fake := newTiered(t)
+		tiered.Budget = 2*size + size/2
+		return tiered, func(seed byte) store.Digest { return seedObject(fake, testBlob(size, seed)) }
+	}
+	resolve := func(t *testing.T, tiered *backend.Tiered, ds ...store.Digest) {
+		t.Helper()
+		for _, d := range ds {
+			if _, err := tiered.Resolve(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	resident := func(t *testing.T, tiered *backend.Tiered, step string, want ...store.Digest) {
+		t.Helper()
+		got, err := tiered.Local.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d objects resident, want %d", step, len(got), len(want))
+		}
+		for _, d := range want {
+			if _, err := tiered.Local.Resolve(d); err != nil {
+				t.Fatalf("%s: %s was evicted", step, d)
+			}
+		}
+	}
+	evictions := func(t *testing.T, tiered *backend.Tiered, want int64) {
+		t.Helper()
+		if st := tiered.Stats(); st.Evictions != want {
+			t.Fatalf("stats %+v, want %d evictions", st, want)
+		}
+	}
+
+	t.Run("untouched then LRU", func(t *testing.T) {
+		tiered, publish := newBudgeted(t)
+		// Two warm objects from an "earlier run", committed straight into
+		// the local tier, the older one an hour older.
+		var warm []store.Digest
+		for i, age := range []time.Duration{2 * time.Hour, time.Hour} {
+			data := testBlob(size, byte(40+i))
+			d := store.DigestBytes(data)
+			if _, err := tiered.Local.Put(bytes.NewReader(data), d); err != nil {
+				t.Fatal(err)
+			}
+			p, _ := tiered.Local.Resolve(d)
+			mod := time.Now().Add(-age)
+			if err := os.Chtimes(p, mod, mod); err != nil {
+				t.Fatal(err)
+			}
+			warm = append(warm, d)
+		}
+		newer := warm[1]
+		a, b, c := publish(50), publish(51), publish(52)
+
+		resolve(t, tiered, a)
+		resident(t, tiered, "untouched oldest goes first", newer, a)
+		resolve(t, tiered, b)
+		resident(t, tiered, "untouched before LRU", a, b)
+		resolve(t, tiered, a, c) // a is now more recent than b
+		resident(t, tiered, "LRU", a, c)
+		evictions(t, tiered, 3)
+	})
+
+	t.Run("pins block eviction", func(t *testing.T) {
+		tiered, publish := newBudgeted(t)
+		a, c, e, f, g := publish(50), publish(52), publish(53), publish(54), publish(55)
+
+		resolve(t, tiered, a, c)
+		tiered.Pin(a) // a is least recently used from here on
+		resolve(t, tiered, e)
+		resident(t, tiered, "pinned LRU survives", a, e)
+		resolve(t, tiered, f)
+		resident(t, tiered, "pinned LRU survives again", a, f)
+		tiered.Unpin(a)
+		resolve(t, tiered, g)
+		resident(t, tiered, "unpinned LRU evicted", f, g)
+		evictions(t, tiered, 3)
+	})
+}
+
+// TestTieredLyingOriginCommitsNothing points a tier at an origin that
+// serves wrong bytes for every request, either different bytes entirely
+// or the true bytes with one bit flipped: each attempt fails FileStore's
+// verification, the fill gives up with ErrDigestMismatch, and the local
+// directory holds neither an object nor a staging file.
+func TestTieredLyingOriginCommitsNothing(t *testing.T) {
+	truth := testBlob(8192, 12)
+	d := store.DigestBytes(truth)
+	flipped := bytes.Clone(truth)
+	flipped[len(flipped)/2] ^= 0x01
+	cases := []struct {
+		name string
+		body []byte
+	}{
+		{"wrong bytes", []byte("not the artifact you were promised")},
+		{"flipped byte", flipped},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Write(tc.body)
+			}))
+			defer srv.Close()
+			local, err := store.OpenFileStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			tiered := backend.NewTiered(local, &backend.HTTP{Base: srv.URL, Retries: 1})
+			tiered.FillRetries = 2
+
+			if _, err := tiered.Resolve(d); !errors.Is(err, store.ErrDigestMismatch) {
+				t.Fatalf("want ErrDigestMismatch, got %v", err)
+			}
+			ents, _ := os.ReadDir(local.Dir())
+			for _, e := range ents {
+				t.Errorf("failed fill left %s behind", e.Name())
+			}
+			if st := tiered.Stats(); st.Promotions != 0 || st.FillRetries != 3 {
+				t.Fatalf("stats %+v, want 0 promotions after 3 discarded attempts", st)
+			}
+		})
+	}
+}
+
+// TestTieredAbsentObjectIsTerminal resolves a digest the origin never
+// published: the 404 ends the fill at once as os.ErrNotExist, with no
+// HTTP retry and no second fill attempt, and the local tier stays empty.
+func TestTieredAbsentObjectIsTerminal(t *testing.T) {
+	remote, gets := httpOrigin(t, store.Static{})
+	remote.Retries = 50 // would take minutes if a 404 were retried
+	local, err := store.OpenFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiered := backend.NewTiered(local, remote)
+
+	_, err = tiered.Resolve(store.DigestBytes([]byte("absent")))
+	var se *backend.StatusError
+	if !errors.Is(err, os.ErrNotExist) || !errors.As(err, &se) || se.StatusCode != http.StatusNotFound {
+		t.Fatalf("want a terminal 404 wrapping ErrNotExist, got %v", err)
+	}
+	if n := gets.Load(); n != 1 {
+		t.Fatalf("%d GETs for an absent object, want 1", n)
+	}
+	ents, _ := os.ReadDir(local.Dir())
+	for _, e := range ents {
+		t.Errorf("failed fill left %s behind", e.Name())
+	}
+	if st := tiered.Stats(); st.Promotions != 0 || st.FillRetries != 0 {
+		t.Fatalf("stats %+v, want no promotion and no discarded attempt", st)
+	}
+}
+
+// TestTieredSurvivesS3Faults fills through a faulty bucket: 500s, torn
+// and corrupt bodies, and slow reads each cost retries but end in the
+// published bytes; a bucket that corrupts every read fails the fill with
+// ErrDigestMismatch and leaves nothing in the local tier.
+func TestTieredSurvivesS3Faults(t *testing.T) {
+	cases := []struct {
+		name   string
+		faults fakes3.Faults
+	}{
+		{"500s", fakes3.Faults{FailGets: 2}},
+		{"torn bodies", fakes3.Faults{TornGets: 2}},
+		{"corrupt bodies", fakes3.Faults{CorruptGets: 2}},
+		{"slow reads", fakes3.Faults{SlowReadBPS: 256 << 10}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tiered, fake := newTiered(t)
+			data := testBlob(64<<10, 4)
+			d := seedObject(fake, data)
+			fake.SetFaults(tc.faults)
+			path, err := tiered.Resolve(d)
+			if err != nil {
+				t.Fatalf("fill under %s: %v", tc.name, err)
+			}
+			if got, _ := os.ReadFile(path); !bytes.Equal(got, data) {
+				t.Fatal("promoted bytes differ")
+			}
+		})
+	}
+	t.Run("gives up cleanly", func(t *testing.T) {
+		tiered, fake := newTiered(t)
+		d := seedObject(fake, testBlob(8192, 5))
+		fake.SetFaults(fakes3.Faults{CorruptGets: 100})
+		if _, err := tiered.Resolve(d); !errors.Is(err, store.ErrDigestMismatch) {
+			t.Fatalf("fill of a permanently corrupt object: %v, want ErrDigestMismatch", err)
+		}
+		ents, _ := os.ReadDir(tiered.Local.Dir())
+		for _, e := range ents {
+			t.Errorf("failed fill left %s behind", e.Name())
+		}
+	})
+}
+
+// TestTieredConcurrentBudget storms a tier whose budget holds two of six
+// objects: every goroutine pins, resolves and stats, so evictions run
+// while other goroutines hold pins. A pinned resolve must always find
+// its file on disk.
+func TestTieredConcurrentBudget(t *testing.T) {
+	tiered, fake := newTiered(t)
+	const size = 4096
+	var ds []store.Digest
+	for i := 0; i < 6; i++ {
+		ds = append(ds, seedObject(fake, testBlob(size, byte(60+i))))
+	}
+	tiered.Budget = 2 * size
+
+	const workers, rounds = 8, 30
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				d := ds[(g*7+r*5)%len(ds)]
+				tiered.Pin(d)
+				path, err := tiered.Resolve(d)
+				if err != nil {
+					t.Errorf("worker %d round %d: %v", g, r, err)
+				} else if _, err := os.Stat(path); err != nil {
+					t.Errorf("worker %d round %d: pinned object gone: %v", g, r, err)
+				}
+				tiered.Unpin(d)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := tiered.Stats(); st.Evictions == 0 {
+		t.Fatalf("stats %+v: no eviction happened", st)
 	}
 }

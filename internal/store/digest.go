@@ -28,9 +28,9 @@ const DigestPrefix = "sha256:"
 const hexLen = 2 * sha256.Size
 
 // Digest is the content identity of an artifact: the SHA-256 of its full
-// file bytes (header and records). The artifact header's CRC-32C remains
-// useful as a 32-byte-read fast pre-check, but only the SHA-256 names an
-// object in the store.
+// file bytes (header and records). The artifact header's CRC-32C rides
+// along in job specs as a consistency check, but only the SHA-256 names
+// an object in the store.
 type Digest struct {
 	sum [sha256.Size]byte
 }

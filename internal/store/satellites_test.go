@@ -2,14 +2,9 @@ package store
 
 import (
 	"bytes"
-	"context"
 	"errors"
-	"fmt"
 	"io"
-	"net/http"
-	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -154,126 +149,5 @@ func TestFileStoreDeleteAndStat(t *testing.T) {
 	}
 	if err := s.Delete(d); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("double delete: want ErrNotExist, got %v", err)
-	}
-}
-
-// TestClientStatusErrors pins the uniform error shape: every non-success
-// HTTP response from fetch and push surfaces a *StatusError carrying the
-// digest and status code, and the rendered message names both.
-func TestClientStatusErrors(t *testing.T) {
-	d := DigestBytes([]byte("the object"))
-	cases := []struct {
-		name     string
-		code     int
-		op       string // "fetch" or "push"
-		terminal bool   // no retries expected
-	}{
-		{"fetch 404", http.StatusNotFound, "fetch", true},
-		{"fetch 401", http.StatusUnauthorized, "fetch", true},
-		{"fetch 403", http.StatusForbidden, "fetch", true},
-		{"fetch 500", http.StatusInternalServerError, "fetch", false},
-		{"fetch 503", http.StatusServiceUnavailable, "fetch", false},
-		{"push 500", http.StatusInternalServerError, "push", false},
-		{"push 403", http.StatusForbidden, "push", false},
-		{"push 400", http.StatusBadRequest, "push", false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var hits int
-			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				hits++
-				http.Error(w, "server says no", tc.code)
-			}))
-			defer srv.Close()
-			cl := &Client{Base: srv.URL, Retries: 1}
-			var err error
-			if tc.op == "fetch" {
-				_, err = cl.Fetch(context.Background(), d, filepath.Join(t.TempDir(), "dst"))
-			} else {
-				src := filepath.Join(t.TempDir(), "src")
-				if werr := os.WriteFile(src, []byte("the object"), 0o644); werr != nil {
-					t.Fatal(werr)
-				}
-				err = cl.Push(context.Background(), d, src)
-			}
-			if err == nil {
-				t.Fatalf("%s against %d succeeded", tc.op, tc.code)
-			}
-			var se *StatusError
-			if !errors.As(err, &se) {
-				t.Fatalf("error %v (%T) does not wrap *StatusError", err, err)
-			}
-			if se.StatusCode != tc.code || se.Digest != d || se.Op != tc.op {
-				t.Fatalf("StatusError %+v, want op=%s code=%d digest=%s", se, tc.op, tc.code, d)
-			}
-			for _, want := range []string{d.String(), fmt.Sprint(tc.code)} {
-				if !strings.Contains(err.Error(), want) {
-					t.Fatalf("error %q does not mention %q", err, want)
-				}
-			}
-			if tc.terminal && hits != 1 {
-				t.Fatalf("terminal status %d was retried %d times", tc.code, hits)
-			}
-		})
-	}
-}
-
-// TestCacheWarmStartSweepsCorruptObject is the satellite acceptance test:
-// a cache directory holding a bit-flipped object must sweep it at warm
-// start instead of adopting it, and the next Fetch must self-heal by
-// refetching the true bytes.
-func TestCacheWarmStartSweepsCorruptObject(t *testing.T) {
-	origin := t.TempDir()
-	path, d, crc := writeTestArtifact(t, origin, 400, 77)
-	srv, gets := storeServer(t, Static{d: path})
-	cl := &Client{Base: srv.URL}
-
-	dir := t.TempDir()
-	c, err := NewCache(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := c.Fetch(context.Background(), cl, d, crc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flip one bit deep in the record body — past the header, so the
-	// 32-byte CRC pre-check alone would never notice.
-	buf, err := os.ReadFile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf[len(buf)-3] ^= 0x01
-	if err := os.WriteFile(p, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	c2, err := NewCache(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c2.Path(d); ok {
-		t.Fatal("warm start adopted a corrupt object")
-	}
-	if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("corrupt object not swept from disk")
-	}
-	if st := c2.Stats(); st.Swept != 1 {
-		t.Fatalf("stats %+v, want Swept=1", st)
-	}
-
-	// Self-heal: the next Fetch downloads the true bytes again.
-	before := gets.Load()
-	p2, err := c2.Fetch(context.Background(), cl, d, crc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gets.Load() != before+1 {
-		t.Fatalf("self-heal did not refetch (%d GETs)", gets.Load())
-	}
-	want, _ := os.ReadFile(path)
-	got, _ := os.ReadFile(p2)
-	if !bytes.Equal(got, want) {
-		t.Fatal("refetched bytes differ from origin")
 	}
 }

@@ -19,8 +19,8 @@ import (
 const PathArtifacts = "/artifacts/"
 
 // CRCHeader carries the artifact header's CRC-32C on GET/HEAD responses,
-// so a client can run the 32-byte fast pre-check against an already
-// cached file without re-hashing it.
+// so a client can check it against a job spec's artifact_crc32c before
+// downloading the object.
 const CRCHeader = "X-Artifact-Crc32c"
 
 // BlobSink accepts verified object uploads: Put streams r in as object

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -11,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"mlcache/internal/trace"
@@ -100,6 +98,48 @@ func TestFileStoreSweepsTemps(t *testing.T) {
 	}
 }
 
+// TestOpenFileStoreAdoptsOldCacheDir opens a directory written by an
+// older worker's artifact cache: its <hex>.mlca object is adopted as it
+// is, the *.partial of a crashed download is neither listed nor resolved,
+// and a crashed Put's staging file is swept.
+func TestOpenFileStoreAdoptsOldCacheDir(t *testing.T) {
+	dir := t.TempDir()
+	path, d, _ := writeTestArtifact(t, t.TempDir(), 200, 3)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := DigestBytes([]byte("torn download"))
+	object := filepath.Join(dir, d.Hex()+".mlca")
+	partial := filepath.Join(dir, torn.Hex()+".mlca.partial")
+	staging := filepath.Join(dir, "put-123.tmp")
+	for _, f := range []struct {
+		name string
+		body []byte
+	}{{object, data}, {partial, []byte("torn")}, {staging, []byte("torn")}} {
+		if err := os.WriteFile(f.name, f.body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	fs, err := OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, err := fs.Resolve(d); err != nil || p != object {
+		t.Fatalf("Resolve of the old object: %q, %v; want %q", p, err, object)
+	}
+	if got, err := fs.List(); err != nil || len(got) != 1 || got[0] != d {
+		t.Fatalf("List: %v, %v; want only %s", got, err, d)
+	}
+	if _, err := fs.Resolve(torn); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Resolve of a crashed download's digest: %v, want ErrNotExist", err)
+	}
+	if _, err := os.Stat(staging); !errors.Is(err, os.ErrNotExist) {
+		t.Fatal("crashed staging file not swept")
+	}
+}
+
 func TestHandlerServeRangeAndErrors(t *testing.T) {
 	dir := t.TempDir()
 	path, d, crc := writeTestArtifact(t, dir, 500, 1)
@@ -167,104 +207,37 @@ func TestHandlerUpload(t *testing.T) {
 	srv := httptest.NewServer(&Handler{Source: fs, Uploads: fs})
 	defer srv.Close()
 
-	dir := t.TempDir()
-	path, d, _ := writeTestArtifact(t, dir, 200, 2)
-	cl := &Client{Base: srv.URL}
-	if err := cl.Push(context.Background(), d, path); err != nil {
-		t.Fatalf("Push: %v", err)
+	path, d, _ := writeTestArtifact(t, t.TempDir(), 200, 2)
+	data, _ := os.ReadFile(path)
+	put := func(name Digest) int {
+		req, _ := http.NewRequest(http.MethodPut, srv.URL+PathArtifacts+name.String(), bytes.NewReader(data))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
 	}
-	// Push is idempotent.
-	if err := cl.Push(context.Background(), d, path); err != nil {
-		t.Fatalf("re-Push: %v", err)
+	if got := put(d); got != http.StatusCreated {
+		t.Fatalf("PUT: %d, want 201", got)
 	}
-	// A push whose bytes don't match the claimed digest is rejected.
-	err = cl.Push(context.Background(), DigestBytes([]byte("claimed")), path)
-	if !errors.Is(err, ErrDigestMismatch) {
-		t.Fatalf("mismatched Push: want ErrDigestMismatch, got %v", err)
+	// PUT is idempotent.
+	if got := put(d); got != http.StatusCreated {
+		t.Fatalf("re-PUT: %d, want 201", got)
 	}
-
-	// Round trip: fetch what we pushed.
-	dst := filepath.Join(dir, "fetched.mlca")
-	if _, err := cl.Fetch(context.Background(), d, dst); err != nil {
-		t.Fatalf("Fetch: %v", err)
+	// Bytes that don't match the claimed digest are rejected uncommitted.
+	claimed := DigestBytes([]byte("claimed"))
+	if got := put(claimed); got != http.StatusUnprocessableEntity {
+		t.Fatalf("mismatched PUT: %d, want 422", got)
 	}
-	want, _ := os.ReadFile(path)
-	got, _ := os.ReadFile(dst)
-	if !bytes.Equal(got, want) {
-		t.Fatal("fetched bytes differ from pushed")
+	if _, err := fs.Resolve(claimed); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("mismatched PUT was committed: %v", err)
 	}
-}
-
-// tornHandler serves the artifact but cuts the first full-GET body short,
-// forcing the client down the Range-resume path.
-type tornHandler struct {
-	inner http.Handler
-	torn  atomic.Bool
-}
-
-func (h *tornHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Header.Get("Range") == "" && !h.torn.Swap(true) {
-		rec := httptest.NewRecorder()
-		h.inner.ServeHTTP(rec, r)
-		body := rec.Body.Bytes()
-		w.Header().Set("Content-Length", fmt.Sprint(len(body)))
-		w.WriteHeader(rec.Code)
-		w.Write(body[:len(body)/3]) // lie about length, then hang up
-		return
+	p, err := fs.Resolve(d)
+	if err != nil {
+		t.Fatal(err)
 	}
-	h.inner.ServeHTTP(w, r)
-}
-
-func TestClientResumesTornTransfer(t *testing.T) {
-	dir := t.TempDir()
-	path, d, _ := writeTestArtifact(t, dir, 2000, 3)
-	th := &tornHandler{inner: &Handler{Source: Static{d: path}}}
-	srv := httptest.NewServer(th)
-	defer srv.Close()
-
-	cl := &Client{Base: srv.URL, Retries: 4}
-	dst := filepath.Join(dir, "out.mlca")
-	if _, err := cl.Fetch(context.Background(), d, dst); err != nil {
-		t.Fatalf("Fetch over torn transfer: %v", err)
-	}
-	want, _ := os.ReadFile(path)
-	got, _ := os.ReadFile(dst)
-	if !bytes.Equal(got, want) {
-		t.Fatal("resumed fetch produced different bytes")
-	}
-	if !th.torn.Load() {
-		t.Fatal("test served nothing torn; resume path not exercised")
-	}
-}
-
-func TestClientFetchTerminalOn404(t *testing.T) {
-	srv := httptest.NewServer(&Handler{Source: Static{}})
-	defer srv.Close()
-	cl := &Client{Base: srv.URL, Retries: 50} // would take forever if retried
-	dst := filepath.Join(t.TempDir(), "out.mlca")
-	_, err := cl.Fetch(context.Background(), DigestBytes([]byte("absent")), dst)
-	if err == nil || !strings.Contains(err.Error(), "404") {
-		t.Fatalf("want terminal 404 error, got %v", err)
-	}
-	if _, serr := os.Stat(dst); !errors.Is(serr, os.ErrNotExist) {
-		t.Fatal("failed fetch left a file behind")
-	}
-}
-
-// lyingHandler always serves wrong bytes, so digest verification must
-// fail every attempt and the client must leave nothing behind.
-func TestClientFetchRejectsWrongBytes(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, "not the artifact you were promised")
-	}))
-	defer srv.Close()
-	cl := &Client{Base: srv.URL, Retries: 2}
-	dst := filepath.Join(t.TempDir(), "out.mlca")
-	_, err := cl.Fetch(context.Background(), DigestBytes([]byte("truth")), dst)
-	if !errors.Is(err, ErrDigestMismatch) {
-		t.Fatalf("want ErrDigestMismatch, got %v", err)
-	}
-	if _, serr := os.Stat(dst); !errors.Is(serr, os.ErrNotExist) {
-		t.Fatal("mismatched fetch left a file behind")
+	if got, _ := os.ReadFile(p); !bytes.Equal(got, data) {
+		t.Fatal("committed bytes differ from the PUT body")
 	}
 }
