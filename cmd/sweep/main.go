@@ -499,13 +499,20 @@ type localOptions struct {
 // and renderer the distributed modes use, so all three produce identical
 // bytes for identical grids.
 func runLocal(ctx context.Context, spec coord.JobSpec, shardI, shardN int, lo localOptions) int {
-	runner, res, err := spec.NewRunner()
-	if err != nil {
+	arena, closer, skipped, err := spec.MaterializeArena(ctx)
+	switch {
+	case err == nil:
+		defer closer.Close()
+	case ctx.Err() != nil:
+		// Interrupted while loading: under the cancelled ctx RunContext
+		// runs nothing, so an empty arena serves, and the grid reports
+		// like one interrupted mid-run.
+		arena = trace.NewArena(nil)
+	default:
 		log.Fatal(err)
 	}
-	defer res.Close()
-	if res.TraceSkipped > 0 {
-		log.Printf("trace: skipped %d corrupt record(s) during decode", res.TraceSkipped)
+	if skipped > 0 {
+		log.Printf("trace: skipped %d corrupt record(s) during decode", skipped)
 	}
 	pts := spec.Points()
 	if shardN > 1 {
@@ -528,7 +535,6 @@ func runLocal(ctx context.Context, spec coord.JobSpec, shardI, shardN int, lo lo
 		defer journal.Close()
 	}
 
-	runner.Parallelism = lo.par
 	opts := sweep.Options{
 		PointTimeout: lo.timeout,
 		Retries:      lo.retries,
@@ -548,6 +554,8 @@ func runLocal(ctx context.Context, spec coord.JobSpec, shardI, shardN int, lo lo
 		}
 	}
 
+	runner := spec.RunnerFor(arena)
+	runner.Parallelism = lo.par
 	results, runErr := runner.RunContext(ctx, pts, opts)
 
 	// Fill skipped points from the journal so the report covers the whole

@@ -3,18 +3,22 @@ package main
 import (
 	"bytes"
 	"context"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"mlcache/internal/checkpoint"
 	"mlcache/internal/coord"
 	"mlcache/internal/experiments"
 	"mlcache/internal/store"
 	"mlcache/internal/sweep"
+	"mlcache/internal/synth"
 	"mlcache/internal/trace"
 )
 
@@ -45,7 +49,7 @@ func TestParseRange(t *testing.T) {
 // -artifact-cache directory, fetches nothing. Both merged CSVs equal a
 // local run, and the cache holds exactly the one committed object.
 func TestRunWorkerColdThenWarm(t *testing.T) {
-	arena, err := trace.Materialize(experiments.Options{Seed: 1, Refs: 20000}.Stream())
+	arena, err := trace.Materialize(synth.PaperStream(1, 20000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,12 +74,12 @@ func TestRunWorkerColdThenWarm(t *testing.T) {
 	local := spec
 	local.TracePath = path
 	want := renderCSV(t, func() []sweep.Result {
-		runner, res, err := local.NewRunner()
+		arena, closer, _, err := local.MaterializeArena(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer res.Close()
-		results, err := runner.RunContext(context.Background(), local.Points(), sweep.Options{})
+		defer closer.Close()
+		results, err := local.RunnerFor(arena).RunContext(context.Background(), local.Points(), sweep.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,6 +138,100 @@ func TestRunWorkerColdThenWarm(t *testing.T) {
 	if n := gets.Load(); n != 1 {
 		t.Fatalf("warm run: %d more artifact GETs, want 0", n-1)
 	}
+}
+
+// TestRunLocalInterruptedWhileLoading: a sweep interrupted while its
+// synthetic trace is generated reports like one interrupted mid-grid. It
+// prints the table with every point not journaled FAILED, logs how many
+// points are done, and exits 1. With -resume, journaled points still
+// count as done.
+func TestRunLocalInterruptedWhileLoading(t *testing.T) {
+	spec := coord.JobSpec{
+		SizesBytes: sweep.SizesPow2(16, 32),
+		CyclesNS:   sweep.CyclesRange(1, 2, experiments.CPUCycleNS),
+		Assoc:      1,
+		L1KB:       4,
+		Refs:       20_000_000,
+		Seed:       1,
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	t.Run("fresh", func(t *testing.T) {
+		stdout, stderr, code := captureRunLocal(t, func() int {
+			return runLocal(ctx, spec, 0, 1, localOptions{})
+		})
+		if code != 1 {
+			t.Errorf("exit status %d, want 1", code)
+		}
+		if n := strings.Count(stdout, "FAILED"); n != 4 {
+			t.Errorf("table has %d FAILED rows, want 4:\n%s", n, stdout)
+		}
+		if want := "interrupted: 0 of 4 points done; use -checkpoint to make sweeps resumable"; !strings.Contains(stderr, want) {
+			t.Errorf("log lacks %q:\n%s", want, stderr)
+		}
+	})
+
+	t.Run("resume", func(t *testing.T) {
+		// Journal the first point, simulated over a short trace.
+		short := spec
+		short.Refs = 20_000
+		arena, closer, _, err := short.MaterializeArena(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer closer.Close()
+		pt := spec.Points()[0]
+		res, err := short.RunnerFor(arena).RunPoints([]sweep.Point{pt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+		j, err := checkpoint.Open(ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Append(pt.String(), res[0].Run); err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+
+		stdout, stderr, code := captureRunLocal(t, func() int {
+			return runLocal(ctx, spec, 0, 1, localOptions{ckptPath: ckpt, resume: true})
+		})
+		if code != 1 {
+			t.Errorf("exit status %d, want 1", code)
+		}
+		if f, c := strings.Count(stdout, "FAILED"), strings.Count(stdout, "ckpt"); f != 3 || c != 1 {
+			t.Errorf("table has %d FAILED and %d ckpt rows, want 3 and 1:\n%s", f, c, stdout)
+		}
+		if want := "interrupted: 1 of 4 points done; rerun with -resume to continue"; !strings.Contains(stderr, want) {
+			t.Errorf("log lacks %q:\n%s", want, stderr)
+		}
+	})
+}
+
+// captureRunLocal runs f with stdout and the standard logger redirected,
+// and returns what each received and f's exit status.
+func captureRunLocal(t *testing.T, f func() int) (stdout, stderr string, code int) {
+	t.Helper()
+	out, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	var logged bytes.Buffer
+	saved := os.Stdout
+	os.Stdout = out
+	log.SetOutput(&logged)
+	code = f()
+	os.Stdout = saved
+	log.SetOutput(os.Stderr)
+	b, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b), logged.String(), code
 }
 
 func renderCSV(t *testing.T, results []sweep.Result) string {

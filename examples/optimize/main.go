@@ -22,6 +22,12 @@ import (
 func main() {
 	log.SetFlags(0)
 
+	// One materialized trace serves the profiling pass and every
+	// verification simulation.
+	arena, err := trace.Materialize(synth.PaperStream(1, 600_000))
+	if err != nil {
+		log.Fatal(err)
+	}
 	search := optimal.Config{
 		Base: experiments.BaseMachine(4,
 			experiments.L2Config(512*1024, 3*experiments.CPUCycleNS, 1), mainmem.Base()),
@@ -36,7 +42,7 @@ func main() {
 			MaxSizeBytes:   4 * 1024 * 1024,
 			Assocs:         []int{1, 2, 4, 8},
 		},
-		Trace: func() trace.Stream { return synth.PaperStream(1, 600_000) },
+		Arena: arena,
 		CPU:   cpu.Config{CycleNS: experiments.CPUCycleNS, WarmupRefs: 120_000},
 		TopK:  3,
 		// Candidates sharing a geometry recycle tag arrays; results are

@@ -23,7 +23,11 @@ import (
 	"mlcache/internal/trace"
 )
 
-func resumeTestRunner() sweep.Runner {
+func resumeTestRunner(t *testing.T) sweep.Runner {
+	arena, err := trace.Materialize(synth.PaperStream(1, 20000))
+	if err != nil {
+		t.Fatal(err)
+	}
 	l1 := func(name string) memsys.LevelConfig {
 		return memsys.LevelConfig{
 			Cache: cache.Config{
@@ -50,7 +54,7 @@ func resumeTestRunner() sweep.Runner {
 				Memory: mainmem.Base(),
 			}
 		},
-		Trace: func() trace.Stream { return synth.PaperStream(1, 20000) },
+		Arena: arena,
 		CPU:   cpu.Config{CycleNS: 10, WarmupRefs: 4000},
 	}
 }
@@ -72,7 +76,7 @@ func TestResumeJournalCoversSubsetOfShard(t *testing.T) {
 		t.Fatalf("shard 1/3 of 12 points has %d points, want 4", len(shard))
 	}
 
-	r := resumeTestRunner()
+	r := resumeTestRunner(t)
 	r.Parallelism = 1
 
 	// Reference: the shard simulated end to end with no journal.

@@ -16,10 +16,10 @@ import (
 	"mlcache/internal/coord"
 	"mlcache/internal/coord/chaos"
 	"mlcache/internal/cpu"
-	"mlcache/internal/experiments"
 	"mlcache/internal/store"
 	"mlcache/internal/store/backend"
 	"mlcache/internal/sweep"
+	"mlcache/internal/synth"
 	"mlcache/internal/trace"
 )
 
@@ -35,7 +35,7 @@ import (
 // and returns its path, digest, and header CRC.
 func publishArtifact(t *testing.T, refs int64) (string, store.Digest, uint32) {
 	t.Helper()
-	arena, err := trace.Materialize(experiments.Options{Seed: 1, Refs: refs}.Stream())
+	arena, err := trace.Materialize(synth.PaperStream(1, refs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,9 +376,9 @@ func TestWorkerWithoutCacheRejectsDigestJob(t *testing.T) {
 	if err := dist.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// NewRunner on an unresolved digest-only spec must fail loudly, not
-	// fall back to a synthetic workload.
-	if _, _, err := dist.NewRunner(); err == nil || !strings.Contains(err.Error(), "digest") {
-		t.Fatalf("NewRunner on digest-only spec: %v", err)
+	// MaterializeArena on an unresolved digest-only spec must fail loudly,
+	// not fall back to a synthetic workload.
+	if _, _, _, err := dist.MaterializeArena(context.Background()); err == nil || !strings.Contains(err.Error(), "digest") {
+		t.Fatalf("MaterializeArena on digest-only spec: %v", err)
 	}
 }

@@ -582,7 +582,7 @@ func (c *Coordinator) Run(ctx context.Context) error {
 // through the same state machine remote workers use and simulates them
 // in-process, so a sweep with zero (or all-dead) workers still finishes.
 func (c *Coordinator) localLoop(ctx context.Context) {
-	runner, res, err := c.cfg.Job.NewRunner()
+	arena, closer, _, err := c.cfg.Job.MaterializeArena(ctx)
 	if err != nil {
 		c.logf("coord: local fallback cannot build runner: %v", err)
 		c.mu.Lock()
@@ -590,7 +590,8 @@ func (c *Coordinator) localLoop(ctx context.Context) {
 		c.mu.Unlock()
 		return
 	}
-	defer res.Close()
+	defer closer.Close()
+	runner := c.cfg.Job.RunnerFor(arena)
 	for ctx.Err() == nil {
 		lr, err := c.Lease(LeaseRequest{Worker: LocalWorkerID})
 		if err != nil || lr.Done {

@@ -37,11 +37,12 @@ func chaosSpec() coord.JobSpec {
 // worker uses, driven sequentially in-process.
 func referenceRun(t *testing.T, spec coord.JobSpec) []sweep.Result {
 	t.Helper()
-	runner, res, err := spec.NewRunner()
+	arena, closer, _, err := spec.MaterializeArena(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer res.Close()
+	defer closer.Close()
+	runner := spec.RunnerFor(arena)
 	runner.Parallelism = 1
 	results, err := runner.RunContext(context.Background(), spec.Points(), sweep.Options{})
 	if err != nil {

@@ -14,6 +14,7 @@
 package coord
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -23,6 +24,7 @@ import (
 	"mlcache/internal/memsys"
 	"mlcache/internal/store"
 	"mlcache/internal/sweep"
+	"mlcache/internal/synth"
 	"mlcache/internal/trace"
 )
 
@@ -222,90 +224,36 @@ func (s JobSpec) Grid() sweep.Grid {
 // coordinator merges results.
 func (s JobSpec) Points() []sweep.Point { return s.Grid().Points() }
 
-// Resources owns what a runner built from a spec holds open (the mmap-ed
-// artifact, if any) and reports decode-quality stats.
-type Resources struct {
-	closer io.Closer
-	// TraceSkipped counts corrupt trace records dropped during a lenient
-	// decode (trace.Skips); zero for strict decodes and artifacts.
-	TraceSkipped int64
-}
-
-// Close releases the trace backing.
-func (r *Resources) Close() error {
-	if r.closer == nil {
-		return nil
-	}
-	return r.closer.Close()
-}
-
-// NewRunner builds the sweep runner for the spec — the same construction
-// for the coordinator's local fallback, every worker, and the plain
-// single-process cmd/sweep path, which is what makes their outputs
-// bit-identical.
-func (s JobSpec) NewRunner() (sweep.Runner, *Resources, error) {
-	if err := s.Validate(); err != nil {
-		return sweep.Runner{}, nil, err
-	}
-	if s.TracePath == "" && s.ArtifactDigest != "" {
-		return sweep.Runner{}, nil, s.errUnresolvedDigest()
-	}
-	if s.TracePath == "" {
-		// Synthetic workloads stay lazy here: the sweep engine materializes
-		// the stream under its own cancellable wrapper, so SIGINT during
-		// generation is observed.
-		opt := experiments.Options{Seed: s.Seed, Refs: s.Refs, Warmup: s.Refs / 5}
-		r := s.RunnerFor(nil)
-		r.Trace = opt.Stream
-		return r, &Resources{}, nil
-	}
-	res := &Resources{}
-	arena, err := s.loadTrace(res)
-	if err != nil {
-		return sweep.Runner{}, nil, err
-	}
-	if s.Refs > 0 && int64(arena.Len()) > s.Refs {
-		arena = trace.NewArena(arena.Refs()[:s.Refs])
-	}
-	return s.RunnerFor(arena), res, nil
-}
-
-// RunnerFor builds the spec's runner around an already materialized
-// workload — the entry point for callers that share one arena across many
-// jobs (the mlcserve workload cache). A nil arena leaves Runner.Trace and
-// Runner.CPU for the caller (NewRunner's synthetic path); otherwise the
-// returned runner simulates exactly like NewRunner's, including the
-// 20% warmup convention, so results stay byte-identical across front ends.
+// RunnerFor builds the spec's runner around a materialized workload: the
+// arena MaterializeArena returned, or one shared across jobs (the mlcserve
+// workload cache). Every front end builds its runner this way, with the
+// 20% warmup convention, which is what keeps their results byte-identical.
 func (s JobSpec) RunnerFor(arena *trace.Arena) sweep.Runner {
 	mem := mainmem.Base()
 	if s.SlowMem {
 		mem = mainmem.Slow()
 	}
-	r := sweep.Runner{
+	return sweep.Runner{
 		Configure: func(pt sweep.Point) memsys.Config {
 			cfg := experiments.BaseMachine(s.L1KB,
 				experiments.L2Config(pt.L2SizeBytes, pt.L2CycleNS, pt.L2Assoc), mem)
 			cfg.CheckInvariants = s.CheckInvariants
 			return cfg
 		},
+		Arena: arena,
+		CPU:   experiments.Options{Warmup: int64(arena.Len()) / 5}.CPU(),
 	}
-	if arena != nil {
-		r.Arena = arena
-		r.CPU = experiments.Options{Warmup: int64(arena.Len()) / 5}.CPU()
-	} else {
-		r.CPU = experiments.Options{Seed: s.Seed, Refs: s.Refs, Warmup: s.Refs / 5}.CPU()
-	}
-	return r
 }
 
 // MaterializeArena loads the spec's workload into an arena, whatever its
-// source: an mmap-ed artifact, a decoded (possibly lenient) trace file
-// with the Refs cap applied, or the synthetic generator. It returns the
+// source: the synthetic generator, an mmap-ed artifact, or a decoded
+// (possibly lenient) trace file, with the Refs cap applied. It is the one
+// spec loader; callers hand its arena to RunnerFor. It returns the
 // resource backing the arena (close it when every consumer is done; a
 // no-op for decoded and synthetic workloads) and the lenient-decode skip
-// count. Simulating the returned arena through RunnerFor is bit-identical
-// to NewRunner's own loading.
-func (s JobSpec) MaterializeArena() (*trace.Arena, io.Closer, int64, error) {
+// count. Synthetic generation observes ctx: once ctx ends it stops within
+// cancelCheckRefs references and returns an error wrapping ctx.Err().
+func (s JobSpec) MaterializeArena(ctx context.Context) (*trace.Arena, io.Closer, int64, error) {
 	if err := s.Validate(); err != nil {
 		return nil, nil, 0, err
 	}
@@ -313,26 +261,48 @@ func (s JobSpec) MaterializeArena() (*trace.Arena, io.Closer, int64, error) {
 		return nil, nil, 0, s.errUnresolvedDigest()
 	}
 	if s.TracePath == "" {
-		opt := experiments.Options{Seed: s.Seed, Refs: s.Refs}
-		arena, err := trace.Materialize(opt.Stream())
+		arena, err := s.generate(ctx)
 		if err != nil {
 			return nil, nil, 0, err
 		}
 		return arena, nopCloser{}, 0, nil
 	}
-	res := &Resources{}
-	arena, err := s.loadTrace(res)
+	arena, closer, skipped, err := s.loadTrace()
 	if err != nil {
 		return nil, nil, 0, err
 	}
+	return s.capRefs(arena), closer, skipped, nil
+}
+
+// cancelCheckRefs is how many references synthetic generation produces
+// between cancellation checks: rare enough to stay off the hot path,
+// frequent enough that SIGINT or a deadline stops it within microseconds.
+const cancelCheckRefs = 1024
+
+// generate materializes the synthetic workload of Seed and Refs, checking
+// ctx every cancelCheckRefs references.
+func (s JobSpec) generate(ctx context.Context) (*trace.Arena, error) {
+	src := synth.PaperStream(s.Seed, s.Refs)
+	left := 0
+	return trace.Materialize(trace.Func(func() (trace.Ref, error) {
+		if left == 0 {
+			if err := ctx.Err(); err != nil {
+				return trace.Ref{}, err
+			}
+			left = cancelCheckRefs
+		}
+		left--
+		return src.Next()
+	}))
+}
+
+// capRefs applies the spec's Refs cap (0 = whole trace) to a trace file's
+// arena, without copying.
+func (s JobSpec) capRefs(arena *trace.Arena) *trace.Arena {
 	if s.Refs > 0 && int64(arena.Len()) > s.Refs {
-		arena = trace.NewArena(arena.Refs()[:s.Refs])
+		return trace.NewArena(arena.Refs()[:s.Refs])
 	}
-	closer := res.closer
-	if closer == nil {
-		closer = nopCloser{}
-	}
-	return arena, closer, res.TraceSkipped, nil
+	return arena
 }
 
 type nopCloser struct{}
@@ -341,28 +311,24 @@ func (nopCloser) Close() error { return nil }
 
 // loadTrace opens the job's trace file. Artifacts mmap zero-copy; other
 // codecs decode once, optionally through the lenient corrupt-record
-// skipper, whose skip count lands in res.TraceSkipped.
-func (s JobSpec) loadTrace(res *Resources) (*trace.Arena, error) {
-	if s.Lenient != 0 && !trace.IsArtifactPath(s.TracePath) {
-		stream, closer, err := trace.OpenPath(s.TracePath)
-		if err != nil {
-			return nil, err
-		}
-		ls := trace.Lenient(stream, s.Lenient)
-		arena, err := trace.Materialize(ls)
-		if cerr := closer.Close(); err == nil && cerr != nil {
-			err = cerr
-		}
-		if err != nil {
-			return nil, err
-		}
-		res.TraceSkipped, _ = trace.Skips(ls)
-		return arena, nil
+// skipper, whose skip count it returns.
+func (s JobSpec) loadTrace() (*trace.Arena, io.Closer, int64, error) {
+	if s.Lenient == 0 || trace.IsArtifactPath(s.TracePath) {
+		arena, closer, err := trace.LoadArena(s.TracePath)
+		return arena, closer, 0, err
 	}
-	arena, closer, err := trace.LoadArena(s.TracePath)
+	stream, closer, err := trace.OpenPath(s.TracePath)
 	if err != nil {
-		return nil, err
+		return nil, nil, 0, err
 	}
-	res.closer = closer
-	return arena, nil
+	ls := trace.Lenient(stream, s.Lenient)
+	arena, err := trace.Materialize(ls)
+	if cerr := closer.Close(); err == nil && cerr != nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	skipped, _ := trace.Skips(ls)
+	return arena, nopCloser{}, skipped, nil
 }

@@ -146,7 +146,7 @@ func (w *Worker) Run(ctx context.Context) error {
 // trace by digest resolves through the worker's artifact cache, pinned
 // against eviction for the life of the run, unless the spec's TracePath
 // hint already exists locally (shared-filesystem deployments skip the
-// transfer). All other specs go through JobSpec.NewRunner unchanged.
+// transfer). All other specs load through JobSpec.MaterializeArena.
 func (w *Worker) buildRunner(ctx context.Context, job JobSpec) (sweep.Runner, int64, func(), error) {
 	d := job.Digest()
 	if !d.IsZero() && job.TracePath != "" {
@@ -155,11 +155,11 @@ func (w *Worker) buildRunner(ctx context.Context, job JobSpec) (sweep.Runner, in
 		}
 	}
 	if d.IsZero() {
-		runner, res, err := job.NewRunner()
+		arena, closer, skipped, err := job.MaterializeArena(ctx)
 		if err != nil {
 			return sweep.Runner{}, 0, nil, err
 		}
-		return runner, res.TraceSkipped, func() { res.Close() }, nil
+		return job.RunnerFor(arena), skipped, func() { closer.Close() }, nil
 	}
 	if w.Artifacts == nil {
 		return sweep.Runner{}, 0, nil, fmt.Errorf("job trace is content-addressed (%s) but this worker has no artifact cache; run it with one", d)
@@ -170,11 +170,7 @@ func (w *Worker) buildRunner(ctx context.Context, job JobSpec) (sweep.Runner, in
 		w.Artifacts.Unpin(d)
 		return sweep.Runner{}, 0, nil, fmt.Errorf("fetching artifact %s: %w", d, err)
 	}
-	arena := art.Arena()
-	if job.Refs > 0 && int64(arena.Len()) > job.Refs {
-		arena = trace.NewArena(arena.Refs()[:job.Refs])
-	}
-	return job.RunnerFor(arena), 0, func() {
+	return job.RunnerFor(job.capRefs(art.Arena())), 0, func() {
 		art.Close()
 		w.Artifacts.Unpin(d)
 	}, nil

@@ -36,12 +36,16 @@ func runConfigs(opt Options, title string, configs []struct {
 	cfg   memsys.Config
 }) (AblationResult, error) {
 	res := AblationResult{Title: title}
+	arena, err := opt.arena()
+	if err != nil {
+		return res, err
+	}
 	for _, c := range configs {
 		h, err := memsys.New(c.cfg)
 		if err != nil {
 			return res, fmt.Errorf("%s / %s: %w", title, c.label, err)
 		}
-		run, err := cpu.Run(h, opt.Stream(), opt.CPU())
+		run, err := cpu.Run(h, arena.Cursor(), opt.CPU())
 		if err != nil {
 			return res, fmt.Errorf("%s / %s: %w", title, c.label, err)
 		}
@@ -195,6 +199,10 @@ func AblatePageModeDRAM(opt Options) (AblationResult, error) {
 // multiprogramming workload.
 func AblateFlushOnSwitch(opt Options) (AblationResult, error) {
 	res := AblationResult{Title: "L1 flushing at context switches (base machine)"}
+	arena, err := opt.arena()
+	if err != nil {
+		return res, err
+	}
 	for _, flush := range []bool{false, true} {
 		h, err := memsys.New(BaseMachine(4, L2Config(512*1024, 3*CPUCycleNS, 1), mainmem.Base()))
 		if err != nil {
@@ -202,7 +210,7 @@ func AblateFlushOnSwitch(opt Options) (AblationResult, error) {
 		}
 		cpuCfg := opt.CPU()
 		cpuCfg.FlushOnSwitch = flush
-		run, err := cpu.Run(h, opt.Stream(), cpuCfg)
+		run, err := cpu.Run(h, arena.Cursor(), cpuCfg)
 		if err != nil {
 			return res, err
 		}

@@ -45,9 +45,12 @@ func QuickOptions() Options {
 	return Options{Seed: 1, Refs: 200_000, Warmup: 40_000}
 }
 
-// Stream returns the experiment workload; every call yields the same
-// references for a given Options value.
-func (o Options) Stream() trace.Stream { return synth.PaperStream(o.Seed, o.Refs) }
+// arena materializes the experiment workload. Each driver calls it once
+// and shares the arena across all of its simulations through cursors; the
+// arena is dropped when the driver returns.
+func (o Options) arena() (*trace.Arena, error) {
+	return trace.Materialize(synth.PaperStream(o.Seed, o.Refs))
+}
 
 // CPU returns the CPU configuration for the options.
 func (o Options) CPU() cpu.Config {

@@ -35,12 +35,16 @@ type L1SizeResult struct {
 // the slowed clock.
 func L1Size(l1KBs []int, cyclesNS []int64, l1CostNS float64, opt Options) (L1SizeResult, error) {
 	res := L1SizeResult{L1KBs: l1KBs, CyclesNS: cyclesNS, L1CostNS: l1CostNS}
+	arena, err := opt.arena()
+	if err != nil {
+		return res, err
+	}
 	runner := sweep.Runner{
 		Configure: func(pt sweep.Point) memsys.Config {
 			// Point.L2Assoc carries the L1 size in KB for this sweep.
 			return BaseMachine(pt.L2Assoc, L2Config(512*1024, pt.L2CycleNS, 1), mainmem.Base())
 		},
-		Trace:       opt.Stream,
+		Arena:       arena,
 		CPU:         opt.CPU(),
 		Parallelism: opt.Parallelism,
 	}

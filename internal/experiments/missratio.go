@@ -43,13 +43,17 @@ type MissRatioResult struct {
 // size is varied, with the default 3-CPU-cycle L2.
 func MissRatios(l1TotalKB int, sizesBytes []int64, opt Options) (MissRatioResult, error) {
 	res := MissRatioResult{L1TotalKB: l1TotalKB}
+	arena, err := opt.arena()
+	if err != nil {
+		return res, err
+	}
 
 	// Two-level runs across the sizes.
 	twoLevel := sweep.Runner{
 		Configure: func(pt sweep.Point) memsys.Config {
 			return BaseMachine(l1TotalKB, L2Config(pt.L2SizeBytes, pt.L2CycleNS, pt.L2Assoc), mainmem.Base())
 		},
-		Trace:       opt.Stream,
+		Arena:       arena,
 		CPU:         opt.CPU(),
 		Parallelism: opt.Parallelism,
 	}
@@ -67,7 +71,7 @@ func MissRatios(l1TotalKB int, sizesBytes []int64, opt Options) (MissRatioResult
 		Configure: func(pt sweep.Point) memsys.Config {
 			return SoloMachine(L2Config(pt.L2SizeBytes, pt.L2CycleNS, pt.L2Assoc), mainmem.Base())
 		},
-		Trace:       opt.Stream,
+		Arena:       arena,
 		CPU:         opt.CPU(),
 		Parallelism: opt.Parallelism,
 	}
@@ -126,11 +130,15 @@ func Fig3Sizes() []int64 { return sweep.SizesPow2(8, 4096) }
 // L1GlobalMissRatio runs the base machine once and returns the first
 // level's global read miss ratio, the M_L1 of the analytical model.
 func L1GlobalMissRatio(l1TotalKB int, opt Options) (float64, error) {
+	arena, err := opt.arena()
+	if err != nil {
+		return 0, err
+	}
 	h, err := memsys.New(BaseMachine(l1TotalKB, L2Config(512*1024, 3*CPUCycleNS, 1), mainmem.Base()))
 	if err != nil {
 		return 0, err
 	}
-	run, err := cpu.Run(h, opt.Stream(), opt.CPU())
+	run, err := cpu.Run(h, arena.Cursor(), opt.CPU())
 	if err != nil {
 		return 0, err
 	}

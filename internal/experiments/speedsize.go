@@ -32,11 +32,15 @@ type SpeedSizeResult struct {
 // Figure 4-4.
 func SpeedSize(l1TotalKB int, assoc int, mem mainmem.Config, grid sweep.Grid, opt Options) (SpeedSizeResult, error) {
 	res := SpeedSizeResult{L1TotalKB: l1TotalKB, Memory: mem, Grid: grid}
+	arena, err := opt.arena()
+	if err != nil {
+		return res, err
+	}
 	runner := sweep.Runner{
 		Configure: func(pt sweep.Point) memsys.Config {
 			return BaseMachine(l1TotalKB, L2Config(pt.L2SizeBytes, pt.L2CycleNS, pt.L2Assoc), mem)
 		},
-		Trace:       opt.Stream,
+		Arena:       arena,
 		CPU:         opt.CPU(),
 		Parallelism: opt.Parallelism,
 	}

@@ -117,9 +117,9 @@ type Config struct {
 	// each candidate. It must be a two-level configuration.
 	Base memsys.Config
 	Tech Technology
-	// Trace returns the workload; every call must yield the same
-	// references.
-	Trace func() trace.Stream
+	// Arena is the workload. Phase 1 profiles its references in one pass
+	// and every verification simulation reads it through its own cursor.
+	Arena *trace.Arena
 	CPU   cpu.Config
 	// TopK candidates (by predicted time) are verified by simulation;
 	// zero means 3.
@@ -153,7 +153,7 @@ func Search(cfg Config) (Result, error) {
 	if len(cfg.Base.Down) != 1 {
 		return res, fmt.Errorf("optimal: base machine must have exactly one downstream level, got %d", len(cfg.Base.Down))
 	}
-	if cfg.Trace == nil {
+	if cfg.Arena == nil {
 		return res, fmt.Errorf("optimal: missing trace source")
 	}
 
@@ -193,12 +193,7 @@ func Search(cfg Config) (Result, error) {
 
 	prof := stackdist.MustNew(16)
 	var reads, stores int64
-	s := cfg.Trace()
-	for {
-		r, err := s.Next()
-		if err != nil {
-			break
-		}
+	for _, r := range cfg.Arena.Refs() {
 		if r.Kind.IsRead() {
 			prof.Access(r.Addr)
 			if l2grid != nil {
@@ -307,7 +302,7 @@ func Search(cfg Config) (Result, error) {
 		if err != nil {
 			return res, fmt.Errorf("optimal: candidate %v: %w", cand, err)
 		}
-		run, err := cpu.Run(h, cfg.Trace(), cfg.CPU)
+		run, err := cpu.Run(h, cfg.Arena.Cursor(), cfg.CPU)
 		if err != nil {
 			// A hierarchy that failed mid-run is not returned to the pool.
 			return res, fmt.Errorf("optimal: candidate %v: %w", cand, err)

@@ -2,6 +2,7 @@ package optimal
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"mlcache/internal/cache"
@@ -50,11 +51,20 @@ func testTech() Technology {
 	}
 }
 
+// testArena is the search workload, materialized once for the package.
+var testArena = sync.OnceValue(func() *trace.Arena {
+	arena, err := trace.Materialize(synth.PaperStream(1, 150_000))
+	if err != nil {
+		panic(err)
+	}
+	return arena
+})
+
 func testSearchConfig() Config {
 	return Config{
 		Base:  baseMachine(),
 		Tech:  testTech(),
-		Trace: func() trace.Stream { return synth.PaperStream(1, 150_000) },
+		Arena: testArena(),
 		CPU:   cpu.Config{CycleNS: 10, WarmupRefs: 30_000},
 		TopK:  3,
 	}
@@ -114,12 +124,12 @@ func TestSearchValidation(t *testing.T) {
 		t.Error("no-L2 base accepted")
 	}
 	cfg = testSearchConfig()
-	cfg.Trace = nil
+	cfg.Arena = nil
 	if _, err := Search(cfg); err == nil {
 		t.Error("missing trace accepted")
 	}
 	cfg = testSearchConfig()
-	cfg.Trace = func() trace.Stream { return trace.Trace{{Kind: trace.Store}}.Stream() }
+	cfg.Arena = trace.NewArena(trace.Trace{{Kind: trace.Store}})
 	if _, err := Search(cfg); err == nil {
 		t.Error("read-free workload accepted")
 	}
@@ -228,12 +238,7 @@ func TestPredictedMissIsExact(t *testing.T) {
 			Repl: cache.LRU, Write: cache.WriteBack, Alloc: cache.WriteAllocate,
 		})
 		var reads int64
-		s := cfg.Trace()
-		for {
-			r, err := s.Next()
-			if err != nil {
-				break
-			}
+		for _, r := range cfg.Arena.Refs() {
 			if r.Kind.IsRead() {
 				c.Access(r.Addr, false)
 				reads++

@@ -13,10 +13,10 @@ import (
 	"testing"
 
 	"mlcache/internal/coord"
-	"mlcache/internal/experiments"
 	"mlcache/internal/store"
 	"mlcache/internal/store/backend"
 	"mlcache/internal/store/backend/fakes3"
+	"mlcache/internal/synth"
 	"mlcache/internal/trace"
 )
 
@@ -27,7 +27,7 @@ import (
 
 func publishedSpec(t *testing.T, srvURL string, cl *http.Client) (coord.JobSpec, store.Digest) {
 	t.Helper()
-	arena, err := trace.Materialize(experiments.Options{Seed: 7, Refs: 30000}.Stream())
+	arena, err := trace.Materialize(synth.PaperStream(7, 30000))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"container/list"
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -178,7 +179,9 @@ func (c *ArenaCache) Acquire(spec coord.JobSpec) (*Workload, bool, error) {
 	c.misses++
 	c.mu.Unlock()
 
-	arena, closer, skipped, err := spec.MaterializeArena()
+	// Coalesced acquirers share this load, so no one job's context may
+	// cancel it.
+	arena, closer, skipped, err := spec.MaterializeArena(context.Background())
 	if err != nil {
 		e.err = err
 		close(e.ready)

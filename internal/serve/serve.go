@@ -754,6 +754,11 @@ type nopSink struct{}
 
 func (nopSink) send(string, any) {}
 
+// maxJobSpecBytes caps a POST /jobs body. A spec with both grid axes at
+// their MaxGridDim bound is under 100 KB; a larger body is refused with
+// 413 before it is decoded in full.
+const maxJobSpecBytes = 1 << 20
+
 // handleJobs runs one sweep job end to end: identity, quota, fair-queue
 // admission, journaling, then the shared runJob core.
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
@@ -771,8 +776,13 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec coord.JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		http.Error(w, fmt.Sprintf("bad job spec: %v", err), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobSpecBytes)).Decode(&spec); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("bad job spec: %v", err), code)
 		return
 	}
 	if err := spec.Validate(); err != nil {

@@ -46,12 +46,12 @@ func gridSpec() coord.JobSpec {
 // runner from the spec, the plain engine, WriteTable.
 func referenceTable(t *testing.T, spec coord.JobSpec, asCSV bool) string {
 	t.Helper()
-	runner, res, err := spec.NewRunner()
+	arena, closer, _, err := spec.MaterializeArena(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer res.Close()
-	results, err := runner.RunContext(context.Background(), spec.Points(), sweep.Options{})
+	defer closer.Close()
+	results, err := spec.RunnerFor(arena).RunContext(context.Background(), spec.Points(), sweep.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,6 +490,17 @@ func TestJobValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("body %q: status = %d, want 400", body, resp.StatusCode)
 		}
+	}
+	// A body over the 1 MiB cap is refused before it is decoded in full.
+	huge := `{"sizes_bytes":[` + strings.Repeat("1,", 1<<20) + `1],"cycles_ns":[10]}`
+	resp, err := ts.Client().Post(ts.URL+"/jobs", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("%d-byte body: status = %d, want 413", len(huge), resp.StatusCode)
 	}
 	if s.metrics.jobsTotal.Load() != 0 {
 		t.Errorf("rejected specs counted as jobs: %d", s.metrics.jobsTotal.Load())

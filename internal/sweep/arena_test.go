@@ -1,8 +1,9 @@
 package sweep
 
 import (
+	"bytes"
+	"context"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"mlcache/internal/cache"
@@ -12,30 +13,19 @@ import (
 	"mlcache/internal/trace"
 )
 
-// countingStream counts Next calls across every stream the factory hands
-// out, so a test can observe how many times the engine decodes the trace.
-type countingStream struct {
-	s     trace.Stream
-	calls *atomic.Int64
-}
-
-func (c countingStream) Next() (trace.Ref, error) {
-	c.calls.Add(1)
-	return c.s.Next()
-}
-
-// TestGridDecodesTraceOnce is the decode-once guarantee: a Fig 4-1-sized
-// sweep (110 points) must pull each reference through the Trace stream
-// exactly once, no matter how many points or workers consume it.
+// TestGridDecodesTraceOnce: the engine never decodes; it reads the
+// caller's arena. Two RunContext calls over one Runner, as two shards of
+// the Fig 4-1 grid, each open one cursor on that arena (the pivot of the
+// shard's one upstream group), and together their results render the
+// same table as one whole-grid run.
 func TestGridDecodesTraceOnce(t *testing.T) {
-	const refs = 20_000
-	var factoryCalls, nextCalls atomic.Int64
+	arena, err := trace.Materialize(synth.PaperStream(1, 20_000))
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := Runner{
-		Configure: testConfigure,
-		Trace: func() trace.Stream {
-			factoryCalls.Add(1)
-			return countingStream{s: synth.PaperStream(1, refs), calls: &nextCalls}
-		},
+		Configure:   testConfigure,
+		Arena:       arena,
 		CPU:         cpu.Config{CycleNS: 10},
 		Parallelism: 4,
 	}
@@ -47,24 +37,36 @@ func TestGridDecodesTraceOnce(t *testing.T) {
 	if len(pts) != 110 {
 		t.Fatalf("grid has %d points, want the 110 of Fig 4-1", len(pts))
 	}
-	results, err := r.RunPoints(pts)
+	const shards = 2
+	merged := make([]Result, len(pts))
+	for i := 0; i < shards; i++ {
+		before := arena.Cursors()
+		results, err := r.RunContext(context.Background(), Shard(pts, i, shards), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := arena.Cursors() - before; got != 1 {
+			t.Errorf("shard %d/%d opened %d cursors on the arena, want 1", i, shards, got)
+		}
+		for j, res := range results {
+			if !res.OK() {
+				t.Fatalf("shard %d/%d: point %v failed: %v", i, shards, res.Point, res.Err)
+			}
+			merged[i+j*shards] = res
+		}
+	}
+	whole, err := r.RunContext(context.Background(), pts, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != len(pts) {
-		t.Fatalf("results = %d, want %d", len(results), len(pts))
-	}
-	if got := factoryCalls.Load(); got != 1 {
-		t.Errorf("Trace factory called %d times, want 1", got)
-	}
-	// refs successful Next calls plus the final io.EOF.
-	if got := nextCalls.Load(); got != refs+1 {
-		t.Errorf("trace decoded with %d Next calls, want %d (refs+EOF)", got, refs+1)
+	if want, got := renderTable(t, whole), renderTable(t, merged); !bytes.Equal(want, got) {
+		t.Fatalf("shards differ from the whole grid\nwhole:\n%s\nshards:\n%s", want, got)
 	}
 }
 
-// TestRunnerArenaField runs a grid straight off a pre-materialized arena;
-// Trace must never be called.
+// TestRunnerArenaField runs a grid straight off a caller-built arena, and
+// rejects a Runner without one: the arena is the engine's only trace
+// source.
 func TestRunnerArenaField(t *testing.T) {
 	arena, err := trace.Materialize(synth.PaperStream(1, 5000))
 	if err != nil {
@@ -72,7 +74,6 @@ func TestRunnerArenaField(t *testing.T) {
 	}
 	r := Runner{
 		Configure: testConfigure,
-		Trace:     func() trace.Stream { t.Error("Trace called despite Arena"); return nil },
 		Arena:     arena,
 		CPU:       cpu.Config{CycleNS: 10},
 	}
@@ -84,10 +85,9 @@ func TestRunnerArenaField(t *testing.T) {
 		t.Errorf("points saw different instruction streams: %d vs %d",
 			results[0].Run.Instructions, results[1].Run.Instructions)
 	}
-	// The runner is also valid with no Trace at all.
-	r.Trace = nil
-	if _, err := r.Run(Grid{SizesBytes: []int64{8 * 1024}, CyclesNS: []int64{10}}); err != nil {
-		t.Errorf("Runner with Arena but no Trace rejected: %v", err)
+	r.Arena = nil
+	if _, err := r.Run(Grid{SizesBytes: []int64{8 * 1024}, CyclesNS: []int64{10}}); err == nil {
+		t.Error("Runner without an Arena accepted")
 	}
 }
 
@@ -112,11 +112,15 @@ func randomReplConfigure(pt Point) memsys.Config {
 // its configuration rather than sharing global or scheduling-dependent
 // state, and worker-reused hierarchies reseed on Reset.
 func TestParallelSweepsIdenticalWithRandomRepl(t *testing.T) {
+	arena, err := trace.Materialize(synth.PaperStream(7, 20_000))
+	if err != nil {
+		t.Fatal(err)
+	}
 	run := func() []Result {
 		t.Helper()
 		r := Runner{
 			Configure:   randomReplConfigure,
-			Trace:       func() trace.Stream { return synth.PaperStream(7, 20_000) },
+			Arena:       arena,
 			CPU:         cpu.Config{CycleNS: 10, WarmupRefs: 4000},
 			Parallelism: 4,
 		}

@@ -43,11 +43,12 @@ func TestFig41GridMatchesOracle(t *testing.T) {
 			if len(pts) != 110 {
 				t.Fatalf("grid has %d points, want the 110 of Fig 4-1", len(pts))
 			}
-			runner, res, err := spec.NewRunner()
+			arena, closer, _, err := spec.MaterializeArena(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer res.Close()
+			defer closer.Close()
+			runner := spec.RunnerFor(arena)
 			got, err := runner.RunContext(context.Background(), pts, sweep.Options{})
 			if err != nil {
 				t.Fatal(err)

@@ -7,7 +7,6 @@ import (
 
 	"mlcache/internal/cpu"
 	"mlcache/internal/memsys"
-	"mlcache/internal/trace"
 )
 
 // TestGeometryOrderGroups: the schedule must visit every point exactly
@@ -78,10 +77,7 @@ func TestGeometryScheduleByteIdenticalTable(t *testing.T) {
 	pts := grid.Points()
 
 	// Ground truth: sequential, fresh hierarchy per point, input order.
-	arena, err := trace.Materialize(testTrace())
-	if err != nil {
-		t.Fatal(err)
-	}
+	arena := testArena(t)
 	want := make([]Result, len(pts))
 	for i, pt := range pts {
 		h, err := memsys.New(testConfigure(pt))

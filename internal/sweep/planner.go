@@ -107,8 +107,8 @@ type opGroup struct {
 // A group whose pivot failed is demoted: its members are fully simulated
 // in phase 2 instead.
 func (r Runner) RunContext(ctx context.Context, pts []Point, opts Options) ([]Result, error) {
-	if r.Configure == nil || (r.Trace == nil && r.Arena == nil) {
-		return nil, fmt.Errorf("sweep: Runner needs Configure and Trace (or Arena)")
+	if r.Configure == nil || r.Arena == nil {
+		return nil, fmt.Errorf("sweep: Runner needs Configure and Arena")
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -121,7 +121,6 @@ func (r Runner) RunContext(ctx context.Context, pts []Point, opts Options) ([]Re
 	for i, pt := range pts {
 		results[i] = Result{Point: pt}
 	}
-	shared := &gridTrace{runner: &r, ctx: ctx}
 
 	// Classification calls Configure once per point. A panic there is the
 	// point's first attempt; the point then takes the full path, whose
@@ -177,10 +176,10 @@ func (r Runner) RunContext(ctx context.Context, pts []Point, opts Options) ([]Re
 					c := r.Configure(res.Point)
 					cfg = &c
 				}
-				return r.simulate(*cfg, shared, ws, nil, interrupt)
+				return r.simulate(*cfg, ws, nil, interrupt)
 			case g.pivot == i:
 				rec := memsys.NewDownRecorder()
-				run, err := r.simulate(*cfgs[i], shared, ws, rec, interrupt)
+				run, err := r.simulate(*cfgs[i], ws, rec, interrupt)
 				if err == nil {
 					g.log, g.run = rec.Finish(run.TimeNS), run
 				}
@@ -280,15 +279,11 @@ feed:
 	wg.Wait()
 }
 
-// simulate runs one full simulation of hcfg over the shared trace on the
-// worker's hierarchy. With rec non-nil the first-level boundary stream is
-// captured into it as a byproduct.
-func (r Runner) simulate(hcfg memsys.Config, shared *gridTrace, ws *workerState, rec *memsys.DownRecorder, interrupt func() error) (cpu.Result, error) {
+// simulate runs one full simulation of hcfg over a fresh cursor on the
+// runner's arena, on the worker's hierarchy. With rec non-nil the
+// first-level boundary stream is captured into it as a byproduct.
+func (r Runner) simulate(hcfg memsys.Config, ws *workerState, rec *memsys.DownRecorder, interrupt func() error) (cpu.Result, error) {
 	h, err := ws.hierarchy(hcfg)
-	if err != nil {
-		return cpu.Result{}, err
-	}
-	s, err := shared.source()
 	if err != nil {
 		return cpu.Result{}, err
 	}
@@ -302,7 +297,7 @@ func (r Runner) simulate(hcfg memsys.Config, shared *gridTrace, ws *workerState,
 			rec.MarkRecordingStart(0)
 		}
 	}
-	return cpu.Run(h, s, cfg)
+	return cpu.Run(h, r.Arena.Cursor(), cfg)
 }
 
 // replay evaluates one analytic point by replaying its group's boundary

@@ -9,7 +9,6 @@ import (
 	"mlcache/internal/cache"
 	"mlcache/internal/cpu"
 	"mlcache/internal/memsys"
-	"mlcache/internal/trace"
 )
 
 func TestAnalyticReason(t *testing.T) {
@@ -62,20 +61,13 @@ func renderTable(t *testing.T, results []Result) []byte {
 // input order, with no planner, worker pool, Pool or hierarchy reuse.
 func simulateEach(t *testing.T, r Runner, pts []Point) []Result {
 	t.Helper()
-	arena := r.Arena
-	if arena == nil {
-		var err error
-		if arena, err = trace.Materialize(r.Trace()); err != nil {
-			t.Fatal(err)
-		}
-	}
 	out := make([]Result, len(pts))
 	for i, pt := range pts {
 		h, err := memsys.New(r.Configure(pt))
 		if err != nil {
 			t.Fatalf("oracle: point %v: %v", pt, err)
 		}
-		run, err := cpu.Run(h, arena.Cursor(), r.CPU)
+		run, err := cpu.Run(h, r.Arena.Cursor(), r.CPU)
 		if err != nil {
 			t.Fatalf("oracle: point %v: %v", pt, err)
 		}
@@ -93,7 +85,7 @@ func TestOnePassTableByteIdentical(t *testing.T) {
 		CyclesNS:   []int64{10, 30, 50},
 		Assocs:     []int{1, 2},
 	}.Points()
-	r := Runner{Configure: testConfigure, Trace: testTrace, CPU: cpu.Config{CycleNS: 10, WarmupRefs: 6000}}
+	r := Runner{Configure: testConfigure, Arena: testArena(t), CPU: cpu.Config{CycleNS: 10, WarmupRefs: 6000}}
 
 	wantRes := simulateEach(t, r, pts)
 	gotRes, err := r.RunContext(context.Background(), pts, Options{})
@@ -118,10 +110,7 @@ func TestOnePassTableByteIdentical(t *testing.T) {
 // TestOnePassTraceBudget: an analytic-only grid consumes a single trace
 // pass (the pivot's), far under the ≤5 budget the issue allows.
 func TestOnePassTraceBudget(t *testing.T) {
-	arena, err := trace.Materialize(testTrace())
-	if err != nil {
-		t.Fatal(err)
-	}
+	arena := testArena(t)
 	pts := Grid{
 		SizesBytes: SizesPow2(8, 64),
 		CyclesNS:   []int64{10, 20, 30, 40, 50},
@@ -159,7 +148,7 @@ func TestOnePassMixedClassification(t *testing.T) {
 		return cfg
 	}
 	pts := Grid{SizesBytes: SizesPow2(8, 32), CyclesNS: []int64{10, 30, 50}}.Points()
-	r := Runner{Configure: configure, Trace: testTrace, CPU: cpu.Config{CycleNS: 10, WarmupRefs: 5000}}
+	r := Runner{Configure: configure, Arena: testArena(t), CPU: cpu.Config{CycleNS: 10, WarmupRefs: 5000}}
 	gotRes, err := r.RunContext(context.Background(), pts, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +165,7 @@ func TestOnePassSkipAndOnResult(t *testing.T) {
 	var completed int32
 	r := Runner{
 		Configure: testConfigure,
-		Trace:     testTrace,
+		Arena:     testArena(t),
 		CPU:       cpu.Config{CycleNS: 10},
 	}
 	skip := func(pt Point) bool { return pt.L2CycleNS == 20 }
@@ -217,7 +206,7 @@ func TestOnePassCancellation(t *testing.T) {
 	var completed int32
 	r := Runner{
 		Configure:   testConfigure,
-		Trace:       testTrace,
+		Arena:       testArena(t),
 		CPU:         cpu.Config{CycleNS: 10},
 		Parallelism: 1,
 	}
@@ -246,10 +235,7 @@ func TestOnePassCancellation(t *testing.T) {
 // fails, the group is demoted — every other member is fully simulated and
 // still matches the oracle, one trace pass each.
 func TestOnePassPivotFailureDemotesGroup(t *testing.T) {
-	arena, err := trace.Materialize(testTrace())
-	if err != nil {
-		t.Fatal(err)
-	}
+	arena := testArena(t)
 	// The prepended point's L2 is smaller than one 32-byte block, so
 	// memsys.New rejects it; it is analytic and first in its group, so it
 	// is the pivot.

@@ -5,12 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"mlcache/internal/cpu"
 	"mlcache/internal/memsys"
-	"mlcache/internal/trace"
 )
 
 // Options tunes the fault-tolerant sweep engine.
@@ -47,36 +45,6 @@ type PanicError struct {
 // Error describes the panic; the captured stack is in Stack.
 func (e *PanicError) Error() string {
 	return fmt.Sprintf("sweep: point %v panicked: %v", e.Point, e.Value)
-}
-
-// gridTrace owns the grid's shared trace: the runner's stream is
-// materialized into an immutable arena exactly once (by whichever worker
-// gets there first), and every simulation reads it through an independent
-// zero-copy cursor.
-type gridTrace struct {
-	runner *Runner
-	ctx    context.Context
-	once   sync.Once
-	arena  *trace.Arena
-	err    error
-}
-
-// source returns the reference source for one simulation attempt.
-func (g *gridTrace) source() (trace.Stream, error) {
-	g.once.Do(func() {
-		if g.runner.Arena != nil {
-			g.arena = g.runner.Arena
-			return
-		}
-		// The materialization pass itself observes cancellation through
-		// the watch wrapper; a cancelled decode fails all points with the
-		// context's error rather than hanging the grid.
-		g.arena, g.err = trace.Materialize(watch(g.ctx, g.runner.Trace()))
-	})
-	if g.err != nil {
-		return nil, g.err
-	}
-	return g.arena.Cursor(), nil
 }
 
 // workerState is the per-worker reusable simulation state.
@@ -185,37 +153,6 @@ func (ws *workerState) attempt(ctx context.Context, timeout time.Duration, pt Po
 		defer cancel()
 	}
 	return work(ctx.Err)
-}
-
-// watchInterval is how many references the materialization pass consumes
-// between cancellation checks: rare enough to stay off the hot path,
-// frequent enough that SIGINT or a timeout stops the decode within
-// microseconds. Simulation itself observes cancellation through the CPU
-// loop's per-batch Interrupt check instead.
-const watchInterval = 1024
-
-// watch wraps a stream so its consumer observes ctx: cancellation or a
-// deadline surfaces as a stream error every watchInterval references,
-// without poisoning any shared state.
-func watch(ctx context.Context, s trace.Stream) trace.Stream {
-	return &watchStream{ctx: ctx, s: s}
-}
-
-type watchStream struct {
-	ctx  context.Context
-	s    trace.Stream
-	left int
-}
-
-func (w *watchStream) Next() (trace.Ref, error) {
-	if w.left <= 0 {
-		if err := w.ctx.Err(); err != nil {
-			return trace.Ref{}, err
-		}
-		w.left = watchInterval
-	}
-	w.left--
-	return w.s.Next()
 }
 
 // Canceled reports whether a per-point error is (or wraps) a context

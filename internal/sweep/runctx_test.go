@@ -12,6 +12,7 @@ import (
 	"mlcache/internal/checkpoint"
 	"mlcache/internal/cpu"
 	"mlcache/internal/memsys"
+	"mlcache/internal/synth"
 	"mlcache/internal/trace"
 )
 
@@ -32,7 +33,7 @@ func gridPoints(sizes, cycles int) []Point {
 func TestRunContextMatchesRunPoints(t *testing.T) {
 	r := Runner{
 		Configure: testConfigure,
-		Trace:     testTrace,
+		Arena:     testArena(t),
 		CPU:       cpu.Config{CycleNS: 10, WarmupRefs: 5000},
 	}
 	pts := gridPoints(2, 2)
@@ -60,7 +61,7 @@ func TestRunContextCancelMidGrid(t *testing.T) {
 	var completed int32
 	r := Runner{
 		Configure:   testConfigure,
-		Trace:       testTrace,
+		Arena:       testArena(t),
 		CPU:         cpu.Config{CycleNS: 10},
 		Parallelism: 1,
 	}
@@ -106,7 +107,7 @@ func TestRunContextPanicIsolated(t *testing.T) {
 			}
 			return testConfigure(pt)
 		},
-		Trace:       testTrace,
+		Arena:       testArena(t),
 		CPU:         cpu.Config{CycleNS: 10},
 		Parallelism: 2,
 	}
@@ -146,7 +147,7 @@ func TestRunContextRetries(t *testing.T) {
 			}
 			return testConfigure(pt)
 		},
-		Trace: testTrace,
+		Arena: testArena(t),
 		CPU:   cpu.Config{CycleNS: 10},
 	}
 	results, err := r.RunContext(context.Background(), gridPoints(1, 1), Options{
@@ -167,7 +168,7 @@ func TestRunContextRetries(t *testing.T) {
 func TestRunContextPointTimeout(t *testing.T) {
 	r := Runner{
 		Configure: testConfigure,
-		Trace:     testTrace,
+		Arena:     testArena(t),
 		CPU:       cpu.Config{CycleNS: 10},
 	}
 	// The deadline has passed by the time the CPU loop first polls its
@@ -193,6 +194,10 @@ func TestResumeAfterInterrupt(t *testing.T) {
 		t.Fatalf("grid too small: %d", len(pts))
 	}
 	bad := pts[17]
+	arena, err := trace.Materialize(trace.Limit(synth.PaperStream(1, 30000), 4000))
+	if err != nil {
+		t.Fatal(err)
+	}
 	mk := func() Runner {
 		return Runner{
 			Configure: func(pt Point) memsys.Config {
@@ -201,7 +206,7 @@ func TestResumeAfterInterrupt(t *testing.T) {
 				}
 				return testConfigure(pt)
 			},
-			Trace:       func() trace.Stream { return trace.Limit(testTrace(), 4000) },
+			Arena:       arena,
 			CPU:         cpu.Config{CycleNS: 10},
 			Parallelism: 2,
 		}
@@ -294,7 +299,7 @@ func TestResumeAfterInterrupt(t *testing.T) {
 func TestRunPointsSurfacesPanic(t *testing.T) {
 	r := Runner{
 		Configure: func(Point) memsys.Config { panic("boom") },
-		Trace:     testTrace,
+		Arena:     testArena(t),
 		CPU:       cpu.Config{CycleNS: 10},
 	}
 	_, err := r.RunPoints(gridPoints(1, 1))

@@ -165,15 +165,10 @@ func CyclesRange(lo, hi int, cpuCycleNS int64) []int64 {
 type Runner struct {
 	// Configure builds the hierarchy configuration for a point.
 	Configure func(Point) memsys.Config
-	// Trace returns the grid's reference stream. The engine calls it once
-	// per grid, materializes the result into a shared trace.Arena, and
-	// hands every simulation a zero-copy cursor — the trace is decoded
-	// exactly once no matter how many points run. The stream must
-	// therefore be finite and fit in memory.
-	Trace func() trace.Stream
-	// Arena, when non-nil, is used directly as the shared trace and Trace
-	// is never called. Callers running several grids over the same
-	// workload materialize once and share it here.
+	// Arena is the grid's trace, materialized by the caller; it is
+	// required. Every simulation reads it through its own zero-copy
+	// cursor, so the engine never decodes: a caller running several grids
+	// over one workload materializes once and shares the arena.
 	Arena *trace.Arena
 	CPU   cpu.Config
 	// Parallelism bounds concurrent simulations; 0 means GOMAXPROCS.

@@ -37,7 +37,16 @@ func testConfigure(pt Point) memsys.Config {
 	}
 }
 
-func testTrace() trace.Stream { return synth.PaperStream(1, 30000) }
+// testArena materializes the test workload. Each call returns a fresh
+// arena, so a test that counts cursors counts only its own.
+func testArena(t testing.TB) *trace.Arena {
+	t.Helper()
+	arena, err := trace.Materialize(synth.PaperStream(1, 30000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return arena
+}
 
 func TestGridPoints(t *testing.T) {
 	g := Grid{
@@ -90,7 +99,7 @@ func TestRunnerRunsGrid(t *testing.T) {
 	}
 	r := Runner{
 		Configure: testConfigure,
-		Trace:     testTrace,
+		Arena:     testArena(t),
 		CPU:       cpu.Config{CycleNS: 10, WarmupRefs: 5000},
 	}
 	results, err := r.Run(g)
@@ -126,7 +135,7 @@ func TestRunnerDeterministic(t *testing.T) {
 	g := Grid{SizesBytes: []int64{16 * 1024}, CyclesNS: []int64{30}}
 	r := Runner{
 		Configure:   testConfigure,
-		Trace:       testTrace,
+		Arena:       testArena(t),
 		CPU:         cpu.Config{CycleNS: 10},
 		Parallelism: 4,
 	}
@@ -145,7 +154,7 @@ func TestRunnerDeterministic(t *testing.T) {
 
 func TestRunnerErrors(t *testing.T) {
 	if _, err := (Runner{}).Run(Grid{SizesBytes: []int64{1024}, CyclesNS: []int64{10}}); err == nil {
-		t.Error("Runner without Configure/Trace accepted")
+		t.Error("Runner without Configure/Arena accepted")
 	}
 	bad := Runner{
 		Configure: func(pt Point) memsys.Config {
@@ -153,7 +162,7 @@ func TestRunnerErrors(t *testing.T) {
 			cfg.CPUCycleNS = 0 // invalid
 			return cfg
 		},
-		Trace: testTrace,
+		Arena: testArena(t),
 		CPU:   cpu.Config{CycleNS: 10},
 	}
 	if _, err := bad.Run(Grid{SizesBytes: []int64{8192}, CyclesNS: []int64{10}}); err == nil {
