@@ -242,3 +242,36 @@ func renderCSV(t *testing.T, results []sweep.Result) string {
 	}
 	return buf.String()
 }
+
+// TestRunLocalFig41Golden: the Fig 4-1 grid (4 KB L1, L2 sizes 4–4096 KB,
+// cycles 1–10) over the 20k-reference synthetic workload renders exactly
+// the checked-in table and CSV. The goldens were generated by the engine
+// that replayed the L2 tag array for every point, so they pin any later
+// change to how replays are scheduled.
+func TestRunLocalFig41Golden(t *testing.T) {
+	spec := coord.JobSpec{
+		SizesBytes: sweep.SizesPow2(4, 4096),
+		CyclesNS:   sweep.CyclesRange(1, 10, experiments.CPUCycleNS),
+		Assoc:      1,
+		L1KB:       4,
+		Refs:       20_000,
+		Seed:       1,
+	}
+	for golden, asCSV := range map[string]bool{"fig41_20k.txt": false, "fig41_20k.csv": true} {
+		t.Run(golden, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			stdout, stderr, code := captureRunLocal(t, func() int {
+				return runLocal(context.Background(), spec, 0, 1, localOptions{csv: asCSV})
+			})
+			if code != 0 {
+				t.Fatalf("exit status %d, log:\n%s", code, stderr)
+			}
+			if stdout != string(want) {
+				t.Errorf("output differs from testdata/%s\ngot:\n%s\nwant:\n%s", golden, stdout, want)
+			}
+		})
+	}
+}

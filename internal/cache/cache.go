@@ -305,8 +305,13 @@ func New(cfg Config) (*Cache, error) {
 // indistinguishable from constructing a fresh cache, which is what lets
 // sweep workers reuse tag arrays across grid points.
 func (c *Cache) Reset() {
-	for i := range c.backing {
-		c.backing[i] = line{}
+	// Only an access ticks the clock and only an access makes a line
+	// valid, so a cache whose clock is still zero has nothing to clear: a
+	// replay that never touched this array resets it for free.
+	if c.clock != 0 {
+		for i := range c.backing {
+			c.backing[i] = line{}
+		}
 	}
 	c.clock = 0
 	c.stats = Stats{}

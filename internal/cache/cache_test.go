@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -251,6 +252,52 @@ func TestRecordingToggle(t *testing.T) {
 	c.ResetStats()
 	if c.Stats() != (Stats{}) {
 		t.Error("ResetStats did not zero stats")
+	}
+}
+
+// TestResetClearsEveryLine: after accesses have filled lines — dirty and
+// clean, whole and sub-blocked, in every set — Reset leaves a cache equal
+// to a freshly constructed one, replacement PRNG included.
+func TestResetClearsEveryLine(t *testing.T) {
+	for _, repl := range []Replacement{LRU, FIFO, Random} {
+		cfg := smallConfig()
+		cfg.Repl = repl
+		cfg.FetchBytes = 8
+		c := MustNew(cfg)
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < 500; i++ {
+			c.Access(uint64(rng.Intn(4096)), rng.Intn(2) == 0)
+		}
+		if c.Occupancy() != int(cfg.SizeBytes)/cfg.BlockBytes {
+			t.Fatalf("%v: only %d lines filled", repl, c.Occupancy())
+		}
+		c.Reset()
+		if !reflect.DeepEqual(c, MustNew(cfg)) {
+			t.Errorf("%v: Reset after use differs from New", repl)
+		}
+	}
+}
+
+// TestResetFreshIsNoOp: a cache no access has touched — probes, a TryHit
+// miss, Flush and Invalidate never tick the clock — resets without a sweep
+// and still equals New's.
+func TestResetFreshIsNoOp(t *testing.T) {
+	cfg := smallConfig()
+	c := MustNew(cfg)
+	c.Reset()
+	if !reflect.DeepEqual(c, MustNew(cfg)) {
+		t.Fatal("Reset of a fresh cache differs from New")
+	}
+	c.Probe(0x40)
+	c.TryHit(0x40, false)
+	c.Invalidate(0x40)
+	c.Flush()
+	if c.clock != 0 {
+		t.Fatalf("clock = %d after non-accesses, want 0", c.clock)
+	}
+	c.Reset()
+	if !reflect.DeepEqual(c, MustNew(cfg)) {
+		t.Fatal("Reset after non-accesses differs from New")
 	}
 }
 

@@ -210,9 +210,11 @@ const (
 
 // level is one downstream cache level at run time.
 type level struct {
-	cfg   LevelConfig
-	cache *cache.Cache
-	res   resource
+	cfg LevelConfig
+	// writeNS is cfg.WriteNS(), kept so a buffered write does not copy cfg.
+	writeNS int64
+	cache   *cache.Cache
+	res     resource
 	// inBuf drains victims from the upstream level into this one.
 	inBuf *wbuf.Buffer
 	// storeFills counts block fetches triggered by store misses upstream;
@@ -222,6 +224,13 @@ type level struct {
 	// prefetches counts next-block prefetches issued by this level.
 	prefetches int64
 	recording  bool
+	// tags, set only on the first downstream level while a run records or
+	// plays a TagScript, routes its tag-array operations through the
+	// script. played marks a finished played replay, whose tag-array
+	// statistics are playedStats (copied from the script).
+	tags        *tagTape
+	played      bool
+	playedStats cache.Stats
 }
 
 // firstLevel is a CPU-speed first-level cache at run time.
@@ -313,7 +322,7 @@ func New(cfg Config) (*Hierarchy, error) {
 		if err != nil {
 			return nil, err
 		}
-		h.down = append(h.down, &level{cfg: lc, cache: c, recording: true})
+		h.down = append(h.down, &level{cfg: lc, writeNS: lc.WriteNS(), cache: c, recording: true})
 	}
 
 	h.deepBlockBytes = cfg.DeepestLevel().Cache.BlockBytes
@@ -388,6 +397,7 @@ func (h *Hierarchy) Reset() {
 		lvl.res.freeAt = 0
 		lvl.inBuf.Reset()
 		lvl.storeFills, lvl.storeFillMisses, lvl.prefetches = 0, 0, 0
+		lvl.tags, lvl.played = nil, false
 	}
 	if h.tlb != nil {
 		h.tlb.cache.Reset()
@@ -444,10 +454,11 @@ func (h *Hierarchy) ResetFor(cfg Config) bool {
 		fl.prefetches = 0
 	}
 	for i, lvl := range h.down {
-		lvl.cfg = cfg.Down[i]
+		lvl.cfg, lvl.writeNS = cfg.Down[i], cfg.Down[i].WriteNS()
 		lvl.cache.ResetFor(cfg.Down[i].Cache)
 		lvl.res.freeAt = 0
 		lvl.storeFills, lvl.storeFillMisses, lvl.prefetches = 0, 0, 0
+		lvl.tags, lvl.played = nil, false
 	}
 	if h.tlb != nil {
 		h.tlb.cfg = cfg.TLB
@@ -500,6 +511,9 @@ func (h *Hierarchy) SetRecording(on bool) {
 	for _, lvl := range h.down {
 		lvl.cache.SetRecording(on)
 		lvl.recording = on
+		if lvl.tags != nil {
+			lvl.tags.flip(on)
+		}
 	}
 	if h.tlb != nil {
 		h.tlb.recording = on
@@ -658,19 +672,21 @@ func (h *Hierarchy) fetchBlock(idx int, addr uint64, now int64, org origin, reqB
 	now = lvl.inBuf.FlushMatch(reqBlock, now)
 
 	var res cache.Result
-	switch org {
-	case originRead:
+	switch {
+	case lvl.tags != nil: // recording or playing a tag script
+		outcome, victim := lvl.tags.access(lvl.cache, addr, tagKind(org))
+		res = tagResults[outcome]
+		res.VictimAddr = victim
+	case org == originRead:
 		res = lvl.cache.Access(addr, false)
-	case originStore:
+	default: // originStore, originPrefetch
 		res = lvl.cache.AccessQuiet(addr, false)
-		if lvl.recording {
-			lvl.storeFills++
-			if !res.Hit {
-				lvl.storeFillMisses++
-			}
+	}
+	if org == originStore && lvl.recording {
+		lvl.storeFills++
+		if !res.Hit {
+			lvl.storeFillMisses++
 		}
-	default: // originPrefetch
-		res = lvl.cache.AccessQuiet(addr, false)
 	}
 
 	// The tag check (and, on a hit, the critical transfer) takes one level
@@ -778,7 +794,14 @@ func (s *levelSink) FreeAt() int64 { return s.h.down[s.idx].res.freeAt }
 
 func (s *levelSink) Write(addr uint64, start int64) int64 {
 	h, lvl := s.h, s.h.down[s.idx]
-	res := lvl.cache.Access(addr, true)
+	var res cache.Result
+	if lvl.tags != nil { // recording or playing a tag script
+		outcome, victim := lvl.tags.access(lvl.cache, addr, tagWrite)
+		res = tagResults[outcome]
+		res.VictimAddr = victim
+	} else {
+		res = lvl.cache.Access(addr, true)
+	}
 	if res.Fill {
 		// Write miss with write-allocate: the level fetches the block
 		// from below before absorbing the write.
@@ -790,7 +813,7 @@ func (s *levelSink) Write(addr uint64, start int64) int64 {
 	if res.Writeback {
 		h.pushVictim(s.idx+1, res.VictimAddr, start)
 	}
-	_, done := lvl.res.claim(start, lvl.cfg.WriteNS())
+	_, done := lvl.res.claim(start, lvl.writeNS)
 	return done
 }
 

@@ -110,9 +110,13 @@ func (h *Hierarchy) Stats() Stats {
 	}
 	s.L1I, s.L1D, s.L1 = snap(h.l1i), snap(h.l1d), snap(h.l1)
 	for _, lvl := range h.down {
+		cs := lvl.cache.Stats()
+		if lvl.played {
+			cs = lvl.playedStats
+		}
 		s.Down = append(s.Down, LevelStats{
 			Name:            lvl.cfg.Cache.Name,
-			Cache:           lvl.cache.Stats(),
+			Cache:           cs,
 			StoreFills:      lvl.storeFills,
 			StoreFillMisses: lvl.storeFillMisses,
 			Prefetches:      lvl.prefetches,

@@ -2,11 +2,13 @@ package sweep
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"mlcache/internal/cache"
 	"mlcache/internal/cpu"
@@ -24,7 +26,13 @@ import (
 // reference and never re-reading the trace. Results are bit-identical to
 // full simulation (see internal/memsys/onepass.go); only the diagnostic
 // PerPID and StallHist fields, which no table reads, are left empty on
-// replayed points. See DESIGN.md §13.
+// replayed points.
+//
+// Members that also share the first downstream level's cache.Config form a
+// tag group: one member's run records that level's tag outcomes in a
+// memsys.TagScript and the others play it, so each L2 geometry's tag array
+// is simulated once and the other cycle times replay timing only (see
+// internal/memsys/tagscript.go). See DESIGN.md §13.
 
 // upstreamKey fingerprints everything that determines the first-level
 // boundary stream: the first-level configuration and the CPU rate. Points
@@ -93,6 +101,66 @@ type opGroup struct {
 	run   cpu.Result // the pivot's full result
 }
 
+// tagGroup is one set of an opGroup's members that also share the first
+// downstream level's cache.Config. Its tag pivot records the level's tag
+// script, during the capture when it is the opGroup's pivot and during its
+// replay otherwise, and the other members play the script. The probe, the
+// last member in input order, plays right after the tag pivot on the same
+// worker, so a group that diverges is found by one partial replay before
+// the rest of its members start. Once a member diverges, members that have
+// not started replay through their own tag arrays.
+type tagGroup struct {
+	pivot, probe int
+	script       *memsys.TagScript
+	diverged     atomic.Bool
+	probed       chan struct{} // closed once the probe has run
+}
+
+// tagCounts tallies played replays and those demoted to plain replays.
+type tagCounts struct {
+	played, demoted atomic.Int64
+}
+
+// groupTags splits an opGroup's members by their first downstream level's
+// cache.Config, points tagOf at the tag group of every member that shares
+// it, and returns the members by phase: tag pivots other than the
+// capturing pivot (members[0], in phase 1) and members without a tag group
+// run in phase 2, played members other than probes in phase 3. A probe
+// runs right after its tag pivot.
+func groupTags(members []int, cfgs []*memsys.Config, tagOf []*tagGroup) (phase2, phase3 []int) {
+	capture := members[0]
+	byL2 := map[cache.Config][]int{}
+	var keys []cache.Config
+	for _, i := range members {
+		if !memsys.Scriptable(*cfgs[i]) {
+			if i != capture {
+				phase2 = append(phase2, i)
+			}
+			continue
+		}
+		k := cfgs[i].Down[0].Cache
+		if byL2[k] == nil {
+			keys = append(keys, k)
+		}
+		byL2[k] = append(byL2[k], i)
+	}
+	for _, k := range keys {
+		tm := byL2[k]
+		if tm[0] != capture {
+			phase2 = append(phase2, tm[0])
+		}
+		if len(tm) == 1 {
+			continue
+		}
+		tg := &tagGroup{pivot: tm[0], probe: tm[len(tm)-1], probed: make(chan struct{})}
+		for _, i := range tm {
+			tagOf[i] = tg
+		}
+		phase3 = append(phase3, tm[1:len(tm)-1]...)
+	}
+	return phase2, phase3
+}
+
 // RunContext evaluates the given points on a worker pool and returns a
 // result for every point, in input order, even when some fail. Per-point
 // outcomes land in Result.Err rather than aborting the grid: a panic, an
@@ -103,10 +171,20 @@ type opGroup struct {
 // resumable. The returned error is nil unless ctx was cancelled.
 //
 // Phase 1 fully simulates the timing-sensitive points and captures each
-// group's pivot; phase 2 replays the other members from their pivot's log.
-// A group whose pivot failed is demoted: its members are fully simulated
-// in phase 2 instead.
+// group's pivot, which also records its tag group's script; phase 2
+// replays the other tag pivots, recording their scripts, and the members
+// without a tag group; phase 3 plays the scripts for the remaining members.
+// Each tag pivot plays its group's probe right after itself, and a tag
+// group's phase-3 members start once its probe is done rather than at a
+// barrier. A group whose capture failed is demoted: its members are fully
+// simulated instead. A tag group whose script is missing or diverged
+// replays through each member's own tag array.
 func (r Runner) RunContext(ctx context.Context, pts []Point, opts Options) ([]Result, error) {
+	return r.run(ctx, pts, opts, &tagCounts{})
+}
+
+// run is RunContext, tallying played and demoted replays in n.
+func (r Runner) run(ctx context.Context, pts []Point, opts Options, n *tagCounts) ([]Result, error) {
 	if r.Configure == nil || r.Arena == nil {
 		return nil, fmt.Errorf("sweep: Runner needs Configure and Arena")
 	}
@@ -126,7 +204,7 @@ func (r Runner) RunContext(ctx context.Context, pts []Point, opts Options) ([]Re
 	// point's first attempt; the point then takes the full path, whose
 	// retry loop calls Configure again while the budget lasts.
 	cfgs := make([]*memsys.Config, len(pts))
-	var phase1, phase2 []int
+	var phase1, phase2, phase3 []int
 	byKey := map[upstreamKey][]int{}
 	for i := range pts {
 		res := &results[i]
@@ -149,6 +227,7 @@ func (r Runner) RunContext(ctx context.Context, pts []Point, opts Options) ([]Re
 		byKey[k] = append(byKey[k], i)
 	}
 	groupOf := make([]*opGroup, len(pts))
+	tagOf := make([]*tagGroup, len(pts))
 	for _, members := range byKey {
 		// members[0] runs in phase 1: as its group's capturing pivot or,
 		// alone, as a plain simulation, since a lone point gains nothing
@@ -161,13 +240,15 @@ func (r Runner) RunContext(ctx context.Context, pts []Point, opts Options) ([]Re
 		for _, i := range members {
 			groupOf[i] = g
 		}
-		phase2 = append(phase2, members[1:]...)
+		p2, p3 := groupTags(members, cfgs, tagOf)
+		phase2 = append(phase2, p2...)
+		phase3 = append(phase3, p3...)
 	}
 
 	var onResultMu sync.Mutex
 	work := func(ws *workerState, i int) {
 		res := &results[i]
-		g := groupOf[i]
+		g, tg := groupOf[i], tagOf[i]
 		runPoint(ctx, opts, ws, res, func(interrupt func() error) (cpu.Result, error) {
 			switch {
 			case g == nil:
@@ -176,16 +257,18 @@ func (r Runner) RunContext(ctx context.Context, pts []Point, opts Options) ([]Re
 					c := r.Configure(res.Point)
 					cfg = &c
 				}
-				return r.simulate(*cfg, ws, nil, interrupt)
+				return r.simulate(*cfg, ws, nil, nil, interrupt)
 			case g.pivot == i:
 				rec := memsys.NewDownRecorder()
-				run, err := r.simulate(*cfgs[i], ws, rec, interrupt)
+				run, err := r.simulate(*cfgs[i], ws, rec, tg, interrupt)
 				if err == nil {
 					g.log, g.run = rec.Finish(run.TimeNS), run
 				}
 				return run, err
+			case g.log == nil: // demoted: the pivot's capture never completed
+				return r.simulate(*cfgs[i], ws, nil, nil, interrupt)
 			default:
-				return replay(*cfgs[i], g, ws, interrupt)
+				return replay(*cfgs[i], g, tg, i, ws, n, interrupt)
 			}
 		})
 		if res.Err == nil && opts.OnResult != nil {
@@ -194,14 +277,36 @@ func (r Runner) RunContext(ctx context.Context, pts []Point, opts Options) ([]Re
 			onResultMu.Unlock()
 		}
 	}
-
-	r.runPhase(ctx, par, orderByGeometry(pts, phase1), work)
-	for _, i := range phase2 {
-		if groupOf[i].log == nil {
-			groupOf[i] = nil // demoted: the pivot's capture never completed
+	// A tag pivot takes its probe along; other members of a tag group
+	// start once the probe has shown whether the group's script holds.
+	withProbe := func(ws *workerState, i int) {
+		tg := tagOf[i]
+		switch {
+		case tg == nil:
+			work(ws, i)
+		case tg.pivot == i:
+			defer close(tg.probed)
+			work(ws, i)
+			work(ws, tg.probe)
+		default:
+			select {
+			case <-tg.probed:
+			case <-ctx.Done(): // the probe may never run; runPoint reports ctx's error
+			}
+			work(ws, i)
 		}
 	}
-	r.runPhase(ctx, par, orderByGeometry(pts, phase2), work)
+
+	if r.Pool == nil {
+		// A tag pivot's hierarchy then serves its geometry's played
+		// members later in the run instead of being rebuilt.
+		r.Pool = memsys.NewPool(1)
+	}
+	r.runPhase(ctx, par, orderByGeometry(pts, phase1), withProbe)
+	// Phase 3 follows phase 2 in one feed: every tag pivot is handed to a
+	// worker before any played member, so a member waits at most for the
+	// few tag pivots still running, never for a phase barrier.
+	r.runPhase(ctx, par, append(orderByGeometry(pts, phase2), orderByGeometry(pts, phase3)...), withProbe)
 
 	if err := ctx.Err(); err != nil {
 		// Points never attempted inherit the cancellation error so the
@@ -244,9 +349,10 @@ func orderByGeometry(pts []Point, idxs []int) []int {
 
 // runPhase drains one phase's indices through a worker pool. Each worker
 // owns one reusable hierarchy: neighbors that share cache geometry are
-// evaluated by Reset instead of reallocating tag arrays, and with a
-// Runner.Pool the hierarchy outlives this run for the next job over the
-// same geometry.
+// evaluated by Reset instead of reallocating tag arrays, and a hierarchy
+// displaced by a geometry change waits in the Runner.Pool (the caller's,
+// which keeps it for later jobs, or one local to the run) for the next
+// point of its geometry.
 func (r Runner) runPhase(ctx context.Context, par int, order []int, work func(*workerState, int)) {
 	if len(order) == 0 {
 		return
@@ -281,8 +387,9 @@ feed:
 
 // simulate runs one full simulation of hcfg over a fresh cursor on the
 // runner's arena, on the worker's hierarchy. With rec non-nil the
-// first-level boundary stream is captured into it as a byproduct.
-func (r Runner) simulate(hcfg memsys.Config, ws *workerState, rec *memsys.DownRecorder, interrupt func() error) (cpu.Result, error) {
+// first-level boundary stream is captured into it as a byproduct, and with
+// tg non-nil the tag group's script.
+func (r Runner) simulate(hcfg memsys.Config, ws *workerState, rec *memsys.DownRecorder, tg *tagGroup, interrupt func() error) (cpu.Result, error) {
 	h, err := ws.hierarchy(hcfg)
 	if err != nil {
 		return cpu.Result{}, err
@@ -297,21 +404,71 @@ func (r Runner) simulate(hcfg memsys.Config, ws *workerState, rec *memsys.DownRe
 			rec.MarkRecordingStart(0)
 		}
 	}
-	return cpu.Run(h, r.Arena.Cursor(), cfg)
+	if tg == nil {
+		return cpu.Run(h, r.Arena.Cursor(), cfg)
+	}
+	if err := h.RecordTags(); err != nil {
+		return cpu.Result{}, err
+	}
+	run, err := cpu.Run(h, r.Arena.Cursor(), cfg)
+	tg.keep(h, err)
+	return run, err
 }
 
-// replay evaluates one analytic point by replaying its group's boundary
-// log through the point's own downstream machinery.
-func replay(hcfg memsys.Config, g *opGroup, ws *workerState, interrupt func() error) (cpu.Result, error) {
+// replay evaluates member i of an analytic group by replaying the group's
+// boundary log through the member's own downstream machinery, playing its
+// tag group's script when there is one. A member whose played replay
+// diverges is replayed again through its own tag array.
+func replay(hcfg memsys.Config, g *opGroup, tg *tagGroup, i int, ws *workerState, n *tagCounts, interrupt func() error) (cpu.Result, error) {
 	h, err := ws.hierarchy(hcfg)
 	if err != nil {
 		return cpu.Result{}, err
 	}
-	timeNS, err := h.ReplayDown(g.log, interrupt)
+	timeNS, err := tg.replay(h, g.log, i, n, interrupt)
+	if errors.Is(err, memsys.ErrTagDiverged) {
+		if h, err = ws.hierarchy(hcfg); err != nil {
+			return cpu.Result{}, err
+		}
+		timeNS, err = h.ReplayDown(g.log, interrupt)
+	}
 	if err != nil {
 		return cpu.Result{}, err
 	}
 	return synthesizeReplay(g.run, h, timeNS, hcfg.CPUCycleNS), nil
+}
+
+// replay replays member i on h: recording the script when i is the tag
+// pivot, playing it when it is ready and no member has diverged, and
+// through h's own tag array otherwise (always when tg is nil).
+func (tg *tagGroup) replay(h *memsys.Hierarchy, log *memsys.DownLog, i int, n *tagCounts, interrupt func() error) (int64, error) {
+	switch {
+	case tg == nil || tg.pivot != i && (tg.script == nil || tg.diverged.Load()):
+		return h.ReplayDown(log, interrupt)
+	case tg.pivot == i:
+		if err := h.RecordTags(); err != nil {
+			return 0, err
+		}
+		timeNS, err := h.ReplayDown(log, interrupt)
+		tg.keep(h, err)
+		return timeNS, err
+	}
+	timeNS, err := h.PlayTags(log, tg.script, interrupt)
+	switch {
+	case err == nil:
+		n.played.Add(1)
+	case errors.Is(err, memsys.ErrTagDiverged):
+		tg.diverged.Store(true)
+		n.demoted.Add(1)
+	}
+	return timeNS, err
+}
+
+// keep takes the script h recorded and stores it when the run succeeded;
+// h holds no script afterwards either way.
+func (tg *tagGroup) keep(h *memsys.Hierarchy, err error) {
+	if s := h.TagScript(); err == nil {
+		tg.script = s
+	}
 }
 
 // synthesizeReplay reconstructs a cpu.Result for a replayed point: the

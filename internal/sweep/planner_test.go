@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -256,5 +257,38 @@ func TestOnePassPivotFailureDemotesGroup(t *testing.T) {
 	want := renderTable(t, simulateEach(t, r, members))
 	if got := renderTable(t, results[1:]); !bytes.Equal(want, got) {
 		t.Fatalf("demoted members differ from the oracle\noracle:\n%s\nplanner:\n%s", want, got)
+	}
+}
+
+// TestTagProbeCompletesBeforeItsGroup: a tag group's other members start
+// only once its probe, which plays right after the tag pivot, has finished,
+// so a diverging group costs one partial replay. The probe (the last cycle
+// time of each size) is therefore reported before every member between
+// the tag pivot and itself. The capturing pivot's size has no such
+// members, so workers reach the other sizes' members while their tag
+// pivots still run.
+func TestTagProbeCompletesBeforeItsGroup(t *testing.T) {
+	const cycles = 8
+	pts := []Point{{L2SizeBytes: 8 * 1024, L2CycleNS: 10, L2Assoc: 1}, {L2SizeBytes: 8 * 1024, L2CycleNS: 10 * cycles, L2Assoc: 1}}
+	pts = append(pts, gridPoints(3, cycles)[cycles:]...)
+	var mu sync.Mutex
+	done := map[Point]int{}
+	r := Runner{Configure: testConfigure, Arena: testArena(t), CPU: cpu.Config{CycleNS: 10, WarmupRefs: 5000}, Parallelism: 4}
+	_, err := r.RunContext(context.Background(), pts, Options{OnResult: func(res Result) {
+		mu.Lock()
+		done[res.Point] = len(done)
+		mu.Unlock()
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := 2; s < len(pts); s += cycles {
+		group := pts[s : s+cycles]
+		probe := group[cycles-1]
+		for _, member := range group[1 : cycles-1] {
+			if done[member] < done[probe] {
+				t.Errorf("%v finished before its group's probe %v", member, probe)
+			}
+		}
 	}
 }

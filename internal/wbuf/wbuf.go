@@ -53,7 +53,15 @@ type Buffer struct {
 func (b *Buffer) front() entry { return b.ring[b.head] }
 
 // at returns the i-th oldest entry (0 = front). Callers must ensure i < n.
-func (b *Buffer) at(i int) entry { return b.ring[(b.head+i)%len(b.ring)] }
+func (b *Buffer) at(i int) entry { return b.ring[b.wrap(b.head+i)] }
+
+// wrap maps a position less than twice the ring's length into the ring.
+func (b *Buffer) wrap(i int) int {
+	if i >= len(b.ring) {
+		i -= len(b.ring)
+	}
+	return i
+}
 
 // SetCoalescing enables write coalescing: a push whose block address is
 // already buffered is absorbed by the existing entry instead of consuming
@@ -100,7 +108,7 @@ func (b *Buffer) Stats() Stats { return b.stats }
 // the completion time.
 func (b *Buffer) drainOne() int64 {
 	e := b.front()
-	b.head = (b.head + 1) % len(b.ring)
+	b.head = b.wrap(b.head + 1)
 	b.n--
 	start := e.ready
 	if f := b.ds.FreeAt(); f > start {
@@ -161,7 +169,7 @@ func (b *Buffer) Push(addr uint64, now int64) int64 {
 			now = done
 		}
 	}
-	b.ring[(b.head+b.n)%len(b.ring)] = entry{addr: addr, ready: now}
+	b.ring[b.wrap(b.head+b.n)] = entry{addr: addr, ready: now}
 	b.n++
 	return now
 }
