@@ -39,7 +39,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -354,17 +353,6 @@ func main() {
 		log.Printf("WARNING: -fault-point %s armed; this process will crash on matching jobs (testing only)", *faultPoint)
 	}
 
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		MaxHeaderBytes:    1 << 20,
-		IdleTimeout:       2 * time.Minute,
-		// No write timeout: job streams legitimately run for minutes — the
-		// serve layer applies its own per-write deadline to streams
-		// (-stream-write-timeout) instead.
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -373,13 +361,13 @@ func main() {
 		log.Printf("artifact gc: every %v, grace %v", *gcInterval, *gcGrace)
 	}
 
-	serveErr := make(chan error, 1)
+	srv, serveErr, err := serve.Listen(*addr, s.Handler(), sec)
+	if err != nil {
+		log.Fatalf("serve %s: %v", *addr, err)
+	}
 	scheme := "http"
 	if sec.TLSServer() {
 		scheme = "https"
-		go func() { serveErr <- srv.ListenAndServeTLS(sec.CertFile, sec.KeyFile) }()
-	} else {
-		go func() { serveErr <- srv.ListenAndServe() }()
 	}
 	log.Printf("listening on %s (%s; POST /jobs, GET /healthz, GET /metrics)", *addr, scheme)
 

@@ -21,7 +21,8 @@
 // (byte-identical to a single-process run); -join runs a worker against a
 // coordinator. Leases expire and are retried elsewhere when a worker dies,
 // stragglers are speculatively re-executed, and if no workers ever show up
-// the coordinator finishes the grid in-process.
+// the coordinator finishes the grid in-process. The coordinator listens
+// on mlcserve's server, so it also answers /healthz, /metrics and /jobs.
 //
 // Workers need no shared filesystem: a coordinator serving an .mlca trace
 // publishes it by content digest at /artifacts/, and workers fetch it into
@@ -55,7 +56,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -69,6 +69,7 @@ import (
 	"mlcache/internal/cpu"
 	"mlcache/internal/experiments"
 	"mlcache/internal/prof"
+	"mlcache/internal/serve"
 	"mlcache/internal/store"
 	"mlcache/internal/store/backend"
 	"mlcache/internal/sweep"
@@ -198,6 +199,7 @@ func main() {
 	if err := spec.Validate(); err != nil {
 		log.Fatal(err)
 	}
+	grid := gridOptions{ckptPath: *ckptPath, resume: *resume, csv: *csv}
 
 	if *serve != "" {
 		if shardN > 1 {
@@ -231,18 +233,14 @@ func main() {
 			LocalParallelism:   *par,
 			Logf:               log.Printf,
 		}
-		code := runCoordinator(ctx, *serve, cfg, coordinatorOptions{
-			ckptPath: *ckptPath, resume: *resume, csv: *csv,
-			publishDir: *publishDir, sec: sec,
-		})
+		code := runServe(ctx, *serve, cfg, *publishDir, sec, grid)
 		stop()
 		stopProf()
 		os.Exit(code)
 	}
 
 	code := runLocal(ctx, spec, shardI, shardN, localOptions{
-		par: *par, timeout: *timeout, retries: *retries,
-		ckptPath: *ckptPath, resume: *resume, csv: *csv,
+		par: *par, timeout: *timeout, retries: *retries, gridOptions: grid,
 	})
 	stop()
 	stopProf()
@@ -349,150 +347,69 @@ func runWorker(ctx context.Context, addr string, wo workerOptions) error {
 	return err
 }
 
-type coordinatorOptions struct {
-	ckptPath   string
-	resume     bool
-	csv        bool
-	publishDir string
-	sec        store.Security
-}
-
-// resolverChain tries each resolver in turn; the coordinator's own trace
-// artifact first, then the publish store.
-type resolverChain []store.Resolver
-
-func (rc resolverChain) Resolve(d store.Digest) (string, error) {
-	var lastErr error = os.ErrNotExist
-	for _, r := range rc {
-		p, err := r.Resolve(d)
-		if err == nil {
-			return p, nil
-		}
-		lastErr = err
-	}
-	return "", lastErr
-}
-
-// runCoordinator serves the grid to workers, merges their results, and
-// renders the merged table. With -checkpoint, merged points are journaled
-// exactly like local sweeps, and -resume seeds already-journaled points.
-// The coordinator doubles as the artifact origin: its own trace artifact
-// (and, with -publish, any uploaded object) is served at /artifacts/.
-func runCoordinator(ctx context.Context, addr string, cfg coord.Config, co coordinatorOptions) int {
-	pts := cfg.Job.Points()
-	if co.resume {
-		prior := loadPrior(co.ckptPath, len(pts))
-		cfg.Prior = map[int]cpu.Result{}
-		for i, pt := range pts {
-			if run, ok := prior[pt.String()]; ok {
-				cfg.Prior[i] = run
-			}
-		}
-	}
-	var journal *checkpoint.Journal
-	if co.ckptPath != "" {
-		var err error
-		journal, err = checkpoint.Open(co.ckptPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer journal.Close()
-		cfg.OnResult = func(pt sweep.Point, run cpu.Result) {
-			if err := journal.Append(pt.String(), run); err != nil {
-				log.Printf("checkpoint: %v", err)
-			}
-		}
-	}
-
+// runServe hosts the grid on an in-process serve.Server: workers lease
+// shards of it from cfg's coordinator and fetch its trace artifact by
+// digest, and the merged results report through runGrid like a local
+// sweep's. With -publish the server also accepts artifact uploads into
+// publishDir; with -token every endpoint requires it.
+func runServe(ctx context.Context, addr string, cfg coord.Config, publishDir string, sec store.Security, g gridOptions) int {
 	c, err := coord.New(cfg)
 	if err != nil {
-		log.Fatal(err)
+		log.Print(err)
+		return 1
 	}
-	var sources resolverChain
-	if d := cfg.Job.Digest(); !d.IsZero() {
-		sources = append(sources, store.Static{d: cfg.Job.TracePath})
+	scfg := serve.Config{ArtifactDir: publishDir, Logf: log.Printf}
+	if sec.Token != "" {
+		// One named tenant with a non-empty key always parses.
+		scfg.Tenants, _ = serve.ParseTenants([]serve.TenantConfig{{Name: "sweep", Key: sec.Token}})
 	}
-	artifacts := &store.Handler{Source: sources, Logf: log.Printf}
-	if co.publishDir != "" {
-		uploads, err := store.OpenFileStore(co.publishDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sources = append(sources, uploads)
-		artifacts.Source = sources
-		artifacts.Uploads = uploads
+	srv, err := serve.New(scfg)
+	if err != nil {
+		log.Print(err)
+		return 1
 	}
-	root := http.NewServeMux()
-	root.Handle(store.PathArtifacts, artifacts)
-	root.Handle("/", c.Handler())
-
-	// Same slowloris hardening as cmd/mlcserve: bound header reads, header
-	// size, and idle keep-alives. No write timeout — workers hold
-	// long-polls and artifact downloads legitimately.
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           co.sec.RequireAuth(root),
-		ReadHeaderTimeout: 10 * time.Second,
-		MaxHeaderBytes:    1 << 20,
-		IdleTimeout:       2 * time.Minute,
+	srv.Lease(c, cfg.Job)
+	hs, _, err := serve.Listen(addr, srv.Handler(), sec)
+	if err != nil {
+		log.Printf("serve %s: %v", addr, err)
+		return 1
 	}
-	serveErr := make(chan error, 1)
-	go func() {
-		if co.sec.TLSServer() {
-			serveErr <- srv.ListenAndServeTLS(co.sec.CertFile, co.sec.KeyFile)
-		} else {
-			serveErr <- srv.ListenAndServe()
-		}
-	}()
+	defer hs.Close()
+	pts := cfg.Job.Points()
 	log.Printf("coordinator on %s: %d grid points in %d shards (join with: sweep -join %s)",
 		addr, len(pts), cfg.Shards, addr)
 
-	runErr := c.Run(ctx)
-	select {
-	case err := <-serveErr:
-		// ListenAndServe only returns on failure; surface it (a bad -serve
-		// address would otherwise look like a hang until local fallback).
-		log.Fatalf("serve %s: %v", addr, err)
-	default:
-	}
-	if runErr == nil {
-		// Keep answering for a beat: workers that were sleeping on a wait
-		// poll (capped at 1s) learn the grid is done instead of finding a
-		// dead socket. Workers whose upload finished the grid already know.
-		time.Sleep(1200 * time.Millisecond)
-	}
-	shutCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	_ = srv.Shutdown(shutCtx)
-
-	if n := c.TraceSkipped(); n > 0 {
-		log.Printf("workers skipped up to %d corrupt trace record(s) during decode", n)
-	}
-	results := c.Results()
-	if err := sweep.WriteTable(os.Stdout, results, experiments.CPUCycleNS, co.csv); err != nil {
-		log.Fatal(err)
-	}
-	if runErr != nil {
-		done, total := c.Done()
-		msg := fmt.Sprintf("interrupted: %d of %d points done", done, total)
-		if co.ckptPath != "" {
-			msg += "; rerun with -resume to continue"
-		} else {
-			msg += "; use -checkpoint to make sweeps resumable"
+	return runGrid(ctx, pts, func(ctx context.Context, pts []sweep.Point, opts sweep.Options) ([]sweep.Result, error) {
+		results, err := c.RunContext(ctx, pts, opts)
+		if err == nil {
+			// Keep answering for a beat: workers that were sleeping on a
+			// wait poll (capped at 1s) learn the grid is done instead of
+			// finding a dead socket. Workers whose upload finished the grid
+			// already know.
+			time.Sleep(1200 * time.Millisecond)
 		}
-		log.Print(msg)
-		return 1
-	}
-	return 0
+		shutCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		_ = hs.Shutdown(shutCtx)
+		if n := c.TraceSkipped(); n > 0 {
+			log.Printf("workers skipped up to %d corrupt trace record(s) during decode", n)
+		}
+		return results, err
+	}, g)
 }
 
-type localOptions struct {
-	par      int
-	timeout  time.Duration
-	retries  int
+// gridOptions say how runGrid journals and reports a grid.
+type gridOptions struct {
 	ckptPath string
 	resume   bool
 	csv      bool
+}
+
+type localOptions struct {
+	gridOptions
+	par     int
+	timeout time.Duration
+	retries int
 }
 
 // runLocal is the classic single-process sweep, built on the same job spec
@@ -520,33 +437,42 @@ func runLocal(ctx context.Context, spec coord.JobSpec, shardI, shardN int, lo lo
 		pts = sweep.Shard(pts, shardI, shardN)
 		log.Printf("shard %d/%d: %d of %d grid points", shardI, shardN, len(pts), all)
 	}
+	runner := spec.RunnerFor(arena)
+	runner.Parallelism = lo.par
+	return runGrid(ctx, pts, func(ctx context.Context, pts []sweep.Point, opts sweep.Options) ([]sweep.Result, error) {
+		opts.PointTimeout, opts.Retries, opts.Backoff = lo.timeout, lo.retries, 200*time.Millisecond
+		return runner.RunContext(ctx, pts, opts)
+	}, lo.gridOptions)
+}
 
-	// Salvage prior results and open the journal.
+// runGrid runs pts through run, which has the contract of
+// sweep.Runner.RunContext, and reports the outcome; it returns the exit
+// status. With -checkpoint each new result is journaled, and with -resume
+// journaled points are skipped and shown as ckpt. It writes the table,
+// itemizes failed points and reports an interrupted grid.
+func runGrid(ctx context.Context, pts []sweep.Point, run func(context.Context, []sweep.Point, sweep.Options) ([]sweep.Result, error), g gridOptions) int {
 	prior := map[string]cpu.Result{}
-	if lo.resume {
-		prior = loadPrior(lo.ckptPath, len(pts))
-	}
-	var journal *checkpoint.Journal
-	if lo.ckptPath != "" {
-		journal, err = checkpoint.Open(lo.ckptPath)
-		if err != nil {
-			log.Fatal(err)
+	if g.resume {
+		var err error
+		if prior, err = loadPrior(g.ckptPath, len(pts)); err != nil {
+			log.Print(err)
+			return 1
 		}
-		defer journal.Close()
 	}
-
-	opts := sweep.Options{
-		PointTimeout: lo.timeout,
-		Retries:      lo.retries,
-		Backoff:      200 * time.Millisecond,
-	}
+	var opts sweep.Options
 	if len(prior) > 0 {
 		opts.Skip = func(pt sweep.Point) bool {
 			_, ok := prior[pt.String()]
 			return ok
 		}
 	}
-	if journal != nil {
+	if g.ckptPath != "" {
+		journal, err := checkpoint.Open(g.ckptPath)
+		if err != nil {
+			log.Print(err)
+			return 1
+		}
+		defer journal.Close()
 		opts.OnResult = func(res sweep.Result) {
 			if err := journal.Append(res.Point.String(), res.Run); err != nil {
 				log.Printf("checkpoint: %v", err)
@@ -554,9 +480,11 @@ func runLocal(ctx context.Context, spec coord.JobSpec, shardI, shardN int, lo lo
 		}
 	}
 
-	runner := spec.RunnerFor(arena)
-	runner.Parallelism = lo.par
-	results, runErr := runner.RunContext(ctx, pts, opts)
+	results, runErr := run(ctx, pts, opts)
+	if results == nil {
+		log.Print(runErr)
+		return 1
+	}
 
 	// Fill skipped points from the journal so the report covers the whole
 	// grid, and split out the failures.
@@ -574,8 +502,9 @@ func runLocal(ctx context.Context, spec coord.JobSpec, shardI, shardN int, lo lo
 		done++
 	}
 
-	if err := sweep.WriteTable(os.Stdout, results, experiments.CPUCycleNS, lo.csv); err != nil {
-		log.Fatal(err)
+	if err := sweep.WriteTable(os.Stdout, results, experiments.CPUCycleNS, g.csv); err != nil {
+		log.Print(err)
+		return 1
 	}
 
 	for _, r := range results {
@@ -589,7 +518,7 @@ func runLocal(ctx context.Context, spec coord.JobSpec, shardI, shardN int, lo lo
 	switch {
 	case runErr != nil:
 		msg := fmt.Sprintf("interrupted: %d of %d points done", done, len(pts))
-		if lo.ckptPath != "" {
+		if g.ckptPath != "" {
 			msg += "; rerun with -resume to continue"
 		} else {
 			msg += "; use -checkpoint to make sweeps resumable"
@@ -604,16 +533,16 @@ func runLocal(ctx context.Context, spec coord.JobSpec, shardI, shardN int, lo lo
 }
 
 // loadPrior reads a checkpoint journal into point-keyed results; a missing
-// file means a fresh start, anything else is fatal.
-func loadPrior(ckptPath string, total int) map[string]cpu.Result {
+// file means a fresh start.
+func loadPrior(ckptPath string, total int) (map[string]cpu.Result, error) {
 	prior := map[string]cpu.Result{}
 	set, err := checkpoint.Load(ckptPath)
 	switch {
 	case errors.Is(err, os.ErrNotExist):
 		log.Printf("checkpoint %s not found; starting fresh", ckptPath)
-		return prior
+		return prior, nil
 	case err != nil:
-		log.Fatal(err)
+		return nil, err
 	}
 	for key, raw := range set.Records {
 		var run cpu.Result
@@ -627,7 +556,7 @@ func loadPrior(ckptPath string, total int) map[string]cpu.Result {
 		log.Printf("checkpoint: dropped %d corrupt record(s)", set.Dropped)
 	}
 	log.Printf("resuming: %d of %d points already simulated", len(prior), total)
-	return prior
+	return prior, nil
 }
 
 func parseRange(s string) (lo, hi int64, err error) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"log"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -110,11 +111,23 @@ func TestRunWorkerColdThenWarm(t *testing.T) {
 		defer srv.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		defer cancel()
-		go c.Run(ctx)
+		type ran struct {
+			results []sweep.Result
+			err     error
+		}
+		done := make(chan ran, 1)
+		go func() {
+			results, err := c.RunContext(ctx, dist.Points(), sweep.Options{})
+			done <- ran{results, err}
+		}()
 		if err := runWorker(ctx, srv.URL, workerOptions{id: "w", par: 1, cacheDir: cacheDir}); err != nil {
 			t.Fatalf("%s: %v", step, err)
 		}
-		if got := renderCSV(t, c.Results()); got != want {
+		r := <-done
+		if r.err != nil {
+			t.Fatalf("%s: %v", step, r.err)
+		}
+		if got := renderCSV(t, r.results); got != want {
 			t.Errorf("%s: merged CSV differs from the local run:\n--- got ---\n%s--- want ---\n%s", step, got, want)
 		}
 		ents, err := os.ReadDir(cacheDir)
@@ -197,7 +210,7 @@ func TestRunLocalInterruptedWhileLoading(t *testing.T) {
 		j.Close()
 
 		stdout, stderr, code := captureRunLocal(t, func() int {
-			return runLocal(ctx, spec, 0, 1, localOptions{ckptPath: ckpt, resume: true})
+			return runLocal(ctx, spec, 0, 1, localOptions{gridOptions: gridOptions{ckptPath: ckpt, resume: true}})
 		})
 		if code != 1 {
 			t.Errorf("exit status %d, want 1", code)
@@ -264,7 +277,7 @@ func TestRunLocalFig41Golden(t *testing.T) {
 				t.Fatal(err)
 			}
 			stdout, stderr, code := captureRunLocal(t, func() int {
-				return runLocal(context.Background(), spec, 0, 1, localOptions{csv: asCSV})
+				return runLocal(context.Background(), spec, 0, 1, localOptions{gridOptions: gridOptions{csv: asCSV}})
 			})
 			if code != 0 {
 				t.Fatalf("exit status %d, log:\n%s", code, stderr)
@@ -273,5 +286,83 @@ func TestRunLocalFig41Golden(t *testing.T) {
 				t.Errorf("output differs from testdata/%s\ngot:\n%s\nwant:\n%s", golden, stdout, want)
 			}
 		})
+	}
+}
+
+// TestRunServeMatchesRunLocal: `sweep -serve` on a loopback port with one
+// in-process worker prints the CSV runLocal prints. Then a -checkpoint run
+// of shard 0/2 followed by -resume through -serve with -shards 2 shows the
+// journaled points as ckpt and leases only the coordinator's shard 1,
+// which holds every other point.
+func TestRunServeMatchesRunLocal(t *testing.T) {
+	spec := coord.JobSpec{
+		SizesBytes: sweep.SizesPow2(16, 64),
+		CyclesNS:   sweep.CyclesRange(1, 2, experiments.CPUCycleNS),
+		Assoc:      1,
+		L1KB:       4,
+		Refs:       20_000,
+		Seed:       1,
+	} // 6 points
+	local := func(shardI, shardN int, g gridOptions) string {
+		t.Helper()
+		stdout, stderr, code := captureRunLocal(t, func() int {
+			return runLocal(context.Background(), spec, shardI, shardN, localOptions{gridOptions: g})
+		})
+		if code != 0 {
+			t.Fatalf("runLocal exit status %d, log:\n%s", code, stderr)
+		}
+		return stdout
+	}
+	served := func(g gridOptions) (stdout, stderr string) {
+		t.Helper()
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := ln.Addr().String()
+		ln.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		cfg := coord.Config{Job: spec, Shards: 2, LocalFallbackAfter: time.Minute, Logf: log.Printf}
+		joined := make(chan error, 1)
+		stdout, stderr, code := captureRunLocal(t, func() int {
+			go func() { joined <- runWorker(ctx, addr, workerOptions{id: "w", par: 1, cacheDir: t.TempDir()}) }()
+			return runServe(ctx, addr, cfg, "", store.Security{}, g)
+		})
+		if code != 0 {
+			t.Fatalf("runServe exit status %d, log:\n%s", code, stderr)
+		}
+		if err := <-joined; err != nil {
+			t.Fatalf("worker: %v", err)
+		}
+		return stdout, stderr
+	}
+
+	want := local(0, 1, gridOptions{csv: true})
+	if got, stderr := served(gridOptions{csv: true}); got != want {
+		t.Errorf("-serve CSV differs from runLocal's:\n--- got ---\n%s--- want ---\n%s--- log ---\n%s", got, want, stderr)
+	}
+
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	local(0, 2, gridOptions{ckptPath: ckpt})
+	got, stderr := served(gridOptions{ckptPath: ckpt, resume: true, csv: true})
+	// Row i after the header is grid point i-1, and shard 0/2 journaled
+	// the even points.
+	rows := strings.Split(want, "\n")
+	for i := 1; i < len(rows)-1; i += 2 {
+		rows[i] = strings.TrimSuffix(rows[i], ",ok") + ",ckpt"
+	}
+	if resumed := strings.Join(rows, "\n"); got != resumed {
+		t.Errorf("resumed -serve CSV:\n%s--- want ---\n%s", got, resumed)
+	}
+	if strings.Contains(stderr, "coord: shard 0 leased") || !strings.Contains(stderr, "coord: shard 1 leased") {
+		t.Errorf("resume leased the wrong shards; log:\n%s", stderr)
+	}
+	set, err := checkpoint.Load(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(set.Records) != 6 {
+		t.Errorf("journal holds %d points after the resume, want 6", len(set.Records))
 	}
 }

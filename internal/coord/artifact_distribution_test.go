@@ -15,7 +15,6 @@ import (
 
 	"mlcache/internal/coord"
 	"mlcache/internal/coord/chaos"
-	"mlcache/internal/cpu"
 	"mlcache/internal/store"
 	"mlcache/internal/store/backend"
 	"mlcache/internal/sweep"
@@ -70,11 +69,11 @@ func runArtifactFleet(t *testing.T, cfg coord.Config, src store.Resolver, fleet 
 	t.Helper()
 	var mergeMu sync.Mutex
 	merges := map[string]int{}
-	cfg.OnResult = func(pt sweep.Point, run cpu.Result) {
+	opts := sweep.Options{OnResult: func(r sweep.Result) {
 		mergeMu.Lock()
-		merges[pt.String()]++
+		merges[r.Point.String()]++
 		mergeMu.Unlock()
-	}
+	}}
 	c, err := coord.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +93,7 @@ func runArtifactFleet(t *testing.T, cfg coord.Config, src store.Resolver, fleet 
 
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer cancel()
-	go c.Run(ctx)
+	wait := startGrid(ctx, c, cfg.Job, opts)
 
 	caches := make([]*backend.Tiered, len(fleet))
 	var wg sync.WaitGroup
@@ -134,10 +133,7 @@ func runArtifactFleet(t *testing.T, cfg coord.Config, src store.Resolver, fleet 
 		}(i)
 	}
 
-	if err := c.Wait(ctx); err != nil {
-		done, total := c.Done()
-		t.Fatalf("grid never completed (%d/%d points): %v", done, total, err)
-	}
+	results := mustFinish(t, wait)
 	wg.Wait()
 	for i, fw := range fleet {
 		if !fw.kill && errs[i] != nil {
@@ -150,7 +146,7 @@ func runArtifactFleet(t *testing.T, cfg coord.Config, src store.Resolver, fleet 
 	for k, v := range merges {
 		counts[k] = v
 	}
-	return renderCSV(t, c.Results()), counts, gets.Load(), caches
+	return renderCSV(t, results), counts, gets.Load(), caches
 }
 
 // artifactChaosSpecs returns the distributed (digest-only) spec and the
@@ -307,12 +303,12 @@ func TestWorkerRefetchesDamagedArtifact(t *testing.T) {
 		defer srv.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		defer cancel()
-		go c.Run(ctx)
+		wait := startGrid(ctx, c, spec, sweep.Options{})
 		w := &coord.Worker{ID: "w", Coordinator: srv.URL, Parallelism: 1, Artifacts: cache, Logf: t.Logf}
 		if err := w.Run(ctx); err != nil {
 			return "", err
 		}
-		return renderCSV(t, c.Results()), nil
+		return renderCSV(t, mustFinish(t, wait)), nil
 	}
 	damage := func(cache *backend.Tiered, at func(n int) int) {
 		p, err := cache.Local.Resolve(d)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -18,9 +19,8 @@ import (
 // executor leases shards under.
 const LocalWorkerID = "_local"
 
-// ErrIncomplete marks a grid point that never received a result (the
-// coordinator was cancelled before the grid finished).
-var ErrIncomplete = errors.New("coord: point not completed")
+// minWait is the shortest wait a lease response asks a worker for.
+const minWait = 25 * time.Millisecond
 
 // Config tunes the coordinator. The zero value of every field gets a
 // sensible default from New; only Job is required.
@@ -54,14 +54,6 @@ type Config struct {
 	// LocalParallelism bounds the fallback executor's worker pool
 	// (0 = GOMAXPROCS).
 	LocalParallelism int
-	// Prior seeds already-known results by grid index (resume from a
-	// checkpoint); seeded points render with status "ckpt" like the local
-	// resume path.
-	Prior map[int]cpu.Result
-	// OnResult is called once per newly merged point, in merge order,
-	// under the coordinator's lock (calls are serialized); the checkpoint
-	// journal hangs off this hook. Never called for Prior points.
-	OnResult func(pt sweep.Point, run cpu.Result)
 	// Logf receives operational events (lease grants, expiries, retries);
 	// nil means silent.
 	Logf func(format string, args ...any)
@@ -101,17 +93,20 @@ type workerInfo struct {
 }
 
 // Coordinator owns a grid's distribution state: shard leases, merged
-// results, worker liveness, and the retry machinery. All methods are safe
-// for concurrent use.
+// results, worker liveness, and the retry machinery. RunContext runs the
+// grid; Handler serves the workers. All methods are safe for concurrent
+// use.
 type Coordinator struct {
 	cfg Config
 	pts []sweep.Point
 	now func() time.Time // injectable clock for tests
 
 	mu           sync.Mutex
+	started      bool // RunContext has applied its Skip; leases may be granted
+	onResult     func(sweep.Result)
 	shards       []*shardState
 	have         []bool
-	fromPrior    []bool
+	skipped      []bool
 	runs         []cpu.Result
 	workers      map[string]*workerInfo
 	remaining    int // shards not yet done
@@ -125,8 +120,7 @@ type Coordinator struct {
 }
 
 // New validates the job and builds a coordinator with the grid fully
-// partitioned. Prior results are merged immediately; a fully covered grid
-// is born done.
+// partitioned. It grants no lease until RunContext starts.
 func New(cfg Config) (*Coordinator, error) {
 	if err := cfg.Job.Validate(); err != nil {
 		return nil, err
@@ -158,15 +152,15 @@ func New(cfg Config) (*Coordinator, error) {
 		seed = 1
 	}
 	c := &Coordinator{
-		cfg:       cfg,
-		pts:       pts,
-		now:       time.Now,
-		have:      make([]bool, len(pts)),
-		fromPrior: make([]bool, len(pts)),
-		runs:      make([]cpu.Result, len(pts)),
-		workers:   map[string]*workerInfo{},
-		rng:       rand.New(rand.NewSource(seed)),
-		doneCh:    make(chan struct{}),
+		cfg:     cfg,
+		pts:     pts,
+		now:     time.Now,
+		have:    make([]bool, len(pts)),
+		skipped: make([]bool, len(pts)),
+		runs:    make([]cpu.Result, len(pts)),
+		workers: map[string]*workerInfo{},
+		rng:     rand.New(rand.NewSource(seed)),
+		doneCh:  make(chan struct{}),
 	}
 	for s := 0; s < cfg.Shards; s++ {
 		st := &shardState{id: s, excluded: map[string]bool{}, history: map[string]bool{}}
@@ -177,19 +171,6 @@ func New(cfg Config) (*Coordinator, error) {
 		c.shards = append(c.shards, st)
 	}
 	c.remaining = len(c.shards)
-	for idx, run := range cfg.Prior {
-		if idx < 0 || idx >= len(pts) || c.have[idx] {
-			continue
-		}
-		c.have[idx] = true
-		c.fromPrior[idx] = true
-		c.runs[idx] = run
-		sh := c.shards[idx%cfg.Shards]
-		sh.left--
-		if sh.left == 0 {
-			c.markDoneLocked(sh)
-		}
-	}
 	return c, nil
 }
 
@@ -323,6 +304,11 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 }
 
 func (c *Coordinator) grantLocked(worker string, now time.Time) LeaseResponse {
+	// Until RunContext has applied its Skip, a shard may hold only points
+	// that must not be simulated.
+	if !c.started {
+		return LeaseResponse{WaitMS: minWait.Milliseconds()}
+	}
 	// An outstanding lease is re-granted verbatim: the worker asking again
 	// means it never saw (or lost) the response.
 	for _, sh := range c.shards {
@@ -400,8 +386,8 @@ func (c *Coordinator) grantLocked(worker string, now time.Time) LeaseResponse {
 			wait = d
 		}
 	}
-	if wait < 25*time.Millisecond {
-		wait = 25 * time.Millisecond
+	if wait < minWait {
+		wait = minWait
 	}
 	return LeaseResponse{WaitMS: wait.Milliseconds()}
 }
@@ -422,8 +408,8 @@ func (c *Coordinator) absorbLocked(sh *shardState, results []PointResult) {
 		c.have[pr.Index] = true
 		c.runs[pr.Index] = pr.Run
 		sh.left--
-		if c.cfg.OnResult != nil {
-			c.cfg.OnResult(c.pts[pr.Index], pr.Run)
+		if c.onResult != nil {
+			c.onResult(sweep.Result{Point: c.pts[pr.Index], Run: pr.Run})
 		}
 	}
 	if sh.left == 0 {
@@ -534,11 +520,77 @@ func (c *Coordinator) Release(req ReleaseRequest) (ReleaseResponse, error) {
 	return ReleaseResponse{OK: true}, nil
 }
 
-// Run drives the coordinator's clock: lease expiry, exclusion relaxation,
-// and the local fallback trigger. It returns nil once every grid point is
-// merged, or ctx.Err() on cancellation. Serve the Handler concurrently;
-// Run owns no listener.
-func (c *Coordinator) Run(ctx context.Context) error {
+// RunContext runs pts, which must be the job's grid (Job.Points()), on
+// the coordinator's workers and returns a result for every point in grid
+// order, like sweep.Runner.RunContext. Serve Handler concurrently;
+// RunContext owns no listener. Until it has applied opts.Skip, every lease
+// request is told to wait. A Coordinator runs its grid once.
+//
+// Points opts.Skip selects come back Skipped with no Run and are never
+// merged; a shard made only of them is never leased. opts.OnResult is
+// called once per newly merged point, under the coordinator's lock, so
+// calls are serialized. opts.PointTimeout, Retries and Backoff do not
+// apply: workers own per-point retries (Worker.PointRetries).
+//
+// RunContext drives lease expiry, exclusion relaxation and the local
+// fallback. It returns nil once every point is merged, or ctx.Err() on
+// cancellation, which every point never merged then carries as its Err.
+func (c *Coordinator) RunContext(ctx context.Context, pts []sweep.Point, opts sweep.Options) ([]sweep.Result, error) {
+	if !slices.Equal(pts, c.pts) {
+		return nil, fmt.Errorf("coord: RunContext runs the job's grid of %d points, got %d other points", len(c.pts), len(pts))
+	}
+	if err := c.start(opts); err != nil {
+		return nil, err
+	}
+	err := c.drive(ctx)
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]sweep.Result, len(c.pts))
+	for i, pt := range c.pts {
+		out[i] = sweep.Result{Point: pt, Skipped: c.skipped[i]}
+		switch {
+		case c.skipped[i]:
+		case c.have[i]:
+			out[i].Run = c.runs[i]
+		default:
+			out[i].Err = err
+		}
+	}
+	return out, err
+}
+
+// start applies opts.Skip and opts.OnResult and opens the grid to leases.
+// A grid whose every point is skipped is born done.
+func (c *Coordinator) start(opts sweep.Options) error {
+	skip := make([]bool, len(c.pts))
+	for i, pt := range c.pts {
+		skip[i] = opts.Skip != nil && opts.Skip(pt)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.started {
+		return errors.New("coord: grid already run")
+	}
+	c.started = true
+	c.onResult = opts.OnResult
+	for i := range c.pts {
+		if !skip[i] {
+			continue
+		}
+		c.have[i], c.skipped[i] = true, true
+		sh := c.shards[i%c.cfg.Shards]
+		sh.left--
+		if sh.left == 0 {
+			c.markDoneLocked(sh)
+		}
+	}
+	return nil
+}
+
+// drive ticks the coordinator's clock until every point is merged (nil)
+// or ctx is cancelled (ctx.Err()).
+func (c *Coordinator) drive(ctx context.Context) error {
 	c.mu.Lock()
 	if c.lastActivity.IsZero() {
 		c.lastActivity = c.now()
@@ -652,28 +704,6 @@ func (c *Coordinator) runLocalShard(ctx context.Context, runner sweep.Runner, lr
 	_, _ = c.Complete(CompleteRequest{Worker: LocalWorkerID, Shard: lr.Shard, Lease: lr.Lease})
 }
 
-// Wait blocks until the grid is fully merged or ctx is cancelled.
-func (c *Coordinator) Wait(ctx context.Context) error {
-	select {
-	case <-c.doneCh:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// Done reports merged and total grid point counts.
-func (c *Coordinator) Done() (done, total int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, h := range c.have {
-		if h {
-			done++
-		}
-	}
-	return done, len(c.pts)
-}
-
 // TraceSkipped returns the largest corrupt-record skip count any worker
 // reported — nonzero means some worker decoded a damaged trace copy.
 func (c *Coordinator) TraceSkipped() int64 {
@@ -686,26 +716,6 @@ func (c *Coordinator) TraceSkipped() int64 {
 		}
 	}
 	return max
-}
-
-// Results assembles the merged grid in canonical order. Points from Prior
-// are marked Skipped (rendered "ckpt", like the local resume path); points
-// never merged (cancelled run) carry ErrIncomplete.
-func (c *Coordinator) Results() []sweep.Result {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]sweep.Result, len(c.pts))
-	for i, pt := range c.pts {
-		out[i] = sweep.Result{Point: pt}
-		switch {
-		case c.have[i]:
-			out[i].Run = c.runs[i]
-			out[i].Skipped = c.fromPrior[i]
-		default:
-			out[i].Err = ErrIncomplete
-		}
-	}
-	return out
 }
 
 // httpError carries a status code through the handler plumbing.

@@ -3,10 +3,10 @@ package coord
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
-	"mlcache/internal/cpu"
 	"mlcache/internal/sweep"
 )
 
@@ -30,7 +30,10 @@ type fakeClock struct{ t time.Time }
 func (f *fakeClock) now() time.Time          { return f.t }
 func (f *fakeClock) advance(d time.Duration) { f.t = f.t.Add(d) }
 func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1_000_000, 0)} }
-func testCoord(t *testing.T, cfg Config) (*Coordinator, *fakeClock) {
+
+// testCoord builds a coordinator under a fake clock and opens it to
+// leases as RunContext would, with opts.
+func testCoord(t *testing.T, cfg Config, opts sweep.Options) (*Coordinator, *fakeClock) {
 	t.Helper()
 	c, err := New(cfg)
 	if err != nil {
@@ -38,7 +41,33 @@ func testCoord(t *testing.T, cfg Config) (*Coordinator, *fakeClock) {
 	}
 	clk := newFakeClock()
 	c.now = clk.now
+	if err := c.start(opts); err != nil {
+		t.Fatal(err)
+	}
 	return c, clk
+}
+
+// merged counts the points merged so far.
+func merged(c *Coordinator) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, h := range c.have {
+		if h {
+			n++
+		}
+	}
+	return n
+}
+
+// isDone reports whether every shard is done.
+func isDone(c *Coordinator) bool {
+	select {
+	case <-c.doneCh:
+		return true
+	default:
+		return false
+	}
 }
 
 func mustLease(t *testing.T, c *Coordinator, worker string) LeaseResponse {
@@ -59,7 +88,7 @@ func shardResults(c *Coordinator, shard int) []PointResult {
 }
 
 func TestLeaseGrantIsIdempotent(t *testing.T) {
-	c, _ := testCoord(t, Config{Job: stateTestSpec(), Shards: 2, LeaseTTL: time.Second})
+	c, _ := testCoord(t, Config{Job: stateTestSpec(), Shards: 2, LeaseTTL: time.Second}, sweep.Options{})
 	a := mustLease(t, c, "w1")
 	if a.Done || a.WaitMS > 0 {
 		t.Fatalf("first lease = %+v, want a grant", a)
@@ -81,7 +110,7 @@ func TestLeaseExpiryExcludesAndBacksOff(t *testing.T) {
 		LeaseTTL: time.Second, RetryBase: 200 * time.Millisecond, RetryMax: time.Second,
 		SpeculateAfter: -1,
 	}
-	c, clk := testCoord(t, cfg)
+	c, clk := testCoord(t, cfg, sweep.Options{})
 	a := mustLease(t, c, "w1")
 
 	// TTL passes with no heartbeat: the shard is reassignable, but not to
@@ -108,7 +137,7 @@ func TestLeaseExpiryExcludesAndBacksOff(t *testing.T) {
 }
 
 func TestExpiredLeaseHeartbeatCancels(t *testing.T) {
-	c, clk := testCoord(t, Config{Job: stateTestSpec(), Shards: 2, LeaseTTL: time.Second})
+	c, clk := testCoord(t, Config{Job: stateTestSpec(), Shards: 2, LeaseTTL: time.Second}, sweep.Options{})
 	a := mustLease(t, c, "w1")
 	hb, err := c.Heartbeat(HeartbeatRequest{Worker: "w1", Shard: a.Shard, Lease: a.Lease})
 	if err != nil || hb.Cancel {
@@ -127,7 +156,7 @@ func TestReleaseReassignsImmediatelyAndRelaxesExclusion(t *testing.T) {
 		LeaseTTL: time.Minute, RetryBase: 100 * time.Millisecond, RetryMax: time.Second,
 		SpeculateAfter: -1,
 	}
-	c, clk := testCoord(t, cfg)
+	c, clk := testCoord(t, cfg, sweep.Options{})
 	a := mustLease(t, c, "w1")
 	if _, err := c.Release(ReleaseRequest{Worker: "w1", Shard: a.Shard, Lease: a.Lease, Reason: "poison point"}); err != nil {
 		t.Fatal(err)
@@ -151,16 +180,9 @@ func TestReleaseReassignsImmediatelyAndRelaxesExclusion(t *testing.T) {
 }
 
 func TestFirstWriterWinsNoDoubleCount(t *testing.T) {
-	merged := map[string]int{}
-	c, err := New(Config{
-		Job: stateTestSpec(), Shards: 1, LeaseTTL: time.Minute,
-		OnResult: func(pt sweep.Point, _ cpu.Result) { merged[pt.String()]++ },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	clk := newFakeClock()
-	c.now = clk.now
+	merges := map[string]int{}
+	c, _ := testCoord(t, Config{Job: stateTestSpec(), Shards: 1, LeaseTTL: time.Minute},
+		sweep.Options{OnResult: func(r sweep.Result) { merges[r.Point.String()]++ }})
 	a := mustLease(t, c, "w1")
 
 	// The same point arrives via heartbeat twice, then again in the final
@@ -183,28 +205,28 @@ func TestFirstWriterWinsNoDoubleCount(t *testing.T) {
 	if _, err := c.Complete(CompleteRequest{Worker: "w1", Shard: a.Shard, Lease: a.Lease, Results: shardResults(c, a.Shard)}); err != nil {
 		t.Fatal(err)
 	}
-	if len(merged) != 6 {
-		t.Fatalf("merged %d distinct points, want 6", len(merged))
+	if len(merges) != 6 {
+		t.Fatalf("merged %d distinct points, want 6", len(merges))
 	}
-	for pt, n := range merged {
+	for pt, n := range merges {
 		if n != 1 {
 			t.Errorf("point %s merged %d times, want exactly once", pt, n)
 		}
 	}
-	if err := c.Wait(context.Background()); err != nil {
-		t.Fatalf("grid not done after full upload: %v", err)
+	if !isDone(c) {
+		t.Fatal("grid not done after full upload")
 	}
 }
 
 func TestCompleteFromNeverLeasedWorkerRejected(t *testing.T) {
-	c, _ := testCoord(t, Config{Job: stateTestSpec(), Shards: 2, LeaseTTL: time.Minute})
+	c, _ := testCoord(t, Config{Job: stateTestSpec(), Shards: 2, LeaseTTL: time.Minute}, sweep.Options{})
 	_, err := c.Complete(CompleteRequest{Worker: "intruder", Shard: 0, Lease: 99, Results: shardResults(c, 0)})
 	var he *httpError
 	if !errors.As(err, &he) || he.code != 409 {
 		t.Fatalf("complete from never-leased worker: err = %v, want 409", err)
 	}
-	if done, _ := c.Done(); done != 0 {
-		t.Fatalf("rejected upload still merged %d points", done)
+	if n := merged(c); n != 0 {
+		t.Fatalf("rejected upload still merged %d points", n)
 	}
 }
 
@@ -212,7 +234,7 @@ func TestSpeculativeLeaseFirstWriterWins(t *testing.T) {
 	c, clk := testCoord(t, Config{
 		Job: stateTestSpec(), Shards: 1,
 		LeaseTTL: time.Minute, SpeculateAfter: 500 * time.Millisecond,
-	})
+	}, sweep.Options{})
 	a := mustLease(t, c, "slow")
 	// Too early to speculate: the idle worker waits.
 	if lr := mustLease(t, c, "fast"); lr.WaitMS == 0 {
@@ -237,21 +259,25 @@ func TestSpeculativeLeaseFirstWriterWins(t *testing.T) {
 }
 
 func TestPriorResultsSeedShards(t *testing.T) {
-	prior := map[int]cpu.Result{}
-	for i := 0; i < 6; i++ {
-		prior[i] = cpu.Result{TimeNS: int64(1000 + i)}
+	// Every point journaled: RunContext returns at once, every point
+	// Skipped with no Run, and no lease is ever cut.
+	c, err := New(Config{Job: stateTestSpec(), Shards: 3, LeaseTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
 	}
-	c, _ := testCoord(t, Config{Job: stateTestSpec(), Shards: 3, LeaseTTL: time.Minute, Prior: prior})
-	if err := c.Wait(context.Background()); err != nil {
-		t.Fatalf("fully seeded grid not born done: %v", err)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	results, err := c.RunContext(ctx, c.pts, sweep.Options{Skip: func(sweep.Point) bool { return true }})
+	if err != nil {
+		t.Fatalf("fully skipped grid not born done: %v", err)
 	}
-	for i, r := range c.Results() {
-		if !r.Skipped || r.Run.TimeNS != int64(1000+i) {
-			t.Fatalf("result %d = %+v, want prior-seeded ckpt result", i, r)
+	for i, r := range results {
+		if !r.Skipped || r.Err != nil || r.Run.TimeNS != 0 {
+			t.Fatalf("result %d = %+v, want Skipped with no Run", i, r)
 		}
 	}
 	if lr := mustLease(t, c, "w1"); !lr.Done {
-		t.Fatalf("lease on seeded grid = %+v, want done", lr)
+		t.Fatalf("lease on skipped grid = %+v, want done", lr)
 	}
 }
 
@@ -259,7 +285,7 @@ func TestBackoffIsCappedWithBoundedJitter(t *testing.T) {
 	c, _ := testCoord(t, Config{
 		Job: stateTestSpec(), Shards: 1,
 		RetryBase: 100 * time.Millisecond, RetryMax: time.Second,
-	})
+	}, sweep.Options{})
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	prevMin := time.Duration(0)
@@ -278,5 +304,128 @@ func TestBackoffIsCappedWithBoundedJitter(t *testing.T) {
 		if base > prevMin {
 			prevMin = base
 		}
+	}
+}
+
+// leaseWhenStarted asks for a lease until the answer is more than a wait
+// for RunContext to start.
+func leaseWhenStarted(t *testing.T, c *Coordinator, worker string) LeaseResponse {
+	t.Helper()
+	for {
+		lr := mustLease(t, c, worker)
+		c.mu.Lock()
+		started := c.started
+		c.mu.Unlock()
+		if lr.WaitMS == 0 || started {
+			return lr
+		}
+		time.Sleep(time.Duration(lr.WaitMS) * time.Millisecond)
+	}
+}
+
+func TestNoLeaseBeforeRunContext(t *testing.T) {
+	c, err := New(Config{Job: stateTestSpec(), Shards: 3, LeaseTTL: time.Minute, SpeculateAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lr := mustLease(t, c, "early"); lr.WaitMS <= 0 || lr.Done || lr.Shards != 0 {
+		t.Fatalf("lease before RunContext = %+v, want a wait", lr)
+	}
+	// Points 0 and 3 make up shard 0; skipping them leaves shards 1 and 2.
+	skip := func(pt sweep.Point) bool { return pt == c.pts[0] || pt == c.pts[3] }
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ran := make(chan error, 1)
+	go func() {
+		_, err := c.RunContext(ctx, c.pts, sweep.Options{Skip: skip})
+		ran <- err
+	}()
+	granted := map[int]bool{}
+	for _, w := range []string{"early", "w2"} {
+		lr := leaseWhenStarted(t, c, w)
+		if lr.WaitMS > 0 || lr.Done {
+			t.Fatalf("%s: lease after start = %+v, want a grant", w, lr)
+		}
+		granted[lr.Shard] = true
+	}
+	if !granted[1] || !granted[2] {
+		t.Fatalf("granted shards %v, want 1 and 2", granted)
+	}
+	if lr := mustLease(t, c, "w3"); lr.WaitMS == 0 {
+		t.Fatalf("third worker got %+v; the skipped shard 0 must never be leased", lr)
+	}
+	cancel()
+	if err := <-ran; !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunContext = %v, want context.Canceled", err)
+	}
+}
+
+func TestRunContextCancelledMarksUnmergedPoints(t *testing.T) {
+	c, err := New(Config{Job: stateTestSpec(), Shards: 3, LeaseTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	type ran struct {
+		results []sweep.Result
+		err     error
+	}
+	done := make(chan ran, 1)
+	go func() {
+		results, err := c.RunContext(ctx, c.pts, sweep.Options{Skip: func(pt sweep.Point) bool { return pt == c.pts[5] }})
+		done <- ran{results, err}
+	}()
+	// One worker finishes one shard; then the run is cancelled.
+	lr := leaseWhenStarted(t, c, "w1")
+	up := shardResults(c, lr.Shard)
+	for i := range up {
+		up[i].Run.TimeNS = int64(100 + up[i].Index)
+	}
+	if _, err := c.Complete(CompleteRequest{Worker: "w1", Shard: lr.Shard, Lease: lr.Lease, Results: up}); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	r := <-done
+	if !errors.Is(r.err, context.Canceled) {
+		t.Fatalf("RunContext = %v, want context.Canceled", r.err)
+	}
+	for i, res := range r.results {
+		switch {
+		case i == 5:
+			if !res.Skipped || res.Err != nil {
+				t.Errorf("skipped point %d = %+v, want Skipped with no error", i, res)
+			}
+		case i%3 == lr.Shard:
+			if res.Err != nil || res.Run.TimeNS != int64(100+i) {
+				t.Errorf("merged point %d = %+v, want its uploaded run", i, res)
+			}
+		default:
+			if res.Err != r.err || res.Skipped {
+				t.Errorf("unmerged point %d = %+v, want Err %v", i, res, r.err)
+			}
+		}
+	}
+}
+
+func TestRunContextRejectsOtherPoints(t *testing.T) {
+	c, err := New(Config{Job: stateTestSpec(), Shards: 2, LeaseTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reversed := slices.Clone(c.pts)
+	slices.Reverse(reversed)
+	for name, pts := range map[string][]sweep.Point{
+		"prefix":   c.pts[:2],
+		"reversed": reversed,
+		"none":     nil,
+	} {
+		if results, err := c.RunContext(context.Background(), pts, sweep.Options{}); err == nil || results != nil {
+			t.Errorf("%s: RunContext = %d results, %v; want an error", name, len(results), err)
+		}
+	}
+	// A rejected call does not start the grid.
+	if lr := mustLease(t, c, "w1"); lr.WaitMS == 0 {
+		t.Fatalf("lease after rejected RunContext calls = %+v, want a wait", lr)
 	}
 }

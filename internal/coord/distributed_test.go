@@ -3,6 +3,8 @@ package coord_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -74,33 +76,92 @@ type fleetWorker struct {
 	kill  bool
 }
 
-// runFleet runs the coordinator + workers to completion and returns the
-// merged CSV plus a per-point merge count (each point must merge exactly
-// once; the counter hangs off Config.OnResult, which the coordinator fires
-// only for first writes).
-func runFleet(t *testing.T, cfg coord.Config, fleet []fleetWorker) (string, map[string]int) {
+// startGrid runs c's grid in the background and returns a function that
+// waits for RunContext's results.
+func startGrid(ctx context.Context, c *coord.Coordinator, spec coord.JobSpec, opts sweep.Options) func() ([]sweep.Result, error) {
+	type ran struct {
+		results []sweep.Result
+		err     error
+	}
+	done := make(chan ran, 1)
+	go func() {
+		results, err := c.RunContext(ctx, spec.Points(), opts)
+		done <- ran{results, err}
+	}()
+	return func() ([]sweep.Result, error) {
+		r := <-done
+		return r.results, r.err
+	}
+}
+
+// mustFinish waits for the grid and fails the test unless every point
+// was merged or skipped.
+func mustFinish(t *testing.T, wait func() ([]sweep.Result, error)) []sweep.Result {
+	t.Helper()
+	results, err := wait()
+	if err != nil {
+		done := 0
+		for _, r := range results {
+			if r.Err == nil {
+				done++
+			}
+		}
+		t.Fatalf("grid never completed (%d/%d points): %v", done, len(results), err)
+	}
+	return results
+}
+
+// runFleet runs the coordinator + workers to completion, skipping the
+// points of prior and filling their results back in from it as a resumed
+// sweep does. It returns the merged CSV, a per-point merge count (each
+// point must merge exactly once; the counter hangs off Options.OnResult,
+// which the coordinator fires only for first writes), and every shard a
+// lease response handed to a worker.
+func runFleet(t *testing.T, cfg coord.Config, prior map[int]cpu.Result, fleet []fleetWorker) (string, map[string]int, map[int]bool) {
 	t.Helper()
 	var mergeMu sync.Mutex
 	merges := map[string]int{}
-	userHook := cfg.OnResult
-	cfg.OnResult = func(pt sweep.Point, run cpu.Result) {
-		mergeMu.Lock()
-		merges[pt.String()]++
-		mergeMu.Unlock()
-		if userHook != nil {
-			userHook(pt, run)
-		}
+	pts := cfg.Job.Points()
+	opts := sweep.Options{
+		Skip: func(pt sweep.Point) bool {
+			for i := range prior {
+				if pts[i] == pt {
+					return true
+				}
+			}
+			return false
+		},
+		OnResult: func(r sweep.Result) {
+			mergeMu.Lock()
+			merges[r.Point.String()]++
+			mergeMu.Unlock()
+		},
 	}
 	c, err := coord.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(c.Handler())
+	var leasedMu sync.Mutex
+	leased := map[int]bool{}
+	api := c.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		api.ServeHTTP(rec, r)
+		var lr coord.LeaseResponse
+		if r.URL.Path == coord.PathLease && json.Unmarshal(rec.Body.Bytes(), &lr) == nil && lr.Shards > 0 {
+			leasedMu.Lock()
+			leased[lr.Shard] = true
+			leasedMu.Unlock()
+		}
+		maps.Copy(w.Header(), rec.Header())
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
+	}))
 	defer srv.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer cancel()
-	go c.Run(ctx)
+	wait := startGrid(ctx, c, cfg.Job, opts)
 
 	var wg sync.WaitGroup
 	errs := make([]error, len(fleet))
@@ -125,15 +186,18 @@ func runFleet(t *testing.T, cfg coord.Config, fleet []fleetWorker) (string, map[
 		}(i)
 	}
 
-	if err := c.Wait(ctx); err != nil {
-		done, total := c.Done()
-		t.Fatalf("grid never completed (%d/%d points): %v", done, total, err)
-	}
+	results := mustFinish(t, wait)
 	wg.Wait() // workers drain naturally: next lease reports Done
 	for i, fw := range fleet {
 		if !fw.kill && errs[i] != nil {
 			t.Errorf("worker %s exited with error: %v", fw.id, errs[i])
 		}
+	}
+	for i, run := range prior {
+		if !results[i].Skipped {
+			t.Errorf("prior point %s not Skipped", results[i].Point)
+		}
+		results[i].Run = run
 	}
 	mergeMu.Lock()
 	defer mergeMu.Unlock()
@@ -141,7 +205,9 @@ func runFleet(t *testing.T, cfg coord.Config, fleet []fleetWorker) (string, map[
 	for k, v := range merges {
 		counts[k] = v
 	}
-	return renderCSV(t, c.Results()), counts
+	leasedMu.Lock()
+	defer leasedMu.Unlock()
+	return renderCSV(t, results), counts, leased
 }
 
 // assertMergedOnce checks no fault schedule double-counted or dropped a
@@ -165,8 +231,8 @@ func assertMergedOnce(t *testing.T, spec coord.JobSpec, counts map[string]int, s
 func TestDistributedMatchesSingleProcess(t *testing.T) {
 	spec := chaosSpec()
 	want := renderCSV(t, referenceRun(t, spec))
-	got, counts := runFleet(t,
-		coord.Config{Job: spec, Shards: 3, LeaseTTL: 2 * time.Second},
+	got, counts, _ := runFleet(t,
+		coord.Config{Job: spec, Shards: 3, LeaseTTL: 2 * time.Second}, nil,
 		[]fleetWorker{{id: "w1"}, {id: "w2"}})
 	if got != want {
 		t.Errorf("distributed CSV differs from single-process run:\n--- got ---\n%s--- want ---\n%s", got, want)
@@ -180,8 +246,8 @@ func TestDistributedSurvivesHeartbeatLoss(t *testing.T) {
 	// Worker w1 loses every heartbeat it ever sends; results still arrive
 	// via its complete uploads, and sustained beat loss at worst costs it
 	// the lease — never a result.
-	got, counts := runFleet(t,
-		coord.Config{Job: spec, Shards: 3, LeaseTTL: time.Second, Heartbeat: 50 * time.Millisecond},
+	got, counts, _ := runFleet(t,
+		coord.Config{Job: spec, Shards: 3, LeaseTTL: time.Second, Heartbeat: 50 * time.Millisecond}, nil,
 		[]fleetWorker{
 			{id: "w1", rules: []chaos.Rule{{Path: coord.PathHeartbeat, From: 1, To: -1, Mode: chaos.Drop}}},
 			{id: "w2"},
@@ -199,12 +265,12 @@ func TestDistributedSurvivesWorkerKilledMidRun(t *testing.T) {
 	// after it leased its first shard — and the kill hook crashes the
 	// process at the same instant. Its lease expires and the shard is
 	// retried on w2.
-	got, counts := runFleet(t,
+	got, counts, _ := runFleet(t,
 		coord.Config{
 			Job: spec, Shards: 3,
 			LeaseTTL: 300 * time.Millisecond, Heartbeat: 60 * time.Millisecond,
 			RetryBase: 50 * time.Millisecond, RetryMax: 500 * time.Millisecond,
-		},
+		}, nil,
 		[]fleetWorker{
 			{id: "w1", kill: true, rules: []chaos.Rule{{From: 3, To: -1, Mode: chaos.Down}}},
 			{id: "w2"},
@@ -221,8 +287,8 @@ func TestDistributedSurvivesTornAndDelayedResponses(t *testing.T) {
 	// w1's first lease response tears mid-JSON (the lease was granted
 	// server-side; the retry must re-grant, not double-grant) and its
 	// uploads straggle behind a delay. w2's first complete tears too.
-	got, counts := runFleet(t,
-		coord.Config{Job: spec, Shards: 3, LeaseTTL: 2 * time.Second},
+	got, counts, _ := runFleet(t,
+		coord.Config{Job: spec, Shards: 3, LeaseTTL: 2 * time.Second}, nil,
 		[]fleetWorker{
 			{id: "w1", rules: []chaos.Rule{
 				{Path: coord.PathLease, From: 1, Mode: chaos.Torn},
@@ -245,8 +311,8 @@ func TestDistributedSurvivesBlackholedUploads(t *testing.T) {
 	// processed by the coordinator but the responses are lost, so w1
 	// retransmits shards the server has already merged. First-writer-wins
 	// must absorb the duplicates without double-counting a single point.
-	got, counts := runFleet(t,
-		coord.Config{Job: spec, Shards: 3, LeaseTTL: 2 * time.Second},
+	got, counts, _ := runFleet(t,
+		coord.Config{Job: spec, Shards: 3, LeaseTTL: 2 * time.Second}, nil,
 		[]fleetWorker{
 			{id: "w1", rules: []chaos.Rule{{Path: coord.PathComplete, From: 1, To: 2, Mode: chaos.Blackhole}}},
 			{id: "w2"},
@@ -271,10 +337,11 @@ func TestLocalFallbackCompletesGridWithoutWorkers(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer cancel()
-	if err := c.Run(ctx); err != nil {
+	results, err := c.RunContext(ctx, spec.Points(), sweep.Options{})
+	if err != nil {
 		t.Fatalf("coordinator with zero workers: %v", err)
 	}
-	if got := renderCSV(t, c.Results()); got != want {
+	if got := renderCSV(t, results); got != want {
 		t.Errorf("local-fallback CSV differs:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
@@ -282,9 +349,10 @@ func TestLocalFallbackCompletesGridWithoutWorkers(t *testing.T) {
 func TestDistributedResumeFromPrior(t *testing.T) {
 	spec := chaosSpec()
 	ref := referenceRun(t, spec)
-	// Seed the coordinator with two already-journaled points (a resumed
-	// run); they render "ckpt" exactly like the local resume path, and the
-	// workers only compute — and the merge hook only fires for — the rest.
+	// Skip two already-journaled points (a resumed run): they render
+	// "ckpt" exactly like the local resume path, and the workers only
+	// compute — and the merge hook only fires for — the rest. The two
+	// points make up shard 0, which is never leased.
 	prior := map[int]cpu.Result{0: ref[0].Run, 3: ref[3].Run}
 	wantResults := make([]sweep.Result, len(ref))
 	copy(wantResults, ref)
@@ -294,11 +362,14 @@ func TestDistributedResumeFromPrior(t *testing.T) {
 	want := renderCSV(t, wantResults)
 	skip := map[string]bool{ref[0].Point.String(): true, ref[3].Point.String(): true}
 
-	got, counts := runFleet(t,
-		coord.Config{Job: spec, Shards: 3, LeaseTTL: 2 * time.Second, Prior: prior},
+	got, counts, leased := runFleet(t,
+		coord.Config{Job: spec, Shards: 3, LeaseTTL: 2 * time.Second}, prior,
 		[]fleetWorker{{id: "w1"}, {id: "w2"}})
 	if got != want {
 		t.Errorf("resumed CSV differs:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 	assertMergedOnce(t, spec, counts, skip)
+	if leased[0] {
+		t.Errorf("shard 0 holds only skipped points but was leased; leased shards %v", leased)
+	}
 }

@@ -30,6 +30,10 @@
 // one flooding client delays only itself. /metrics carries per-tenant
 // labeled counters next to the global trajectory.
 //
+// Grid hosting (Server.Lease): the server answers a coord.Coordinator's
+// lease endpoints and serves its trace artifact by digest, behind the same
+// tenant keys. `sweep -serve` is this server with one leased grid.
+//
 // Robustness: the bounded fair queue answers overload with 429 + a
 // jittered Retry-After instead of collapsing; a client disconnect cancels
 // its job's context and frees the workers at the next batch boundary;
@@ -51,12 +55,14 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
+	"net"
 	"net/http"
 	"os"
 	"sort"
@@ -197,8 +203,9 @@ func (c Config) maxInflightBytes() int64 {
 	return 2 * budget
 }
 
-// Server is the resident sweep service. Create with New, mount Handler on
-// an http.Server, call Drain on shutdown (and Close once drained).
+// Server is the resident sweep service. Create with New, serve Handler
+// (Listen), call Drain on shutdown (and Close once drained). Lease makes
+// it host a coordinator's grid as well.
 type Server struct {
 	cfg       Config
 	arenas    *ArenaCache
@@ -209,14 +216,18 @@ type Server struct {
 	durable   *durable
 	artifacts backend.Store
 
+	// grid answers the lease endpoints of the grid Lease hosts, and
+	// gridTrace serves its trace artifact; both nil without one.
+	grid      http.Handler
+	gridTrace store.Static
+
 	// artifactRoots is the live GC mark set: every digest a journaled or
 	// submitted job spec referenced. Guarded by mu.
 	artifactRoots map[store.Digest]bool
 
-	// byKey/byName index the runtime tenants; sorted is the stable order
-	// for /metrics. anon is the single open-access tenant when no tenant
-	// table is configured.
-	byKey  map[string]*tenant
+	// byName indexes the runtime tenants; sorted is the stable order for
+	// /metrics and for key checks. anon is the single open-access tenant
+	// when no tenant table is configured.
 	byName map[string]*tenant
 	sorted []*tenant
 	anon   *tenant
@@ -294,7 +305,6 @@ func New(cfg Config) (*Server, error) {
 		pool:     memsys.NewPool(cfg.PoolPerGeometry),
 		results:  newResultCache(cfg.ResultCachePoints),
 		metrics:  newMetrics(),
-		byKey:    map[string]*tenant{},
 		byName:   map[string]*tenant{},
 		fault:    fault,
 		poisoned: map[string]jobRecord{},
@@ -306,7 +316,6 @@ func New(cfg Config) (*Server, error) {
 		for _, name := range cfg.Tenants.names {
 			tc := cfg.Tenants.byName[name]
 			tn := newTenant(*tc)
-			s.byKey[tc.Key] = tn
 			s.byName[name] = tn
 			s.sorted = append(s.sorted, tn)
 		}
@@ -397,18 +406,90 @@ func (s *Server) Close() {
 	}
 }
 
-// Handler returns the service's HTTP surface.
+// Handler returns the service's HTTP surface. /artifacts/ is mounted
+// only on a server with an artifact store or a leased grid.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/jobs", s.handleJobs)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	if s.artifacts != nil {
-		mux.Handle(store.PathArtifacts, s.requireTenant(&store.Handler{
-			Source: s.artifacts, Uploads: backend.Sink{B: s.artifacts}, Logf: s.cfg.Logf,
-		}))
+	if s.grid != nil {
+		for _, p := range []string{coord.PathRegister, coord.PathLease, coord.PathHeartbeat, coord.PathComplete, coord.PathRelease} {
+			mux.Handle(p, s.requireTenant(s.grid))
+		}
+	}
+	if s.artifacts != nil || s.gridTrace != nil {
+		h := &store.Handler{Source: artifactSource{s.gridTrace, s.artifacts}, Logf: s.cfg.Logf}
+		if s.artifacts != nil {
+			h.Uploads = backend.Sink{B: s.artifacts}
+		}
+		mux.Handle(store.PathArtifacts, s.requireTenant(h))
 	}
 	return mux
+}
+
+// Lease makes the server host c's grid, job: Handler then answers the
+// coordinator protocol's five endpoints for c and serves job's trace
+// artifact by digest from the trace's own path, without copying it into
+// a store. Both sit behind tenant auth. A server hosts one grid; call
+// Lease before Handler.
+func (s *Server) Lease(c *coord.Coordinator, job coord.JobSpec) {
+	s.grid = c.Handler()
+	if d := job.Digest(); !d.IsZero() {
+		s.gridTrace = store.Static{d: job.TracePath}
+	}
+}
+
+// artifactSource resolves /artifacts/ downloads: the leased grid's trace
+// first, then the artifact store.
+type artifactSource struct {
+	trace store.Static
+	store backend.Store
+}
+
+// Resolve implements store.Resolver.
+func (a artifactSource) Resolve(d store.Digest) (string, error) {
+	if p, err := a.trace.Resolve(d); err == nil || a.store == nil {
+		return p, err
+	}
+	return a.store.Resolve(d)
+}
+
+// Listen binds addr and serves h there in the background, over TLS when
+// sec names a key pair. A taken port or an unreadable certificate is its
+// error, returned before anything is served. served receives Serve's
+// error, which after Shutdown is http.ErrServerClosed; srv.Addr is the
+// bound address.
+func Listen(addr string, h http.Handler, sec store.Security) (srv *http.Server, served <-chan error, err error) {
+	tlsCfg, err := sec.ServerTLSConfig()
+	if err != nil {
+		return nil, nil, err
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Bound header reads, header size and idle keep-alives against
+	// slowloris clients. No write timeout: job streams, worker long polls
+	// and artifact downloads legitimately run for minutes, and the job
+	// stream bounds each write itself (Config.StreamWriteTimeout).
+	srv = &http.Server{
+		Addr:              ln.Addr().String(),
+		Handler:           h,
+		TLSConfig:         tlsCfg,
+		ReadHeaderTimeout: 10 * time.Second,
+		MaxHeaderBytes:    1 << 20,
+		IdleTimeout:       2 * time.Minute,
+	}
+	errc := make(chan error, 1)
+	go func() {
+		if tlsCfg != nil {
+			errc <- srv.ServeTLS(ln, "", "")
+		} else {
+			errc <- srv.Serve(ln)
+		}
+	}()
+	return srv, errc, nil
 }
 
 // requireTenant gates h behind the tenant API-key table; open-access
@@ -600,13 +681,22 @@ func (s *Server) retryAfter(sec int) string {
 
 // authTenant resolves the request's tenant. With a tenant table
 // configured it requires a known API key and answers 401 itself on
-// failure; otherwise every request is the anonymous tenant.
+// failure; otherwise every request is the anonymous tenant. The key is
+// compared with every tenant's in constant time, so response latency
+// reveals neither a key's bytes nor which tenant matched.
 func (s *Server) authTenant(w http.ResponseWriter, r *http.Request) (*tenant, bool) {
 	if s.anon != nil {
 		return s.anon, true
 	}
-	if tn, ok := s.byKey[apiKey(r)]; ok {
-		return tn, true
+	key := []byte(store.RequestToken(r))
+	var match *tenant
+	for _, tn := range s.sorted {
+		if subtle.ConstantTimeCompare(key, tn.key) == 1 {
+			match = tn
+		}
+	}
+	if match != nil {
+		return match, true
 	}
 	s.metrics.jobsUnauthorized.Add(1)
 	w.Header().Set("WWW-Authenticate", `Bearer realm="mlcserve"`)

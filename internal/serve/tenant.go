@@ -4,10 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"net/http"
 	"os"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -104,17 +102,6 @@ func LoadTenants(path string) (*Tenants, error) {
 	return t, nil
 }
 
-// apiKey extracts the request's API key from Authorization: Bearer or
-// X-API-Key.
-func apiKey(r *http.Request) string {
-	if auth := r.Header.Get("Authorization"); auth != "" {
-		if k, ok := strings.CutPrefix(auth, "Bearer "); ok {
-			return strings.TrimSpace(k)
-		}
-	}
-	return r.Header.Get("X-API-Key")
-}
-
 // tokenBucket is a standard token bucket over wall time; rate <= 0 means
 // unlimited.
 type tokenBucket struct {
@@ -166,6 +153,7 @@ func (b *tokenBucket) take(now time.Time) (bool, time.Duration) {
 // position, and metrics.
 type tenant struct {
 	name   string
+	key    []byte
 	weight int
 	bucket *tokenBucket
 
@@ -186,6 +174,7 @@ func newTenant(cfg TenantConfig) *tenant {
 	}
 	return &tenant{
 		name:   cfg.Name,
+		key:    []byte(cfg.Key),
 		weight: w,
 		bucket: newTokenBucket(cfg.RatePerSec, cfg.Burst),
 		m:      tenantMetrics{admitSeconds: newHistogram(admitBuckets)},

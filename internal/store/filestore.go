@@ -23,9 +23,9 @@ type Resolver interface {
 	Resolve(d Digest) (string, error)
 }
 
-// Static is a fixed digest→path table: the coordinator's way of serving
-// the one artifact it was launched with, without copying it into a store
-// directory.
+// Static is a fixed digest→path table: how a server hosting a leased grid
+// (serve.Server.Lease) serves the grid's trace artifact from the trace's
+// own path, without copying it into a store directory.
 type Static map[Digest]string
 
 // Resolve implements Resolver.

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"crypto/subtle"
 	"crypto/tls"
 	"crypto/x509"
 	"fmt"
@@ -13,9 +12,10 @@ import (
 // Security is the one flag set that secures every wire endpoint —
 // coordinator protocol, artifact store, and the mlcserve API share it so
 // a fleet is configured once. It covers both directions: a server loads
-// CertFile/KeyFile and enforces Token on inbound requests; a client
-// trusts CAFile and presents Token outbound. The zero value is the
-// historical open/plaintext behaviour.
+// CertFile/KeyFile (serve.Listen) and requires Token of inbound requests
+// (as the key of a serve tenant); a client trusts CAFile and presents
+// Token outbound. The zero value is the historical open/plaintext
+// behaviour.
 //
 // The token is a bearer secret (the PR 6 tenant-auth shape: a client
 // sends `Authorization: Bearer <token>` or `X-API-Key: <token>`), so
@@ -129,24 +129,4 @@ func RequestToken(r *http.Request) string {
 		}
 	}
 	return r.Header.Get("X-API-Key")
-}
-
-// RequireAuth wraps h with bearer-token enforcement; with an empty token
-// it is h unchanged. The comparison is constant-time — an attacker must
-// not learn the secret one latency-measured byte at a time.
-func (s Security) RequireAuth(h http.Handler) http.Handler {
-	if s.Token == "" {
-		return h
-	}
-	want := []byte(s.Token)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		got := []byte(RequestToken(r))
-		if subtle.ConstantTimeEq(int32(len(got)), int32(len(want))) != 1 ||
-			subtle.ConstantTimeCompare(got, want) != 1 {
-			w.Header().Set("WWW-Authenticate", `Bearer realm="mlcache"`)
-			http.Error(w, "missing or invalid token", http.StatusUnauthorized)
-			return
-		}
-		h.ServeHTTP(w, r)
-	})
 }

@@ -2,7 +2,6 @@ package store
 
 import (
 	"encoding/pem"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -62,67 +61,6 @@ func TestTokenRefusedOverPlaintext(t *testing.T) {
 	resp.Body.Close()
 	if sawAuth != "Bearer s3cret" {
 		t.Fatalf("Authorization %q, want bearer token", sawAuth)
-	}
-}
-
-func TestRequireAuth(t *testing.T) {
-	sec := Security{Token: "s3cret", Insecure: true}
-	h := sec.RequireAuth(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, "ok")
-	}))
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-
-	get := func(hdr, val string) int {
-		req, _ := http.NewRequest(http.MethodGet, srv.URL, nil)
-		if hdr != "" {
-			req.Header.Set(hdr, val)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		return resp.StatusCode
-	}
-	if got := get("", ""); got != http.StatusUnauthorized {
-		t.Fatalf("no token: %d", got)
-	}
-	if got := get("Authorization", "Bearer wrong"); got != http.StatusUnauthorized {
-		t.Fatalf("wrong token: %d", got)
-	}
-	if got := get("Authorization", "Bearer s3cret"); got != http.StatusOK {
-		t.Fatalf("bearer token: %d", got)
-	}
-	if got := get("X-API-Key", "s3cret"); got != http.StatusOK {
-		t.Fatalf("api-key header: %d", got)
-	}
-
-	// End-to-end with the authenticated transport.
-	cl, err := sec.Client()
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := cl.Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("authenticated client: %s", resp.Status)
-	}
-
-	// Empty token = open endpoint, handler unchanged.
-	open := Security{}.RequireAuth(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	srv2 := httptest.NewServer(open)
-	defer srv2.Close()
-	resp, err = http.Get(srv2.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("open endpoint: %s", resp.Status)
 	}
 }
 
