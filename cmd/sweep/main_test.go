@@ -256,20 +256,22 @@ func renderCSV(t *testing.T, results []sweep.Result) string {
 	return buf.String()
 }
 
-// TestRunLocalFig41Golden: the Fig 4-1 grid (4 KB L1, L2 sizes 4–4096 KB,
-// cycles 1–10) over the 20k-reference synthetic workload renders exactly
-// the checked-in table and CSV. The goldens were generated by the engine
-// that replayed the L2 tag array for every point, so they pin any later
-// change to how replays are scheduled.
-func TestRunLocalFig41Golden(t *testing.T) {
-	spec := coord.JobSpec{
-		SizesBytes: sweep.SizesPow2(4, 4096),
-		CyclesNS:   sweep.CyclesRange(1, 10, experiments.CPUCycleNS),
-		Assoc:      1,
-		L1KB:       4,
-		Refs:       20_000,
-		Seed:       1,
-	}
+// fig41Spec is the Fig 4-1 grid (4 KB L1, L2 sizes 4–4096 KB, cycles
+// 1–10) over the 20k-reference synthetic workload.
+var fig41Spec = coord.JobSpec{
+	SizesBytes: sweep.SizesPow2(4, 4096),
+	CyclesNS:   sweep.CyclesRange(1, 10, experiments.CPUCycleNS),
+	Assoc:      1,
+	L1KB:       4,
+	Refs:       20_000,
+	Seed:       1,
+}
+
+// checkFig41Golden runs fig41Spec through run once per output format and
+// compares stdout with the checked-in table and CSV. The goldens were
+// generated by the engine that replayed the L2 tag array for every point,
+// so they pin any later change to how replays are scheduled.
+func checkFig41Golden(t *testing.T, run func(gridOptions) int) {
 	for golden, asCSV := range map[string]bool{"fig41_20k.txt": false, "fig41_20k.csv": true} {
 		t.Run(golden, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", golden))
@@ -277,7 +279,7 @@ func TestRunLocalFig41Golden(t *testing.T) {
 				t.Fatal(err)
 			}
 			stdout, stderr, code := captureRunLocal(t, func() int {
-				return runLocal(context.Background(), spec, 0, 1, localOptions{gridOptions: gridOptions{csv: asCSV}})
+				return run(gridOptions{csv: asCSV})
 			})
 			if code != 0 {
 				t.Fatalf("exit status %d, log:\n%s", code, stderr)
@@ -287,6 +289,35 @@ func TestRunLocalFig41Golden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRunLocalFig41Golden: a local sweep of fig41Spec prints the
+// checked-in table and CSV.
+func TestRunLocalFig41Golden(t *testing.T) {
+	checkFig41Golden(t, func(g gridOptions) int {
+		return runLocal(context.Background(), fig41Spec, 0, 1, localOptions{gridOptions: g})
+	})
+}
+
+// TestRunServeFallbackFig41Golden: `sweep -serve` that no worker joins
+// finishes the grid through its local fallback and prints the same table
+// and CSV as a local sweep.
+func TestRunServeFallbackFig41Golden(t *testing.T) {
+	checkFig41Golden(t, func(g gridOptions) int {
+		cfg := coord.Config{Job: fig41Spec, LocalFallbackAfter: 50 * time.Millisecond, Logf: log.Printf}
+		return runServe(context.Background(), freeAddr(t), cfg, "", store.Security{}, g)
+	})
+}
+
+// freeAddr returns a loopback address no one listens on.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	return ln.Addr().String()
 }
 
 // TestRunServeMatchesRunLocal: `sweep -serve` on a loopback port with one
@@ -315,12 +346,7 @@ func TestRunServeMatchesRunLocal(t *testing.T) {
 	}
 	served := func(g gridOptions) (stdout, stderr string) {
 		t.Helper()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr := ln.Addr().String()
-		ln.Close()
+		addr := freeAddr(t)
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		defer cancel()
 		cfg := coord.Config{Job: spec, Shards: 2, LocalFallbackAfter: time.Minute, Logf: log.Printf}

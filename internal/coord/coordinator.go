@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"slices"
 	"sync"
 	"time"
@@ -15,8 +16,8 @@ import (
 	"mlcache/internal/sweep"
 )
 
-// LocalWorkerID is the worker name the coordinator's in-process fallback
-// executor leases shards under.
+// LocalWorkerID is the worker name of the coordinator's local fallback:
+// the Worker it runs in-process when no other worker is active.
 const LocalWorkerID = "_local"
 
 // minWait is the shortest wait a lease response asks a worker for.
@@ -48,10 +49,12 @@ type Config struct {
 	SpeculateAfter time.Duration
 	// LocalFallbackAfter degrades to in-process execution: if the grid is
 	// unfinished and no worker has registered, heartbeat, or completed
-	// anything for this long, the coordinator starts leasing shards to
-	// itself (worker LocalWorkerID). 0 disables the fallback.
+	// anything for this long, the coordinator runs a Worker in-process
+	// under LocalWorkerID, talking to Handler through memory. Its traffic
+	// never counts as worker activity; a start that fails does, so starts
+	// come at most once per LocalFallbackAfter. 0 disables the fallback.
 	LocalFallbackAfter time.Duration
-	// LocalParallelism bounds the fallback executor's worker pool
+	// LocalParallelism is the fallback Worker's Parallelism
 	// (0 = GOMAXPROCS).
 	LocalParallelism int
 	// Logf receives operational events (lease grants, expiries, retries);
@@ -535,6 +538,9 @@ func (c *Coordinator) Release(req ReleaseRequest) (ReleaseResponse, error) {
 // RunContext drives lease expiry, exclusion relaxation and the local
 // fallback. It returns nil once every point is merged, or ctx.Err() on
 // cancellation, which every point never merged then carries as its Err.
+// It stops the fallback Worker and waits for it before returning, so the
+// points the fallback finished before a cancellation reach opts.OnResult
+// first.
 func (c *Coordinator) RunContext(ctx context.Context, pts []sweep.Point, opts sweep.Options) ([]sweep.Result, error) {
 	if !slices.Equal(pts, c.pts) {
 		return nil, fmt.Errorf("coord: RunContext runs the job's grid of %d points, got %d other points", len(c.pts), len(pts))
@@ -589,13 +595,21 @@ func (c *Coordinator) start(opts sweep.Options) error {
 }
 
 // drive ticks the coordinator's clock until every point is merged (nil)
-// or ctx is cancelled (ctx.Err()).
+// or ctx is cancelled (ctx.Err()). It stops the local fallback and waits
+// for it before it returns.
 func (c *Coordinator) drive(ctx context.Context) error {
 	c.mu.Lock()
 	if c.lastActivity.IsZero() {
 		c.lastActivity = c.now()
 	}
 	c.mu.Unlock()
+
+	localCtx, stopLocal := context.WithCancel(ctx)
+	var local sync.WaitGroup
+	defer func() {
+		stopLocal()
+		local.Wait()
+	}()
 
 	tick := c.cfg.LeaseTTL / 4
 	if c.cfg.LocalFallbackAfter > 0 && c.cfg.LocalFallbackAfter/4 < tick {
@@ -624,84 +638,47 @@ func (c *Coordinator) drive(ctx context.Context) error {
 			c.mu.Unlock()
 			if fallback {
 				c.logf("coord: no worker activity for %s; running remaining shards in-process", c.cfg.LocalFallbackAfter)
-				go c.localLoop(ctx)
+				local.Add(1)
+				go func() {
+					defer local.Done()
+					c.localLoop(localCtx)
+				}()
 			}
 		}
 	}
 }
 
-// localLoop is the degraded mode: the coordinator leases shards to itself
-// through the same state machine remote workers use and simulates them
-// in-process, so a sweep with zero (or all-dead) workers still finishes.
+// localLoop is the degraded mode: a Worker under LocalWorkerID that
+// reaches the coordinator's own Handler through memory instead of a
+// socket, so a grid with no live worker still finishes. A start that
+// fails counts as worker activity, so the next one waits out another
+// LocalFallbackAfter instead of following on the next tick.
 func (c *Coordinator) localLoop(ctx context.Context) {
-	arena, closer, _, err := c.cfg.Job.MaterializeArena(ctx)
-	if err != nil {
-		c.logf("coord: local fallback cannot build runner: %v", err)
-		c.mu.Lock()
-		c.localRunning = false
-		c.mu.Unlock()
-		return
+	w := &Worker{
+		ID:           LocalWorkerID,
+		Coordinator:  "http://in-process",
+		Client:       &http.Client{Transport: handlerTransport{c.Handler()}},
+		Parallelism:  c.cfg.LocalParallelism,
+		PointRetries: 1,
+		Logf:         c.cfg.Logf,
 	}
-	defer closer.Close()
-	runner := c.cfg.Job.RunnerFor(arena)
-	for ctx.Err() == nil {
-		lr, err := c.Lease(LeaseRequest{Worker: LocalWorkerID})
-		if err != nil || lr.Done {
-			break
-		}
-		if lr.WaitMS > 0 {
-			select {
-			case <-ctx.Done():
-			case <-time.After(time.Duration(lr.WaitMS) * time.Millisecond):
-			}
-			continue
-		}
-		c.runLocalShard(ctx, runner, lr)
-	}
+	err := w.Run(ctx)
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.localRunning = false
-	c.mu.Unlock()
+	if err != nil && ctx.Err() == nil {
+		c.logf("coord: local fallback: %v", err)
+		c.lastActivity = c.now()
+	}
 }
 
-func (c *Coordinator) runLocalShard(ctx context.Context, runner sweep.Runner, lr LeaseResponse) {
-	shardPts := sweep.Shard(c.pts, lr.Shard, c.cfg.Shards)
-	index := map[sweep.Point]int{}
-	for j, pt := range shardPts {
-		index[pt] = lr.Shard + j*c.cfg.Shards
-	}
-	runner.Parallelism = c.cfg.LocalParallelism
-	opts := sweep.Options{
-		Retries: 1,
-		OnResult: func(r sweep.Result) {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			sh := c.shards[lr.Shard]
-			c.absorbLocked(sh, []PointResult{{Index: index[r.Point], Run: r.Run}})
-			// Completing points is the local worker's heartbeat.
-			now := c.now()
-			for i := range sh.leases {
-				if sh.leases[i].worker == LocalWorkerID && sh.leases[i].token == lr.Lease {
-					sh.leases[i].deadline = now.Add(c.cfg.LeaseTTL)
-				}
-			}
-		},
-	}
-	results, runErr := runner.RunContext(ctx, shardPts, opts)
-	if runErr != nil {
-		return // cancelled; leases lapse naturally
-	}
-	failed := 0
-	for _, r := range results {
-		if r.Err != nil {
-			failed++
-		}
-	}
-	if failed > 0 {
-		c.logf("coord: local fallback: %d point(s) of shard %d failed", failed, lr.Shard)
-		_, _ = c.Release(ReleaseRequest{Worker: LocalWorkerID, Shard: lr.Shard, Lease: lr.Lease, Reason: "local failure"})
-		return
-	}
-	_, _ = c.Complete(CompleteRequest{Worker: LocalWorkerID, Shard: lr.Shard, Lease: lr.Lease})
+// handlerTransport answers HTTP requests by calling a handler in process.
+type handlerTransport struct{ h http.Handler }
+
+func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	rec := httptest.NewRecorder()
+	t.h.ServeHTTP(rec, req)
+	return rec.Result(), nil
 }
 
 // TraceSkipped returns the largest corrupt-record skip count any worker

@@ -26,7 +26,10 @@ import (
 // the grid done. Every request retries transport faults, 5xx, and torn
 // responses with capped exponential backoff and jitter; a lease revoked
 // mid-shard (heartbeat Cancel) abandons the shard without losing the
-// points already streamed.
+// points already streamed. A worker whose context ends mid-shard sends
+// one last heartbeat, unretried and bounded to a second, that hands over
+// the points it finished. The coordinator's local fallback is a Worker
+// too, running in-process under LocalWorkerID.
 type Worker struct {
 	// ID names the worker to the coordinator; it must be unique in the
 	// fleet (exclusion and lease bookkeeping key on it).
@@ -287,6 +290,15 @@ func (w *Worker) runShard(ctx context.Context, runner sweep.Runner, all []sweep.
 	hbWG.Wait()
 
 	if ctx.Err() != nil {
+		// Stopped: hand over the finished points. An unreachable
+		// coordinator must not hold up the stop, so the beat is sent once,
+		// with a short bound.
+		fctx, stop := context.WithTimeout(context.WithoutCancel(ctx), time.Second)
+		defer stop()
+		_ = w.postOnce(fctx, PathHeartbeat, HeartbeatRequest{
+			Worker: w.ID, Shard: lr.Shard, Lease: lr.Lease,
+			Done: snapshot(), TraceSkipped: traceSkipped,
+		}, &HeartbeatResponse{})
 		return false, ctx.Err()
 	}
 	if sctx.Err() != nil && runErr != nil {

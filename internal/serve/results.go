@@ -74,10 +74,6 @@ func (rc *resultCache) has(key string) bool {
 	return ok
 }
 
-func (rc *resultCache) put(base string, pt sweep.Point, run cpu.Result) {
-	rc.putKey(pointKey(base, pt), run)
-}
-
 func (rc *resultCache) putKey(key string, run cpu.Result) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()

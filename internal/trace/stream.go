@@ -22,76 +22,6 @@ func (l *limitStream) Next() (Ref, error) {
 	return l.s.Next()
 }
 
-// Skip returns a stream that discards the first n references of s. The
-// discard happens lazily on the first Next call so construction is cheap.
-func Skip(s Stream, n int64) Stream { return &skipStream{s: s, skip: n} }
-
-type skipStream struct {
-	s    Stream
-	skip int64
-}
-
-func (k *skipStream) Next() (Ref, error) {
-	for k.skip > 0 {
-		k.skip--
-		if _, err := k.s.Next(); err != nil {
-			return Ref{}, err
-		}
-	}
-	return k.s.Next()
-}
-
-// Filter returns a stream yielding only references for which keep returns
-// true.
-func Filter(s Stream, keep func(Ref) bool) Stream {
-	return &filterStream{s: s, keep: keep}
-}
-
-type filterStream struct {
-	s    Stream
-	keep func(Ref) bool
-}
-
-func (f *filterStream) Next() (Ref, error) {
-	for {
-		r, err := f.s.Next()
-		if err != nil {
-			return Ref{}, err
-		}
-		if f.keep(r) {
-			return r, nil
-		}
-	}
-}
-
-// Concat returns a stream that yields all references of each input stream
-// in order, moving to the next stream when the current one is exhausted.
-func Concat(streams ...Stream) Stream { return &concatStream{streams: streams} }
-
-type concatStream struct {
-	streams []Stream
-	idx     int // original index of streams[0], for error attribution
-}
-
-func (c *concatStream) Next() (Ref, error) {
-	for len(c.streams) > 0 {
-		r, err := c.streams[0].Next()
-		if err == nil {
-			return r, nil
-		}
-		// Only genuine exhaustion advances to the next stream; any other
-		// failure — including one wrapping something else entirely — must
-		// reach the caller, attributed to the stream that produced it.
-		if errors.Is(err, io.EOF) {
-			c.streams = c.streams[1:]
-			c.idx++
-			continue
-		}
-		return Ref{}, fmt.Errorf("trace: concat stream %d: %w", c.idx, err)
-	}
-	return Ref{}, io.EOF
-}
-
 // RoundRobin interleaves streams in fixed-size quanta: it yields quantum
 // references from stream 0, then quantum from stream 1, and so on, skipping
 // exhausted streams. It models deterministic multiprogramming time-slicing.
@@ -157,34 +87,3 @@ type Func func() (Ref, error)
 
 // Next calls f.
 func (f Func) Next() (Ref, error) { return f() }
-
-// Peeker wraps a stream with one-reference lookahead, used by the CPU model
-// to decide whether a data reference shares the cycle of the preceding
-// instruction fetch.
-type Peeker struct {
-	s      Stream
-	have   bool
-	buf    Ref
-	buferr error
-}
-
-// NewPeeker returns a Peeker reading from s.
-func NewPeeker(s Stream) *Peeker { return &Peeker{s: s} }
-
-// Peek returns the next reference without consuming it.
-func (p *Peeker) Peek() (Ref, error) {
-	if !p.have {
-		p.buf, p.buferr = p.s.Next()
-		p.have = true
-	}
-	return p.buf, p.buferr
-}
-
-// Next returns the next reference, consuming it.
-func (p *Peeker) Next() (Ref, error) {
-	if p.have {
-		p.have = false
-		return p.buf, p.buferr
-	}
-	return p.s.Next()
-}

@@ -19,46 +19,6 @@ func errAfter(n int, err error) Stream {
 	})
 }
 
-func TestConcatSurfacesStreamError(t *testing.T) {
-	readErr := errors.New("read failure")
-	s := Concat(
-		Trace{{Kind: Load, Addr: 4}}.Stream(),
-		errAfter(1, readErr),
-		Trace{{Kind: Load, Addr: 8}}.Stream(),
-	)
-	var got []Ref
-	for {
-		r, err := s.Next()
-		if err != nil {
-			// The failure must reach the caller as an error — it is not
-			// stream exhaustion, so the third stream must NOT be drained.
-			if !errors.Is(err, readErr) {
-				t.Fatalf("err = %v, want wrapped %v", err, readErr)
-			}
-			if errors.Is(err, io.EOF) {
-				t.Fatalf("error conflated with EOF: %v", err)
-			}
-			break
-		}
-		got = append(got, r)
-	}
-	if len(got) != 2 {
-		t.Errorf("refs before error = %d, want 2 (error must not look like exhaustion)", len(got))
-	}
-}
-
-func TestConcatTreatsWrappedEOFAsExhaustion(t *testing.T) {
-	wrapped := fmt.Errorf("decoder: %w", io.EOF)
-	s := Concat(errAfter(1, wrapped), Trace{{Kind: Store, Addr: 8}}.Stream())
-	refs, err := Collect(s, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(refs) != 2 {
-		t.Errorf("collected %d refs, want 2 (wrapped EOF should advance to next stream)", len(refs))
-	}
-}
-
 func TestRoundRobinSurfacesStreamError(t *testing.T) {
 	readErr := errors.New("read failure")
 	s := RoundRobin(2,

@@ -99,7 +99,7 @@ func TestCounts(t *testing.T) {
 	}
 }
 
-func TestLimitAndSkip(t *testing.T) {
+func TestLimit(t *testing.T) {
 	in := make(Trace, 8)
 	for i := range in {
 		in[i] = Ref{Kind: IFetch, Addr: uint64(i)}
@@ -107,34 +107,6 @@ func TestLimitAndSkip(t *testing.T) {
 	got := mustCollect(t, Limit(in.Stream(), 3))
 	if len(got) != 3 || got[2].Addr != 2 {
 		t.Errorf("Limit: got %v", got)
-	}
-	got = mustCollect(t, Skip(in.Stream(), 5))
-	if len(got) != 3 || got[0].Addr != 5 {
-		t.Errorf("Skip: got %v", got)
-	}
-	// Skipping past the end yields an empty stream.
-	got = mustCollect(t, Skip(in.Stream(), 100))
-	if len(got) != 0 {
-		t.Errorf("Skip past end: got %d refs", len(got))
-	}
-}
-
-func TestFilter(t *testing.T) {
-	in := Trace{
-		{Kind: IFetch, Addr: 1}, {Kind: Store, Addr: 2}, {Kind: Load, Addr: 3},
-	}
-	got := mustCollect(t, Filter(in.Stream(), func(r Ref) bool { return r.Kind.IsRead() }))
-	if len(got) != 2 || got[0].Addr != 1 || got[1].Addr != 3 {
-		t.Errorf("Filter: got %v", got)
-	}
-}
-
-func TestConcat(t *testing.T) {
-	a := Trace{{Addr: 1}, {Addr: 2}}
-	b := Trace{{Addr: 3}}
-	got := mustCollect(t, Concat(a.Stream(), b.Stream()))
-	if len(got) != 3 || got[2].Addr != 3 {
-		t.Errorf("Concat: got %v", got)
 	}
 }
 
@@ -160,29 +132,6 @@ func TestRoundRobinPanicsOnBadQuantum(t *testing.T) {
 		}
 	}()
 	RoundRobin(0)
-}
-
-func TestPeeker(t *testing.T) {
-	in := Trace{{Addr: 1}, {Addr: 2}}
-	p := NewPeeker(in.Stream())
-	r, err := p.Peek()
-	if err != nil || r.Addr != 1 {
-		t.Fatalf("Peek = %v, %v", r, err)
-	}
-	r, err = p.Next()
-	if err != nil || r.Addr != 1 {
-		t.Fatalf("Next after Peek = %v, %v", r, err)
-	}
-	r, err = p.Next()
-	if err != nil || r.Addr != 2 {
-		t.Fatalf("Next = %v, %v", r, err)
-	}
-	if _, err = p.Peek(); err != io.EOF {
-		t.Errorf("Peek at end = %v, want io.EOF", err)
-	}
-	if _, err = p.Next(); err != io.EOF {
-		t.Errorf("Next at end = %v, want io.EOF", err)
-	}
 }
 
 func randomTrace(rng *rand.Rand, n int) Trace {
