@@ -8,7 +8,7 @@
 // Usage:
 //
 //	fakes3 -addr 127.0.0.1:9444 -bucket traces -access-key AKTEST -secret-key sekrit
-//	mlcastore -backend s3 -s3-endpoint http://127.0.0.1:9444 -s3-bucket traces \
+//	mlcastore -s3-endpoint http://127.0.0.1:9444 -s3-bucket traces \
 //	    -s3-access-key AKTEST -s3-secret-key sekrit -insecure list
 //
 // GET /fakes3/stats returns request and fault counters as JSON, which

@@ -1,8 +1,8 @@
-// Command mlcastore administers a content-addressed artifact store
-// through any backend: a local directory (fs), an S3-compatible bucket
-// (s3), or a local cache tiered over a bucket (tiered). It lists and
-// stats objects, re-verifies their bytes against their digests, adds
-// files, and runs mark-and-sweep garbage collection with the same root
+// Command mlcastore administers a content-addressed artifact store: a
+// local directory (-dir), an S3-compatible bucket (-s3-endpoint), or a
+// local directory tiered over a bucket (both). It lists and stats
+// objects, re-verifies their bytes against their digests, adds files,
+// and runs mark-and-sweep garbage collection with the same root
 // discipline the serve layer uses — digests referenced by a serve state
 // directory's jobs journal are never collected.
 //
@@ -14,7 +14,7 @@
 //	mlcastore -dir ... add trace.mlca
 //	mlcastore -dir ... -state-dir /var/lib/mlcserve gc
 //	mlcastore -dir ... -state-dir /var/lib/mlcserve gc -apply
-//	mlcastore -backend s3 -s3-endpoint https://s3:9000 -s3-bucket traces list
+//	mlcastore -s3-endpoint https://s3:9000 -s3-bucket traces list
 //
 // gc is a dry run unless -apply is given: it prints what would be
 // reclaimed and why the rest was kept. Objects younger than -grace are
@@ -51,18 +51,12 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mlcastore: ")
 	var (
-		backendName = flag.String("backend", "", "artifact backend: fs, s3, or tiered (default: fs when -dir is set, s3 when -s3-endpoint is set)")
-		dir         = flag.String("dir", "", "local store directory (fs backend, or the local tier of tiered)")
-		s3Endpoint  = flag.String("s3-endpoint", "", "S3-compatible endpoint URL")
-		s3Bucket    = flag.String("s3-bucket", "", "bucket holding the artifact objects")
-		s3Prefix    = flag.String("s3-prefix", "", "object key prefix (default mlca/)")
-		s3Region    = flag.String("s3-region", "", "SigV4 signing region (default us-east-1)")
-		s3Access    = flag.String("s3-access-key", "", "S3 access key ID (or env MLCA_S3_ACCESS_KEY)")
-		s3Secret    = flag.String("s3-secret-key", "", "S3 secret key (or env MLCA_S3_SECRET_KEY)")
-		insecure    = flag.Bool("insecure", false, "allow credentials over plaintext HTTP (testing only)")
-		stateDir    = flag.String("state-dir", "", "with gc: protect every artifact referenced by this serve state directory's jobs journal")
-		grace       = flag.Duration("grace", time.Hour, "with gc: never collect objects younger than this")
-		quiet       = flag.Bool("q", false, "print digests only (list) / suppress per-object output (verify)")
+		dir      = flag.String("dir", "", "local store directory (with -s3-endpoint: the local tier over the bucket)")
+		s3Flags  = backend.RegisterS3Flags(flag.CommandLine)
+		insecure = flag.Bool("insecure", false, "allow credentials over plaintext HTTP (testing only)")
+		stateDir = flag.String("state-dir", "", "with gc: protect every artifact referenced by this serve state directory's jobs journal")
+		grace    = flag.Duration("grace", time.Hour, "with gc: never collect objects younger than this")
+		quiet    = flag.Bool("q", false, "print digests only (list) / suppress per-object output (verify)")
 	)
 	flag.Usage = usage
 	flag.Parse()
@@ -71,21 +65,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *s3Access == "" {
-		*s3Access = os.Getenv("MLCA_S3_ACCESS_KEY")
+	s3cfg, err := s3Flags.Config(*insecure)
+	if err != nil {
+		log.Fatal(err)
 	}
-	if *s3Secret == "" {
-		*s3Secret = os.Getenv("MLCA_S3_SECRET_KEY")
-	}
-	b, err := openBackend(*backendName, *dir, backend.S3Config{
-		Endpoint:  *s3Endpoint,
-		Bucket:    *s3Bucket,
-		Prefix:    *s3Prefix,
-		Region:    *s3Region,
-		AccessKey: *s3Access,
-		SecretKey: *s3Secret,
-		Insecure:  *insecure,
-	})
+	b, err := openBackend(*dir, s3cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -114,48 +98,32 @@ func main() {
 	}
 }
 
-// openBackend builds the backend from the flag set, inferring fs/s3
-// when -backend is not explicit. tiered composes -dir over the bucket.
-func openBackend(name, dir string, s3cfg backend.S3Config) (backend.Backend, error) {
-	if name == "" {
-		switch {
-		case dir != "" && s3cfg.Endpoint != "":
-			name = "tiered"
-		case s3cfg.Endpoint != "":
-			name = "s3"
-		case dir != "":
-			name = "fs"
-		default:
-			return nil, fmt.Errorf("need -dir or -s3-endpoint (or both for tiered)")
-		}
-	}
-	openFS := func() (*store.FileStore, error) {
+// openBackend builds the store the flags name: -dir alone is the local
+// directory, -s3-endpoint alone the bucket, and both the directory tiered
+// over the bucket.
+func openBackend(dir string, s3cfg backend.S3Config) (backend.Backend, error) {
+	if s3cfg.Endpoint == "" {
 		if dir == "" {
-			return nil, fmt.Errorf("-backend %s needs -dir", name)
+			return nil, fmt.Errorf("need -dir or -s3-endpoint (or both for a local tier over the bucket)")
 		}
-		return store.OpenFileStore(dir)
-	}
-	switch name {
-	case "fs":
-		fs, err := openFS()
+		fs, err := store.OpenFileStore(dir)
 		if err != nil {
 			return nil, err
 		}
 		return backend.NewFS(fs), nil
-	case "s3":
-		return backend.NewS3(s3cfg)
-	case "tiered":
-		fs, err := openFS()
-		if err != nil {
-			return nil, err
-		}
-		s3, err := backend.NewS3(s3cfg)
-		if err != nil {
-			return nil, err
-		}
-		return backend.NewTiered(fs, s3), nil
 	}
-	return nil, fmt.Errorf("-backend must be fs, s3, or tiered, got %q", name)
+	s3, err := backend.NewS3(s3cfg)
+	if err != nil {
+		return nil, err
+	}
+	if dir == "" {
+		return s3, nil
+	}
+	fs, err := store.OpenFileStore(dir)
+	if err != nil {
+		return nil, err
+	}
+	return backend.NewTiered(fs, s3), nil
 }
 
 func cmdList(ctx context.Context, b backend.Backend, quiet bool) error {
@@ -290,12 +258,8 @@ func cmdAdd(ctx context.Context, b backend.Backend, args []string) error {
 func cmdGC(ctx context.Context, b backend.Backend, args []string, stateDir string, grace time.Duration) error {
 	fs := flag.NewFlagSet("gc", flag.ExitOnError)
 	apply := fs.Bool("apply", false, "actually delete; default is a dry run")
-	dryRun := fs.Bool("dry-run", false, "report only (the default; explicit for scripts)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *apply && *dryRun {
-		return fmt.Errorf("gc: -apply and -dry-run are mutually exclusive")
 	}
 	roots := map[store.Digest]bool{}
 	if stateDir != "" {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,47 +17,46 @@ import (
 
 func openFS(t *testing.T, dir string) backend.Backend {
 	t.Helper()
-	b, err := openBackend("fs", dir, backend.S3Config{})
+	b, err := openBackend(dir, backend.S3Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
 }
 
+// TestOpenBackendSelection: -dir alone is the directory, -s3-endpoint
+// alone the bucket, both the directory tiered over the bucket, and
+// neither an error.
 func TestOpenBackendSelection(t *testing.T) {
-	if _, err := openBackend("", "", backend.S3Config{}); err == nil {
-		t.Fatal("no flags accepted")
+	bucket := backend.S3Config{Endpoint: "https://s3.example.com", Bucket: "b"}
+	for _, tc := range []struct {
+		name string
+		dir  string
+		s3   backend.S3Config
+		want string // the backend's type
+	}{
+		{"neither", "", backend.S3Config{}, "error"},
+		{"dir only", t.TempDir(), backend.S3Config{}, "*backend.FS"},
+		{"endpoint only", "", bucket, "*backend.S3"},
+		{"dir and endpoint", t.TempDir(), bucket, "*backend.Tiered"},
+	} {
+		got := "error"
+		b, err := openBackend(tc.dir, tc.s3)
+		if err == nil {
+			got = fmt.Sprintf("%T", b)
+		}
+		if got != tc.want {
+			t.Errorf("%s: backend is %s (%v), want %s", tc.name, got, err, tc.want)
+		}
 	}
-	if _, err := openBackend("gcs", t.TempDir(), backend.S3Config{}); err == nil {
-		t.Fatal("unknown backend accepted")
-	}
-	if _, err := openBackend("s3", "", backend.S3Config{}); err == nil {
-		t.Fatal("s3 without endpoint accepted")
-	}
-	// Inference: -dir alone is fs; -dir plus an endpoint is tiered.
-	b, err := openBackend("", t.TempDir(), backend.S3Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := b.(*backend.FS); !ok {
-		t.Fatalf("dir-only backend is %T, want *backend.FS", b)
-	}
-	b, err = openBackend("", t.TempDir(), backend.S3Config{
-		Endpoint: "https://s3.example.com", Bucket: "b",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := b.(*backend.Tiered); !ok {
-		t.Fatalf("dir+endpoint backend is %T, want *backend.Tiered", b)
-	}
-	// The plaintext-credential refusal reaches the CLI unchanged.
-	_, err = openBackend("s3", "", backend.S3Config{
+	// NewS3's refusals reach the CLI unchanged, with no typed-nil *S3 in
+	// the interface.
+	b, err := openBackend("", backend.S3Config{
 		Endpoint: "http://s3.example.com", Bucket: "b",
 		AccessKey: "AKTEST", SecretKey: "sekrit",
 	})
-	if err == nil || !strings.Contains(err.Error(), "plaintext") {
-		t.Fatalf("plaintext credentials: %v", err)
+	if err == nil || !strings.Contains(err.Error(), "plaintext") || b != nil {
+		t.Fatalf("plaintext credentials: %v, %v", b, err)
 	}
 }
 
@@ -102,7 +102,7 @@ func TestAddVerifyGCRoundTrip(t *testing.T) {
 	// unrooted object.
 	old := time.Now().Add(-2 * time.Hour)
 	os.Chtimes(path, old, old)
-	if err := cmdGC(ctx, b, []string{"-dry-run"}, "", time.Hour); err != nil {
+	if err := cmdGC(ctx, b, nil, "", time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := b.(*backend.FS).Resolve(d); err != nil {

@@ -18,13 +18,16 @@
 // With -artifact-store the service is also a content-addressed trace
 // origin: clients PUT trace artifacts to /artifacts/sha256:<hex> and
 // submit jobs that name the workload by digest alone — no path on the
-// server, no shared filesystem. Because API keys are bearer secrets,
-// -tenants-config over plaintext HTTP is refused unless -insecure;
-// configure -tls-cert/-tls-key for production.
+// server, no shared filesystem. With -s3-endpoint the store is an
+// S3-compatible bucket under a local tier: -artifact-store if given,
+// else -state-dir/artifact-cache, else a temp dir. Because API keys are
+// bearer secrets, -tenants-config over plaintext HTTP is refused unless
+// -insecure; configure -tls-cert/-tls-key for production.
 //
 // Usage:
 //
 //	mlcserve -addr :9292 -state-dir /var/lib/mlcserve
+//	mlcserve -addr :9292 -state-dir /var/lib/mlcserve -s3-endpoint https://s3:9000 -s3-bucket traces
 //	curl -sN -X POST --data-binary @job.json 'localhost:9292/jobs?csv=1'
 //	curl -s localhost:9292/metrics
 //
@@ -71,16 +74,9 @@ type options struct {
 	streamTimeout time.Duration
 	faultPoint    string
 	sec           store.Security
-
-	artifactBackend string // "", "fs", "s3", or "tiered"
-	s3Endpoint      string
-	s3Bucket        string
-	s3Prefix        string
-	s3Region        string
-	s3AccessKey     string
-	s3SecretKey     string
-	gcInterval      time.Duration
-	gcGrace         time.Duration
+	s3            backend.S3Config
+	gcInterval    time.Duration
+	gcGrace       time.Duration
 }
 
 // validate rejects unusable flag combinations up front — an unwritable
@@ -131,28 +127,11 @@ func validate(o options) (*serve.Tenants, error) {
 		}
 		os.Remove(probe)
 	}
-	switch o.artifactBackend {
-	case "":
-		// Legacy path: -artifact-store alone means a plain local directory.
-	case "fs":
-		if o.artifactDir == "" {
-			return nil, fmt.Errorf("-artifact-backend fs needs -artifact-store DIR")
-		}
-	case "s3", "tiered":
-		if o.s3Endpoint == "" || o.s3Bucket == "" {
-			return nil, fmt.Errorf("-artifact-backend %s needs -s3-endpoint and -s3-bucket", o.artifactBackend)
-		}
-		if o.artifactBackend == "tiered" && o.artifactDir == "" {
-			return nil, fmt.Errorf("-artifact-backend tiered needs -artifact-store DIR for the persistent local tier")
-		}
-		if (o.s3AccessKey == "") != (o.s3SecretKey == "") {
-			return nil, fmt.Errorf("-s3-access-key and -s3-secret-key must be set together")
-		}
-	default:
-		return nil, fmt.Errorf("-artifact-backend must be fs, s3, or tiered, got %q", o.artifactBackend)
-	}
 	if o.gcInterval < 0 {
 		return nil, fmt.Errorf("-store-gc-interval must be non-negative, got %v", o.gcInterval)
+	}
+	if o.gcInterval > 0 && o.artifactDir == "" && o.s3.Endpoint == "" {
+		return nil, fmt.Errorf("-store-gc-interval needs an artifact store: -artifact-store or -s3-endpoint")
 	}
 	if o.gcGrace < 0 {
 		return nil, fmt.Errorf("-store-gc-grace must be non-negative, got %v", o.gcGrace)
@@ -175,35 +154,19 @@ func validate(o options) (*serve.Tenants, error) {
 	return tenants, nil
 }
 
-// buildArtifacts constructs the artifact backend named by
-// -artifact-backend, or nil for the legacy -artifact-store directory
-// path (serve.New opens that itself). The serve layer mmaps artifacts
-// from local paths, so the s3 mode is a tiered composition too: the
-// bucket is the source of truth and a local cache directory (under
-// -artifact-store, or -state-dir/artifact-cache, or a temp dir) holds
-// what this process touches. Credential safety rides on backend.NewS3:
-// keys over plaintext HTTP are refused unless -insecure.
+// buildArtifacts builds the bucket store when -s3-endpoint is set and
+// returns nil otherwise; serve.New then opens the -artifact-store
+// directory itself. The serve layer mmaps artifacts from local paths, so
+// the bucket sits under a local tier: -artifact-store, else
+// -state-dir/artifact-cache, else a temp dir. Credential safety rides on
+// backend.NewS3: keys over plaintext HTTP are refused unless -insecure.
 func buildArtifacts(o options) (backend.Store, string, error) {
-	switch o.artifactBackend {
-	case "":
+	if o.s3.Endpoint == "" {
 		return nil, "", nil
-	case "fs":
-		fs, err := store.OpenFileStore(o.artifactDir)
-		if err != nil {
-			return nil, "", fmt.Errorf("-artifact-store %s: %w", o.artifactDir, err)
-		}
-		return backend.NewFS(fs), "fs " + o.artifactDir, nil
 	}
-	s3, err := backend.NewS3(backend.S3Config{
-		Endpoint:  o.s3Endpoint,
-		Bucket:    o.s3Bucket,
-		Prefix:    o.s3Prefix,
-		Region:    o.s3Region,
-		AccessKey: o.s3AccessKey,
-		SecretKey: o.s3SecretKey,
-		Insecure:  o.sec.Insecure,
-		Logf:      log.Printf,
-	})
+	cfg := o.s3
+	cfg.Logf = log.Printf
+	s3, err := backend.NewS3(cfg)
 	if err != nil {
 		return nil, "", err
 	}
@@ -221,7 +184,7 @@ func buildArtifacts(o options) (backend.Store, string, error) {
 	if err != nil {
 		return nil, "", fmt.Errorf("local tier %s: %w", dir, err)
 	}
-	desc := fmt.Sprintf("%s %s/%s (local tier %s)", o.artifactBackend, o.s3Endpoint, o.s3Bucket, dir)
+	desc := fmt.Sprintf("s3 %s/%s (local tier %s)", cfg.Endpoint, cfg.Bucket, dir)
 	return backend.NewTiered(local, s3), desc, nil
 }
 
@@ -241,14 +204,8 @@ func main() {
 		tenantsPath  = flag.String("tenants-config", "", "JSON tenant table turning on API-key auth, quotas, and fair scheduling")
 		anonRate     = flag.Float64("tenant-rate", 0, "anonymous-tenant admission rate in jobs/sec without -tenants-config (0 = unlimited)")
 		anonBurst    = flag.Int("tenant-burst", 0, "anonymous-tenant admission burst (0 = rate-derived)")
-		artifactDir  = flag.String("artifact-store", "", "serve and accept content-addressed trace artifacts under /artifacts/ from this directory")
-		artifactBE   = flag.String("artifact-backend", "", "artifact backend: fs (local directory), s3 (remote bucket, local scratch cache), or tiered (persistent -artifact-store cache over the bucket); empty = plain -artifact-store directory")
-		s3Endpoint   = flag.String("s3-endpoint", "", "S3-compatible endpoint URL, e.g. https://s3.example.com:9000")
-		s3Bucket     = flag.String("s3-bucket", "", "bucket holding the artifact objects")
-		s3Prefix     = flag.String("s3-prefix", "", "object key prefix inside the bucket (default mlca/)")
-		s3Region     = flag.String("s3-region", "", "SigV4 signing region (default us-east-1)")
-		s3AccessKey  = flag.String("s3-access-key", "", "S3 access key ID (or env MLCA_S3_ACCESS_KEY); empty = unsigned requests")
-		s3SecretKey  = flag.String("s3-secret-key", "", "S3 secret key (or env MLCA_S3_SECRET_KEY; the env var keeps it out of process listings)")
+		artifactDir  = flag.String("artifact-store", "", "serve and accept content-addressed trace artifacts under /artifacts/ from this directory (with -s3-endpoint: the persistent local tier over the bucket)")
+		s3Flags      = backend.RegisterS3Flags(flag.CommandLine)
 		gcInterval   = flag.Duration("store-gc-interval", 0, "run artifact-store GC cycles this often (0 = never)")
 		gcGrace      = flag.Duration("store-gc-grace", time.Hour, "never collect objects younger than this")
 		tlsCert      = flag.String("tls-cert", "", "serve HTTPS with this PEM certificate (with -tls-key)")
@@ -269,11 +226,10 @@ func main() {
 	flag.Parse()
 
 	sec := store.Security{CertFile: *tlsCert, KeyFile: *tlsKey, Insecure: *insecure}
-	if *s3AccessKey == "" {
-		*s3AccessKey = os.Getenv("MLCA_S3_ACCESS_KEY")
-	}
-	if *s3SecretKey == "" {
-		*s3SecretKey = os.Getenv("MLCA_S3_SECRET_KEY")
+	s3, err := s3Flags.Config(*insecure)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mlcserve: %v\n", err)
+		os.Exit(2)
 	}
 	opts := options{
 		jobs: *jobs, queue: *queue, arenaBudget: *arenaBudget,
@@ -281,10 +237,7 @@ func main() {
 		tenantsPath: *tenantsPath, anonRate: *anonRate, anonBurst: *anonBurst,
 		maxAttempts: *maxAttempts, maxJobBytes: *maxJobBytes,
 		maxJobCost: *maxJobCost, maxInflight: *maxInflight, maxDeadline: *maxDeadline,
-		streamTimeout: *streamWrite, faultPoint: *faultPoint, sec: sec,
-		artifactBackend: *artifactBE, s3Endpoint: *s3Endpoint, s3Bucket: *s3Bucket,
-		s3Prefix: *s3Prefix, s3Region: *s3Region,
-		s3AccessKey: *s3AccessKey, s3SecretKey: *s3SecretKey,
+		streamTimeout: *streamWrite, faultPoint: *faultPoint, sec: sec, s3: s3,
 		gcInterval: *gcInterval, gcGrace: *gcGrace,
 	}
 	tenants, err := validate(opts)
@@ -356,7 +309,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *gcInterval > 0 && (artifacts != nil || *artifactDir != "") {
+	if *gcInterval > 0 {
 		s.StartArtifactGC(ctx, *gcInterval, *gcGrace)
 		log.Printf("artifact gc: every %v, grace %v", *gcInterval, *gcGrace)
 	}

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mlcache/internal/store/backend"
 )
 
 func goodOptions() options {
@@ -74,38 +76,6 @@ func TestValidateRejectsBadFlagCombinations(t *testing.T) {
 			"both a certificate and a key",
 		},
 		{
-			"unknown artifact backend",
-			func(o *options) { o.artifactBackend = "gcs" },
-			"-artifact-backend",
-		},
-		{
-			"fs backend without a store dir",
-			func(o *options) { o.artifactBackend = "fs" },
-			"-artifact-store",
-		},
-		{
-			"s3 backend without endpoint",
-			func(o *options) { o.artifactBackend = "s3"; o.s3Bucket = "b" },
-			"-s3-endpoint",
-		},
-		{
-			"tiered backend without local tier",
-			func(o *options) {
-				o.artifactBackend = "tiered"
-				o.s3Endpoint, o.s3Bucket = "https://s3.example.com", "b"
-			},
-			"-artifact-store",
-		},
-		{
-			"access key without secret",
-			func(o *options) {
-				o.artifactBackend = "s3"
-				o.s3Endpoint, o.s3Bucket = "https://s3.example.com", "b"
-				o.s3AccessKey = "AKTEST"
-			},
-			"set together",
-		},
-		{
 			"negative gc interval",
 			func(o *options) { o.gcInterval = -time.Minute },
 			"-store-gc-interval",
@@ -114,6 +84,11 @@ func TestValidateRejectsBadFlagCombinations(t *testing.T) {
 			"negative gc grace",
 			func(o *options) { o.gcGrace = -time.Minute },
 			"-store-gc-grace",
+		},
+		{
+			"gc interval without a store",
+			func(o *options) { o.gcInterval = time.Minute },
+			"-store-gc-interval",
 		},
 	}
 	for _, tc := range cases {
@@ -165,47 +140,65 @@ func TestValidateAcceptsWorkingConfigs(t *testing.T) {
 	if tenants == nil {
 		t.Fatal("validate returned a nil tenant table for a valid config")
 	}
+
+	// Artifact GC over either kind of store.
+	o = goodOptions()
+	o.gcInterval = time.Minute
+	o.artifactDir = t.TempDir()
+	if _, err := validate(o); err != nil {
+		t.Fatalf("-store-gc-interval with -artifact-store rejected: %v", err)
+	}
+	o.artifactDir = ""
+	o.s3.Endpoint = "https://s3.example.com"
+	if _, err := validate(o); err != nil {
+		t.Fatalf("-store-gc-interval with -s3-endpoint rejected: %v", err)
+	}
 }
 
 func TestBuildArtifactsBackends(t *testing.T) {
-	// Empty selection: legacy directory path, no backend constructed.
-	if b, _, err := buildArtifacts(goodOptions()); err != nil || b != nil {
-		t.Fatalf("empty backend: %v, %v", b, err)
-	}
-
-	// fs: wraps the artifact directory.
+	// No -s3-endpoint: no backend is built, even beside -artifact-store
+	// (serve.New opens that directory itself).
 	o := goodOptions()
-	o.artifactBackend = "fs"
 	o.artifactDir = t.TempDir()
-	if b, desc, err := buildArtifacts(o); err != nil || b == nil {
-		t.Fatalf("fs backend: %v, %v", b, err)
-	} else if !strings.Contains(desc, o.artifactDir) {
-		t.Fatalf("fs description %q does not name the directory", desc)
+	if b, _, err := buildArtifacts(o); err != nil || b != nil {
+		t.Fatalf("no endpoint: %v, %v", b, err)
 	}
 
-	// Credentials over plaintext HTTP are refused before any request.
+	// NewS3's checks reach the binary unchanged.
 	o = goodOptions()
-	o.artifactBackend = "s3"
-	o.s3Endpoint, o.s3Bucket = "http://s3.example.com", "traces"
-	o.s3AccessKey, o.s3SecretKey = "AKTEST", "sekrit"
+	o.s3 = backend.S3Config{Endpoint: "https://s3.example.com", Bucket: "traces", AccessKey: "AKTEST"}
+	if _, _, err := buildArtifacts(o); err == nil || !strings.Contains(err.Error(), "set together") {
+		t.Fatalf("access key without secret: %v", err)
+	}
+	// Credentials over plaintext HTTP are refused before any request...
+	o.s3 = backend.S3Config{Endpoint: "http://s3.example.com", Bucket: "traces", AccessKey: "AKTEST", SecretKey: "sekrit"}
 	if _, _, err := buildArtifacts(o); err == nil || !strings.Contains(err.Error(), "plaintext") {
 		t.Fatalf("plaintext credentials accepted: %v", err)
 	}
 	// ... unless -insecure says the operator knows (tests, localhost).
-	o.sec.Insecure = true
-	o.stateDir = t.TempDir()
-	b, desc, err := buildArtifacts(o)
-	if err != nil || b == nil {
-		t.Fatalf("insecure s3 backend: %v, %v", b, err)
-	}
-	if !strings.Contains(desc, "artifact-cache") {
-		t.Fatalf("s3 scratch tier not under state dir: %q", desc)
-	}
+	o.s3.Insecure = true
 
-	// tiered: the artifact dir is the persistent local tier.
-	o.artifactBackend = "tiered"
-	o.artifactDir = t.TempDir()
-	if _, desc, err := buildArtifacts(o); err != nil || !strings.Contains(desc, o.artifactDir) {
-		t.Fatalf("tiered backend: %q, %v", desc, err)
+	// The endpoint alone builds the bucket store, under a local tier that
+	// is -artifact-store, else -state-dir/artifact-cache, else a temp dir.
+	t.Setenv("TMPDIR", t.TempDir())
+	tier := t.TempDir()
+	for _, tc := range []struct {
+		name, artifactDir, stateDir, wantTier string
+	}{
+		{"temp dir", "", "", "mlcserve-artifacts-"},
+		{"state dir", "", t.TempDir(), "artifact-cache"},
+		{"artifact store", tier, t.TempDir(), tier},
+	} {
+		o.artifactDir, o.stateDir = tc.artifactDir, tc.stateDir
+		b, desc, err := buildArtifacts(o)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if _, ok := b.(*backend.Tiered); !ok {
+			t.Errorf("%s: backend is %T, want *backend.Tiered", tc.name, b)
+		}
+		if !strings.Contains(desc, "s3.example.com/traces") || !strings.Contains(desc, tc.wantTier) {
+			t.Errorf("%s: description %q does not name the bucket and %s", tc.name, desc, tc.wantTier)
+		}
 	}
 }

@@ -29,7 +29,9 @@
 // a local verified cache (-artifact-cache) on demand, resuming torn
 // transfers with Range requests. -token/-tls-cert/-tls-key/-tls-ca secure
 // both the protocol and the transfers; -publish additionally accepts
-// artifact uploads into a store directory.
+// artifact uploads into a store directory. A worker given -s3-endpoint
+// fills its cache from that S3-compatible bucket instead of the
+// coordinator; the -s3-* flags are refused without -join.
 //
 // The grid runs through the one-pass planner: points whose timing the L1
 // boundary replay reproduces exactly share a single trace pass, and only
@@ -47,6 +49,7 @@
 //	sweep -join coordinator-host:9191
 //	sweep -trace mix.mlca -serve :9191 -tls-cert crt.pem -tls-key key.pem -token s3cret
 //	sweep -join coordinator-host:9191 -tls-ca crt.pem -token s3cret -artifact-cache /var/cache/mlc
+//	sweep -join coordinator-host:9191 -s3-endpoint https://s3:9000 -s3-bucket traces
 package main
 
 import (
@@ -113,12 +116,7 @@ func main() {
 		cacheDir   = flag.String("artifact-cache", "", "with -join: directory for the content-addressed artifact cache (default <user cache dir>/mlcache/artifacts)")
 		cacheMB    = flag.Int64("artifact-cache-mb", 4096, "with -join: artifact cache budget in MiB (<= 0 = unbounded)")
 		throttle   = flag.Int64("fetch-throttle-bps", 0, "with -join: cap artifact download throughput in bytes/sec (0 = unlimited)")
-		s3Endpoint = flag.String("s3-endpoint", "", "with -join: fetch artifacts from this S3-compatible endpoint instead of the coordinator")
-		s3Bucket   = flag.String("s3-bucket", "", "with -join -s3-endpoint: bucket holding the artifact objects")
-		s3Prefix   = flag.String("s3-prefix", "", "with -join -s3-endpoint: object key prefix (default mlca/)")
-		s3Region   = flag.String("s3-region", "", "with -join -s3-endpoint: SigV4 signing region (default us-east-1)")
-		s3Access   = flag.String("s3-access-key", "", "with -join -s3-endpoint: access key ID (or env MLCA_S3_ACCESS_KEY)")
-		s3Secret   = flag.String("s3-secret-key", "", "with -join -s3-endpoint: secret key (or env MLCA_S3_SECRET_KEY)")
+		s3Flags    = backend.RegisterS3Flags(flag.CommandLine)
 		token      = flag.String("token", "", "bearer token: required of clients with -serve, presented to the coordinator with -join")
 		tlsCert    = flag.String("tls-cert", "", "with -serve: TLS certificate file (enables HTTPS)")
 		tlsKey     = flag.String("tls-key", "", "with -serve: TLS key file")
@@ -146,26 +144,25 @@ func main() {
 		Insecure: *insecure,
 	}
 
+	s3, err := s3Flags.Config(*insecure)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if *join != "" {
 		if *serve != "" {
 			log.Fatal("-serve and -join are mutually exclusive")
 		}
-		if *s3Access == "" {
-			*s3Access = os.Getenv("MLCA_S3_ACCESS_KEY")
-		}
-		if *s3Secret == "" {
-			*s3Secret = os.Getenv("MLCA_S3_SECRET_KEY")
-		}
 		wo := workerOptions{
 			id: *workerID, par: *par, retries: *retries,
-			cacheDir: *cacheDir, cacheMB: *cacheMB, throttleBPS: *throttle, sec: sec,
-			s3Endpoint: *s3Endpoint, s3Bucket: *s3Bucket, s3Prefix: *s3Prefix,
-			s3Region: *s3Region, s3AccessKey: *s3Access, s3SecretKey: *s3Secret,
+			cacheDir: *cacheDir, cacheMB: *cacheMB, throttleBPS: *throttle, sec: sec, s3: s3,
 		}
 		if err := runWorker(ctx, *join, wo); err != nil && !errors.Is(err, context.Canceled) {
 			log.Fatal(err)
 		}
 		return
+	}
+	if s3.Endpoint != "" {
+		log.Fatal("-s3-endpoint needs -join: only workers fill their artifact cache from a bucket")
 	}
 
 	loS, hiS, err := parseRange(*sizesArg)
@@ -256,15 +253,10 @@ type workerOptions struct {
 	throttleBPS int64
 	sec         store.Security
 
-	// s3Endpoint, when set, points cache fills at a bucket instead of the
-	// coordinator's /artifacts/ endpoint, so a large fleet does not funnel
-	// every cold fetch through one process.
-	s3Endpoint  string
-	s3Bucket    string
-	s3Prefix    string
-	s3Region    string
-	s3AccessKey string
-	s3SecretKey string
+	// s3, when it has an endpoint, points cache fills at a bucket instead
+	// of the coordinator's /artifacts/ endpoint, so a large fleet does not
+	// funnel every cold fetch through one process.
+	s3 backend.S3Config
 }
 
 // runWorker joins a coordinator and simulates leased shards until the grid
@@ -310,22 +302,15 @@ func runWorker(ctx context.Context, addr string, wo workerOptions) error {
 		ThrottleBPS: wo.throttleBPS,
 		Logf:        log.Printf,
 	}
-	if wo.s3Endpoint != "" {
-		s3, err := backend.NewS3(backend.S3Config{
-			Endpoint:  wo.s3Endpoint,
-			Bucket:    wo.s3Bucket,
-			Prefix:    wo.s3Prefix,
-			Region:    wo.s3Region,
-			AccessKey: wo.s3AccessKey,
-			SecretKey: wo.s3SecretKey,
-			Insecure:  wo.sec.Insecure,
-			Logf:      log.Printf,
-		})
+	if wo.s3.Endpoint != "" {
+		cfg := wo.s3
+		cfg.Logf = log.Printf
+		s3, err := backend.NewS3(cfg)
 		if err != nil {
 			return err
 		}
 		remote = s3
-		log.Printf("worker %s: filling artifact cache from %s/%s", id, wo.s3Endpoint, wo.s3Bucket)
+		log.Printf("worker %s: filling artifact cache from %s/%s", id, cfg.Endpoint, cfg.Bucket)
 	}
 	cache := backend.NewTiered(local, remote)
 	cache.Budget = wo.cacheMB << 20

@@ -18,6 +18,8 @@ import (
 	"mlcache/internal/coord"
 	"mlcache/internal/experiments"
 	"mlcache/internal/store"
+	"mlcache/internal/store/backend"
+	"mlcache/internal/store/backend/fakes3"
 	"mlcache/internal/sweep"
 	"mlcache/internal/synth"
 	"mlcache/internal/trace"
@@ -44,21 +46,20 @@ func TestParseRange(t *testing.T) {
 	}
 }
 
-// TestRunWorkerColdThenWarm joins runWorker to an in-process coordinator
-// that names its trace by digest alone. The cold run fetches the
-// artifact once; a second run against a fresh coordinator, over the same
-// -artifact-cache directory, fetches nothing. Both merged CSVs equal a
-// local run, and the cache holds exactly the one committed object.
-func TestRunWorkerColdThenWarm(t *testing.T) {
+// digestJob writes a 20k-reference artifact and returns a job spec that
+// names it by digest alone, the artifact's path and digest, and the CSV a
+// local run of the same grid prints.
+func digestJob(t *testing.T) (dist coord.JobSpec, path string, d store.Digest, want string) {
+	t.Helper()
 	arena, err := trace.Materialize(synth.PaperStream(1, 20000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "workload.mlca")
+	path = filepath.Join(t.TempDir(), "workload.mlca")
 	if err := trace.WriteArtifact(path, arena); err != nil {
 		t.Fatal(err)
 	}
-	d, _, err := store.DigestFile(path)
+	d, _, err = store.DigestFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestRunWorkerColdThenWarm(t *testing.T) {
 	}
 	local := spec
 	local.TracePath = path
-	want := renderCSV(t, func() []sweep.Result {
+	want = renderCSV(t, func() []sweep.Result {
 		arena, closer, _, err := local.MaterializeArena(context.Background())
 		if err != nil {
 			t.Fatal(err)
@@ -86,48 +87,70 @@ func TestRunWorkerColdThenWarm(t *testing.T) {
 		}
 		return results
 	}())
-	dist := spec
+	dist = spec
 	dist.ArtifactDigest = d.String()
 	dist.ArtifactCRC = crc
+	return dist, path, d, want
+}
 
+// joinOnce runs runWorker with wo against a fresh in-process coordinator
+// for dist, whose /artifacts/ endpoint serves the artifact at path and
+// counts its GETs in gets, and returns the merged CSV.
+func joinOnce(t *testing.T, dist coord.JobSpec, path string, wo workerOptions, gets *atomic.Int64) string {
+	t.Helper()
+	d, err := store.ParseDigest(dist.ArtifactDigest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := coord.New(coord.Config{Job: dist, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	artifacts := &store.Handler{Source: store.Static{d: path}}
+	mux := http.NewServeMux()
+	mux.Handle(store.PathArtifacts, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet {
+			gets.Add(1)
+		}
+		artifacts.ServeHTTP(w, r)
+	}))
+	mux.Handle("/", c.Handler())
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	type ran struct {
+		results []sweep.Result
+		err     error
+	}
+	done := make(chan ran, 1)
+	go func() {
+		results, err := c.RunContext(ctx, dist.Points(), sweep.Options{})
+		done <- ran{results, err}
+	}()
+	if err := runWorker(ctx, srv.URL, wo); err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	r := <-done
+	if r.err != nil {
+		t.Fatalf("coordinator: %v", r.err)
+	}
+	return renderCSV(t, r.results)
+}
+
+// TestRunWorkerColdThenWarm joins runWorker to an in-process coordinator
+// that names its trace by digest alone. The cold run fetches the
+// artifact once; a second run against a fresh coordinator, over the same
+// -artifact-cache directory, fetches nothing. Both merged CSVs equal a
+// local run, and the cache holds exactly the one committed object.
+func TestRunWorkerColdThenWarm(t *testing.T) {
+	dist, path, d, want := digestJob(t)
 	cacheDir := t.TempDir()
 	var gets atomic.Int64
 	run := func(step string) {
 		t.Helper()
-		c, err := coord.New(coord.Config{Job: dist, Shards: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		artifacts := &store.Handler{Source: store.Static{d: path}}
-		mux := http.NewServeMux()
-		mux.Handle(store.PathArtifacts, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.Method == http.MethodGet {
-				gets.Add(1)
-			}
-			artifacts.ServeHTTP(w, r)
-		}))
-		mux.Handle("/", c.Handler())
-		srv := httptest.NewServer(mux)
-		defer srv.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		type ran struct {
-			results []sweep.Result
-			err     error
-		}
-		done := make(chan ran, 1)
-		go func() {
-			results, err := c.RunContext(ctx, dist.Points(), sweep.Options{})
-			done <- ran{results, err}
-		}()
-		if err := runWorker(ctx, srv.URL, workerOptions{id: "w", par: 1, cacheDir: cacheDir}); err != nil {
-			t.Fatalf("%s: %v", step, err)
-		}
-		r := <-done
-		if r.err != nil {
-			t.Fatalf("%s: %v", step, r.err)
-		}
-		if got := renderCSV(t, r.results); got != want {
+		got := joinOnce(t, dist, path, workerOptions{id: "w", par: 1, cacheDir: cacheDir}, &gets)
+		if got != want {
 			t.Errorf("%s: merged CSV differs from the local run:\n--- got ---\n%s--- want ---\n%s", step, got, want)
 		}
 		ents, err := os.ReadDir(cacheDir)
@@ -150,6 +173,39 @@ func TestRunWorkerColdThenWarm(t *testing.T) {
 	run("warm run")
 	if n := gets.Load(); n != 1 {
 		t.Fatalf("warm run: %d more artifact GETs, want 0", n-1)
+	}
+}
+
+// TestRunWorkerFillsFromBucket: a worker given an S3 endpoint fills its
+// artifact cache from the bucket, never from the coordinator's
+// /artifacts/, and merges the CSV a local run prints.
+func TestRunWorkerFillsFromBucket(t *testing.T) {
+	dist, path, d, want := digestJob(t)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fake := fakes3.New(fakes3.Config{Bucket: "traces", AccessKey: "AKTEST", SecretKey: "sekrit"})
+	fake.PutObject(backend.ObjectKey("mlca/", d), data)
+	bucket := httptest.NewServer(fake)
+	defer bucket.Close()
+
+	var gets atomic.Int64
+	got := joinOnce(t, dist, path, workerOptions{
+		id: "w", par: 1, cacheDir: t.TempDir(),
+		s3: backend.S3Config{
+			Endpoint: bucket.URL, Bucket: "traces",
+			AccessKey: "AKTEST", SecretKey: "sekrit", Insecure: true,
+		},
+	}, &gets)
+	if got != want {
+		t.Errorf("merged CSV differs from the local run:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+	if n := fake.Stats().Gets; n < 1 {
+		t.Errorf("bucket served %d GETs, want at least 1", n)
+	}
+	if n := gets.Load(); n != 0 {
+		t.Errorf("coordinator served %d artifact GETs, want 0", n)
 	}
 }
 

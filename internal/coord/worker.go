@@ -43,11 +43,6 @@ type Worker struct {
 	Parallelism int
 	// PointRetries is the per-point retry budget within a shard attempt.
 	PointRetries int
-	// RequestRetries bounds retransmissions per request (default 8); when
-	// a request is still failing after the budget the worker gives up and
-	// Run returns the error — from the coordinator's side it died, and
-	// its shards are reassigned.
-	RequestRetries int
 	// Artifacts is the artifact cache backing jobs whose spec names the
 	// trace by digest: a local FileStore tier filled from the
 	// coordinator's /artifacts/ endpoint (backend.HTTP) or straight from
@@ -61,6 +56,12 @@ type Worker struct {
 	rngMu   sync.Mutex
 	rng     *rand.Rand
 }
+
+// requestRetries bounds retransmissions per request; when a request is
+// still failing after the budget the worker gives up and Run returns the
+// error — from the coordinator's side it died, and its shards are
+// reassigned.
+const requestRetries = 8
 
 func (w *Worker) logf(format string, args ...any) {
 	if w.Logf != nil {
@@ -91,12 +92,8 @@ func (w *Worker) Run(ctx context.Context) error {
 	if w.ID == "" || w.Coordinator == "" {
 		return fmt.Errorf("coord: worker needs ID and Coordinator")
 	}
-	retries := w.RequestRetries
-	if retries <= 0 {
-		retries = 8
-	}
 	var reg RegisterResponse
-	if err := w.post(ctx, PathRegister, RegisterRequest{Worker: w.ID}, &reg, retries); err != nil {
+	if err := w.post(ctx, PathRegister, RegisterRequest{Worker: w.ID}, &reg); err != nil {
 		return fmt.Errorf("coord: register: %w", err)
 	}
 	if reg.Version != ProtocolVersion {
@@ -115,7 +112,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			return err
 		}
 		var lr LeaseResponse
-		if err := w.post(ctx, PathLease, LeaseRequest{Worker: w.ID}, &lr, retries); err != nil {
+		if err := w.post(ctx, PathLease, LeaseRequest{Worker: w.ID}, &lr); err != nil {
 			return fmt.Errorf("coord: lease: %w", err)
 		}
 		switch {
@@ -133,7 +130,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			case <-time.After(wait):
 			}
 		default:
-			gridDone, err := w.runShard(ctx, runner, all, lr, reg, traceSkipped, retries)
+			gridDone, err := w.runShard(ctx, runner, all, lr, reg, traceSkipped)
 			if err != nil {
 				return err
 			}
@@ -222,7 +219,7 @@ func (w *Worker) openArtifact(ctx context.Context, d store.Digest, wantCRC uint3
 // when the shard was finished, abandoned (lease revoked), or released
 // (local failure) — only an unreachable coordinator or cancelled ctx is an
 // error — and gridDone when the upload completed the whole grid.
-func (w *Worker) runShard(ctx context.Context, runner sweep.Runner, all []sweep.Point, lr LeaseResponse, reg RegisterResponse, traceSkipped int64, retries int) (gridDone bool, _ error) {
+func (w *Worker) runShard(ctx context.Context, runner sweep.Runner, all []sweep.Point, lr LeaseResponse, reg RegisterResponse, traceSkipped int64) (gridDone bool, _ error) {
 	shardPts := sweep.Shard(all, lr.Shard, lr.Shards)
 	index := map[sweep.Point]int{}
 	for j, pt := range shardPts {
@@ -320,7 +317,7 @@ func (w *Worker) runShard(ctx context.Context, runner sweep.Runner, all []sweep.
 		var rel ReleaseResponse
 		if err := w.post(ctx, PathRelease, ReleaseRequest{
 			Worker: w.ID, Shard: lr.Shard, Lease: lr.Lease, Reason: failed.Error(),
-		}, &rel, retries); err != nil {
+		}, &rel); err != nil {
 			return false, fmt.Errorf("coord: release: %w", err)
 		}
 		return false, nil
@@ -329,7 +326,7 @@ func (w *Worker) runShard(ctx context.Context, runner sweep.Runner, all []sweep.
 	if err := w.post(ctx, PathComplete, CompleteRequest{
 		Worker: w.ID, Shard: lr.Shard, Lease: lr.Lease,
 		Results: snapshot(), TraceSkipped: traceSkipped,
-	}, &cr, retries); err != nil {
+	}, &cr); err != nil {
 		return false, fmt.Errorf("coord: complete shard %d: %w", lr.Shard, err)
 	}
 	w.logf("worker %s: shard %d complete", w.ID, lr.Shard)
@@ -344,13 +341,13 @@ type terminalError struct {
 func (e *terminalError) Error() string { return e.err.Error() }
 func (e *terminalError) Unwrap() error { return e.err }
 
-// post sends one JSON request with up to retries retransmissions on
+// post sends one JSON request with up to requestRetries retransmissions on
 // transport errors, 5xx, and torn responses, backing off exponentially
 // (capped at 2s) with jitter.
-func (w *Worker) post(ctx context.Context, path string, req, resp any, retries int) error {
+func (w *Worker) post(ctx context.Context, path string, req, resp any) error {
 	backoff := 50 * time.Millisecond
 	var lastErr error
-	for attempt := 0; attempt <= retries; attempt++ {
+	for attempt := 0; attempt <= requestRetries; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-ctx.Done():
@@ -371,7 +368,7 @@ func (w *Worker) post(ctx context.Context, path string, req, resp any, retries i
 		}
 		lastErr = err
 	}
-	return fmt.Errorf("%s failed after %d attempts: %w", path, retries+1, lastErr)
+	return fmt.Errorf("%s failed after %d attempts: %w", path, requestRetries+1, lastErr)
 }
 
 // postOnce is a single request/response exchange. A response that cannot

@@ -47,34 +47,25 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("sweep: point %v panicked: %v", e.Point, e.Value)
 }
 
-// workerState is the per-worker reusable simulation state.
+// workerState is the per-worker reusable simulation state. pool is never
+// nil: Runner.run sets r.Pool before any worker starts.
 type workerState struct {
 	h    *memsys.Hierarchy
 	pool *memsys.Pool
 }
 
 // hierarchy returns a hierarchy for cfg, reusing the worker's previous one
-// (via ResetFor) when the cache geometry allows it, then falling back to
-// the shared pool (which may hold one from an earlier run), and finally to
-// fresh construction. A hierarchy displaced by a geometry change is handed
+// (via ResetFor) when the cache geometry allows it, and otherwise taking
+// one from the shared pool, which may hold one from an earlier point or
+// run, or builds it. A hierarchy displaced by a geometry change is handed
 // to the pool rather than dropped.
 func (ws *workerState) hierarchy(cfg memsys.Config) (*memsys.Hierarchy, error) {
 	if ws.h != nil && ws.h.ResetFor(cfg) {
 		return ws.h, nil
 	}
-	if ws.pool != nil {
-		if ws.h != nil {
-			ws.pool.Put(ws.h)
-			ws.h = nil
-		}
-		h, err := ws.pool.Get(cfg)
-		if err != nil {
-			return nil, err
-		}
-		ws.h = h
-		return h, nil
-	}
-	h, err := memsys.New(cfg)
+	ws.pool.Put(ws.h)
+	ws.h = nil
+	h, err := ws.pool.Get(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -83,12 +74,10 @@ func (ws *workerState) hierarchy(cfg memsys.Config) (*memsys.Hierarchy, error) {
 }
 
 // retire returns the worker's hierarchy to the shared pool when the run
-// ends. Without a pool it is simply garbage.
+// ends.
 func (ws *workerState) retire() {
-	if ws.pool != nil && ws.h != nil {
-		ws.pool.Put(ws.h)
-		ws.h = nil
-	}
+	ws.pool.Put(ws.h)
+	ws.h = nil
 }
 
 // attemptFunc is one attempt's work on a point; interrupt reports the
