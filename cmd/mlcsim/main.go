@@ -13,12 +13,16 @@
 // Trace files use the text codec by default, the binary codec for files
 // ending in .bin or .mlct, and the mmap artifact codec for files ending in
 // .mlca (opened with zero decode work and shared page-cache across
-// concurrent mlcsim/sweep processes).
+// concurrent mlcsim/sweep processes). The references read (at most -n of
+// them; -n 0 reads the whole file) are loaded before the run, and the
+// default warm-up is the first 20% of them.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -34,96 +38,95 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mlcsim: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run simulates the workload args select and writes the report to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("mlcsim", flag.ExitOnError)
 	var (
-		cfgPath   = flag.String("config", "", "hierarchy description file (required)")
-		tracePath = flag.String("trace", "", "trace file to simulate")
-		useSynth  = flag.Bool("synth", false, "simulate the synthetic multiprogramming workload")
-		n         = flag.Int64("n", 2_000_000, "references to simulate (with -synth, or as a cap on -trace)")
-		seed      = flag.Int64("seed", 1, "synthetic workload seed")
-		warmup    = flag.Int64("warmup", -1, "warm-up references excluded from statistics (-1 = 20%)")
-		lenient   = flag.Int("lenient", 0, "skip up to N corrupt trace records (-1 = unlimited, 0 = strict)")
-		check     = flag.Bool("check", false, "validate cache-state invariants after every access (slow)")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		cfgPath   = fs.String("config", "", "hierarchy description file (required)")
+		tracePath = fs.String("trace", "", "trace file to simulate")
+		useSynth  = fs.Bool("synth", false, "simulate the synthetic multiprogramming workload")
+		n         = fs.Int64("n", 2_000_000, "references to simulate (with -synth, or as a cap on -trace; 0 = the whole file)")
+		seed      = fs.Int64("seed", 1, "synthetic workload seed")
+		warmup    = fs.Int64("warmup", -1, "warm-up references excluded from statistics (-1 = 20% of the references read)")
+		lenient   = fs.Int("lenient", 0, "skip up to N corrupt trace records (-1 = unlimited, 0 = strict)")
+		check     = fs.Bool("check", false, "validate cache-state invariants after every access (slow)")
+		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf   = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: a bad flag exits with usage
 
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer stopProf()
 
 	if *cfgPath == "" {
-		log.Fatal("missing -config")
+		return errors.New("missing -config")
 	}
 	if (*tracePath == "") == !*useSynth {
-		log.Fatal("pass exactly one of -trace or -synth")
+		return errors.New("pass exactly one of -trace or -synth")
 	}
 
 	f, err := os.Open(*cfgPath)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cfg, err := config.Parse(f)
 	f.Close()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cfg.CheckInvariants = *check
 	h, err := memsys.New(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	var s trace.Stream
-	var skips func() int64
+	var arena *trace.Arena
+	var skips int64
 	if *useSynth {
-		s = synth.PaperStream(*seed, *n)
+		arena, err = trace.Materialize(synth.PaperStream(*seed, *n))
 	} else {
-		ts, closer, err := trace.OpenPath(*tracePath)
-		if err != nil {
-			log.Fatal(err)
+		if *lenient != 0 && trace.IsArtifactPath(*tracePath) {
+			log.Print("note: -lenient has no effect on artifact traces")
 		}
-		defer closer.Close()
-		s = ts
-		if *lenient != 0 {
-			if trace.IsArtifactPath(*tracePath) {
-				// Artifacts are checksum-validated whole at open; there is
-				// no per-record corruption left to skip.
-				log.Print("note: -lenient has no effect on artifact traces")
-			}
-			ls := trace.Lenient(s, *lenient)
-			s = ls
-			if sk, ok := ls.(trace.SkipCounter); ok {
-				skips = sk.Skips
-			}
+		var closer io.Closer
+		arena, closer, skips, err = trace.LoadArena(*tracePath, *n, *lenient)
+		if err == nil {
+			defer closer.Close()
 		}
-		if *n > 0 {
-			s = trace.Limit(s, *n)
-		}
+	}
+	if err != nil {
+		return err
 	}
 
 	w := *warmup
 	if w < 0 {
-		w = *n / 5
+		w = int64(arena.Len()) / 5
+	} else if w > 0 && w >= int64(arena.Len()) {
+		return fmt.Errorf("-warmup %d leaves nothing to measure of the %d references read", w, arena.Len())
 	}
-	res, err := cpu.Run(h, s, cpu.Config{CycleNS: cfg.CPUCycleNS, WarmupRefs: w})
+	res, err := cpu.Run(h, arena.Cursor(), cpu.Config{CycleNS: cfg.CPUCycleNS, WarmupRefs: w})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if skips != nil && skips() > 0 {
-		log.Printf("warning: skipped %d corrupt trace record(s); addresses after a skip may be offset", skips())
+	if skips > 0 {
+		log.Printf("warning: skipped %d corrupt trace record(s); addresses after a skip may be offset", skips)
 	}
-
-	printResult(res, cfg)
+	return printResult(stdout, res, cfg)
 }
 
-func printResult(res cpu.Result, cfg memsys.Config) {
-	fmt.Printf("instructions: %d   loads: %d   stores: %d\n", res.Instructions, res.Loads, res.Stores)
-	fmt.Printf("execution:    %d cycles (%.3f ms at %dns/cycle)\n",
+func printResult(w io.Writer, res cpu.Result, cfg memsys.Config) error {
+	fmt.Fprintf(w, "instructions: %d   loads: %d   stores: %d\n", res.Instructions, res.Loads, res.Stores)
+	fmt.Fprintf(w, "execution:    %d cycles (%.3f ms at %dns/cycle)\n",
 		res.Cycles, float64(res.TimeNS)/1e6, cfg.CPUCycleNS)
-	fmt.Printf("CPI: %.3f   relative execution time: %.3f\n\n", res.CPI, res.RelTime)
+	fmt.Fprintf(w, "CPI: %.3f   relative execution time: %.3f\n\n", res.CPI, res.RelTime)
 
 	t := report.NewTable("level", "read refs", "read miss", "local", "global", "write refs", "writebacks")
 	addLevel := func(ls *memsys.LevelStats) {
@@ -146,24 +149,25 @@ func printResult(res cpu.Result, cfg memsys.Config) {
 	for i := range res.Mem.Down {
 		addLevel(&res.Mem.Down[i])
 	}
-	if err := t.Render(os.Stdout); err != nil {
-		log.Fatal(err)
+	if err := t.Render(w); err != nil {
+		return err
 	}
-	fmt.Printf("\nmain memory: %d reads, %d writes, %.1f us queueing\n",
+	fmt.Fprintf(w, "\nmain memory: %d reads, %d writes, %.1f us queueing\n",
 		res.Mem.MemReads, res.Mem.MemWrites, float64(res.Mem.MemStallNS)/1e3)
 	if res.Mem.TLB != nil {
-		fmt.Printf("TLB: %d refs, %d misses (%.4f), %.1f us walking\n",
+		fmt.Fprintf(w, "TLB: %d refs, %d misses (%.4f), %.1f us walking\n",
 			res.Mem.TLB.Refs, res.Mem.TLB.Misses, res.Mem.TLB.MissRatio(),
 			float64(res.Mem.TLB.WalkNS)/1e3)
 	}
 
-	fmt.Printf("\nstall distribution (fraction of issue slots stalled at most N cycles):\n")
+	fmt.Fprintf(w, "\nstall distribution (fraction of issue slots stalled at most N cycles):\n")
 	for _, b := range []int{0, 2, 4, 6, 8} {
 		bound := 1 << b
 		label := fmt.Sprintf("<%d", bound)
 		if b == 0 {
 			label = "0"
 		}
-		fmt.Printf("  %-5s %6.2f%%\n", label, 100*res.StallAtMost(b))
+		fmt.Fprintf(w, "  %-5s %6.2f%%\n", label, 100*res.StallAtMost(b))
 	}
+	return nil
 }

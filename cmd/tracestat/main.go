@@ -15,6 +15,7 @@ import (
 	"io"
 	"log"
 	"math"
+	"os"
 
 	"mlcache/internal/cache"
 	"mlcache/internal/classify"
@@ -26,33 +27,41 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tracestat: ")
-	var (
-		n         = flag.Int64("n", 2_000_000, "references to analyze")
-		seed      = flag.Int64("seed", 1, "seed for the synthetic workload")
-		traceFile = flag.String("trace", "", "trace file to read (default: synthetic workload)")
-		assoc     = flag.Int("assoc", 1, "associativity of the probe caches")
-		block     = flag.Int("block", 32, "block size of the probe caches")
-		minKB     = flag.Int64("min", 4, "smallest probe cache in KB")
-		maxKB     = flag.Int64("max", 4096, "largest probe cache in KB")
-		procs     = flag.Int("procs", 0, "override: number of synthetic processes")
-		irun      = flag.Float64("irun", 0, "override: mean instruction run words")
-		drun      = flag.Float64("drun", 0, "override: mean data run words")
-		dataProb  = flag.Float64("dataprob", -1, "override: data reference probability")
-		alpha     = flag.Float64("alpha", 0, "override: Pareto tail exponent")
-		doClass   = flag.Bool("classify", false, "decompose probe-cache misses into compulsory/capacity/conflict")
-		doProfile = flag.Bool("profile", false, "one-pass LRU stack-distance profile instead of probe caches")
-		csv       = flag.Bool("csv", false, "with -profile: dump the stack-distance histogram as CSV (distance, count, cumulative miss ratio)")
-	)
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	var s trace.Stream
+// run analyzes the workload args select and writes the report to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("tracestat", flag.ExitOnError)
+	var (
+		n         = fs.Int64("n", 2_000_000, "references to analyze (with -trace, a cap; 0 = the whole file)")
+		seed      = fs.Int64("seed", 1, "seed for the synthetic workload")
+		traceFile = fs.String("trace", "", "trace file to read (default: synthetic workload)")
+		assoc     = fs.Int("assoc", 1, "associativity of the probe caches")
+		block     = fs.Int("block", 32, "block size of the probe caches")
+		minKB     = fs.Int64("min", 4, "smallest probe cache in KB")
+		maxKB     = fs.Int64("max", 4096, "largest probe cache in KB")
+		procs     = fs.Int("procs", 0, "override: number of synthetic processes")
+		irun      = fs.Float64("irun", 0, "override: mean instruction run words")
+		drun      = fs.Float64("drun", 0, "override: mean data run words")
+		dataProb  = fs.Float64("dataprob", -1, "override: data reference probability")
+		alpha     = fs.Float64("alpha", 0, "override: Pareto tail exponent")
+		doClass   = fs.Bool("classify", false, "decompose probe-cache misses into compulsory/capacity/conflict")
+		doProfile = fs.Bool("profile", false, "one-pass LRU stack-distance profile instead of probe caches")
+		csv       = fs.Bool("csv", false, "with -profile: dump the stack-distance histogram as CSV (distance, count, cumulative miss ratio)")
+	)
+	fs.Parse(args) // ExitOnError: a bad flag exits with usage
+
+	var arena *trace.Arena
+	var err error
 	if *traceFile != "" {
-		ts, closer, err := trace.OpenPath(*traceFile)
-		if err != nil {
-			log.Fatal(err)
+		var closer io.Closer
+		arena, closer, _, err = trace.LoadArena(*traceFile, *n, 0)
+		if err == nil {
+			defer closer.Close()
 		}
-		defer closer.Close()
-		s = ts
 	} else {
 		mix := synth.PaperMix(*seed)
 		if *procs > 0 {
@@ -73,24 +82,29 @@ func main() {
 				p.Code.Alpha, p.Data.Alpha = *alpha, *alpha
 			}
 		}
-		s = trace.Limit(synth.MustNewMix(mix), *n)
+		arena, err = trace.Materialize(trace.Limit(synth.MustNewMix(mix), *n))
 	}
-	s = trace.Limit(s, *n)
+	if err != nil {
+		return err
+	}
+	refs := arena.Refs()
 
 	switch {
 	case *doProfile && *csv:
-		runProfileCSV(s, *block)
+		runProfileCSV(stdout, refs, *block)
 	case *doProfile:
-		runProfile(s, *block, *minKB, *maxKB)
+		runProfile(stdout, refs, *block, *minKB, *maxKB)
 	case *doClass:
-		runClassify(s, *block, *assoc, *minKB, *maxKB)
+		runClassify(stdout, refs, *block, *assoc, *minKB, *maxKB)
 	default:
-		runProbes(s, *n, *block, *assoc, *minKB, *maxKB)
+		runProbes(stdout, refs, *block, *assoc, *minKB, *maxKB)
 	}
+	return nil
 }
 
-// runProbes simulates one probe cache per size and prints the miss curve.
-func runProbes(s trace.Stream, n int64, block, assoc int, minKB, maxKB int64) {
+// runProbes simulates one probe cache per size and prints the miss curve,
+// measured after a warm-up of the first 20% of refs.
+func runProbes(w io.Writer, refs []trace.Ref, block, assoc int, minKB, maxKB int64) {
 	var probes []*cache.Cache
 	for kb := minKB; kb <= maxKB; kb *= 2 {
 		probes = append(probes, cache.MustNew(cache.Config{
@@ -105,18 +119,9 @@ func runProbes(s trace.Stream, n int64, block, assoc int, minKB, maxKB int64) {
 	}
 
 	var counts trace.Counts
-	var refs int64
-	warm := n / 5
-	for {
-		r, err := s.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		refs++
-		if refs == warm {
+	warm := len(refs) / 5
+	for i, r := range refs {
+		if i == warm {
 			for _, p := range probes {
 				p.ResetStats()
 			}
@@ -127,9 +132,9 @@ func runProbes(s trace.Stream, n int64, block, assoc int, minKB, maxKB int64) {
 		}
 	}
 
-	printMix(counts)
-	fmt.Printf("measured after %d-reference warm-up\n\n", warm)
-	fmt.Printf("%-10s %12s %12s %10s\n", "cache", "read refs", "read misses", "miss ratio")
+	printMix(w, counts)
+	fmt.Fprintf(w, "measured after %d-reference warm-up\n\n", warm)
+	fmt.Fprintf(w, "%-10s %12s %12s %10s\n", "cache", "read refs", "read misses", "miss ratio")
 	var prev float64
 	var factors []float64
 	for _, p := range probes {
@@ -141,7 +146,7 @@ func runProbes(s trace.Stream, n int64, block, assoc int, minKB, maxKB int64) {
 			factors = append(factors, f)
 			note = fmt.Sprintf("  x%.3f", f)
 		}
-		fmt.Printf("%-10s %12d %12d %10.5f%s\n", p.Config().Name, st.ReadRefs, st.ReadMisses, m, note)
+		fmt.Fprintf(w, "%-10s %12d %12d %10.5f%s\n", p.Config().Name, st.ReadRefs, st.ReadMisses, m, note)
 		prev = m
 	}
 	if len(factors) > 0 {
@@ -149,36 +154,29 @@ func runProbes(s trace.Stream, n int64, block, assoc int, minKB, maxKB int64) {
 		for _, f := range factors {
 			prod *= f
 		}
-		fmt.Printf("\ngeometric-mean miss reduction per doubling: %.3f (paper: ~0.69)\n",
+		fmt.Fprintf(w, "\ngeometric-mean miss reduction per doubling: %.3f (paper: ~0.69)\n",
 			math.Pow(prod, 1/float64(len(factors))))
 	}
 }
 
 // runProfile computes the whole miss curve in one pass over the trace
 // (Mattson's technique), instead of one probe cache per size.
-func runProfile(s trace.Stream, block int, minKB, maxKB int64) {
+func runProfile(w io.Writer, refs []trace.Ref, block int, minKB, maxKB int64) {
 	prof := stackdist.MustNew(block)
 	var counts trace.Counts
-	for {
-		r, err := s.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
+	for _, r := range refs {
 		counts.Add(r.Kind)
 		if r.Kind.IsRead() {
 			prof.Access(r.Addr)
 		}
 	}
-	printMix(counts)
-	fmt.Printf("one-pass LRU profile of the read stream (%d distinct %dB blocks, %d compulsory)\n\n",
+	printMix(w, counts)
+	fmt.Fprintf(w, "one-pass LRU profile of the read stream (%d distinct %dB blocks, %d compulsory)\n\n",
 		prof.DistinctBlocks(), block, prof.Cold())
-	fmt.Printf("%-10s %12s %10s\n", "capacity", "misses", "miss ratio")
+	fmt.Fprintf(w, "%-10s %12s %10s\n", "capacity", "misses", "miss ratio")
 	sizes, ratios := prof.Curve(block, minKB*1024, maxKB*1024)
 	for i, sz := range sizes {
-		fmt.Printf("%-10s %12d %10.5f\n", fmt.Sprintf("%dKB", sz/1024),
+		fmt.Fprintf(w, "%-10s %12d %10.5f\n", fmt.Sprintf("%dKB", sz/1024),
 			prof.MissesAtCapacity(sz/int64(block)), ratios[i])
 	}
 }
@@ -191,29 +189,22 @@ func runProfile(s trace.Stream, block int, minKB, maxKB int64) {
 // bound, so the cumulative column stays a valid (conservative) miss
 // curve. Cold (compulsory) references have no finite distance; they get
 // a final "cold" row with their count and an empty ratio column.
-func runProfileCSV(s trace.Stream, block int) {
+func runProfileCSV(w io.Writer, refs []trace.Ref, block int) {
 	prof := stackdist.MustNew(block)
-	for {
-		r, err := s.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
+	for _, r := range refs {
 		if r.Kind.IsRead() {
 			prof.Access(r.Addr)
 		}
 	}
-	fmt.Println("distance,count,cum_miss_ratio")
+	fmt.Fprintln(w, "distance,count,cum_miss_ratio")
 	for _, b := range prof.Histogram() {
-		fmt.Printf("%d,%d,%.6f\n", b.Hi, b.Count, prof.MissRatioAtCapacity(b.Hi))
+		fmt.Fprintf(w, "%d,%d,%.6f\n", b.Hi, b.Count, prof.MissRatioAtCapacity(b.Hi))
 	}
-	fmt.Printf("cold,%d,\n", prof.Cold())
+	fmt.Fprintf(w, "cold,%d,\n", prof.Cold())
 }
 
 // runClassify decomposes each probe cache's misses into the three Cs.
-func runClassify(s trace.Stream, block, assoc int, minKB, maxKB int64) {
+func runClassify(w io.Writer, refs []trace.Ref, block, assoc int, minKB, maxKB int64) {
 	var cls []*classify.Classifier
 	for kb := minKB; kb <= maxKB; kb *= 2 {
 		cls = append(cls, classify.MustNew(cache.Config{
@@ -227,30 +218,23 @@ func runClassify(s trace.Stream, block, assoc int, minKB, maxKB int64) {
 		}))
 	}
 	var counts trace.Counts
-	for {
-		r, err := s.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
+	for _, r := range refs {
 		counts.Add(r.Kind)
 		for _, c := range cls {
 			c.Access(r.Addr, r.Kind == trace.Store)
 		}
 	}
-	printMix(counts)
-	fmt.Printf("%-10s %10s %12s %12s %12s\n", "cache", "miss", "compulsory", "capacity", "conflict")
+	printMix(w, counts)
+	fmt.Fprintf(w, "%-10s %10s %12s %12s %12s\n", "cache", "miss", "compulsory", "capacity", "conflict")
 	for _, c := range cls {
 		b := c.Breakdown()
-		fmt.Printf("%-10s %10.5f %12d %12d %12d\n",
+		fmt.Fprintf(w, "%-10s %10.5f %12d %12d %12d\n",
 			c.Target().Config().Name, b.MissRatio(), b.Compulsory, b.Capacity, b.Conflict)
 	}
 }
 
-func printMix(counts trace.Counts) {
-	fmt.Printf("references: %d (ifetch %.1f%%, load %.1f%%, store %.1f%%)\n",
+func printMix(w io.Writer, counts trace.Counts) {
+	fmt.Fprintf(w, "references: %d (ifetch %.1f%%, load %.1f%%, store %.1f%%)\n",
 		counts.Total(),
 		100*float64(counts.IFetch)/float64(counts.Total()),
 		100*float64(counts.Load)/float64(counts.Total()),

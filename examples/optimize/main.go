@@ -3,7 +3,8 @@
 // implementation constraints." Given a technology model (cycle-time cost
 // per size doubling, an 11 ns mux for associativity), one stack-distance
 // profiling pass ranks every L2 organization analytically (Equation 1),
-// and the top three are verified by full timing simulation.
+// and the one-pass grid engine simulates every one of them: the printed
+// best is the measured optimum.
 package main
 
 import (
@@ -13,7 +14,6 @@ import (
 	"mlcache/internal/cpu"
 	"mlcache/internal/experiments"
 	"mlcache/internal/mainmem"
-	"mlcache/internal/memsys"
 	"mlcache/internal/optimal"
 	"mlcache/internal/synth"
 	"mlcache/internal/trace"
@@ -23,7 +23,7 @@ func main() {
 	log.SetFlags(0)
 
 	// One materialized trace serves the profiling pass and every
-	// verification simulation.
+	// candidate's simulation.
 	arena, err := trace.Materialize(synth.PaperStream(1, 600_000))
 	if err != nil {
 		log.Fatal(err)
@@ -44,10 +44,6 @@ func main() {
 		},
 		Arena: arena,
 		CPU:   cpu.Config{CycleNS: experiments.CPUCycleNS, WarmupRefs: 120_000},
-		TopK:  3,
-		// Candidates sharing a geometry recycle tag arrays; results are
-		// bit-identical to fresh construction.
-		Pool: memsys.NewPool(2),
 	}
 
 	res, err := optimal.Search(search)

@@ -267,7 +267,7 @@ func (s JobSpec) MaterializeArena(ctx context.Context) (*trace.Arena, io.Closer,
 		}
 		return arena, nopCloser{}, 0, nil
 	}
-	arena, closer, skipped, err := s.loadTrace()
+	arena, closer, skipped, err := trace.LoadArena(s.TracePath, 0, s.Lenient)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -308,27 +308,3 @@ func (s JobSpec) capRefs(arena *trace.Arena) *trace.Arena {
 type nopCloser struct{}
 
 func (nopCloser) Close() error { return nil }
-
-// loadTrace opens the job's trace file. Artifacts mmap zero-copy; other
-// codecs decode once, optionally through the lenient corrupt-record
-// skipper, whose skip count it returns.
-func (s JobSpec) loadTrace() (*trace.Arena, io.Closer, int64, error) {
-	if s.Lenient == 0 || trace.IsArtifactPath(s.TracePath) {
-		arena, closer, err := trace.LoadArena(s.TracePath)
-		return arena, closer, 0, err
-	}
-	stream, closer, err := trace.OpenPath(s.TracePath)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	ls := trace.Lenient(stream, s.Lenient)
-	arena, err := trace.Materialize(ls)
-	if cerr := closer.Close(); err == nil && cerr != nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	skipped, _ := trace.Skips(ls)
-	return arena, nopCloser{}, skipped, nil
-}

@@ -10,10 +10,12 @@
 // candidate's miss ratio at once — the set-associative stack-distance
 // grid gives the exact LRU miss count for each (size, associativity)
 // point, and the same pass profiles the base machine's own first level
-// for M_L1; Equation 1 then ranks all candidates analytically, and the
-// top few are verified by full timing simulation, which settles effects
-// the analytical model cannot see (write buffering, bus contention,
-// store traffic).
+// for M_L1; Equation 1 then ranks all candidates analytically. The
+// answer comes from full timing simulation of every candidate on the
+// one-pass grid engine, which settles effects the analytical model
+// cannot see (write buffering, bus contention, store traffic): the best
+// candidate is the measured optimum, and the Equation 1 ranking stays
+// beside it as the explanation.
 package optimal
 
 import (
@@ -26,6 +28,7 @@ import (
 	"mlcache/internal/cpu"
 	"mlcache/internal/memsys"
 	"mlcache/internal/stackdist"
+	"mlcache/internal/sweep"
 	"mlcache/internal/trace"
 )
 
@@ -45,10 +48,13 @@ type Technology struct {
 	// set-associative at all (the select multiplexor); it is charged once
 	// for any set size above 1.
 	AssocPenaltyNS float64
-	// MinSizeBytes and MaxSizeBytes bound the search (powers of two).
+	// MinSizeBytes and MaxSizeBytes bound the search; the candidate sizes
+	// are MinSizeBytes, a power of two, and its doublings up to
+	// MaxSizeBytes.
 	MinSizeBytes int64
 	MaxSizeBytes int64
-	// Assocs lists the set sizes to consider; empty means {1}.
+	// Assocs lists the set sizes to consider, each 0 (fully associative)
+	// or a power of two; empty means {1}.
 	Assocs []int
 }
 
@@ -66,9 +72,12 @@ func (t Technology) Validate() error {
 	if t.MinSizeBytes <= 0 || t.MaxSizeBytes < t.MinSizeBytes {
 		return fmt.Errorf("optimal: size range [%d,%d] invalid", t.MinSizeBytes, t.MaxSizeBytes)
 	}
+	if t.MinSizeBytes&(t.MinSizeBytes-1) != 0 {
+		return fmt.Errorf("optimal: minimum size %d is not a power of two", t.MinSizeBytes)
+	}
 	for _, a := range t.Assocs {
-		if a < 0 {
-			return fmt.Errorf("optimal: negative associativity %d", a)
+		if a < 0 || a&(a-1) != 0 {
+			return fmt.Errorf("optimal: set size %d is neither 0 nor a power of two", a)
 		}
 	}
 	return nil
@@ -118,16 +127,9 @@ type Config struct {
 	Base memsys.Config
 	Tech Technology
 	// Arena is the workload. Phase 1 profiles its references in one pass
-	// and every verification simulation reads it through its own cursor.
+	// and phase 3 simulates every candidate over it.
 	Arena *trace.Arena
 	CPU   cpu.Config
-	// TopK candidates (by predicted time) are verified by simulation;
-	// zero means 3.
-	TopK int
-	// Pool, when set, supplies the verification hierarchies: candidates
-	// sharing a geometry reuse tag arrays instead of reallocating. Reuse is
-	// bit-identical to fresh construction.
-	Pool *memsys.Pool
 }
 
 // Result reports a completed search.
@@ -138,9 +140,10 @@ type Result struct {
 	ML1 float64
 	// Candidates lists every organization, sorted by predicted time.
 	Candidates []Candidate
-	// Simulated lists the verified candidates, sorted by measured time.
+	// Simulated lists every candidate with its simulation outcome,
+	// sorted by measured time.
 	Simulated []Verified
-	// Best is the measured winner.
+	// Best is the measured winner, Simulated[0].
 	Best Verified
 }
 
@@ -158,11 +161,11 @@ func Search(cfg Config) (Result, error) {
 	}
 
 	// Phase 1: one pass over the read stream feeds several one-pass
-	// engines at once: the fully-associative profiler (miss-model fit and
-	// fallback curve), the exact set-associative grid over every candidate
-	// L2 geometry, a fully-associative profiler at the L2 block size for
-	// assoc-0 candidates, and an exact profile of the base machine's own
-	// first level for M_L1.
+	// engines at once: the fully-associative profiler (miss-model fit),
+	// the exact set-associative grid over every candidate L2 geometry, a
+	// fully-associative profiler at the L2 block size for assoc-0
+	// candidates, and an exact profile of the base machine's own first
+	// level for M_L1.
 	assocs := cfg.Tech.Assocs
 	if len(assocs) == 0 {
 		assocs = []int{1}
@@ -178,16 +181,20 @@ func Search(cfg Config) (Result, error) {
 			setAssocs = append(setAssocs, a)
 		}
 	}
-	// A candidate space the grid cannot represent (non-power-of-two set
-	// counts) leaves l2grid nil and those candidates fall back to the
-	// fully-associative curve with the conflict-miss factor.
+	// The grid refuses any geometry a cache cannot be built with, so a
+	// space it accepts is one every candidate of which simulates.
 	var l2grid *stackdist.Grid
-	if len(setAssocs) > 0 {
-		l2grid, _ = stackdist.NewGrid(l2Block, techSizes, setAssocs)
-	}
 	var l2fa *stackdist.Profiler
+	var err error
+	if len(setAssocs) > 0 {
+		if l2grid, err = stackdist.NewGrid(l2Block, techSizes, setAssocs); err != nil {
+			return res, fmt.Errorf("optimal: %w", err)
+		}
+	}
 	if len(setAssocs) < len(assocs) { // some candidate is fully associative
-		l2fa, _ = stackdist.New(l2Block)
+		if l2fa, err = stackdist.New(l2Block); err != nil {
+			return res, fmt.Errorf("optimal: %w", err)
+		}
 	}
 	l1prof := newL1Profile(cfg.Base)
 
@@ -234,20 +241,13 @@ func Search(cfg Config) (Result, error) {
 	// Phase 2: rank all candidates with Equation 1.
 	cpuCyc := float64(cfg.Base.CPUCycleNS)
 	nMM := memPenaltyNS(cfg.Base) / cpuCyc
-	for i, szf := range sizes {
-		sz := int64(szf)
+	for _, sz := range techSizes {
 		for _, a := range assocs {
 			cyc := cfg.Tech.CycleNS(sz, a)
 			// The L2 global miss ratio equals its solo (profiled) miss
-			// ratio by the §3 independence result. The one-pass engines
-			// give that solo ratio exactly for every representable
-			// geometry; only an unrepresentable one is approximated from
-			// the fully-associative curve.
-			miss, exact := candidateMiss(l2grid, l2fa, l2Block, sz, a)
-			if !exact {
-				miss = ratios[i] * assocFactor(a)
-			}
-			miss = clamp01(miss)
+			// ratio by the §3 independence result, which the one-pass
+			// engines give exactly.
+			miss := candidateMiss(l2grid, l2fa, l2Block, sz, a)
 			p := analytic.ExecParams{
 				Reads: float64(reads), Stores: float64(stores),
 				NL1: 1, NL2: float64(cyc) / cpuCyc, NMM: nMM, TL1Write: 2,
@@ -265,80 +265,66 @@ func Search(cfg Config) (Result, error) {
 	}
 	sort.Slice(res.Candidates, func(i, j int) bool {
 		a, b := res.Candidates[i], res.Candidates[j]
-		if a.PredictedRel != b.PredictedRel {
-			return a.PredictedRel < b.PredictedRel
-		}
-		// Equal predicted performance: prefer the smaller, then the less
-		// associative (cheaper) organization.
-		if a.SizeBytes != b.SizeBytes {
-			return a.SizeBytes < b.SizeBytes
-		}
-		return a.Assoc < b.Assoc
+		return ranksBefore(a, b, a.PredictedRel, b.PredictedRel)
 	})
 
-	// Phase 3: verify the top candidates by full timing simulation.
-	topK := cfg.TopK
-	if topK <= 0 {
-		topK = 3
+	// Phase 3: simulate every candidate on the grid engine. They all share
+	// the base machine's first level, so the planner runs it once and
+	// replays its downstream traffic into each candidate L2.
+	pts := make([]sweep.Point, len(res.Candidates))
+	for i, c := range res.Candidates {
+		pts[i] = sweep.Point{L2SizeBytes: c.SizeBytes, L2CycleNS: c.CycleNS, L2Assoc: c.Assoc}
 	}
-	if topK > len(res.Candidates) {
-		topK = len(res.Candidates)
+	runner := sweep.Runner{
+		Configure: func(pt sweep.Point) memsys.Config {
+			mcfg := cfg.Base
+			mcfg.Down = append([]memsys.LevelConfig{}, cfg.Base.Down...)
+			mcfg.Down[0].Cache.SizeBytes = pt.L2SizeBytes
+			mcfg.Down[0].Cache.Assoc = pt.L2Assoc
+			mcfg.Down[0].CycleNS = pt.L2CycleNS
+			return mcfg
+		},
+		Arena: cfg.Arena,
+		CPU:   cfg.CPU,
 	}
-	for _, cand := range res.Candidates[:topK] {
-		mcfg := cfg.Base
-		mcfg.Down = append([]memsys.LevelConfig{}, cfg.Base.Down...)
-		l2 := mcfg.Down[0]
-		l2.Cache.SizeBytes = cand.SizeBytes
-		l2.Cache.Assoc = cand.Assoc
-		l2.CycleNS = cand.CycleNS
-		mcfg.Down[0] = l2
-		var h *memsys.Hierarchy
-		var err error
-		if cfg.Pool != nil {
-			h, err = cfg.Pool.Get(mcfg)
-		} else {
-			h, err = memsys.New(mcfg)
-		}
-		if err != nil {
-			return res, fmt.Errorf("optimal: candidate %v: %w", cand, err)
-		}
-		run, err := cpu.Run(h, cfg.Arena.Cursor(), cfg.CPU)
-		if err != nil {
-			// A hierarchy that failed mid-run is not returned to the pool.
-			return res, fmt.Errorf("optimal: candidate %v: %w", cand, err)
-		}
-		if cfg.Pool != nil {
-			cfg.Pool.Put(h)
-		}
-		res.Simulated = append(res.Simulated, Verified{
-			Candidate:   cand,
-			MeasuredRel: run.RelTime,
-			Run:         run,
-		})
+	runs, err := runner.RunPoints(pts)
+	if err != nil {
+		return res, fmt.Errorf("optimal: %w", err)
+	}
+	res.Simulated = make([]Verified, len(runs))
+	for i, r := range runs {
+		res.Simulated[i] = Verified{Candidate: res.Candidates[i], MeasuredRel: r.Run.RelTime, Run: r.Run}
 	}
 	sort.Slice(res.Simulated, func(i, j int) bool {
-		return res.Simulated[i].MeasuredRel < res.Simulated[j].MeasuredRel
+		a, b := res.Simulated[i], res.Simulated[j]
+		return ranksBefore(a.Candidate, b.Candidate, a.MeasuredRel, b.MeasuredRel)
 	})
 	res.Best = res.Simulated[0]
 	return res, nil
 }
 
-// candidateMiss returns the exact solo miss ratio of an L2 candidate from
-// the one-pass engines: the set-associative grid for assoc ≥ 1, the
-// fully-associative profiler at the L2 block size for assoc 0. ok is
-// false when no engine covered the geometry (the caller falls back to
-// the approximate curve).
-func candidateMiss(g *stackdist.Grid, fa *stackdist.Profiler, blockBytes int, sz int64, assoc int) (float64, bool) {
+// ranksBefore orders candidates a and b by their times ta and tb. Equal
+// times prefer the smaller, then the less associative (cheaper)
+// organization.
+func ranksBefore(a, b Candidate, ta, tb float64) bool {
+	if ta != tb {
+		return ta < tb
+	}
+	if a.SizeBytes != b.SizeBytes {
+		return a.SizeBytes < b.SizeBytes
+	}
+	return a.Assoc < b.Assoc
+}
+
+// candidateMiss returns the solo miss ratio of an L2 candidate from the
+// one-pass engines: the set-associative grid for assoc ≥ 1, the
+// fully-associative profiler at the L2 block size for assoc 0.
+func candidateMiss(g *stackdist.Grid, fa *stackdist.Profiler, blockBytes int, sz int64, assoc int) float64 {
 	if assoc == 0 {
-		if fa == nil {
-			return 0, false
-		}
-		return fa.MissRatioAtCapacity(sz / int64(blockBytes)), true
+		return fa.MissRatioAtCapacity(sz / int64(blockBytes))
 	}
-	if g == nil {
-		return 0, false
-	}
-	return g.MissRatio(sz, assoc)
+	m, _ := g.MissRatio(sz, assoc) // the grid was built over every candidate geometry
+	return m
 }
 
 // l1Profile measures the base machine's first-level read miss ratio
@@ -418,35 +404,6 @@ func (p *l1Profile) readMissRatio() (float64, bool) {
 	return float64(misses) / float64(total), true
 }
 
-// assocFactor approximates the miss-ratio benefit of set associativity
-// over direct-mapped at equal size: Hill's empirical ~30% conflict misses
-// removed going to 2-way, with diminishing returns beyond (the profiled
-// curve is fully associative, so direct-mapped candidates are penalized
-// instead: factor > 1). It survives only as the fallback for candidate
-// geometries the one-pass grid cannot represent.
-func assocFactor(assoc int) float64 {
-	switch {
-	case assoc == 1:
-		return 1.30
-	case assoc == 2:
-		return 1.10
-	case assoc == 4:
-		return 1.03
-	default:
-		return 1.0
-	}
-}
-
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
-}
-
 func firstLevelBytes(cfg memsys.Config) int64 {
 	if cfg.SplitL1 {
 		return cfg.L1I.Cache.SizeBytes + cfg.L1D.Cache.SizeBytes
@@ -481,8 +438,12 @@ func Render(w io.Writer, res Result) error {
 		}
 		fmt.Fprintf(w, "  %-22s predicted rel %.4f (miss %.4f)\n", c.String(), c.PredictedRel, c.PredictedMiss)
 	}
-	fmt.Fprintln(w, "\nsimulation-verified:")
-	for _, v := range res.Simulated {
+	fmt.Fprintln(w, "\nsimulated candidates (best first):")
+	for i, v := range res.Simulated {
+		if i >= 8 {
+			fmt.Fprintf(w, "  ... and %d more\n", len(res.Simulated)-i)
+			break
+		}
 		fmt.Fprintf(w, "  %-22s measured rel %.4f (predicted %.4f)\n", v.String(), v.MeasuredRel, v.PredictedRel)
 	}
 	_, err := fmt.Fprintf(w, "\nbest: %s\n", res.Best.String())

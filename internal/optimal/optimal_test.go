@@ -66,7 +66,6 @@ func testSearchConfig() Config {
 		Tech:  testTech(),
 		Arena: testArena(),
 		CPU:   cpu.Config{CycleNS: 10, WarmupRefs: 30_000},
-		TopK:  3,
 	}
 }
 
@@ -144,8 +143,8 @@ func TestSearchFindsReasonableOptimum(t *testing.T) {
 	if len(res.Candidates) != 12 {
 		t.Fatalf("candidates = %d, want 12", len(res.Candidates))
 	}
-	if len(res.Simulated) != 3 {
-		t.Fatalf("simulated = %d, want 3", len(res.Simulated))
+	if len(res.Simulated) != 12 {
+		t.Fatalf("simulated = %d, want 12", len(res.Simulated))
 	}
 	if res.Best.MeasuredRel <= 1 {
 		t.Errorf("best measured rel = %v, must exceed 1", res.Best.MeasuredRel)
@@ -266,39 +265,79 @@ func TestRender(t *testing.T) {
 	}
 }
 
-// TestSearchPooledBitIdentical: drawing verification hierarchies from a
-// shared pool must not change any measured outcome — same ranking, same
-// relative times, same winner as fresh construction.
-func TestSearchPooledBitIdentical(t *testing.T) {
-	fresh, err := Search(testSearchConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	pool := memsys.NewPool(2)
-	pcfg := testSearchConfig()
-	pcfg.Pool = pool
-	// Two searches through the same pool: the second draws recycled
-	// hierarchies for every candidate geometry it revisits.
-	for round := 0; round < 2; round++ {
-		pooled, err := Search(pcfg)
+// TestBestIsBruteForceArgmin: the search simulates every candidate, each
+// measurement equals a fresh per-candidate simulation, and Best is the
+// minimum of those simulations, ties going to the smaller, then the less
+// associative organization.
+func TestBestIsBruteForceArgmin(t *testing.T) {
+	fullyAssoc := testSearchConfig()
+	fullyAssoc.Tech.Assocs = []int{0, 1}
+	// A fully-associative cache probes every way, so keep its sizes small.
+	fullyAssoc.Tech.MaxSizeBytes = 128 * 1024
+	for name, cfg := range map[string]Config{"test space": testSearchConfig(), "fully associative": fullyAssoc} {
+		res, err := Search(cfg)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		if len(pooled.Simulated) != len(fresh.Simulated) {
-			t.Fatalf("round %d: %d verified candidates, want %d", round, len(pooled.Simulated), len(fresh.Simulated))
+		if len(res.Simulated) != len(res.Candidates) {
+			t.Fatalf("%s: simulated %d of %d candidates", name, len(res.Simulated), len(res.Candidates))
 		}
-		for i := range fresh.Simulated {
-			f, p := fresh.Simulated[i], pooled.Simulated[i]
-			if f.Candidate != p.Candidate || f.MeasuredRel != p.MeasuredRel || f.Run.TimeNS != p.Run.TimeNS || f.Run.Cycles != p.Run.Cycles {
-				t.Errorf("round %d candidate %d: pooled %+v != fresh %+v", round, i, p, f)
+		var best Verified
+		seen := map[Candidate]bool{}
+		for i, v := range res.Simulated {
+			if seen[v.Candidate] {
+				t.Errorf("%s: %v simulated twice", name, v.Candidate)
+			}
+			seen[v.Candidate] = true
+			mcfg := cfg.Base
+			mcfg.Down = []memsys.LevelConfig{cfg.Base.Down[0]}
+			mcfg.Down[0].Cache.SizeBytes = v.SizeBytes
+			mcfg.Down[0].Cache.Assoc = v.Assoc
+			mcfg.Down[0].CycleNS = v.CycleNS
+			h, err := memsys.New(mcfg)
+			if err != nil {
+				t.Fatalf("%s: %v: %v", name, v.Candidate, err)
+			}
+			run, err := cpu.Run(h, cfg.Arena.Cursor(), cfg.CPU)
+			if err != nil {
+				t.Fatalf("%s: %v: %v", name, v.Candidate, err)
+			}
+			if v.MeasuredRel != run.RelTime || v.Run.TimeNS != run.TimeNS {
+				t.Errorf("%s: %v measured rel %v (%d ns), simulated alone %v (%d ns)",
+					name, v.Candidate, v.MeasuredRel, v.Run.TimeNS, run.RelTime, run.TimeNS)
+			}
+			c := v.Candidate
+			if i == 0 || run.RelTime < best.MeasuredRel || run.RelTime == best.MeasuredRel &&
+				(c.SizeBytes < best.SizeBytes || c.SizeBytes == best.SizeBytes && c.Assoc < best.Assoc) {
+				best = Verified{Candidate: c, MeasuredRel: run.RelTime}
 			}
 		}
-		if pooled.Best.Candidate != fresh.Best.Candidate {
-			t.Errorf("round %d: pooled winner %v, fresh winner %v", round, pooled.Best.Candidate, fresh.Best.Candidate)
+		if res.Best.Candidate != best.Candidate || res.Best.MeasuredRel != best.MeasuredRel {
+			t.Errorf("%s: best %v (rel %v), brute-force minimum %v (rel %v)",
+				name, res.Best.Candidate, res.Best.MeasuredRel, best.Candidate, best.MeasuredRel)
 		}
 	}
-	if st := pool.Stats(); st.Hits == 0 || st.Puts == 0 {
-		t.Errorf("pool never reused a hierarchy: %+v", st)
+}
+
+// TestSearchRejectsUnbuildableSpace: a candidate space holding a geometry
+// no cache can be built with is refused with an error naming the value.
+// The workload has no reads, so the profiling pass would fail with another
+// error: a refusal naming the value came before that pass.
+func TestSearchRejectsUnbuildableSpace(t *testing.T) {
+	for _, tc := range []struct {
+		mutate func(*Technology)
+		want   string
+	}{
+		{func(tech *Technology) { tech.MinSizeBytes = 48 << 10 }, "minimum size 49152"},
+		{func(tech *Technology) { tech.Assocs = []int{3} }, "set size 3"},
+		// 32 bytes cannot hold two 32-byte blocks.
+		{func(tech *Technology) { tech.MinSizeBytes = 32 }, "size 32 "},
+	} {
+		cfg := testSearchConfig()
+		tc.mutate(&cfg.Tech)
+		cfg.Arena = trace.NewArena(trace.Trace{{Kind: trace.Store}})
+		if _, err := Search(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("got error %v, want one naming %q", err, tc.want)
+		}
 	}
 }

@@ -201,20 +201,27 @@ func TestLoadArenaRoutesBySuffix(t *testing.T) {
 	bf.Close()
 
 	for _, path := range []string{apath, bpath} {
-		arena, closer, err := LoadArena(path)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		if arena.Len() != len(refs) {
-			t.Fatalf("%s: %d refs, want %d", path, arena.Len(), len(refs))
-		}
-		for i, r := range arena.Refs() {
-			if r != refs[i] {
-				t.Fatalf("%s: ref %d: %v != %v", path, i, r, refs[i])
+		// The first n references, or all of them for n = 0.
+		for _, n := range []int{0, 50} {
+			want := n
+			if n == 0 {
+				want = len(refs)
 			}
-		}
-		if err := closer.Close(); err != nil {
-			t.Fatal(err)
+			arena, closer, _, err := LoadArena(path, int64(n), 0)
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			if arena.Len() != want {
+				t.Fatalf("%s n=%d: %d refs, want %d", path, n, arena.Len(), want)
+			}
+			for i, r := range arena.Refs() {
+				if r != refs[i] {
+					t.Fatalf("%s: ref %d: %v != %v", path, i, r, refs[i])
+				}
+			}
+			if err := closer.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

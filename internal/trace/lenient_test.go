@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -239,5 +241,38 @@ func TestLenientPassThroughNonCorrupt(t *testing.T) {
 	}
 	if _, err := s.Next(); err != io.EOF {
 		t.Errorf("err = %v, want io.EOF", err)
+	}
+}
+
+// TestLoadArenaLenient: LoadArena skips corrupt records within budget
+// and counts them, fails strict decoding on them, and decodes nothing past
+// the prefix it keeps, so damage beyond the prefix goes unread.
+func TestLoadArenaLenient(t *testing.T) {
+	enc := encodeBinary(t, uniformRefs(200))
+	enc[uniformHeaderOffset(100)] |= 0xF8
+	path := filepath.Join(t.TempDir(), "t.mlct")
+	if err := os.WriteFile(path, enc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		n, lenient    int
+		refs, skipped int
+		corrupt       bool
+	}{
+		{n: 0, lenient: -1, refs: 199, skipped: 1},
+		{n: 0, lenient: 0, corrupt: true},
+		{n: 50, lenient: 0, refs: 50},
+	} {
+		arena, _, skipped, err := LoadArena(path, int64(tc.n), tc.lenient)
+		switch {
+		case tc.corrupt:
+			if !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%+v: err = %v, want ErrCorrupt", tc, err)
+			}
+		case err != nil:
+			t.Errorf("%+v: %v", tc, err)
+		case arena.Len() != tc.refs || skipped != int64(tc.skipped):
+			t.Errorf("%+v: %d refs, %d skipped", tc, arena.Len(), skipped)
+		}
 	}
 }

@@ -44,28 +44,42 @@ func OpenPath(path string) (Stream, io.Closer, error) {
 	return NewTextReader(f), f, nil
 }
 
-// LoadArena loads an entire trace file into an Arena, routed by suffix.
-// Artifacts are opened zero-copy (the arena aliases the mapped file until
-// the closer is closed); other codecs are decoded once into memory and
-// the returned closer is a no-op.
-func LoadArena(path string) (*Arena, io.Closer, error) {
+// LoadArena loads the first n references of the trace file at path into
+// an Arena (all of them when n ≤ 0), routed by suffix. An artifact is
+// opened zero-copy: the arena aliases the mapped file until the closer is
+// closed, and a checksum-validated artifact has no corrupt records to
+// skip. The other codecs decode only the references kept, skipping up to
+// lenient corrupt records on the way when lenient is non-zero (negative
+// means unlimited), and return a no-op closer; skipped counts the
+// records skipped.
+func LoadArena(path string, n int64, lenient int) (arena *Arena, closer io.Closer, skipped int64, err error) {
 	if IsArtifactPath(path) {
 		a, err := OpenArtifact(path)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, 0, err
 		}
-		return a.Arena(), a, nil
+		arena = a.Arena()
+		if n > 0 && int64(arena.Len()) > n {
+			arena = NewArena(arena.refs[:n])
+		}
+		return arena, a, 0, nil
 	}
 	s, c, err := OpenPath(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
-	arena, err := Materialize(s)
-	if cerr := c.Close(); err == nil && cerr != nil {
-		err = cerr
+	defer c.Close()
+	var ls Stream
+	if lenient != 0 {
+		ls = Lenient(s, lenient)
+		s = ls
 	}
-	if err != nil {
-		return nil, nil, err
+	if n > 0 {
+		s = Limit(s, n)
 	}
-	return arena, nopCloser{}, nil
+	if arena, err = Materialize(s); err != nil {
+		return nil, nil, 0, err
+	}
+	skipped, _ = Skips(ls)
+	return arena, nopCloser{}, skipped, nil
 }
