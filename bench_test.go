@@ -217,15 +217,29 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(refs)/b.Elapsed().Seconds(), "refs/s")
 }
 
-// BenchmarkSynthThroughput measures trace-generation speed alone.
+// synthSink keeps each generated arena live so the call is not removed.
+var synthSink *trace.Arena
+
+// BenchmarkSynthThroughput measures trace generation whole, as every
+// caller pays for it: synth.PaperArena from the start of each process (its
+// stack shuffles) to the last reference, at the paper workload's 25k
+// references and the experiments' 2M.
 func BenchmarkSynthThroughput(b *testing.B) {
-	b.ReportAllocs()
-	s := synth.MustNewMix(synth.PaperMix(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Next(); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name string
+		refs int64
+	}{{"25k", 25_000}, {"2M", 2_000_000}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				a, err := synth.PaperArena(1, c.refs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				synthSink = a
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*c.refs), "ns/ref")
+		})
 	}
 }
 

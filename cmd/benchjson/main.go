@@ -31,7 +31,6 @@ import (
 	"mlcache/internal/mainmem"
 	"mlcache/internal/memsys"
 	"mlcache/internal/synth"
-	"mlcache/internal/trace"
 )
 
 // result is the JSON schema; field names are stable so downstream tooling
@@ -90,7 +89,7 @@ func main() {
 
 	cfg := experiments.BaseMachine(4,
 		experiments.L2Config(512*1024, 30, 1), mainmem.Base())
-	arena, err := trace.Materialize(synth.PaperStream(*seed, *n))
+	arena, err := synth.PaperArena(*seed, *n)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -91,7 +91,9 @@ func run(args []string, stdout io.Writer) error {
 	var arena *trace.Arena
 	var skips int64
 	if *useSynth {
-		arena, err = trace.Materialize(synth.PaperStream(*seed, *n))
+		if arena, err = synth.PaperArena(*seed, *n); err != nil {
+			err = fmt.Errorf("-n %d: %w", *n, err)
+		}
 	} else {
 		if *lenient != 0 && trace.IsArtifactPath(*tracePath) {
 			log.Print("note: -lenient has no effect on artifact traces")

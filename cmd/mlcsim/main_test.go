@@ -66,3 +66,15 @@ func TestWarmupCoveringTraceRefused(t *testing.T) {
 	}
 	runOK(t, "-config", baseCfg, "-trace", path, "-warmup", "19999")
 }
+
+// TestSyntheticNeedsReferences: -synth with -n below 1 is refused with an
+// error naming -n, not simulated as an empty workload.
+func TestSyntheticNeedsReferences(t *testing.T) {
+	for _, n := range []string{"0", "-5"} {
+		err := run([]string{"-config", baseCfg, "-synth", "-n", n}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "-n "+n) {
+			t.Errorf("-synth -n %s: %v", n, err)
+		}
+	}
+	runOK(t, "-config", baseCfg, "-synth", "-n", "2000")
+}

@@ -19,6 +19,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -33,24 +34,26 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tracegen: ")
-	var (
-		kind   = flag.String("kind", "mix", "workload: mix | matmul | chase | stream | qsort")
-		n      = flag.Int64("n", 1_000_000, "references to emit (mix and chase; others are sized by -param)")
-		param  = flag.Int("param", 64, "kernel size parameter (matrix N, nodes, elements, keys)")
-		seed   = flag.Int64("seed", 1, "random seed")
-		out    = flag.String("o", "", "output path (required)")
-		format = flag.String("format", "auto", "output codec: auto | text | binary | artifact")
-	)
-	flag.Parse()
-	if *out == "" {
-		log.Fatal("missing -o")
-	}
-
-	s, err := buildStream(*kind, *n, *param, *seed)
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		log.Fatal(err)
 	}
+}
 
+// run writes the trace args select and reports it on stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("tracegen", flag.ExitOnError)
+	var (
+		kind   = fs.String("kind", "mix", "workload: mix | matmul | chase | stream | qsort")
+		n      = fs.Int64("n", 1_000_000, "references to emit (mix and chase; others are sized by -param)")
+		param  = fs.Int("param", 64, "kernel size parameter (matrix N, nodes, elements, keys)")
+		seed   = fs.Int64("seed", 1, "random seed")
+		out    = fs.String("o", "", "output path (required)")
+		format = fs.String("format", "auto", "output codec: auto | text | binary | artifact")
+	)
+	fs.Parse(args) // ExitOnError: a bad flag exits with usage
+	if *out == "" {
+		return errors.New("missing -o")
+	}
 	f := *format
 	if f == "auto" {
 		switch {
@@ -62,34 +65,34 @@ func main() {
 			f = "text"
 		}
 	}
+	if f != "artifact" && f != "text" && f != "binary" {
+		return fmt.Errorf("unknown format %q", f)
+	}
+	if *kind == "mix" && *n < 1 {
+		return fmt.Errorf("-n %d: the mix needs at least 1 reference", *n)
+	}
 
 	var count int64
-	switch f {
-	case "artifact":
-		count, err = writeArtifact(*out, s)
-	case "text", "binary":
-		count, err = writeStream(*out, f, s)
-	default:
-		err = fmt.Errorf("unknown format %q", f)
+	if f == "artifact" {
+		arena, err := buildArena(*kind, *n, *param, *seed)
+		if err != nil {
+			return err
+		}
+		if err := trace.WriteArtifact(*out, arena); err != nil {
+			return err
+		}
+		count = int64(arena.Len())
+	} else {
+		s, err := buildStream(*kind, *n, *param, *seed)
+		if err != nil {
+			return err
+		}
+		if count, err = writeStream(*out, f, s); err != nil {
+			return err
+		}
 	}
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("wrote %d references to %s (%s)\n", count, *out, f)
-}
-
-// writeArtifact materializes the stream and emits the fixed-width mmap
-// artifact. The whole trace is held in memory once — the same requirement
-// every artifact consumer has.
-func writeArtifact(path string, s trace.Stream) (int64, error) {
-	arena, err := trace.Materialize(s)
-	if err != nil {
-		return 0, err
-	}
-	if err := trace.WriteArtifact(path, arena); err != nil {
-		return 0, err
-	}
-	return int64(arena.Len()), nil
+	fmt.Fprintf(stdout, "wrote %d references to %s (%s)\n", count, *out, f)
+	return nil
 }
 
 // writeStream streams references through the text or binary codec without
@@ -135,36 +138,46 @@ func writeStream(path, format string, s trace.Stream) (int64, error) {
 	return count, nil
 }
 
+// buildArena holds the workload in memory for the fixed-width artifact
+// codec, the requirement every artifact consumer has: the mix is written
+// in place into an arena of exactly n references.
+func buildArena(kind string, n int64, param int, seed int64) (*trace.Arena, error) {
+	if kind == "mix" {
+		return synth.PaperArena(seed, n)
+	}
+	tr, err := kernel(kind, n, param, seed)
+	if err != nil {
+		return nil, err
+	}
+	return trace.NewArena(tr), nil
+}
+
+// buildStream returns the workload as a stream for the text and binary
+// codecs; the mix is generated as it is written.
 func buildStream(kind string, n int64, param int, seed int64) (trace.Stream, error) {
-	switch kind {
-	case "mix":
+	if kind == "mix" {
 		return synth.PaperStream(seed, n), nil
+	}
+	tr, err := kernel(kind, n, param, seed)
+	if err != nil {
+		return nil, err
+	}
+	return tr.Stream(), nil
+}
+
+// kernel builds one of the deterministic program-like kernels.
+func kernel(kind string, n int64, param int, seed int64) (trace.Trace, error) {
+	switch kind {
 	case "matmul":
-		tr, err := workload.MatMul(workload.MatMulConfig{N: param, Base: 1 << 24})
-		if err != nil {
-			return nil, err
-		}
-		return tr.Stream(), nil
+		return workload.MatMul(workload.MatMulConfig{N: param, Base: 1 << 24})
 	case "chase":
-		tr, err := workload.PointerChase(workload.PointerChaseConfig{
+		return workload.PointerChase(workload.PointerChaseConfig{
 			Nodes: param, Steps: int(n), Seed: seed, Base: 1 << 24,
 		})
-		if err != nil {
-			return nil, err
-		}
-		return tr.Stream(), nil
 	case "stream":
-		tr, err := workload.Stream(workload.StreamConfig{Elems: param, Iters: 3, Base: 1 << 24})
-		if err != nil {
-			return nil, err
-		}
-		return tr.Stream(), nil
+		return workload.Stream(workload.StreamConfig{Elems: param, Iters: 3, Base: 1 << 24})
 	case "qsort":
-		tr, err := workload.Quicksort(workload.QuicksortConfig{N: param, Seed: seed, Base: 1 << 24})
-		if err != nil {
-			return nil, err
-		}
-		return tr.Stream(), nil
+		return workload.Quicksort(workload.QuicksortConfig{N: param, Seed: seed, Base: 1 << 24})
 	}
 	return nil, fmt.Errorf("unknown kind %q", kind)
 }

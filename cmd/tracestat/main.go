@@ -63,7 +63,13 @@ func run(args []string, stdout io.Writer) error {
 			defer closer.Close()
 		}
 	} else {
+		if *n < 1 || *n > synth.MaxArenaRefs {
+			return fmt.Errorf("-n %d: the synthetic workload takes 1 to %d references", *n, int64(synth.MaxArenaRefs))
+		}
 		mix := synth.PaperMix(*seed)
+		if *procs < 0 || *procs > len(mix.Processes) {
+			return fmt.Errorf("-procs %d: want 1 to %d processes, or 0 for all", *procs, len(mix.Processes))
+		}
 		if *procs > 0 {
 			mix.Processes = mix.Processes[:*procs]
 		}
@@ -82,12 +88,21 @@ func run(args []string, stdout io.Writer) error {
 				p.Code.Alpha, p.Data.Alpha = *alpha, *alpha
 			}
 		}
-		arena, err = trace.Materialize(trace.Limit(synth.MustNewMix(mix), *n))
+		m, err := synth.NewMix(mix)
+		if err != nil {
+			return err
+		}
+		refs := make([]trace.Ref, *n)
+		m.Fill(refs)
+		arena = trace.NewArena(refs)
 	}
 	if err != nil {
 		return err
 	}
 	refs := arena.Refs()
+	if len(refs) == 0 {
+		return fmt.Errorf("trace %s holds no references", *traceFile)
+	}
 
 	switch {
 	case *doProfile && *csv:

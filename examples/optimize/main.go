@@ -16,7 +16,6 @@ import (
 	"mlcache/internal/mainmem"
 	"mlcache/internal/optimal"
 	"mlcache/internal/synth"
-	"mlcache/internal/trace"
 )
 
 func main() {
@@ -24,7 +23,7 @@ func main() {
 
 	// One materialized trace serves the profiling pass and every
 	// candidate's simulation.
-	arena, err := trace.Materialize(synth.PaperStream(1, 600_000))
+	arena, err := synth.PaperArena(1, 600_000)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -279,21 +279,22 @@ func (s JobSpec) MaterializeArena(ctx context.Context) (*trace.Arena, io.Closer,
 // frequent enough that SIGINT or a deadline stops it within microseconds.
 const cancelCheckRefs = 1024
 
-// generate materializes the synthetic workload of Seed and Refs, checking
-// ctx every cancelCheckRefs references.
+// generate writes the synthetic workload of Seed and Refs into a new
+// arena, cancelCheckRefs references at a time, checking ctx before the
+// allocation and between chunks. Validate bounds Refs to [1, MaxRefs].
 func (s JobSpec) generate(ctx context.Context) (*trace.Arena, error) {
-	src := synth.PaperStream(s.Seed, s.Refs)
-	left := 0
-	return trace.Materialize(trace.Func(func() (trace.Ref, error) {
-		if left == 0 {
-			if err := ctx.Err(); err != nil {
-				return trace.Ref{}, err
-			}
-			left = cancelCheckRefs
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("coord: generate: %w", err)
+	}
+	refs := make([]trace.Ref, s.Refs)
+	mix := synth.MustNewMix(synth.PaperMix(s.Seed))
+	for lo := 0; lo < len(refs); lo += cancelCheckRefs {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("coord: generate: %w", err)
 		}
-		left--
-		return src.Next()
-	}))
+		mix.Fill(refs[lo:min(lo+cancelCheckRefs, len(refs))])
+	}
+	return trace.NewArena(refs), nil
 }
 
 // capRefs applies the spec's Refs cap (0 = whole trace) to a trace file's

@@ -49,7 +49,7 @@ func QuickOptions() Options {
 // and shares the arena across all of its simulations through cursors; the
 // arena is dropped when the driver returns.
 func (o Options) arena() (*trace.Arena, error) {
-	return trace.Materialize(synth.PaperStream(o.Seed, o.Refs))
+	return synth.PaperArena(o.Seed, o.Refs)
 }
 
 // CPU returns the CPU configuration for the options.

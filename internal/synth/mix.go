@@ -2,7 +2,7 @@ package synth
 
 import (
 	"fmt"
-	"math/rand"
+	"math"
 
 	"mlcache/internal/trace"
 )
@@ -65,11 +65,13 @@ func (c MixConfig) Validate() error {
 }
 
 // Mix is a multiprogrammed reference stream. It implements trace.Stream
-// and is infinite; bound it with trace.Limit. Context switches happen only
-// at cycle boundaries (never between an ifetch and its data reference).
+// and is infinite; bound it with trace.Limit, or take a prefix with Fill.
+// Context switches happen only at cycle boundaries (never between an
+// ifetch and its data reference). Each process, the kernel's included,
+// starts when the schedule first reaches it.
 type Mix struct {
 	cfg   MixConfig
-	rng   *rand.Rand
+	rng   *rng
 	procs []*Process
 	cur   int
 	left  int
@@ -88,7 +90,7 @@ func NewMix(cfg MixConfig) (*Mix, error) {
 	}
 	m := &Mix{
 		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		rng:   newRNG(cfg.Seed),
 		pCont: 1 - 1/float64(cfg.MeanSwitchRefs),
 	}
 	for _, pc := range cfg.Processes {
@@ -123,7 +125,17 @@ func MustNewMix(cfg MixConfig) *Mix {
 }
 
 // Next returns the next reference of the interleaved stream.
-func (m *Mix) Next() (trace.Ref, error) {
+func (m *Mix) Next() (trace.Ref, error) { return m.next(), nil }
+
+// Fill writes the stream's next len(refs) references into refs: the
+// references len(refs) calls of Next would return.
+func (m *Mix) Fill(refs []trace.Ref) {
+	for i := range refs {
+		refs[i] = m.next()
+	}
+}
+
+func (m *Mix) next() trace.Ref {
 	// Kernel bursts: entered from (and attributed to) the current user
 	// process, sharing one kernel address space. Transitions happen only
 	// between cycles, so ifetch+data bundles stay intact.
@@ -132,9 +144,9 @@ func (m *Mix) Next() (trace.Ref, error) {
 			m.inSys = false
 		}
 		if m.inSys {
-			r, err := m.sys.Next()
+			r := m.sys.next()
 			r.PID = m.procs[m.cur].cfg.PID
-			return r, err
+			return r
 		}
 	}
 
@@ -147,12 +159,12 @@ func (m *Mix) Next() (trace.Ref, error) {
 		}
 		if m.sys != nil && m.rng.Float64() < m.sysEnter {
 			m.inSys = true
-			r, err := m.sys.Next()
+			r := m.sys.next()
 			r.PID = p.cfg.PID
-			return r, err
+			return r
 		}
 	}
-	return p.Next()
+	return p.next()
 }
 
 // Workload bundles a ready-made MixConfig approximating the paper's traces.
@@ -197,6 +209,27 @@ func PaperMix(seed int64) MixConfig {
 // from the default workload.
 func PaperStream(seed int64, n int64) trace.Stream {
 	return trace.Limit(MustNewMix(PaperMix(seed)), n)
+}
+
+// MaxArenaRefs is the most references PaperArena writes. A 1 TiB arena of
+// 16-byte references, it keeps the allocation within what make accepts on
+// every 64-bit platform, and within int on 32-bit ones, so an absurd
+// length is an error rather than a panic.
+const MaxArenaRefs = min(1<<36, math.MaxInt/16)
+
+// PaperArena returns the references PaperStream(seed, n) yields, written
+// in place into an arena of exactly n references. It refuses an n below 1
+// or above MaxArenaRefs.
+func PaperArena(seed, n int64) (*trace.Arena, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("synth: a workload of %d references; need at least 1", n)
+	}
+	if n > MaxArenaRefs {
+		return nil, fmt.Errorf("synth: a workload of %d references exceeds %d", n, int64(MaxArenaRefs))
+	}
+	refs := make([]trace.Ref, n)
+	MustNewMix(PaperMix(seed)).Fill(refs)
+	return trace.NewArena(refs), nil
 }
 
 // PaperMixWithSystem returns the default workload extended with a shared

@@ -2,7 +2,6 @@ package synth
 
 import (
 	"fmt"
-	"math/rand"
 
 	"mlcache/internal/trace"
 )
@@ -64,9 +63,14 @@ func (c ProcessConfig) Validate() error {
 // Process is an infinite reference stream for one synthetic program. It
 // implements trace.Stream and never returns an error; bound it with
 // trace.Limit.
+//
+// A process starts on its first Next: only then does it seed its generator
+// from its own ProcessConfig.Seed and build its stacks. Nothing else draws
+// from that generator, so when it starts cannot move a draw, and a process
+// a mix never schedules costs nothing.
 type Process struct {
 	cfg    ProcessConfig
-	rng    *rand.Rand
+	rng    *rng // nil until the process starts
 	code   *Stack
 	data   *Stack
 	iCont  float64 // probability an instruction run continues
@@ -80,28 +84,25 @@ type Process struct {
 	hasPending bool
 }
 
-// NewProcess constructs a process generator.
+// NewProcess validates cfg and returns a process that starts on its first
+// Next.
 func NewProcess(cfg ProcessConfig) (*Process, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	code, err := NewStack(cfg.Code, rng)
-	if err != nil {
-		return nil, err
-	}
-	data, err := NewStack(cfg.Data, rng)
-	if err != nil {
-		return nil, err
-	}
 	return &Process{
 		cfg:   cfg,
-		rng:   rng,
-		code:  code,
-		data:  data,
 		iCont: 1 - 1/cfg.MeanIRunWords,
 		dCont: 1 - 1/cfg.MeanDRunWords,
 	}, nil
+}
+
+// start seeds the process's generator and builds its code stack, then its
+// data stack, from it. NewProcess validated both stack configurations.
+func (p *Process) start() {
+	p.rng = newRNG(p.cfg.Seed)
+	p.code = MustNewStack(p.cfg.Code, p.rng)
+	p.data = MustNewStack(p.cfg.Data, p.rng)
 }
 
 // MustNewProcess is NewProcess that panics on configuration errors.
@@ -115,10 +116,15 @@ func MustNewProcess(cfg ProcessConfig) *Process {
 
 // Next emits the next reference: an instruction fetch, optionally followed
 // (on the subsequent call) by the data reference sharing its cycle.
-func (p *Process) Next() (trace.Ref, error) {
+func (p *Process) Next() (trace.Ref, error) { return p.next(), nil }
+
+func (p *Process) next() trace.Ref {
 	if p.hasPending {
 		p.hasPending = false
-		return p.pending, nil
+		return p.pending
+	}
+	if p.rng == nil {
+		p.start()
 	}
 
 	// Instruction fetch: continue the sequential run or start a new one
@@ -149,5 +155,5 @@ func (p *Process) Next() (trace.Ref, error) {
 		p.pending = trace.Ref{Kind: kind, Addr: p.daddr, PID: p.cfg.PID}
 		p.hasPending = true
 	}
-	return ref, nil
+	return ref
 }

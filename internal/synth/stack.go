@@ -25,7 +25,6 @@ package synth
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // StackConfig parameterizes one stack-distance model.
@@ -48,6 +47,11 @@ func (c StackConfig) Validate() error {
 	if c.Lines <= 0 {
 		return fmt.Errorf("synth: stack lines %d must be positive", c.Lines)
 	}
+	if c.Lines > math.MaxInt32 {
+		// Beyond 2^31-1 elements rand.Rand.Shuffle switches to a draw
+		// that NewStack, which reproduces it, does not have.
+		return fmt.Errorf("synth: stack lines %d exceed %d", c.Lines, math.MaxInt32)
+	}
 	if c.Alpha <= 0 {
 		return fmt.Errorf("synth: alpha %v must be positive", c.Alpha)
 	}
@@ -60,29 +64,41 @@ func (c StackConfig) Validate() error {
 // Stack is a move-to-front LRU stack with Pareto-distributed reuse depths.
 type Stack struct {
 	cfg StackConfig
-	rng *rand.Rand
+	rng *rng
 	// stack holds line ids, most recently used last.
 	stack []uint32
 }
 
-// NewStack constructs a pre-populated stack model.
-func NewStack(cfg StackConfig, rng *rand.Rand) (*Stack, error) {
+// NewStack constructs a pre-populated stack model drawing from r. The
+// initial order is the permutation rand.Rand.Shuffle would make with r's
+// draws, and leaves r where Shuffle would.
+func NewStack(cfg StackConfig, r *rng) (*Stack, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Stack{cfg: cfg, rng: rng, stack: make([]uint32, cfg.Lines)}
-	for i := range s.stack {
-		s.stack[i] = uint32(i)
+	st := make([]uint32, cfg.Lines)
+	for i := range st {
+		st[i] = uint32(i)
 	}
-	rng.Shuffle(len(s.stack), func(i, j int) {
-		s.stack[i], s.stack[j] = s.stack[j], s.stack[i]
-	})
-	return s, nil
+	for i := len(st) - 1; i > 0; i-- {
+		// Shuffle's draw of j in [0, n) for n < 2^31 (rand.Rand.int31n):
+		// Lemire's multiply-shift over Uint32, redrawing while the low
+		// half falls below 2^32 mod n. Like math/rand, it computes that
+		// bound only for a low half below n, which every smaller one is.
+		n := uint32(i + 1)
+		prod := uint64(uint32(r.Int63()>>31)) * uint64(n)
+		for low := uint32(prod); low < n && low < -n%n; low = uint32(prod) {
+			prod = uint64(uint32(r.Int63()>>31)) * uint64(n)
+		}
+		j := prod >> 32
+		st[i], st[j] = st[j], st[i]
+	}
+	return &Stack{cfg: cfg, rng: r, stack: st}, nil
 }
 
 // MustNewStack is NewStack that panics on configuration errors.
-func MustNewStack(cfg StackConfig, rng *rand.Rand) *Stack {
-	s, err := NewStack(cfg, rng)
+func MustNewStack(cfg StackConfig, r *rng) *Stack {
+	s, err := NewStack(cfg, r)
 	if err != nil {
 		panic(err)
 	}

@@ -3,7 +3,6 @@ package synth
 import (
 	"io"
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -25,14 +24,14 @@ func TestStackConfigValidate(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
-		if _, err := NewStack(cfg, rand.New(rand.NewSource(1))); err == nil {
+		if _, err := NewStack(cfg, newRNG(1)); err == nil {
 			t.Errorf("case %d: NewStack accepted", i)
 		}
 	}
 }
 
 func TestStackPrepopulated(t *testing.T) {
-	s := MustNewStack(StackConfig{Lines: 64, Alpha: 1, XM: 1}, rand.New(rand.NewSource(1)))
+	s := MustNewStack(StackConfig{Lines: 64, Alpha: 1, XM: 1}, newRNG(1))
 	if s.Lines() != 64 {
 		t.Errorf("Lines = %d, want 64", s.Lines())
 	}
@@ -53,7 +52,7 @@ func TestStackPrepopulated(t *testing.T) {
 // references with stack depth > n must approximate (n/xm)^-alpha.
 func TestStackDepthDistribution(t *testing.T) {
 	cfg := StackConfig{Lines: 4096, Alpha: 1.0, XM: 1.0}
-	rng := rand.New(rand.NewSource(42))
+	rng := newRNG(42)
 	s := MustNewStack(cfg, rng)
 	// Track depth of each reference with a shadow LRU list of capacities.
 	const refs = 200000
@@ -290,7 +289,7 @@ func TestPaperStreamBounded(t *testing.T) {
 func TestQuickStackPermutation(t *testing.T) {
 	f := func(seed int64, lines uint16) bool {
 		n := int(lines%500) + 2
-		s := MustNewStack(StackConfig{Lines: n, Alpha: 0.8, XM: 1}, rand.New(rand.NewSource(seed)))
+		s := MustNewStack(StackConfig{Lines: n, Alpha: 0.8, XM: 1}, newRNG(seed))
 		for i := 0; i < 2000; i++ {
 			if id := s.Next(); int(id) >= n {
 				return false
