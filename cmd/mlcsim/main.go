@@ -102,6 +102,12 @@ func run(args []string, stdout io.Writer) error {
 		arena, closer, skips, err = trace.LoadArena(*tracePath, *n, *lenient)
 		if err == nil {
 			defer closer.Close()
+			switch {
+			case arena.Len() == 0 && skips > 0:
+				err = fmt.Errorf("trace %s holds no references: all %d record(s) read were corrupt and skipped", *tracePath, skips)
+			case arena.Len() == 0:
+				err = fmt.Errorf("trace %s holds no references", *tracePath)
+			}
 		}
 	}
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -77,4 +78,29 @@ func TestSyntheticNeedsReferences(t *testing.T) {
 		}
 	}
 	runOK(t, "-config", baseCfg, "-synth", "-n", "2000")
+}
+
+// TestEmptyTraceRefused: a trace that yields no references — an empty
+// file, or a lenient load that skipped every record — is an error naming
+// the trace, not an all-zero simulation.
+func TestEmptyTraceRefused(t *testing.T) {
+	dir := t.TempDir()
+	empty := filepath.Join(dir, "empty.trc")
+	garbage := filepath.Join(dir, "garbage.trc")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(garbage, []byte("not a record\nnor this\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-trace", empty},
+		{"-trace", garbage, "-lenient", "-1"},
+	} {
+		var out bytes.Buffer
+		err := run(append([]string{"-config", baseCfg}, args...), &out)
+		if err == nil || !strings.Contains(err.Error(), args[1]) || !strings.Contains(err.Error(), "no references") {
+			t.Errorf("mlcsim %s: error %v, output:\n%s", strings.Join(args, " "), err, out.String())
+		}
+	}
 }

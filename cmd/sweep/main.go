@@ -54,7 +54,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -529,13 +528,12 @@ func loadPrior(ckptPath string, total int) (map[string]cpu.Result, error) {
 	case err != nil:
 		return nil, err
 	}
-	for key, raw := range set.Records {
-		var run cpu.Result
-		if err := json.Unmarshal(raw, &run); err != nil {
-			log.Printf("checkpoint: record %s unreadable, will re-simulate: %v", key, err)
+	for _, r := range checkpoint.Decode[cpu.Result](set) {
+		if r.Err != nil {
+			log.Printf("checkpoint: record %s unreadable, will re-simulate: %v", r.Key, r.Err)
 			continue
 		}
-		prior[key] = run
+		prior[r.Key] = r.Value
 	}
 	if set.Dropped > 0 {
 		log.Printf("checkpoint: dropped %d corrupt record(s)", set.Dropped)

@@ -174,22 +174,27 @@ func truncateTornTail(f *os.File, size int64) (int64, error) {
 
 func checkHeader(r io.Reader) error {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
+	sc.Buffer(make([]byte, 64*1024), maxLine)
 	if !sc.Scan() {
 		if err := sc.Err(); err != nil {
 			return err
 		}
 		return fmt.Errorf("missing header line")
 	}
+	return checkHeaderLine(sc.Bytes())
+}
+
+// checkHeaderLine validates a journal's first line.
+func checkHeaderLine(line []byte) error {
 	var h header
-	if err := json.Unmarshal(sc.Bytes(), &h); err != nil {
+	if err := json.Unmarshal(line, &h); err != nil {
 		return fmt.Errorf("bad header: %v", err)
 	}
 	if h.Format != Format {
 		return fmt.Errorf("not a checkpoint file (format %q)", h.Format)
 	}
 	if h.Version != Version {
-		return fmt.Errorf("unsupported checkpoint version %d (want %d)", h.Version, Version)
+		return fmt.Errorf("unsupported version %d (want %d)", h.Version, Version)
 	}
 	return nil
 }
@@ -242,6 +247,10 @@ func (j *Journal) Close() error { return j.f.Close() }
 // key journaled more than once keeps its last intact record.
 type Set struct {
 	Records map[string]json.RawMessage
+	// Keys lists every key of Records once, in journal order: each at the
+	// position of its last intact record, with the segments of a
+	// segmented journal taken in number order.
+	Keys []string
 	// Dropped counts lines discarded for a bad CRC, malformed JSON, or a
 	// torn tail — expected after a crash, never silently ignored.
 	Dropped int
@@ -259,55 +268,9 @@ func (s Set) Has(key string) bool {
 // Load reads a journal, validating the header and each record's CRC.
 // Corrupt or torn record lines are counted in Set.Dropped and skipped; a
 // missing or wrong-version header is an error, because silently resuming
-// from an incompatible journal would repeat or lose work.
-func Load(path string) (Set, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Set{}, err
-	}
-	defer f.Close()
-	return Read(f)
-}
+// from an incompatible journal would repeat or lose work. Record data may
+// alias one buffer holding the whole file, so callers must not modify it.
+func Load(path string) (Set, error) { return load(os.ReadFile(path)) }
 
 // Read is Load over any reader.
-func Read(r io.Reader) (Set, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return Set{}, err
-		}
-		return Set{}, fmt.Errorf("checkpoint: missing header line")
-	}
-	var h header
-	if err := json.Unmarshal(sc.Bytes(), &h); err != nil {
-		return Set{}, fmt.Errorf("checkpoint: bad header: %v", err)
-	}
-	if h.Format != Format {
-		return Set{}, fmt.Errorf("checkpoint: not a checkpoint file (format %q)", h.Format)
-	}
-	if h.Version != Version {
-		return Set{}, fmt.Errorf("checkpoint: unsupported version %d (want %d)", h.Version, Version)
-	}
-	set := Set{Records: map[string]json.RawMessage{}}
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			set.Dropped++
-			continue
-		}
-		if rec.CRC != recordCRC(rec.Key, rec.Data) {
-			set.Dropped++
-			continue
-		}
-		set.Records[rec.Key] = rec.Data
-	}
-	if err := sc.Err(); err != nil {
-		return set, err
-	}
-	return set, nil
-}
+func Read(r io.Reader) (Set, error) { return load(io.ReadAll(r)) }

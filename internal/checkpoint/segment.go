@@ -220,23 +220,35 @@ func LoadSegmented(dir, prefix string) (Set, error) {
 }
 
 func loadSegmentsLocked(dir, prefix string) (Set, error) {
-	set := Set{Records: map[string]json.RawMessage{}}
 	ns, err := segmentNumbers(dir, prefix)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return set, nil
+			return newSet(nil, 0), nil
 		}
 		return Set{}, err
 	}
+	var runs [][]entry
+	dropped := 0
 	for _, n := range ns {
-		one, err := Load(segmentPath(dir, prefix, n))
+		one, d, err := readSegment(segmentPath(dir, prefix, n))
 		if err != nil {
 			return Set{}, fmt.Errorf("checkpoint: segment %d: %w", n, err)
 		}
-		for k, v := range one.Records {
-			set.Records[k] = v
-		}
-		set.Dropped += one.Dropped
+		runs = append(runs, one...)
+		dropped += d
 	}
-	return set, nil
+	return newSet(runs, dropped), nil
+}
+
+// readSegment reads one segment file's intact records in line order.
+func readSegment(path string) ([][]entry, int, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	body, err := splitHeader(data, nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	return parseRecords(body)
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -133,15 +132,11 @@ func StateArtifactRoots(stateDir string) (map[store.Digest]bool, error) {
 		return nil, fmt.Errorf("state dir %s: %w", stateDir, err)
 	}
 	roots := map[store.Digest]bool{}
-	for _, raw := range jobsSet.Records {
-		var rec jobRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
+	for _, r := range checkpoint.Decode[jobRecord](jobsSet) {
+		if r.Err != nil || r.Value.Spec.ArtifactDigest == "" {
 			continue
 		}
-		if rec.Spec.ArtifactDigest == "" {
-			continue
-		}
-		if d, err := store.ParseDigest(rec.Spec.ArtifactDigest); err == nil {
+		if d, err := store.ParseDigest(r.Value.Spec.ArtifactDigest); err == nil {
 			roots[d] = true
 		}
 	}

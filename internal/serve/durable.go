@@ -29,7 +29,11 @@ import (
 // replayed result renders byte-identically to the original simulation),
 // and jobs still marked running are finished in the background by
 // ResumeInterrupted — together: a SIGKILL'd server recomputes zero
-// completed points and still produces byte-identical tables.
+// completed points and still produces byte-identical tables. Both
+// journals are parsed and decoded on GOMAXPROCS goroutines
+// (checkpoint.Load, checkpoint.Decode), and results enter the cache in
+// journal order, so a journal larger than the cache leaves the most
+// recently journaled points resident, the same ones on every restart.
 //
 // Journals compact on rotation: results keep only keys still live in the
 // in-memory cache (an evicted point's record is dead weight — recomputing

@@ -5,12 +5,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"sync"
 	"testing"
 	"time"
 
 	"mlcache/internal/checkpoint"
+	"mlcache/internal/cpu"
+	"mlcache/internal/sweep"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -193,5 +198,123 @@ func TestResumeInterruptedJobs(t *testing.T) {
 	// New job IDs continue past the journaled sequence.
 	if s.jobSeq <= 7 {
 		t.Errorf("jobSeq = %d, want > 7", s.jobSeq)
+	}
+}
+
+// TestRestartReplaysInJournalOrder: a journal holding more points than the
+// result cache replays in journal order, so every restart keeps the same
+// points, the most recently journaled, and the replay counter counts the
+// points resident rather than the points journaled.
+func TestRestartReplaysInJournalOrder(t *testing.T) {
+	dir := t.TempDir()
+	results, err := checkpoint.OpenSegmented(dir, "results", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for i := 0; i < 8; i++ {
+		key := fmt.Sprintf("base|point-%d", (i*5)%8) // neither sorted nor reversed
+		if _, err := results.Append(key, cpu.Result{TimeNS: int64(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, key)
+	}
+	if err := results.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for restart := 0; restart < 5; restart++ {
+		s := newTestServer(t, Config{StateDir: dir, ResultCachePoints: 4})
+		if got := s.metrics.pointsReplayed.Load(); got != 4 {
+			t.Errorf("restart %d: replayed counter %d, want 4", restart, got)
+		}
+		for i, key := range keys {
+			run, ok := s.results.getKey(key)
+			if want := i >= 4; ok != want || ok && run.TimeNS != int64(i+1) {
+				t.Errorf("restart %d: %s (journaled #%d) resident=%t TimeNS=%d, want resident=%t", restart, key, i, ok, run.TimeNS, want)
+			}
+		}
+		s.Close()
+	}
+}
+
+// replayPoints is BenchmarkReplay's journal size: 40 jobs of the 110-point
+// Fig 4-1 grid, as in the serve-restart workload.
+const replayPoints = 40 * 110
+
+// replayDir is BenchmarkReplay's state directory, built by the first
+// replayStateDir call and removed by TestMain.
+var (
+	replayOnce sync.Once
+	replayDir  string
+	replayErr  error
+)
+
+func replayStateDir() (string, error) {
+	replayOnce.Do(func() {
+		if replayDir, replayErr = os.MkdirTemp("", "replay-bench-"); replayErr == nil {
+			replayErr = writeReplayJournal(replayDir)
+		}
+	})
+	return replayDir, replayErr
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if replayDir != "" {
+		os.RemoveAll(replayDir)
+	}
+	os.Exit(code)
+}
+
+// writeReplayJournal simulates the Fig 4-1 grid over a short synthetic
+// workload and journals its results under replayPoints distinct point
+// keys, one result base per 110 points.
+func writeReplayJournal(dir string) error {
+	spec := gridSpec()
+	spec.SizesBytes = []int64{4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20, 2 << 20, 4 << 20}
+	spec.CyclesNS = []int64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
+	spec.Refs = 10000
+	arena, closer, _, err := spec.MaterializeArena(context.Background())
+	if err != nil {
+		return err
+	}
+	defer closer.Close()
+	pts := spec.Points()
+	runs, err := spec.RunnerFor(arena).RunContext(context.Background(), pts, sweep.Options{})
+	if err != nil {
+		return err
+	}
+	results, err := checkpoint.OpenSegmented(dir, "results", 0)
+	if err != nil {
+		return err
+	}
+	for i := 0; i < replayPoints; i++ {
+		base := fmt.Sprintf("%016x", i/len(pts))
+		if _, err := results.Append(pointKey(base, pts[i%len(pts)]), runs[i%len(pts)].Run); err != nil {
+			results.Close()
+			return err
+		}
+	}
+	return results.Close()
+}
+
+// BenchmarkReplay times a restart's replay: New over a state directory
+// whose results journal holds replayPoints simulated points.
+func BenchmarkReplay(b *testing.B) {
+	dir, err := replayStateDir()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := New(Config{StateDir: dir})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got := s.metrics.pointsReplayed.Load(); got != replayPoints {
+			b.Fatalf("replayed %d points, want %d", got, replayPoints)
+		}
+		s.Close()
 	}
 }

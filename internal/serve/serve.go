@@ -72,6 +72,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mlcache/internal/checkpoint"
 	"mlcache/internal/coord"
 	"mlcache/internal/cpu"
 	"mlcache/internal/experiments"
@@ -291,7 +292,8 @@ func (f FaultPoint) matches(spec coord.JobSpec) bool {
 }
 
 // New returns a ready Server. With Config.StateDir set it replays the
-// journals: finished points land in the result cache (counted by
+// journals: finished points land in the result cache in journal order
+// (the points resident afterwards are counted by
 // mlcserve_points_replayed_total) and interrupted jobs are queued for
 // ResumeInterrupted.
 func New(cfg Config) (*Server, error) {
@@ -342,29 +344,31 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.durable = d
-		replayed := int64(0)
-		for key, raw := range resultsSet.Records {
-			var run cpu.Result
-			if err := json.Unmarshal(raw, &run); err != nil {
-				s.logf("state: dropping unreadable result %s: %v", key, err)
+		// Journal order, so that a journal holding more points than the
+		// cache keeps its most recently journaled ones.
+		decoded := 0
+		for _, r := range checkpoint.Decode[cpu.Result](resultsSet) {
+			if r.Err != nil {
+				s.logf("state: dropping unreadable result %s: %v", r.Key, r.Err)
 				continue
 			}
-			s.results.putKey(key, run)
-			replayed++
+			s.results.putKey(r.Key, r.Value)
+			decoded++
 		}
-		s.metrics.pointsReplayed.Store(replayed)
-		for key, raw := range jobsSet.Records {
-			seq, ok := parseJobKey(key)
+		replayed := s.results.len()
+		s.metrics.pointsReplayed.Store(int64(replayed))
+		for _, r := range checkpoint.Decode[jobRecord](jobsSet) {
+			seq, ok := parseJobKey(r.Key)
 			if !ok {
 				continue
 			}
 			if seq > s.jobSeq {
 				s.jobSeq = seq
 			}
-			var rec jobRecord
-			if err := json.Unmarshal(raw, &rec); err != nil {
+			if r.Err != nil {
 				continue
 			}
+			rec := r.Value
 			if rec.Spec.ArtifactDigest != "" {
 				if d, err := store.ParseDigest(rec.Spec.ArtifactDigest); err == nil {
 					s.addArtifactRoot(d)
@@ -386,8 +390,8 @@ func New(cfg Config) (*Server, error) {
 		if dropped := resultsSet.Dropped + jobsSet.Dropped; dropped > 0 {
 			s.logf("state: dropped %d torn/corrupt journal records (expected after a crash)", dropped)
 		}
-		s.logf("state: replayed %d points, %d interrupted jobs pending, %d poisoned specs quarantined",
-			replayed, len(s.pending), len(s.poisoned))
+		s.logf("state: replayed %d points (%d more journaled points left out by the %d-point result cache), %d interrupted jobs pending, %d poisoned specs quarantined",
+			replayed, decoded-replayed, s.results.max, len(s.pending), len(s.poisoned))
 	}
 	return s, nil
 }
