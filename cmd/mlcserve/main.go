@@ -59,6 +59,10 @@ import (
 type options struct {
 	jobs          int
 	queue         int
+	par           int
+	poolPerGeom   int
+	resultPoints  int
+	drainTimeout  time.Duration
 	arenaBudget   int64
 	stateDir      string
 	artifactDir   string
@@ -89,6 +93,18 @@ func validate(o options) (*serve.Tenants, error) {
 	}
 	if o.queue <= 0 {
 		return nil, fmt.Errorf("-queue must be positive, got %d", o.queue)
+	}
+	if o.par < 0 {
+		return nil, fmt.Errorf("-par must be non-negative, got %d", o.par)
+	}
+	if o.poolPerGeom <= 0 {
+		return nil, fmt.Errorf("-pool-per-geometry must be positive, got %d", o.poolPerGeom)
+	}
+	if o.resultPoints <= 0 {
+		return nil, fmt.Errorf("-result-cache-points must be positive, got %d", o.resultPoints)
+	}
+	if o.drainTimeout < 0 {
+		return nil, fmt.Errorf("-drain-timeout must be non-negative, got %v", o.drainTimeout)
 	}
 	if o.arenaBudget <= 0 {
 		return nil, fmt.Errorf("-arena-budget-mb must be positive, got %d", o.arenaBudget)
@@ -212,7 +228,7 @@ func main() {
 		tlsKey       = flag.String("tls-key", "", "PEM private key for -tls-cert")
 		insecure     = flag.Bool("insecure", false, "allow API keys over plaintext HTTP (testing only)")
 		maxAttempts  = flag.Int("max-job-attempts", 3, "interrupted attempts before a job is quarantined as poisoned (with -state-dir)")
-		maxJobBytes  = flag.Int64("max-job-bytes", 0, "reject jobs whose estimated arena exceeds this many bytes with 413 (0 = unlimited)")
+		maxJobBytes  = flag.Int64("max-job-bytes", 0, "reject jobs whose estimated bytes (arena plus cache tag arrays) exceed this with 413 (0 = unlimited)")
 		maxJobCost   = flag.Int64("max-job-cost", 0, "reject jobs whose estimated work in reference simulations (trace refs x (1 + points/16), or points x refs with check_invariants) exceeds this with 413 (0 = unlimited)")
 		maxInflight  = flag.Int64("max-inflight-bytes", 0, "aggregate estimated bytes admitted at once before 503 (0 = 2x arena budget, negative = unlimited)")
 		maxDeadline  = flag.Duration("max-job-deadline", 0, "cap on the deadline a job spec may request (0 = no cap)")
@@ -232,7 +248,8 @@ func main() {
 		os.Exit(2)
 	}
 	opts := options{
-		jobs: *jobs, queue: *queue, arenaBudget: *arenaBudget,
+		jobs: *jobs, queue: *queue, par: *par, poolPerGeom: *poolPerGeom,
+		resultPoints: *resultPoints, drainTimeout: *drainTimeout, arenaBudget: *arenaBudget,
 		stateDir: *stateDir, artifactDir: *artifactDir, journalMaxMB: *journalMax,
 		tenantsPath: *tenantsPath, anonRate: *anonRate, anonBurst: *anonBurst,
 		maxAttempts: *maxAttempts, maxJobBytes: *maxJobBytes,

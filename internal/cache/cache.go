@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"unsafe"
 )
 
 // Replacement selects the replacement policy of a cache.
@@ -266,6 +267,13 @@ type Cache struct {
 	// lost or duplicated writeback.
 	dirtyMade    int64
 	dirtyDropped int64
+}
+
+// AllocBytes is what New allocates for the tag arrays of a valid c: one
+// line record per block frame and one slice header per set.
+func (c Config) AllocBytes() int64 {
+	sets := c.NumSets()
+	return sets*int64(unsafe.Sizeof([]line(nil))) + sets*int64(c.Ways())*int64(unsafe.Sizeof(line{}))
 }
 
 // New constructs a cache from a validated configuration.

@@ -3,8 +3,10 @@ package cache
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func smallConfig() Config {
@@ -474,5 +476,29 @@ func BenchmarkAccess(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Access(addrs[i&4095], i&7 == 0)
+	}
+}
+
+// TestAllocBytesMatchesNew: AllocBytes is what New allocates beyond the
+// Cache value itself, from direct-mapped to fully associative.
+func TestAllocBytesMatchesNew(t *testing.T) {
+	for _, cfg := range []Config{
+		{Name: "dm", SizeBytes: 1 << 20, BlockBytes: 32, Assoc: 1},
+		{Name: "4way", SizeBytes: 1 << 20, BlockBytes: 16, Assoc: 4},
+		{Name: "fa", SizeBytes: 64 << 10, BlockBytes: 32},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c, err := New(cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := int64(after.TotalAlloc-before.TotalAlloc) - int64(unsafe.Sizeof(*c))
+		// Large allocations round up to whole pages.
+		if want := cfg.AllocBytes(); got < want || got > want+16<<10 {
+			t.Errorf("%s: New allocated %d bytes of tag arrays, AllocBytes says %d", cfg.Name, got, want)
+		}
+		runtime.KeepAlive(c)
 	}
 }

@@ -229,20 +229,23 @@ func (s JobSpec) Points() []sweep.Point { return s.Grid().Points() }
 // workload cache). Every front end builds its runner this way, with the
 // 20% warmup convention, which is what keeps their results byte-identical.
 func (s JobSpec) RunnerFor(arena *trace.Arena) sweep.Runner {
+	return sweep.Runner{
+		Configure: s.Configure,
+		Arena:     arena,
+		CPU:       experiments.Options{Warmup: int64(arena.Len()) / 5}.CPU(),
+	}
+}
+
+// Configure is the hierarchy of one grid point: the paper's base machine
+// with the spec's split L1 and the point's L2.
+func (s JobSpec) Configure(pt sweep.Point) memsys.Config {
 	mem := mainmem.Base()
 	if s.SlowMem {
 		mem = mainmem.Slow()
 	}
-	return sweep.Runner{
-		Configure: func(pt sweep.Point) memsys.Config {
-			cfg := experiments.BaseMachine(s.L1KB,
-				experiments.L2Config(pt.L2SizeBytes, pt.L2CycleNS, pt.L2Assoc), mem)
-			cfg.CheckInvariants = s.CheckInvariants
-			return cfg
-		},
-		Arena: arena,
-		CPU:   experiments.Options{Warmup: int64(arena.Len()) / 5}.CPU(),
-	}
+	cfg := experiments.BaseMachine(s.L1KB, experiments.L2Config(pt.L2SizeBytes, pt.L2CycleNS, pt.L2Assoc), mem)
+	cfg.CheckInvariants = s.CheckInvariants
+	return cfg
 }
 
 // MaterializeArena loads the spec's workload into an arena, whatever its

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"mlcache/internal/retry"
 	"mlcache/internal/store"
 	"mlcache/internal/store/backend"
 	"mlcache/internal/sweep"
@@ -23,8 +24,8 @@ import (
 // Worker joins a coordinator, builds the job's runner locally, and loops:
 // lease a shard, simulate it (streaming completed points with every
 // heartbeat), upload the full shard, repeat until the coordinator reports
-// the grid done. Every request retries transport faults, 5xx, and torn
-// responses with capped exponential backoff and jitter; a lease revoked
+// the grid done. Every request retries transport faults, torn responses
+// and the statuses retry.Transient lists, under postPolicy; a lease revoked
 // mid-shard (heartbeat Cancel) abandons the shard without losing the
 // points already streamed. A worker whose context ends mid-shard sends
 // one last heartbeat, unretried and bounded to a second, that hands over
@@ -57,11 +58,11 @@ type Worker struct {
 	rng     *rand.Rand
 }
 
-// requestRetries bounds retransmissions per request; when a request is
+// postPolicy bounds each request to the coordinator; when a request is
 // still failing after the budget the worker gives up and Run returns the
 // error — from the coordinator's side it died, and its shards are
 // reassigned.
-const requestRetries = 8
+var postPolicy = retry.Policy{Attempts: 9, Base: 50 * time.Millisecond}
 
 func (w *Worker) logf(format string, args ...any) {
 	if w.Logf != nil {
@@ -333,55 +334,26 @@ func (w *Worker) runShard(ctx context.Context, runner sweep.Runner, all []sweep.
 	return cr.Done, nil
 }
 
-// terminalError marks a response that retrying cannot fix (4xx).
-type terminalError struct {
-	err error
-}
-
-func (e *terminalError) Error() string { return e.err.Error() }
-func (e *terminalError) Unwrap() error { return e.err }
-
-// post sends one JSON request with up to requestRetries retransmissions on
-// transport errors, 5xx, and torn responses, backing off exponentially
-// (capped at 2s) with jitter.
+// post sends one JSON request under postPolicy, with jitter in
+// [0, wait/2) on each wait.
 func (w *Worker) post(ctx context.Context, path string, req, resp any) error {
-	backoff := 50 * time.Millisecond
-	var lastErr error
-	for attempt := 0; attempt <= requestRetries; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(backoff + w.jitter(backoff/2)):
-			}
-			if backoff < 2*time.Second {
-				backoff *= 2
-			}
-		}
-		err := w.postOnce(ctx, path, req, resp)
-		if err == nil {
-			return nil
-		}
-		var te *terminalError
-		if errors.As(err, &te) {
-			return err
-		}
-		lastErr = err
-	}
-	return fmt.Errorf("%s failed after %d attempts: %w", path, requestRetries+1, lastErr)
+	p := postPolicy
+	p.Jitter = func(d time.Duration) time.Duration { return w.jitter(d / 2) }
+	return retry.Do(ctx, p, func() error { return w.postOnce(ctx, path, req, resp) })
 }
 
 // postOnce is a single request/response exchange. A response that cannot
 // be decoded — torn mid-body, truncated JSON — is a retryable error like
 // any transport fault; the protocol's idempotency makes the retry safe.
+// A status that retry.Transient does not list is permanent.
 func (w *Worker) postOnce(ctx context.Context, path string, req, resp any) error {
 	body, err := json.Marshal(req)
 	if err != nil {
-		return &terminalError{err}
+		return retry.Permanent(err)
 	}
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, w.Coordinator+path, bytes.NewReader(body))
 	if err != nil {
-		return &terminalError{err}
+		return retry.Permanent(err)
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	client := w.Client
@@ -396,9 +368,8 @@ func (w *Worker) postOnce(ctx context.Context, path string, req, resp any) error
 	if hresp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(hresp.Body, 4096))
 		err := fmt.Errorf("%s: %s: %s", path, hresp.Status, bytes.TrimSpace(msg))
-		if hresp.StatusCode >= 400 && hresp.StatusCode < 500 &&
-			hresp.StatusCode != http.StatusRequestTimeout && hresp.StatusCode != http.StatusTooManyRequests {
-			return &terminalError{err}
+		if !retry.Transient(hresp.StatusCode) {
+			return retry.Permanent(err)
 		}
 		return err
 	}

@@ -131,7 +131,7 @@ func TestJobByDigestRemoteOutage503(t *testing.T) {
 	fake := fakes3.New(fakes3.Config{Bucket: "artifacts"})
 	bucket := httptest.NewServer(fake)
 	defer bucket.Close()
-	s3, err := backend.NewS3(backend.S3Config{Endpoint: bucket.URL, Bucket: "artifacts", Retries: 1})
+	s3, err := backend.NewS3(backend.S3Config{Endpoint: bucket.URL, Bucket: "artifacts"})
 	if err != nil {
 		t.Fatal(err)
 	}

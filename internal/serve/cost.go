@@ -3,10 +3,13 @@ package serve
 import (
 	"fmt"
 	"os"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"mlcache/internal/coord"
+	"mlcache/internal/sweep"
 	"mlcache/internal/trace"
 )
 
@@ -17,10 +20,13 @@ import (
 // Two quantities matter:
 //
 //   - Bytes: the arena the workload will materialize, refs × 16 (the
-//     in-memory record size). For artifact-backed specs the reference
-//     count comes from the artifact's 32-byte header; for other trace
-//     files, from the file size (an overestimate — text records are wider
-//     on disk than in memory — which errs on the safe side).
+//     in-memory record size), plus the tag arrays of the hierarchies the
+//     job simulates at once: one per simulation worker, at most one per
+//     point, each as large as the job's largest point's (what cache.New
+//     allocates for its L1s and L2). For artifact-backed specs the
+//     reference count comes from the artifact's 32-byte header; for other
+//     trace files, from the file size (an overestimate — text records are
+//     wider on disk than in memory — which errs on the safe side).
 //   - Cost: the grid work in reference-simulations. The sweep planner
 //     decodes the trace once and replays a recorded boundary through each
 //     point's timing model, so the cost is
@@ -52,7 +58,7 @@ type CostModel struct {
 
 // JobEstimate is the admission-time resource estimate for one spec.
 type JobEstimate struct {
-	Bytes  int64 // arena footprint the workload will materialize
+	Bytes  int64 // the arena plus the tag arrays of the hierarchies held at once
 	Cost   int64 // grid work in reference-simulations
 	Points int
 	Refs   int64
@@ -71,12 +77,13 @@ func (e *CostError) Error() string {
 	return fmt.Sprintf("job estimated %s %d exceeds limit %d", e.Reason, e.Estimated, e.Limit)
 }
 
-// EstimateJob prices a spec. Artifact-digest specs must already be
-// resolved to a local TracePath (handleJobs resolves before estimating);
-// an unresolved digest falls back to the spec's stated Refs. Stat or
-// header errors surface to the caller — a workload we cannot even size is
-// a workload we cannot run.
-func EstimateJob(spec coord.JobSpec) (JobEstimate, error) {
+// EstimateJob prices a spec run on workers simulation workers (0 =
+// GOMAXPROCS, as for sweep.Runner.Parallelism). Artifact-digest specs
+// must already be resolved to a local TracePath (handleJobs resolves
+// before estimating); an unresolved digest falls back to the spec's
+// stated Refs. Stat or header errors surface to the caller — a workload
+// we cannot even size is a workload we cannot run.
+func EstimateJob(spec coord.JobSpec, workers int) (JobEstimate, error) {
 	refs := spec.Refs
 	switch {
 	case spec.TracePath == "" && spec.ArtifactDigest == "":
@@ -106,7 +113,22 @@ func EstimateJob(spec coord.JobSpec) (JobEstimate, error) {
 		}
 	}
 	points := len(spec.SizesBytes) * len(spec.CyclesNS)
-	est := JobEstimate{Bytes: refs * refBytes, Points: points, Refs: refs}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var hierarchy int64
+	if points > 0 {
+		// The spec's machine always splits its L1.
+		largest := spec.Configure(sweep.Point{L2SizeBytes: slices.Max(spec.SizesBytes), L2Assoc: spec.Assoc})
+		hierarchy = largest.L1I.Cache.AllocBytes() + largest.L1D.Cache.AllocBytes()
+		for _, l := range largest.Down {
+			hierarchy += l.Cache.AllocBytes()
+		}
+	}
+	est := JobEstimate{
+		Bytes:  refs*refBytes + int64(min(workers, points))*hierarchy,
+		Points: points, Refs: refs,
+	}
 	if spec.CheckInvariants {
 		est.Cost = int64(points) * refs
 	} else {

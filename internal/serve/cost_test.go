@@ -6,24 +6,32 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"mlcache/internal/checkpoint"
+	"mlcache/internal/coord"
 	"mlcache/internal/trace"
 )
 
-// TestEstimateJobSynthetic: a synthetic spec prices at refs×16 bytes and
-// at one trace pass plus a sixteenth of a pass per replayed point;
-// invariant checking sends every point to full simulation, so it prices at
-// points×refs.
+// gridSpecHierarchyBytes is the tag arrays of gridSpec's largest point:
+// two direct-mapped 2 KiB L1s of 16-byte blocks (128 sets of one 40-byte
+// line and a 24-byte set header each: 8192 bytes apiece) and a
+// direct-mapped 64 KiB L2 of 32-byte blocks (2048 sets: 131072 bytes).
+const gridSpecHierarchyBytes = 2*8192 + 131072
+
+// TestEstimateJobSynthetic: a synthetic spec prices at refs×16 bytes plus
+// one hierarchy per worker, and at one trace pass plus a sixteenth of a
+// pass per replayed point; invariant checking sends every point to full
+// simulation, so it prices at points×refs.
 func TestEstimateJobSynthetic(t *testing.T) {
 	spec := gridSpec() // 2×2 grid, 30000 refs
-	est, err := EstimateJob(spec)
+	est, err := EstimateJob(spec, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est.Bytes != 30000*refBytes {
-		t.Errorf("Bytes = %d, want %d", est.Bytes, 30000*refBytes)
+	if want := int64(30000*refBytes + 2*gridSpecHierarchyBytes); est.Bytes != want {
+		t.Errorf("Bytes = %d, want %d", est.Bytes, want)
 	}
 	if est.Points != 4 || est.Refs != 30000 {
 		t.Errorf("Points/Refs = %d/%d, want 4/30000", est.Points, est.Refs)
@@ -33,7 +41,7 @@ func TestEstimateJobSynthetic(t *testing.T) {
 	}
 
 	spec.CheckInvariants = true
-	checked, err := EstimateJob(spec)
+	checked, err := EstimateJob(spec, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,19 +64,19 @@ func TestEstimateJobArtifact(t *testing.T) {
 	spec := gridSpec()
 	spec.TracePath = path
 	spec.Refs = 0 // whole file
-	est, err := EstimateJob(spec)
+	est, err := EstimateJob(spec, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est.Refs != 500 || est.Bytes != 500*refBytes {
-		t.Errorf("whole-file estimate Refs/Bytes = %d/%d, want 500/%d", est.Refs, est.Bytes, 500*refBytes)
+	if want := int64(500*refBytes + 2*gridSpecHierarchyBytes); est.Refs != 500 || est.Bytes != want {
+		t.Errorf("whole-file estimate Refs/Bytes = %d/%d, want 500/%d", est.Refs, est.Bytes, want)
 	}
 	spec.Refs = 100 // spec cap below the file's count wins
-	if est, _ := EstimateJob(spec); est.Refs != 100 {
+	if est, _ := EstimateJob(spec, 2); est.Refs != 100 {
 		t.Errorf("capped estimate Refs = %d, want 100", est.Refs)
 	}
 	spec.Refs = 1 << 20 // cap above the file clamps to the file
-	if est, _ := EstimateJob(spec); est.Refs != 500 {
+	if est, _ := EstimateJob(spec, 2); est.Refs != 500 {
 		t.Errorf("over-cap estimate Refs = %d, want 500", est.Refs)
 	}
 }
@@ -107,7 +115,7 @@ func TestAdmissionRejectsOversized(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestServer(t, Config{
 		StateDir: dir,
-		Cost:     CostModel{MaxJobBytes: 1000}, // gridSpec estimates 480000
+		Cost:     CostModel{MaxJobBytes: 1000}, // gridSpec estimates over 480000
 	})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
@@ -130,7 +138,9 @@ func TestAdmissionRejectsOversized(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&reason); err != nil {
 		t.Fatal(err)
 	}
-	if reason.Reason != "bytes" || reason.Estimated != 30000*refBytes || reason.Limit != 1000 {
+	// One hierarchy per worker: GOMAXPROCS of them, at most one per point.
+	want := int64(30000*refBytes + min(runtime.GOMAXPROCS(0), 4)*gridSpecHierarchyBytes)
+	if reason.Reason != "bytes" || reason.Estimated != want || reason.Limit != 1000 {
 		t.Errorf("413 body = %+v", reason)
 	}
 
@@ -158,7 +168,7 @@ func TestAdmissionRejectsOversized(t *testing.T) {
 // reservation frees.
 func TestInflightGate(t *testing.T) {
 	spec := gridSpec()
-	est, err := EstimateJob(spec)
+	est, err := EstimateJob(spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,5 +205,91 @@ func TestInflightGate(t *testing.T) {
 	}
 	if got := s.metrics.inflightBytes.Load(); got != 0 {
 		t.Errorf("inflight gauge = %d after completion, want 0", got)
+	}
+}
+
+// TestEstimateJobPricesTheHierarchies: a job's tag arrays count, so a
+// one-point job with a 16 GiB direct-mapped L2 (2^29 sets of one 40-byte
+// line and a 24-byte header: 32 GiB) is priced at them, once, however
+// many workers there are; a Fig 4-1-sized grid stays small.
+func TestEstimateJobPricesTheHierarchies(t *testing.T) {
+	spec := gridSpec()
+	spec.SizesBytes, spec.CyclesNS, spec.Refs = []int64{16 << 30}, []int64{10}, 2000
+	est, err := EstimateJob(spec, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(2000*refBytes + 2*8192 + 1<<35); est.Bytes != want {
+		t.Errorf("16 GiB L2: Bytes = %d, want %d", est.Bytes, want)
+	}
+
+	fig41 := gridSpec()
+	fig41.SizesBytes = []int64{4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20}
+	fig41.Refs = 200000
+	est, err = EstimateJob(fig41, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 4 MiB of 32-byte blocks: 131072 sets of 64 bytes, per worker.
+	if want := int64(200000*refBytes + 4*(2*8192+131072*64)); est.Bytes != want {
+		t.Errorf("Fig 4-1 grid: Bytes = %d, want %d", est.Bytes, want)
+	}
+}
+
+// TestAdmissionRejectsWhatNoGateFits: under the default in-flight gate
+// (twice the arena budget) a job larger than the whole gate is refused
+// with the permanent 413, not a 503 a client would retry forever, and
+// before anything is journaled. A long trace against a 1 MiB arena
+// budget is such a job, and so is one 16 GiB L2 under the default 1 GiB.
+func TestAdmissionRejectsWhatNoGateFits(t *testing.T) {
+	longTrace := gridSpec()
+	longTrace.Refs = 200000 // 3.2 MB of arena against a 2 MiB gate
+	hugeL2 := gridSpec()
+	hugeL2.SizesBytes, hugeL2.CyclesNS, hugeL2.Refs = []int64{16 << 30}, []int64{10}, 2000
+	for _, tc := range []struct {
+		name        string
+		spec        coord.JobSpec
+		arenaBudget int64
+		gate        int64
+	}{
+		{"long trace", longTrace, 1 << 20, 2 << 20},
+		{"16 GiB L2", hugeL2, 0, 2 << 30},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := newTestServer(t, Config{StateDir: dir, ArenaBudgetBytes: tc.arenaBudget})
+			defer s.Close()
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			body, _ := json.Marshal(tc.spec)
+			resp, err := ts.Client().Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Fatalf("job larger than the gate = %d, want 413", resp.StatusCode)
+			}
+			if ra := resp.Header.Get("Retry-After"); ra != "" {
+				t.Errorf("permanent rejection carries Retry-After %q", ra)
+			}
+			var reason struct {
+				Reason string `json:"reason"`
+				Limit  int64  `json:"limit"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&reason); err != nil {
+				t.Fatal(err)
+			}
+			if reason.Reason != "bytes" || reason.Limit != tc.gate {
+				t.Errorf("413 body = %+v, want bytes over the %d-byte gate", reason, tc.gate)
+			}
+			set, err := checkpoint.LoadSegmented(dir, "jobs")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(set.Records) != 0 {
+				t.Errorf("rejected job left %d journal records", len(set.Records))
+			}
+		})
 	}
 }

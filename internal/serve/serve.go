@@ -924,12 +924,16 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	// Admission cost governance: price the job from its spec (artifact
 	// headers only — no materialization) and refuse ruinous ones before
 	// any journal write or arena allocation.
-	est, err := EstimateJob(spec)
+	est, err := EstimateJob(spec, s.cfg.Parallelism)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("workload: %v", err), http.StatusBadRequest)
 		return
 	}
-	if ce := s.cfg.Cost.check(est); ce != nil {
+	// Check against the gate's resolved limit, so a job larger than the
+	// whole of it gets the permanent 413 whatever the flags.
+	cost := s.cfg.Cost
+	cost.MaxInflightBytes = s.gate.max
+	if ce := cost.check(est); ce != nil {
 		s.metrics.jobsRejectedCost.Add(1)
 		rejectJSON(w, http.StatusRequestEntityTooLarge, map[string]any{
 			"error":     "job exceeds admission budget",

@@ -18,6 +18,7 @@ import (
 // pointed at it, plus the fake for fault arming and stats.
 func newFakeS3(t *testing.T) (*backend.S3, *fakes3.Server) {
 	t.Helper()
+	backend.ShortenRetryWaits(t)
 	fake := fakes3.New(fakes3.Config{
 		Bucket:    "artifacts",
 		AccessKey: "AKTEST",
@@ -31,7 +32,6 @@ func newFakeS3(t *testing.T) (*backend.S3, *fakes3.Server) {
 		AccessKey: "AKTEST",
 		SecretKey: "sekrit",
 		Insecure:  true, // loopback httptest is plaintext
-		Retries:   3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"mlcache/internal/retry"
 	"mlcache/internal/store"
 )
 
@@ -48,19 +49,18 @@ func statusError(op string, d store.Digest, resp *http.Response) *StatusError {
 
 // HTTP is the Backend over an artifact endpoint (store.Handler on a
 // coordinator or an mlcserve origin). Get retries transport faults and
-// 5xx with capped exponential backoff, and its stream resumes a broken
-// body with a Range request from the last byte it delivered instead of
-// starting over. The stream is not verified: whoever commits it does so
-// through FileStore.Put, which hashes before the rename, so any splice
-// of attempts is either exactly the published bytes or rejected.
+// the statuses retry.Transient lists under httpGetPolicy, and its stream
+// resumes a broken body with a Range request from the last byte it
+// delivered instead of starting over. The stream is not verified:
+// whoever commits it does so through FileStore.Put, which hashes before
+// the rename, so any splice of attempts is either exactly the published
+// bytes or rejected.
 type HTTP struct {
 	// Base is the endpoint's base URL, e.g. "https://coord:9191".
 	Base string
 	// HTTPClient issues the requests; nil means http.DefaultClient. The
 	// chaos harness and the authenticated transport both plug in here.
 	HTTPClient *http.Client
-	// Retries bounds retransmissions per Get, resumes included (default 8).
-	Retries int
 	// ThrottleBPS caps download throughput in bytes per second (0 =
 	// unlimited). Chiefly a fault-injection knob: it widens the window in
 	// which a transfer is genuinely in flight, so kill-mid-fetch tests
@@ -85,28 +85,21 @@ func (h *HTTP) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-func (h *HTTP) retries() int {
-	if h.Retries > 0 {
-		return h.Retries
-	}
-	return 8
-}
-
 func (h *HTTP) url(d store.Digest) string {
 	return strings.TrimSuffix(h.Base, "/") + store.PathArtifacts + d.String()
 }
 
-// terminalError marks a failure retrying cannot fix (404, auth).
-type terminalError struct{ err error }
+// httpGetPolicy bounds the requests of one Get stream, its resumes
+// included.
+var httpGetPolicy = retry.Policy{Attempts: 9, Base: 100 * time.Millisecond}
 
-func (e *terminalError) Error() string { return e.err.Error() }
-func (e *terminalError) Unwrap() error { return e.err }
-
-// Get implements Backend. 404, 401 and 403 are terminal, and a 404 wraps
-// os.ErrNotExist; anything else is retried within the Retries budget,
-// which the returned stream's resumes share.
+// Get implements Backend. A 404 wraps os.ErrNotExist; it and every other
+// status retry.Transient does not list end the Get at once. Transport
+// faults and transient statuses are retried within httpGetPolicy, whose
+// budget the returned stream's resumes share; a resume that fails ends
+// the stream with the error marked retry.Permanent.
 func (h *HTTP) Get(ctx context.Context, d store.Digest) (io.ReadCloser, error) {
-	b := &httpBody{h: h, ctx: ctx, d: d, backoff: 100 * time.Millisecond}
+	b := &httpBody{h: h, ctx: ctx, d: d}
 	if err := b.open(); err != nil {
 		return nil, err
 	}
@@ -124,58 +117,53 @@ type httpBody struct {
 	body     io.ReadCloser // nil after a break, until the resume opens
 	off      int64         // bytes delivered to the caller
 	attempts int           // requests issued
-	backoff  time.Duration
-	lastErr  error
+	broke    error         // why the body last broke
 
 	// Pacing for ThrottleBPS.
 	start time.Time
 	paced int64
 }
 
-// open issues the request the stream continues from, backing off between
-// attempts, until a response body is ready or the budget is spent.
+// open sends the request the stream continues from: the first at once,
+// later ones after waits that start again from Base. Every request of
+// the stream counts against httpGetPolicy's attempts, and the request
+// that spends the last of them ends the loop with the stream's count.
 func (b *httpBody) open() error {
-	for b.attempts <= b.h.retries() {
-		if b.attempts > 0 {
-			select {
-			case <-b.ctx.Done():
-				return b.ctx.Err()
-			case <-time.After(b.backoff):
-			}
-			if b.backoff < 2*time.Second {
-				b.backoff *= 2
-			}
-		}
+	if b.attempts >= httpGetPolicy.Attempts {
+		return b.spent(b.broke)
+	}
+	return retry.Do(b.ctx, httpGetPolicy, func() error {
 		b.attempts++
 		body, err := b.request()
-		if err == nil {
-			b.body = body
-			return nil
+		if err != nil {
+			b.h.logf("backend: http: get %s attempt %d: %v", b.d, b.attempts, err)
+			if b.attempts >= httpGetPolicy.Attempts {
+				return retry.Permanent(b.spent(err))
+			}
+			return err
 		}
-		var te *terminalError
-		if errors.As(err, &te) {
-			return te.err
-		}
-		b.lastErr = err
-		b.h.logf("backend: http: get %s attempt %d: %v", b.d, b.attempts, err)
-	}
-	return fmt.Errorf("backend: http: get %s failed after %d attempts: %w", b.d, b.attempts, b.lastErr)
+		b.body = body
+		return nil
+	})
+}
+
+// spent is the stream's error once its requests are spent; err is the
+// last failure.
+func (b *httpBody) spent(err error) error {
+	return fmt.Errorf("backend: http: get %s: %d requests spent: %w", b.d, b.attempts, err)
 }
 
 // request issues one GET from b.off and returns a body positioned there.
 func (b *httpBody) request() (io.ReadCloser, error) {
 	req, err := http.NewRequestWithContext(b.ctx, http.MethodGet, b.h.url(b.d), nil)
 	if err != nil {
-		return nil, &terminalError{err}
+		return nil, retry.Permanent(err)
 	}
 	if b.off > 0 {
 		req.Header.Set("Range", fmt.Sprintf("bytes=%d-", b.off))
 	}
 	resp, err := b.h.httpClient().Do(req)
 	if err != nil {
-		if b.ctx.Err() != nil {
-			return nil, &terminalError{b.ctx.Err()}
-		}
 		return nil, err
 	}
 	switch resp.StatusCode {
@@ -192,11 +180,11 @@ func (b *httpBody) request() (io.ReadCloser, error) {
 	}
 	defer resp.Body.Close()
 	serr := statusError("get", b.d, resp)
-	switch resp.StatusCode {
-	case http.StatusNotFound:
-		return nil, &terminalError{fmt.Errorf("%w: %w", serr, os.ErrNotExist)}
-	case http.StatusUnauthorized, http.StatusForbidden:
-		return nil, &terminalError{serr}
+	switch {
+	case resp.StatusCode == http.StatusNotFound:
+		return nil, retry.Permanent(fmt.Errorf("%w: %w", serr, os.ErrNotExist))
+	case !retry.Transient(resp.StatusCode):
+		return nil, retry.Permanent(serr)
 	}
 	return nil, serr
 }
@@ -206,7 +194,7 @@ func (b *httpBody) Read(p []byte) (int, error) {
 	for {
 		if b.body == nil {
 			if err := b.open(); err != nil {
-				return 0, err
+				return 0, retry.Permanent(err) // the stream's requests were the retries
 			}
 		}
 		n, err := b.body.Read(p)
@@ -219,7 +207,7 @@ func (b *httpBody) Read(p []byte) (int, error) {
 		}
 		b.body.Close()
 		b.body = nil
-		b.lastErr = err
+		b.broke = err
 		b.h.logf("backend: http: get %s: body broke at byte %d: %v; resuming", b.d, b.off, err)
 		if n > 0 {
 			return n, nil

@@ -53,7 +53,7 @@ func TestHTTPResumesTornBody(t *testing.T) {
 			srv := httptest.NewServer(th)
 			defer srv.Close()
 
-			h := &backend.HTTP{Base: srv.URL, Retries: 4}
+			h := &backend.HTTP{Base: srv.URL}
 			got := readAll(t, h, d)
 			want, _ := os.ReadFile(path)
 			if !bytes.Equal(got, want) {
@@ -74,6 +74,7 @@ func TestHTTPResumesTornBody(t *testing.T) {
 // 404/401/403 on Get are terminal (and 404 is os.ErrNotExist), and other
 // Get failures are retried.
 func TestHTTPStatusErrors(t *testing.T) {
+	backend.ShortenRetryWaits(t)
 	d := store.DigestBytes([]byte("the object"))
 	cases := []struct {
 		name     string
@@ -98,7 +99,7 @@ func TestHTTPStatusErrors(t *testing.T) {
 				http.Error(w, "server says no", tc.code)
 			}))
 			defer srv.Close()
-			h := &backend.HTTP{Base: srv.URL, Retries: 1}
+			h := &backend.HTTP{Base: srv.URL}
 			var err error
 			if tc.op == "get" {
 				_, err = h.Get(context.Background(), d)
@@ -126,8 +127,8 @@ func TestHTTPStatusErrors(t *testing.T) {
 			switch n := hits.Load(); {
 			case tc.terminal && n != 1:
 				t.Fatalf("terminal status %d was sent %d times", tc.code, n)
-			case !tc.terminal && n != 2:
-				t.Fatalf("retryable status %d was sent %d times, want 2 (Retries 1)", tc.code, n)
+			case !tc.terminal && n != 9:
+				t.Fatalf("retryable status %d was sent %d times, want 9 (the Get budget)", tc.code, n)
 			}
 		})
 	}
@@ -196,4 +197,35 @@ func httpOrigin(t *testing.T, src store.Resolver) (*backend.HTTP, *atomic.Int64)
 	}))
 	t.Cleanup(srv.Close)
 	return &backend.HTTP{Base: srv.URL}, &gets
+}
+
+// TestHTTPGetRetriesOnlyTransientStatuses: a Get sends a status that
+// retry.Transient does not list once, and spends the whole 9-request
+// budget on 408 and 429.
+func TestHTTPGetRetriesOnlyTransientStatuses(t *testing.T) {
+	backend.ShortenRetryWaits(t)
+	d := store.DigestBytes([]byte("the object"))
+	for code, want := range map[int]int64{
+		http.StatusBadRequest:                   1,
+		http.StatusMethodNotAllowed:             1,
+		http.StatusGone:                         1,
+		http.StatusRequestedRangeNotSatisfiable: 1,
+		http.StatusRequestTimeout:               9,
+		http.StatusTooManyRequests:              9,
+	} {
+		var hits atomic.Int64
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			hits.Add(1)
+			http.Error(w, "no", code)
+		}))
+		_, err := (&backend.HTTP{Base: srv.URL}).Get(context.Background(), d)
+		srv.Close()
+		var se *backend.StatusError
+		if !errors.As(err, &se) || se.StatusCode != code {
+			t.Errorf("%d: error %v does not carry the status", code, err)
+		}
+		if n := hits.Load(); n != want {
+			t.Errorf("%d was sent %d times, want %d", code, n, want)
+		}
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/md5"
 	"encoding/hex"
 	"encoding/xml"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"strings"
 	"time"
 
+	"mlcache/internal/retry"
 	"mlcache/internal/store"
 )
 
@@ -38,8 +40,6 @@ type S3Config struct {
 	Insecure bool
 	// HTTPClient issues requests; nil means http.DefaultClient.
 	HTTPClient *http.Client
-	// Retries bounds attempts per operation (default 4).
-	Retries int
 	// Logf receives transfer events; nil means silent.
 	Logf func(format string, args ...any)
 }
@@ -86,9 +86,6 @@ func NewS3(cfg S3Config) (*S3, error) {
 	}
 	if cfg.Region == "" {
 		cfg.Region = "us-east-1"
-	}
-	if cfg.Retries <= 0 {
-		cfg.Retries = 4
 	}
 	return &S3{cfg: cfg}, nil
 }
@@ -146,55 +143,39 @@ func (b *S3) sign(req *http.Request, payloadHash string) {
 	signV4(req, b.cfg.AccessKey, b.cfg.SecretKey, b.cfg.Region, payloadHash, time.Now())
 }
 
-// do issues one signed request and maps the well-known S3 failure
-// statuses onto the store's error taxonomy.
-func (b *S3) do(req *http.Request, payloadHash string) (*http.Response, error) {
+// s3Policy bounds every bucket operation's requests.
+var s3Policy = retry.Policy{Attempts: 5, Base: 50 * time.Millisecond}
+
+// do sends one signed request for op on d. A transport fault comes back
+// as a retryable error naming both.
+func (b *S3) do(req *http.Request, payloadHash, op string, d store.Digest) (*http.Response, error) {
 	b.sign(req, payloadHash)
-	return b.httpClient().Do(req)
-}
-
-// s3Error drains resp and renders a uniform error.
-func s3Error(op string, d store.Digest, resp *http.Response) error {
-	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-	err := fmt.Errorf("backend: s3: %s %s: %s: %s", op, d, resp.Status, strings.TrimSpace(string(msg)))
-	if resp.StatusCode == http.StatusNotFound {
-		return fmt.Errorf("%w: %w", err, os.ErrNotExist)
-	}
-	return err
-}
-
-// retryable reports whether an operation may be retried: transport
-// errors and 5xx, not 4xx (a 403 will not sign itself on attempt two).
-func retryable(resp *http.Response, err error) bool {
+	resp, err := b.httpClient().Do(req)
 	if err != nil {
-		return true
+		err = fmt.Errorf("backend: s3: %s %s: %w", op, d, err)
+		b.logf("%v", err)
 	}
-	return resp.StatusCode >= 500
+	return resp, err
 }
 
-// backoffLoop runs op up to cfg.Retries+1 times with capped exponential
-// backoff between attempts.
-func (b *S3) backoffLoop(ctx context.Context, op func() (done bool, err error)) error {
-	backoff := 50 * time.Millisecond
-	var lastErr error
-	for attempt := 0; attempt <= b.cfg.Retries; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(backoff):
-			}
-			if backoff < 2*time.Second {
-				backoff *= 2
-			}
-		}
-		done, err := op()
-		if done {
-			return err
-		}
-		lastErr = err
+// s3Error drains resp and renders a uniform error: a 404 wraps
+// os.ErrNotExist, and a status retry.Transient does not list is
+// permanent (a 403 will not sign itself on attempt two).
+func (b *S3) s3Error(op string, d store.Digest, resp *http.Response) error {
+	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
+	text := fmt.Sprintf("backend: s3: %s %s: %s", op, d, resp.Status)
+	if m := strings.TrimSpace(string(msg)); m != "" {
+		text += ": " + m
 	}
-	return fmt.Errorf("backend: s3: failed after %d attempts: %w", b.cfg.Retries+1, lastErr)
+	err := errors.New(text)
+	switch {
+	case resp.StatusCode == http.StatusNotFound:
+		return retry.Permanent(fmt.Errorf("%w: %w", err, os.ErrNotExist))
+	case !retry.Transient(resp.StatusCode):
+		return retry.Permanent(err)
+	}
+	b.logf("%v", err)
+	return err
 }
 
 // Get implements Backend. The returned stream is NOT verified — the
@@ -203,27 +184,21 @@ func (b *S3) backoffLoop(ctx context.Context, op func() (done bool, err error)) 
 // itself; a mid-stream fault surfaces to the consumer's verify-retry.
 func (b *S3) Get(ctx context.Context, d store.Digest) (io.ReadCloser, error) {
 	var body io.ReadCloser
-	err := b.backoffLoop(ctx, func() (bool, error) {
+	err := retry.Do(ctx, s3Policy, func() error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.objectURL(d), nil)
 		if err != nil {
-			return true, err
+			return retry.Permanent(err)
 		}
-		resp, err := b.do(req, unsignedPayload)
+		resp, err := b.do(req, unsignedPayload, "get", d)
 		if err != nil {
-			b.logf("backend: s3: get %s: %v", d, err)
-			return false, err
+			return err
 		}
 		if resp.StatusCode != http.StatusOK {
 			defer resp.Body.Close()
-			serr := s3Error("get", d, resp)
-			if retryable(resp, nil) {
-				b.logf("backend: s3: %v", serr)
-				return false, serr
-			}
-			return true, serr
+			return b.s3Error("get", d, resp)
 		}
 		body = resp.Body
-		return true, nil
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -258,42 +233,36 @@ func (b *S3) Put(ctx context.Context, d store.Digest, r io.Reader, size int64) (
 	}
 
 	var n int64
-	err := b.backoffLoop(ctx, func() (bool, error) {
+	err := retry.Do(ctx, s3Policy, func() error {
 		if _, err := seeker.Seek(0, io.SeekStart); err != nil {
-			return true, err
+			return retry.Permanent(err)
 		}
 		md5sum := md5.New()
 		req, err := http.NewRequestWithContext(ctx, http.MethodPut, b.objectURL(d),
 			io.TeeReader(io.LimitReader(seeker, size), md5sum))
 		if err != nil {
-			return true, err
+			return retry.Permanent(err)
 		}
 		req.ContentLength = size
 		req.Header.Set("Content-Type", "application/octet-stream")
-		resp, err := b.do(req, d.Hex())
+		resp, err := b.do(req, d.Hex(), "put", d)
 		if err != nil {
-			b.logf("backend: s3: put %s: %v", d, err)
-			return false, err
+			return err
 		}
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusCreated {
-			serr := s3Error("put", d, resp)
-			if retryable(resp, nil) {
-				b.logf("backend: s3: %v", serr)
-				return false, serr
-			}
-			return true, serr
+			return b.s3Error("put", d, resp)
 		}
 		if etag := strings.Trim(resp.Header.Get("ETag"), `"`); etag != "" {
 			if want := hex.EncodeToString(md5sum.Sum(nil)); etag != want {
-				serr := fmt.Errorf("backend: s3: put %s: endpoint ETag %s, body md5 %s: %w",
+				err := fmt.Errorf("backend: s3: put %s: endpoint ETag %s, body md5 %s: %w",
 					d, etag, want, store.ErrDigestMismatch)
-				b.logf("%v", serr)
-				return false, serr
+				b.logf("%v", err)
+				return err
 			}
 		}
 		n = size
-		return true, nil
+		return nil
 	})
 	return n, err
 }
@@ -301,29 +270,24 @@ func (b *S3) Put(ctx context.Context, d store.Digest, r io.Reader, size int64) (
 // Head implements Backend.
 func (b *S3) Head(ctx context.Context, d store.Digest) (ObjectInfo, error) {
 	var info ObjectInfo
-	err := b.backoffLoop(ctx, func() (bool, error) {
+	err := retry.Do(ctx, s3Policy, func() error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodHead, b.objectURL(d), nil)
 		if err != nil {
-			return true, err
+			return retry.Permanent(err)
 		}
-		resp, err := b.do(req, unsignedPayload)
+		resp, err := b.do(req, unsignedPayload, "head", d)
 		if err != nil {
-			return false, err
+			return err
 		}
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			// HEAD bodies are empty; synthesize the taxonomy directly.
-			serr := fmt.Errorf("backend: s3: head %s: %s", d, resp.Status)
-			if resp.StatusCode == http.StatusNotFound {
-				return true, fmt.Errorf("%w: %w", serr, os.ErrNotExist)
-			}
-			return !retryable(resp, nil), serr
+			return b.s3Error("head", d, resp)
 		}
 		info = ObjectInfo{Digest: d, Size: resp.ContentLength}
 		if t, err := http.ParseTime(resp.Header.Get("Last-Modified")); err == nil {
 			info.ModTime = t
 		}
-		return true, nil
+		return nil
 	})
 	return info, err
 }
@@ -347,7 +311,7 @@ func (b *S3) List(ctx context.Context, fn func(ObjectInfo) error) error {
 	token := ""
 	for {
 		var page listBucketResult
-		err := b.backoffLoop(ctx, func() (bool, error) {
+		err := retry.Do(ctx, s3Policy, func() error {
 			q := url.Values{}
 			q.Set("list-type", "2")
 			q.Set("prefix", b.cfg.Prefix)
@@ -357,22 +321,21 @@ func (b *S3) List(ctx context.Context, fn func(ObjectInfo) error) error {
 			u := strings.TrimSuffix(b.cfg.Endpoint, "/") + "/" + b.cfg.Bucket + "?" + q.Encode()
 			req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 			if err != nil {
-				return true, err
+				return retry.Permanent(err)
 			}
-			resp, err := b.do(req, unsignedPayload)
+			resp, err := b.do(req, unsignedPayload, "list", store.Digest{})
 			if err != nil {
-				return false, err
+				return err
 			}
 			defer resp.Body.Close()
 			if resp.StatusCode != http.StatusOK {
-				serr := s3Error("list", store.Digest{}, resp)
-				return !retryable(resp, nil), serr
+				return b.s3Error("list", store.Digest{}, resp)
 			}
 			page = listBucketResult{}
 			if err := xml.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&page); err != nil {
-				return false, fmt.Errorf("backend: s3: list: %w", err)
+				return fmt.Errorf("backend: s3: list: %w", err)
 			}
-			return true, nil
+			return nil
 		})
 		if err != nil {
 			return err
@@ -404,20 +367,19 @@ func (b *S3) Delete(ctx context.Context, d store.Digest) error {
 	if _, err := b.Head(ctx, d); err != nil {
 		return err
 	}
-	return b.backoffLoop(ctx, func() (bool, error) {
+	return retry.Do(ctx, s3Policy, func() error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodDelete, b.objectURL(d), nil)
 		if err != nil {
-			return true, err
+			return retry.Permanent(err)
 		}
-		resp, err := b.do(req, unsignedPayload)
+		resp, err := b.do(req, unsignedPayload, "delete", d)
 		if err != nil {
-			return false, err
+			return err
 		}
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-			serr := s3Error("delete", d, resp)
-			return !retryable(resp, nil), serr
+			return b.s3Error("delete", d, resp)
 		}
-		return true, nil
+		return nil
 	})
 }

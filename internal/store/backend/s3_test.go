@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"mlcache/internal/store"
@@ -60,7 +62,7 @@ func TestS3RejectsBadCredentials(t *testing.T) {
 	bad, err := backend.NewS3(backend.S3Config{
 		Endpoint: srvURL, Bucket: "artifacts",
 		AccessKey: "AKTEST", SecretKey: "wrong",
-		Insecure: true, Retries: 1,
+		Insecure: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -204,4 +206,32 @@ func FuzzS3ObjectKey(f *testing.F) {
 			t.Fatalf("accepted non-canonical key %q (canonical %q)", key, rendered)
 		}
 	})
+}
+
+// TestS3GetRetries429: a bucket that sheds load with 429 is retried like
+// one answering 5xx, and the Get ends in the object.
+func TestS3GetRetries429(t *testing.T) {
+	backend.ShortenRetryWaits(t)
+	fake := fakes3.New(fakes3.Config{Bucket: "artifacts"})
+	data := testBlob(512, 6)
+	d := seedObject(fake, data)
+	var requests atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if requests.Add(1) <= 2 {
+			http.Error(w, "SlowDown", http.StatusTooManyRequests)
+			return
+		}
+		fake.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	s3, err := backend.NewS3(backend.S3Config{Endpoint: srv.URL, Bucket: "artifacts"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := readAll(t, s3, d); !bytes.Equal(got, data) {
+		t.Fatal("Get returned different bytes")
+	}
+	if n := requests.Load(); n != 3 {
+		t.Fatalf("%d requests, want two 429s and one GET served", n)
+	}
 }

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mlcache/internal/retry"
 	"mlcache/internal/store"
 )
 
@@ -30,8 +31,6 @@ import (
 type Tiered struct {
 	Local  *store.FileStore
 	Remote Backend
-	// FillRetries bounds promotion attempts per digest (default 4).
-	FillRetries int
 	// Budget bounds the local tier's committed bytes; <= 0 means
 	// unbounded.
 	Budget int64
@@ -56,11 +55,13 @@ type Tiered struct {
 	evictions   atomic.Int64
 }
 
-// fill is one in-progress promotion; latecomers wait on done.
+// fill is one in-progress promotion; latecomers wait on done. abandoned
+// says the owner's own context ended before the fill did.
 type fill struct {
-	done chan struct{}
-	path string
-	err  error
+	done      chan struct{}
+	path      string
+	err       error
+	abandoned bool
 }
 
 var _ Store = (*Tiered)(nil)
@@ -94,13 +95,6 @@ func (t *Tiered) logf(format string, args ...any) {
 	}
 }
 
-func (t *Tiered) fillRetriesMax() int {
-	if t.FillRetries > 0 {
-		return t.FillRetries
-	}
-	return 4
-}
-
 // Resolve implements store.Resolver: the local path, promoting from the
 // remote tier on a miss. This is what lets serve mmap artifacts while
 // the durable copy lives in a bucket.
@@ -132,11 +126,11 @@ func (t *Tiered) promote(ctx context.Context, d store.Digest) (string, error) {
 			case <-ctx.Done():
 				return "", ctx.Err()
 			}
-			if fl.err != nil {
-				// The flight's owner failed; this waiter retries as owner.
+			if fl.abandoned {
+				// The owner's context ended mid-fill; this waiter takes over.
 				continue
 			}
-			return fl.path, nil
+			return fl.path, fl.err
 		}
 		fl := &fill{done: make(chan struct{})}
 		if t.flights == nil {
@@ -149,6 +143,7 @@ func (t *Tiered) promote(ctx context.Context, d store.Digest) (string, error) {
 		t.mu.Unlock()
 
 		fl.path, fl.err = t.fillOnce(ctx, d)
+		fl.abandoned = fl.err != nil && ctx.Err() != nil
 		defer t.Unpin(d)
 		t.mu.Lock()
 		delete(t.flights, d)
@@ -158,46 +153,45 @@ func (t *Tiered) promote(ctx context.Context, d store.Digest) (string, error) {
 	}
 }
 
+// fillPolicy bounds the promotion attempts of one fill. The remote
+// retries its own requests, so a fill retries only a body that failed
+// verification, and at once.
+var fillPolicy = retry.Policy{Attempts: 5}
+
 // fillOnce streams the remote object through the local store's verified
-// commit, retrying torn bodies.
+// commit, retrying torn or lying bodies; the remote's own error ends it.
 func (t *Tiered) fillOnce(ctx context.Context, d store.Digest) (string, error) {
 	// A racing Put or promotion may have landed while we queued.
 	if path, err := t.Local.Resolve(d); err == nil {
 		return path, nil
 	}
-	var lastErr error
-	for attempt := 0; attempt <= t.fillRetriesMax(); attempt++ {
+	attempt := 0
+	err := retry.Do(ctx, fillPolicy, func() error {
+		attempt++
 		rc, err := t.Remote.Get(ctx, d)
 		if err != nil {
-			if errors.Is(err, os.ErrNotExist) {
-				return "", err
-			}
-			lastErr = err
-			continue
+			return retry.Permanent(err)
 		}
 		n, err := t.Local.Put(rc, d)
 		rc.Close()
-		if err == nil {
-			t.promotions.Add(1)
-			t.promotedB.Add(n)
-			t.logf("backend: tiered: promoted %s (%d bytes)", d, n)
-			t.touch(d)
-			t.evict()
-			return t.Local.Resolve(d)
+		if err != nil {
+			// Torn body or a lying endpoint: FileStore.Put discarded the
+			// staged bytes; go around for a fresh stream.
+			t.fillRetries.Add(1)
+			t.logf("backend: tiered: promotion of %s attempt %d: %v", d, attempt, err)
+			return err
 		}
-		// Torn body or a lying endpoint: FileStore.Put discarded the staged
-		// bytes; go around for a fresh stream.
-		t.fillRetries.Add(1)
-		t.logf("backend: tiered: promotion of %s attempt %d: %v", d, attempt+1, err)
-		lastErr = err
-		select {
-		case <-ctx.Done():
-			return "", ctx.Err()
-		default:
-		}
+		t.promotions.Add(1)
+		t.promotedB.Add(n)
+		t.logf("backend: tiered: promoted %s (%d bytes)", d, n)
+		return nil
+	})
+	if err != nil {
+		return "", fmt.Errorf("backend: tiered: promoting %s: %w", d, err)
 	}
-	return "", fmt.Errorf("backend: tiered: promoting %s failed after %d attempts: %w",
-		d, t.fillRetriesMax()+1, lastErr)
+	t.touch(d)
+	t.evict()
+	return t.Local.Resolve(d)
 }
 
 // Get implements Backend: the verified local copy, promoted on demand.

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -524,8 +528,7 @@ func TestTieredLyingOriginCommitsNothing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tiered := backend.NewTiered(local, &backend.HTTP{Base: srv.URL, Retries: 1})
-			tiered.FillRetries = 2
+			tiered := backend.NewTiered(local, &backend.HTTP{Base: srv.URL})
 
 			if _, err := tiered.Resolve(d); !errors.Is(err, store.ErrDigestMismatch) {
 				t.Fatalf("want ErrDigestMismatch, got %v", err)
@@ -534,8 +537,8 @@ func TestTieredLyingOriginCommitsNothing(t *testing.T) {
 			for _, e := range ents {
 				t.Errorf("failed fill left %s behind", e.Name())
 			}
-			if st := tiered.Stats(); st.Promotions != 0 || st.FillRetries != 3 {
-				t.Fatalf("stats %+v, want 0 promotions after 3 discarded attempts", st)
+			if st := tiered.Stats(); st.Promotions != 0 || st.FillRetries != 5 {
+				t.Fatalf("stats %+v, want 0 promotions after 5 discarded attempts", st)
 			}
 		})
 	}
@@ -545,8 +548,8 @@ func TestTieredLyingOriginCommitsNothing(t *testing.T) {
 // published: the 404 ends the fill at once as os.ErrNotExist, with no
 // HTTP retry and no second fill attempt, and the local tier stays empty.
 func TestTieredAbsentObjectIsTerminal(t *testing.T) {
+	backend.ShortenRetryWaits(t)
 	remote, gets := httpOrigin(t, store.Static{})
-	remote.Retries = 50 // would take minutes if a 404 were retried
 	local, err := store.OpenFileStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -648,5 +651,215 @@ func TestTieredConcurrentBudget(t *testing.T) {
 	wg.Wait()
 	if st := tiered.Stats(); st.Evictions == 0 {
 		t.Fatalf("stats %+v: no eviction happened", st)
+	}
+}
+
+// TestTieredDeadRemoteCostsOneBudget promotes from remotes that fail
+// every request: the remote's own retry budget is the whole cost of the
+// promotion (9 requests over HTTP, 5 GETs from a bucket), since the fill
+// does not retry what its remote already retried. That holds too when
+// the HTTP stream fails while resuming a broken body.
+func TestTieredDeadRemoteCostsOneBudget(t *testing.T) {
+	data := testBlob(4096, 6)
+	d := store.DigestBytes(data)
+	// brokenBody promises the whole object, sends half of it, hangs up.
+	brokenBody := func(w http.ResponseWriter) {
+		w.Header().Set("Content-Length", fmt.Sprint(len(data)))
+		w.Write(data[:len(data)/2])
+	}
+	for _, tc := range []struct {
+		name   string
+		serve  func(w http.ResponseWriter, request int64)
+		want   int64 // requests for the promotion
+		errMsg string
+		errIs  error
+	}{
+		{"http every body broken", func(w http.ResponseWriter, _ int64) { brokenBody(w) },
+			9, "9 requests spent", io.ErrUnexpectedEOF},
+		{"http resume answered 404", func(w http.ResponseWriter, request int64) {
+			if request == 1 {
+				brokenBody(w)
+				return
+			}
+			http.NotFound(w, nil)
+		}, 2, "404 Not Found", os.ErrNotExist},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			backend.ShortenRetryWaits(t)
+			var requests atomic.Int64
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				tc.serve(w, requests.Add(1))
+			}))
+			defer srv.Close()
+			local, err := store.OpenFileStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			tiered := backend.NewTiered(local, &backend.HTTP{Base: srv.URL})
+			_, err = tiered.Resolve(d)
+			if !errors.Is(err, tc.errIs) || !strings.Contains(err.Error(), tc.errMsg) {
+				t.Fatalf("want %q wrapping %v, got %v", tc.errMsg, tc.errIs, err)
+			}
+			if n := requests.Load(); n != tc.want {
+				t.Fatalf("%d requests for one promotion, want %d", n, tc.want)
+			}
+			ents, _ := os.ReadDir(local.Dir())
+			for _, e := range ents {
+				t.Errorf("failed fill left %s behind", e.Name())
+			}
+		})
+	}
+
+	t.Run("http", func(t *testing.T) {
+		backend.ShortenRetryWaits(t)
+		var requests atomic.Int64
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			requests.Add(1)
+			http.Error(w, "down", http.StatusInternalServerError)
+		}))
+		defer srv.Close()
+		local, err := store.OpenFileStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tiered := backend.NewTiered(local, &backend.HTTP{Base: srv.URL})
+		_, err = tiered.Resolve(store.DigestBytes([]byte("unreachable")))
+		var se *backend.StatusError
+		if !errors.As(err, &se) || se.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("want the remote's 500, got %v", err)
+		}
+		if n := requests.Load(); n != 9 {
+			t.Fatalf("%d requests for one promotion, want 9", n)
+		}
+		if st := tiered.Stats(); st.FillRetries != 0 {
+			t.Fatalf("stats %+v, want no discarded attempt", st)
+		}
+	})
+	t.Run("s3", func(t *testing.T) {
+		tiered, fake := newTiered(t)
+		d := seedObject(fake, testBlob(1024, 7))
+		fake.SetFaults(fakes3.Faults{FailGets: 100})
+		if _, err := tiered.Resolve(d); err == nil {
+			t.Fatal("promotion from a dead bucket succeeded")
+		}
+		if n := fake.Stats().Gets; n != 5 {
+			t.Fatalf("%d GETs for one promotion, want 5", n)
+		}
+	})
+}
+
+// TestTieredWaitersShareAFailedFill resolves one digest from three
+// goroutines against a bucket failing every GET: the fill runs once, its
+// error is every resolver's answer, and the bucket sees one budget of 5
+// GETs in all. The S3 policy's real waits (0.75 s) keep the fill in
+// flight well past the moment the last resolver misses locally.
+func TestTieredWaitersShareAFailedFill(t *testing.T) {
+	fake := fakes3.New(fakes3.Config{Bucket: "artifacts"})
+	d := seedObject(fake, testBlob(1024, 8))
+	fake.SetFaults(fakes3.Faults{FailGets: 100})
+	local, err := store.OpenFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tier atomic.Pointer[backend.Tiered]
+	var gate sync.Once
+	// The first GET waits until all three resolvers have missed locally,
+	// so the other two find its fill in flight.
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		gate.Do(func() {
+			for tier.Load().Stats().LocalMisses < 3 {
+				time.Sleep(time.Millisecond)
+			}
+		})
+		fake.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	s3, err := backend.NewS3(backend.S3Config{Endpoint: srv.URL, Bucket: "artifacts"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiered := backend.NewTiered(local, s3)
+	tier.Store(tiered)
+
+	const resolvers = 3
+	errs := make([]error, resolvers)
+	var wg sync.WaitGroup
+	for i := range resolvers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = tiered.Resolve(d)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "500 Internal Server Error") {
+			t.Errorf("resolver %d: %v, want the bucket's 500", i, err)
+		}
+	}
+	if n := fake.Stats().Gets; n != 5 {
+		t.Fatalf("%d GETs for %d concurrent resolvers, want one budget of 5", n, resolvers)
+	}
+}
+
+// TestTieredCancelledOwnerHandsOverFill cancels the resolver whose fill
+// is in flight while another waits on it: the owner gets its context's
+// error, and the waiter runs the fill itself and gets the object. (A
+// waiter that reached the flight only after it closed would fill on its
+// own, with the same outcome.)
+func TestTieredCancelledOwnerHandsOverFill(t *testing.T) {
+	path, d := writeArtifact(t, t.TempDir(), 2000, 9)
+	h := &store.Handler{Source: store.Static{d: path}}
+	var gets atomic.Int64
+	firstGet := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if gets.Add(1) == 1 {
+			close(firstGet)
+			<-r.Context().Done() // hang until the owner gives up
+			return
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	local, err := store.OpenFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiered := backend.NewTiered(local, &backend.HTTP{Base: srv.URL})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	ownerErr := make(chan error, 1)
+	go func() {
+		_, err := tiered.ResolveContext(ctx, d)
+		ownerErr <- err
+	}()
+	<-firstGet
+	waiter := make(chan error, 1)
+	var waiterPath string
+	go func() {
+		var err error
+		waiterPath, err = tiered.ResolveContext(context.Background(), d)
+		waiter <- err
+	}()
+	for tiered.Stats().LocalMisses < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+
+	if err := <-ownerErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("owner: %v, want context.Canceled", err)
+	}
+	if err := <-waiter; err != nil {
+		t.Fatalf("waiter: %v", err)
+	}
+	want, _ := os.ReadFile(path)
+	if got, _ := os.ReadFile(waiterPath); !bytes.Equal(got, want) {
+		t.Fatal("waiter's promoted bytes differ from the origin's")
+	}
+	if n := gets.Load(); n != 2 {
+		t.Fatalf("%d GETs, want the owner's and the waiter's", n)
+	}
+	if st := tiered.Stats(); st.Promotions != 1 {
+		t.Fatalf("stats %+v, want 1 promotion", st)
 	}
 }
