@@ -12,8 +12,9 @@
 // The crc field is the IEEE CRC-32 of the key bytes, a zero byte, and the
 // raw data bytes, so a record corrupted on disk (or torn by a crash mid
 // write) is detected and dropped on load rather than poisoning the resume.
-// Records are fsynced as they are appended; the header is fsynced before
-// the first record so a journal is never seen without its version line.
+// Records are fsynced as they are appended, a batch of them with one
+// write and one fsync; the header is fsynced before the first record so
+// a journal is never seen without its version line.
 package checkpoint
 
 import (
@@ -55,7 +56,7 @@ func recordCRC(key string, data []byte) uint32 {
 
 // Journal is an open checkpoint file being appended to. It is safe for use
 // from a single goroutine; callers that journal from several workers must
-// serialize Append themselves.
+// serialize Append and AppendBatch themselves.
 type Journal struct {
 	f    *os.File
 	path string
@@ -199,38 +200,70 @@ func checkHeaderLine(line []byte) error {
 	return nil
 }
 
-// Append journals one completed unit: key identifies it (and is what resume
-// matches on), data is any JSON-serializable payload stored alongside. The
-// record is flushed and fsynced before Append returns, so a record is
-// either durably complete or detectably torn.
+// Entry is one record to append: Key identifies the unit (and is what
+// resume matches on), Data is any JSON-serializable payload stored
+// alongside it, or nil for none.
+type Entry struct {
+	Key  string
+	Data any
+}
+
+// Append journals one completed unit; it is AppendBatch of one Entry.
 func (j *Journal) Append(key string, data any) error {
+	return j.AppendBatch([]Entry{{Key: key, Data: data}})
+}
+
+// AppendBatch journals the entries in order with one write and one fsync,
+// so each record is durably complete when it returns and a crash during
+// it leaves at most one torn final line. An entry whose data does not
+// marshal is left out and its error returned after the others are
+// written, just as if each entry had gone through its own Append.
+func (j *Journal) AppendBatch(entries []Entry) error {
 	if j.err != nil {
 		return j.err
 	}
-	var raw json.RawMessage
-	if data != nil {
-		b, err := json.Marshal(data)
+	var buf []byte
+	var bad error
+	for _, e := range entries {
+		line, err := recordLine(e)
 		if err != nil {
-			return fmt.Errorf("checkpoint: marshal %q: %w", key, err)
+			if bad == nil {
+				bad = err
+			}
+			continue
+		}
+		buf = append(append(buf, line...), '\n')
+	}
+	if len(buf) == 0 {
+		return bad
+	}
+	n, err := j.f.Write(buf)
+	j.size += int64(n)
+	if err == nil {
+		err = j.f.Sync()
+	}
+	if err != nil {
+		j.err = err
+		return err
+	}
+	return bad
+}
+
+// recordLine marshals one entry as its journal line, without the newline.
+func recordLine(e Entry) ([]byte, error) {
+	var raw json.RawMessage
+	if e.Data != nil {
+		b, err := json.Marshal(e.Data)
+		if err != nil {
+			return nil, fmt.Errorf("checkpoint: marshal %q: %w", e.Key, err)
 		}
 		raw = b
 	}
-	rec := record{Key: key, CRC: recordCRC(key, raw), Data: raw}
-	line, err := json.Marshal(rec)
+	line, err := json.Marshal(record{Key: e.Key, CRC: recordCRC(e.Key, raw), Data: raw})
 	if err != nil {
-		return fmt.Errorf("checkpoint: marshal %q: %w", key, err)
+		return nil, fmt.Errorf("checkpoint: marshal %q: %w", e.Key, err)
 	}
-	n, err := j.f.Write(append(line, '\n'))
-	j.size += int64(n)
-	if err != nil {
-		j.err = err
-		return err
-	}
-	if err := j.f.Sync(); err != nil {
-		j.err = err
-		return err
-	}
-	return nil
+	return line, nil
 }
 
 // Path returns the journal's file path.

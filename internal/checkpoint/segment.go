@@ -85,13 +85,19 @@ func OpenSegmented(dir, prefix string, maxBytes int64) (*Segmented, error) {
 	return &Segmented{dir: dir, prefix: prefix, maxBytes: maxBytes, cur: j, curN: n}, nil
 }
 
-// Append journals one record (fsynced, exactly like Journal.Append) and
-// reports whether it rotated to a new segment afterwards — the caller's
-// cue to consider Compact.
+// Append journals one record; it is AppendBatch of one Entry.
 func (s *Segmented) Append(key string, data any) (rotated bool, err error) {
+	return s.AppendBatch([]Entry{{Key: key, Data: data}})
+}
+
+// AppendBatch journals the entries with one write and one fsync, exactly
+// like Journal.AppendBatch, into the current segment, and reports whether
+// it rotated to a new segment afterwards — the caller's cue to consider
+// Compact.
+func (s *Segmented) AppendBatch(entries []Entry) (rotated bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.cur.Append(key, data); err != nil {
+	if err := s.cur.AppendBatch(entries); err != nil {
 		return false, err
 	}
 	if s.cur.Size() < s.maxBytes {
@@ -178,7 +184,8 @@ func (s *Segmented) Compact(keep func(key string, data json.RawMessage) bool) er
 	return nil
 }
 
-// writeCompacted writes surviving records to a temp segment and fsyncs it.
+// writeCompacted writes surviving records to a temp segment with one
+// AppendBatch, so with one fsync.
 func (s *Segmented) writeCompacted(path string, set Set, keep func(string, json.RawMessage) bool) error {
 	j, err := Open(path)
 	if err != nil {
@@ -191,15 +198,16 @@ func (s *Segmented) writeCompacted(path string, set Set, keep func(string, json.
 		}
 	}
 	sort.Strings(keys)
-	for _, k := range keys {
-		var data any
+	entries := make([]Entry, len(keys))
+	for i, k := range keys {
+		entries[i].Key = k
 		if raw := set.Records[k]; raw != nil {
-			data = raw
+			entries[i].Data = raw
 		}
-		if err := j.Append(k, data); err != nil {
-			j.Close()
-			return err
-		}
+	}
+	if err := j.AppendBatch(entries); err != nil {
+		j.Close()
+		return err
 	}
 	return j.Close()
 }

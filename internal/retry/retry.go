@@ -52,7 +52,6 @@ func Transient(status int) bool {
 // Jitter) between calls. It returns nil, the Permanent error's cause,
 // ctx.Err(), or the last failure with the number of attempts made.
 func Do(ctx context.Context, p Policy, op func() error) error {
-	wait := p.Base
 	for attempt := 1; ; attempt++ {
 		err := op()
 		if err == nil {
@@ -67,16 +66,29 @@ func Do(ctx context.Context, p Policy, op func() error) error {
 		if attempt >= p.Attempts {
 			return fmt.Errorf("%w (after %d attempts)", err, attempt)
 		}
-		wait = min(wait, maxWait)
-		d := wait
-		if p.Jitter != nil {
-			d += p.Jitter(wait)
+		if err := p.Wait(ctx, attempt); err != nil {
+			return err
 		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(d):
-		}
+	}
+}
+
+// Wait sleeps as Do does after the n-th failed attempt in a row:
+// Base·2^(n-1), up to 2 s, plus Jitter. It returns ctx.Err() if ctx ends
+// first.
+func (p Policy) Wait(ctx context.Context, n int) error {
+	wait := p.Base
+	for ; n > 1 && wait < maxWait; n-- {
 		wait *= 2
+	}
+	wait = min(wait, maxWait)
+	d := wait
+	if p.Jitter != nil {
+		d += p.Jitter(wait)
+	}
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-time.After(d):
+		return nil
 	}
 }

@@ -5,10 +5,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"mlcache/internal/checkpoint"
 	"mlcache/internal/coord"
-	"mlcache/internal/cpu"
+	"mlcache/internal/sweep"
 )
 
 // The durable layer persists the two things a restart must not lose: every
@@ -22,18 +23,24 @@ import (
 //	                                  last record per key wins, so a
 //	                                  terminal append supersedes "running"
 //
-// A point's record is fsynced *before* its line is streamed to the
-// client, so anything a client saw is durable. On startup the results
-// journal replays into the in-memory result cache (every field of
-// cpu.Result is an exported integer or shortest-round-trip float, so a
-// replayed result renders byte-identically to the original simulation),
-// and jobs still marked running are finished in the background by
-// ResumeInterrupted — together: a SIGKILL'd server recomputes zero
-// completed points and still produces byte-identical tables. Both
-// journals are parsed and decoded on GOMAXPROCS goroutines
-// (checkpoint.Load, checkpoint.Decode), and results enter the cache in
-// journal order, so a journal larger than the cache leaves the most
-// recently journaled points resident, the same ones on every restart.
+// Each job commits its points through a committer: the simulation worker
+// only queues a finished point, and one goroutine per job writes every
+// point queued since its last fsync with one AppendBatch (one write, one
+// fsync), and only then puts those points in the result cache and
+// streams their lines, in completion order. A point's record is thus
+// fsynced *before* any client can see it, on this job's stream or through
+// another job's cache probe, so anything a client saw is durable, while
+// the simulation never waits for the disk. On startup the results journal
+// replays into the in-memory result cache (every field of cpu.Result is
+// an exported integer or shortest-round-trip float, so a replayed result
+// renders byte-identically to the original simulation), and jobs still
+// marked running are finished in the background by ResumeInterrupted —
+// together: a SIGKILL'd server recomputes zero completed points and still
+// produces byte-identical tables. Both journals are parsed and decoded on
+// GOMAXPROCS goroutines (checkpoint.Load, checkpoint.Decode), and results
+// enter the cache in journal order, so a journal larger than the cache
+// leaves the most recently journaled points resident, the same ones on
+// every restart.
 //
 // Journals compact on rotation: results keep only keys still live in the
 // in-memory cache (an evicted point's record is dead weight — recomputing
@@ -116,18 +123,83 @@ func openDurable(dir string, segmentBytes int64) (*durable, checkpoint.Set, chec
 	return &durable{results: results, jobs: jobs}, resultsSet, jobsSet, nil
 }
 
-// appendResult journals one completed point, compacting the journal when
-// rotation has accumulated enough segments. live reports whether a key is
-// still in the in-memory cache and therefore worth carrying forward.
-func (d *durable) appendResult(key string, run cpu.Result, live func(string) bool) error {
-	rotated, err := d.results.Append(key, run)
-	if err != nil {
-		return err
+// commitResults commits a batch of a job's finished points: it journals
+// them with one AppendBatch when the server is durable, then puts each in
+// the result cache and hands it to publish, in order, and last compacts
+// the journal when rotation has accumulated enough segments. Compaction
+// keeps the keys still in the cache, the batch among them. Journal
+// trouble degrades durability, not availability: it is logged, and the
+// batch is still cached and published.
+func (s *Server) commitResults(base string, batch []sweep.Result, publish func(sweep.Result)) {
+	entries := make([]checkpoint.Entry, len(batch))
+	for i, res := range batch {
+		entries[i] = checkpoint.Entry{Key: pointKey(base, res.Point), Data: res.Run}
 	}
-	if rotated && d.results.Segments() > keepSegments {
-		return d.results.Compact(func(k string, _ json.RawMessage) bool { return live(k) })
+	compact := false
+	if s.durable != nil {
+		rotated, err := s.durable.results.AppendBatch(entries)
+		s.metrics.resultCommits.Add(1)
+		if err != nil {
+			s.logf("journal %d points: %v", len(entries), err)
+		}
+		compact = rotated && s.durable.results.Segments() > keepSegments
 	}
-	return nil
+	for i, res := range batch {
+		s.results.putKey(entries[i].Key, res.Run)
+		publish(res)
+	}
+	if compact {
+		if err := s.durable.results.Compact(func(k string, _ json.RawMessage) bool { return s.results.has(k) }); err != nil {
+			s.logf("compact results journal: %v", err)
+		}
+	}
+}
+
+// committer carries a job's finished points from the simulation workers
+// to one goroutine that commits them in batches. add queues a point and
+// never waits for the commit; the goroutine commits everything queued
+// since its previous commit in one call, in the order add saw it, so the
+// points that finish during one commit share the next.
+type committer struct {
+	mu     sync.Mutex
+	queued []sweep.Result
+	wake   chan struct{} // holds a token while points may wait; closed by drain
+	done   chan struct{} // closed after the last commit
+}
+
+func newCommitter(commit func([]sweep.Result)) *committer {
+	c := &committer{wake: make(chan struct{}, 1), done: make(chan struct{})}
+	go func() {
+		defer close(c.done)
+		var batch []sweep.Result
+		for range c.wake {
+			c.mu.Lock()
+			batch, c.queued = c.queued, batch[:0]
+			c.mu.Unlock()
+			if len(batch) > 0 {
+				commit(batch)
+			}
+		}
+	}()
+	return c
+}
+
+// add queues one finished point for the next commit.
+func (c *committer) add(res sweep.Result) {
+	c.mu.Lock()
+	c.queued = append(c.queued, res)
+	c.mu.Unlock()
+	select {
+	case c.wake <- struct{}{}:
+	default: // a token is pending; its commit takes this point too
+	}
+}
+
+// drain waits until every queued point is committed and stops the
+// goroutine. Call it once, after the last add has returned.
+func (c *committer) drain() {
+	close(c.wake)
+	<-c.done
 }
 
 // appendJob journals a job-state transition under its stable job key.

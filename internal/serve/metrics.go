@@ -78,6 +78,7 @@ type metrics struct {
 	inflightBytes        atomic.Int64 // estimated bytes of admitted unfinished jobs
 
 	pointsTotal    atomic.Int64 // points simulated by this process
+	resultCommits  atomic.Int64 // AppendBatch calls on the results journal
 	pointsCached   atomic.Int64 // served from the result cache
 	pointsReplayed atomic.Int64 // loaded into the cache from the journal at startup
 	pointsFailed   atomic.Int64
@@ -165,6 +166,7 @@ func (m *metrics) writePrometheus(w io.Writer, arenas ArenaCacheStats, pool mems
 	gaugeI("mlcserve_inflight_estimated_bytes", "Estimated arena bytes of admitted, unfinished jobs.", m.inflightBytes.Load())
 
 	counter("mlcserve_points_total", "Grid points simulated.", m.pointsTotal.Load())
+	counter("mlcserve_results_journal_commits_total", "Batches of simulated points written to the results journal, one fsync each.", m.resultCommits.Load())
 	counter("mlcserve_points_cached_total", "Grid points served from the result cache.", m.pointsCached.Load())
 	counter("mlcserve_points_replayed_total", "Grid points replayed into the result cache from the state journal.", m.pointsReplayed.Load())
 	counter("mlcserve_points_failed_total", "Grid points that failed simulation.", m.pointsFailed.Load())

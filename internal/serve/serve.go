@@ -1172,33 +1172,35 @@ func (s *Server) runJob(ctx context.Context, jobID int64, spec coord.JobSpec, tn
 	runner.Parallelism = s.cfg.Parallelism
 	arenaRefs := int64(wl.Arena().Len())
 
+	// OnResult only queues a finished point: the job's committer journals
+	// the points in batches and only then caches and streams them (see
+	// commitResults), so the simulation never waits for the disk or the
+	// client. The committer is the only writer to sink between the cached
+	// prefix above and drain below, so sink needs no extra locking.
+	publish := func(res sweep.Result) {
+		s.metrics.pointsTotal.Add(1)
+		tn.m.points.Add(1)
+		s.metrics.refsTotal.Add(arenaRefs)
+		line := lineFor(index[res.Point], res.Point)
+		run := res.Run
+		line.Run = &run
+		sink.send("result", line)
+	}
+	commits := newCommitter(func(batch []sweep.Result) { s.commitResults(base, batch, publish) })
 	opts := sweep.Options{
 		Skip: func(pt sweep.Point) bool {
 			_, ok := cached[pt]
 			return ok
 		},
-		// OnResult calls are serialized by the engine, and they are the
-		// only writer between the cached prefix above and the summary
-		// below, so sink needs no extra locking. The journal append comes
-		// first: a point is durable before any client can have seen it.
-		OnResult: func(res sweep.Result) {
-			key := pointKey(base, res.Point)
-			if s.durable != nil {
-				if err := s.durable.appendResult(key, res.Run, s.results.has); err != nil {
-					s.logf("journal point %s: %v", key, err)
-				}
-			}
-			s.results.putKey(key, res.Run)
-			s.metrics.pointsTotal.Add(1)
-			tn.m.points.Add(1)
-			s.metrics.refsTotal.Add(arenaRefs)
-			line := lineFor(index[res.Point], res.Point)
-			run := res.Run
-			line.Run = &run
-			sink.send("result", line)
-		},
+		OnResult: commits.add,
 	}
 	results, runErr := runner.RunContext(dctx, pts, opts)
+	commits.drain()
+	if runErr == nil {
+		// The committer may have found the client gone only after the
+		// last point finished; the job is canceled all the same.
+		runErr = ctx.Err()
+	}
 	if runErr != nil {
 		if errors.Is(dctx.Err(), context.DeadlineExceeded) && ctx.Err() == nil {
 			// The job's own deadline fired while the client (or resume

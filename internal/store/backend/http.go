@@ -116,6 +116,8 @@ type httpBody struct {
 
 	body     io.ReadCloser // nil after a break, until the resume opens
 	off      int64         // bytes delivered to the caller
+	from     int64         // off when body opened
+	stalls   int           // bodies in a row that broke before delivering a byte
 	attempts int           // requests issued
 	broke    error         // why the body last broke
 
@@ -125,12 +127,21 @@ type httpBody struct {
 }
 
 // open sends the request the stream continues from: the first at once,
-// later ones after waits that start again from Base. Every request of
-// the stream counts against httpGetPolicy's attempts, and the request
-// that spends the last of them ends the loop with the stream's count.
+// later ones after waits that start again from Base. A resume after
+// bodies that broke before delivering a byte first waits as a retry
+// after that many failed requests would, so an origin that hangs up
+// before the stream's offset is not sent the stream's requests back to
+// back. Every request of the stream counts against httpGetPolicy's
+// attempts, and the request that spends the last of them ends the loop
+// with the stream's count.
 func (b *httpBody) open() error {
 	if b.attempts >= httpGetPolicy.Attempts {
 		return b.spent(b.broke)
+	}
+	if b.stalls > 0 {
+		if err := httpGetPolicy.Wait(b.ctx, b.stalls); err != nil {
+			return err
+		}
 	}
 	return retry.Do(b.ctx, httpGetPolicy, func() error {
 		b.attempts++
@@ -142,7 +153,7 @@ func (b *httpBody) open() error {
 			}
 			return err
 		}
-		b.body = body
+		b.body, b.from = body, b.off
 		return nil
 	})
 }
@@ -208,6 +219,11 @@ func (b *httpBody) Read(p []byte) (int, error) {
 		b.body.Close()
 		b.body = nil
 		b.broke = err
+		if b.off == b.from {
+			b.stalls++
+		} else {
+			b.stalls = 0
+		}
 		b.h.logf("backend: http: get %s: body broke at byte %d: %v; resuming", b.d, b.off, err)
 		if n > 0 {
 			return n, nil

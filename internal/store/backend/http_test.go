@@ -5,12 +5,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"mlcache/internal/store"
 	"mlcache/internal/store/backend"
@@ -226,6 +229,48 @@ func TestHTTPGetRetriesOnlyTransientStatuses(t *testing.T) {
 		}
 		if n := hits.Load(); n != want {
 			t.Errorf("%d was sent %d times, want %d", code, n, want)
+		}
+	}
+}
+
+// TestHTTPResumeWaitsAfterNoProgress: an origin that promises the whole
+// object, ignores Range and hangs up halfway gets the stream's 9 requests
+// in all, and from the first break on each resume comes at least Base
+// after the one before, since its body delivered no new byte.
+func TestHTTPResumeWaitsAfterNoProgress(t *testing.T) {
+	const base = 5 * time.Millisecond
+	backend.SetRetryBase(t, base)
+	data := testBlob(4096, 9)
+	var (
+		mu sync.Mutex
+		at []time.Time
+	)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		at = append(at, time.Now())
+		mu.Unlock()
+		w.Header().Set("Content-Length", fmt.Sprint(len(data)))
+		w.Write(data[:len(data)/2])
+	}))
+	defer srv.Close()
+
+	rc, err := (&backend.HTTP{Base: srv.URL}).Get(context.Background(), store.DigestBytes(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = io.ReadAll(rc)
+	rc.Close()
+	if err == nil || !strings.Contains(err.Error(), "9 requests spent") {
+		t.Fatalf("want the spent budget, got %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(at) != 9 {
+		t.Fatalf("%d requests, want 9", len(at))
+	}
+	for i := 2; i < len(at); i++ {
+		if gap := at[i].Sub(at[i-1]); gap < base {
+			t.Errorf("request %d came %v after request %d, want at least %v", i+1, gap, i, base)
 		}
 	}
 }
