@@ -212,7 +212,7 @@ func main() {
 		jobs         = flag.Int("jobs", 4, "max concurrently running jobs")
 		queue        = flag.Int("queue", 16, "max jobs waiting for a slot per tenant before 429")
 		par          = flag.Int("par", 0, "simulation workers per job (0 = GOMAXPROCS)")
-		arenaBudget  = flag.Int64("arena-budget-mb", 1024, "workload cache budget in MiB")
+		arenaBudget  = flag.Int64("arena-budget-mb", 1024, "workload cache budget in MiB; also bounds the tag arrays of idle pooled hierarchies")
 		poolPerGeom  = flag.Int("pool-per-geometry", 4, "idle hierarchies kept per cache geometry")
 		resultPoints = flag.Int("result-cache-points", 65536, "per-point result cache capacity")
 		stateDir     = flag.String("state-dir", "", "journal results and jobs here; restart replays them (empty = in-memory only)")

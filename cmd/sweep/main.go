@@ -520,7 +520,7 @@ func runGrid(ctx context.Context, pts []sweep.Point, run func(context.Context, [
 // file means a fresh start.
 func loadPrior(ckptPath string, total int) (map[string]cpu.Result, error) {
 	prior := map[string]cpu.Result{}
-	set, err := checkpoint.Load(ckptPath)
+	journal, err := checkpoint.LoadAs[cpu.Result](ckptPath)
 	switch {
 	case errors.Is(err, os.ErrNotExist):
 		log.Printf("checkpoint %s not found; starting fresh", ckptPath)
@@ -528,15 +528,15 @@ func loadPrior(ckptPath string, total int) (map[string]cpu.Result, error) {
 	case err != nil:
 		return nil, err
 	}
-	for _, r := range checkpoint.Decode[cpu.Result](set) {
+	for _, r := range journal.Records {
 		if r.Err != nil {
 			log.Printf("checkpoint: record %s unreadable, will re-simulate: %v", r.Key, r.Err)
 			continue
 		}
 		prior[r.Key] = r.Value
 	}
-	if set.Dropped > 0 {
-		log.Printf("checkpoint: dropped %d corrupt record(s)", set.Dropped)
+	if journal.Dropped > 0 {
+		log.Printf("checkpoint: dropped %d corrupt record(s)", journal.Dropped)
 	}
 	log.Printf("resuming: %d of %d points already simulated", len(prior), total)
 	return prior, nil

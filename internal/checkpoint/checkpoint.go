@@ -307,3 +307,10 @@ func Load(path string) (Set, error) { return load(os.ReadFile(path)) }
 
 // Read is Load over any reader.
 func Read(r io.Reader) (Set, error) { return load(io.ReadAll(r)) }
+
+// LoadAs is Load with each record's data unmarshalled into a T, on the
+// goroutines that parse the lines: it returns the same keys in the same
+// order, the Dropped count and error Load returns, and for each key the
+// value or error json.Unmarshal gives for its data. Decoded values share
+// no memory with the file as read.
+func LoadAs[T any](path string) (Typed[T], error) { return loadAs[T](os.ReadFile(path)) }

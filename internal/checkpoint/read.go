@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"slices"
 	"sync"
@@ -15,35 +16,63 @@ import (
 // read with bufio.ErrTooLong, keeping the records before it.
 const maxLine = 16 << 20
 
-// entry is one intact record as parsed, before later records of the same
-// key shadow it.
+// The journal has one line parser with two forms. The raw form
+// (parseRecord) yields each intact record's key and data bytes, from
+// which Load and LoadSegmented build a Set. The typed form (parseTyped)
+// yields each record's key and data decoded into a T, from which LoadAs
+// and LoadSegmentedAs build a Typed; it returns exactly what unmarshalling
+// each record of the Set into a T would, but decodes a record whose data
+// has the exact shape json.Marshal writes for T in the same pass that
+// checks the line's framing and CRC.
+
+// entry is one intact record as the raw form parses it, before later
+// records of the same key shadow it.
 type entry struct {
 	key  string
 	data json.RawMessage
 }
 
 // run is what one goroutine parsed of a journal's record lines: its
-// intact records in line order, how many lines it dropped, and whether it
-// stopped at a line of maxLine bytes or more.
-type run struct {
-	recs    []entry
+// intact records in line order (entry for the raw form, Decoded for the
+// typed one), how many lines it dropped, and whether it stopped at a line
+// of maxLine bytes or more.
+type run[E any] struct {
+	recs    []E
 	dropped int
 	tooLong bool
 }
 
-// load parses a journal read whole: data as read, readErr the error that
-// ended the read. A line of maxLine bytes or more, or a read error, ends
-// the records; load returns those before it along with the error.
+// parseFunc parses one record line into *e and reports whether the line
+// is an intact record; the line is dropped otherwise.
+type parseFunc[E any] func(line []byte, e *E) bool
+
+// load parses a journal read whole into a Set: data as read, readErr the
+// error that ended the read. A line of maxLine bytes or more, or a read
+// error, ends the records; load returns those before it along with the
+// error.
 func load(data []byte, readErr error) (Set, error) {
 	body, err := splitHeader(data, readErr)
 	if err != nil {
 		return Set{}, err
 	}
-	runs, dropped, err := parseRecords(body)
+	runs, dropped, err := parseRecords(body, parseRecord)
 	if err == nil {
 		err = readErr
 	}
 	return newSet(runs, dropped), err
+}
+
+// loadAs is load's typed form.
+func loadAs[T any](data []byte, readErr error) (Typed[T], error) {
+	body, err := splitHeader(data, readErr)
+	if err != nil {
+		return Typed[T]{}, err
+	}
+	runs, dropped, err := parseRecords(body, parseTyped[T]())
+	if err == nil {
+		err = readErr
+	}
+	return newTyped(runs, dropped), err
 }
 
 // splitHeader validates the header line of data and returns the record
@@ -69,9 +98,9 @@ func splitHeader(data []byte, readErr error) ([]byte, error) {
 // each taking the lines that start in one contiguous stretch of bytes. It
 // returns their runs in line order; at a line of maxLine bytes or more it
 // stops, keeping the lines before it, and returns bufio.ErrTooLong.
-func parseRecords(body []byte) ([][]entry, int, error) {
-	parts := inParallel(len(body), func(lo, hi int) run { return parseRun(body, lo, hi) })
-	runs := make([][]entry, 0, len(parts))
+func parseRecords[E any](body []byte, parse parseFunc[E]) ([][]E, int, error) {
+	parts := inParallel(len(body), func(lo, hi int) run[E] { return parseRun(body, lo, hi, parse) })
+	runs := make([][]E, 0, len(parts))
 	dropped := 0
 	for _, p := range parts {
 		runs = append(runs, p.recs)
@@ -87,7 +116,7 @@ func parseRecords(body []byte) ([][]entry, int, error) {
 // Lines split as bufio.ScanLines splits them: at '\n', with one trailing
 // '\r' dropped and a final unterminated line kept; empty lines are
 // skipped.
-func parseRun(body []byte, lo, hi int) (r run) {
+func parseRun[E any](body []byte, lo, hi int, parse parseFunc[E]) (r run[E]) {
 	if lo > 0 {
 		i := bytes.IndexByte(body[lo-1:], '\n')
 		if i < 0 {
@@ -95,6 +124,10 @@ func parseRun(body []byte, lo, hi int) (r run) {
 		}
 		lo += i
 	}
+	if lo < hi {
+		r.recs = make([]E, 0, bytes.Count(body[lo:hi], []byte{'\n'})+1)
+	}
+	var zero E
 	for lo < hi {
 		line, next := body[lo:], len(body)
 		if i := bytes.IndexByte(line, '\n'); i >= 0 {
@@ -108,43 +141,83 @@ func parseRun(body []byte, lo, hi int) (r run) {
 		if line = dropCR(line); len(line) == 0 {
 			continue
 		}
-		if e, ok := parseRecord(line); ok {
-			r.recs = append(r.recs, e)
-		} else {
+		r.recs = append(r.recs, zero)
+		if !parse(line, &r.recs[len(r.recs)-1]) {
+			r.recs = r.recs[:len(r.recs)-1]
 			r.dropped++
 		}
 	}
 	return r
 }
 
-// parseRecord decodes one record line and checks its CRC. The data of a
-// canonical line aliases the line; any other line goes through
+// parseRecord is the raw form of the line parser: it reads one record
+// line's key and data and checks its CRC. The data of a framed line that
+// is valid JSON aliases the line; any other line goes through
 // json.Unmarshal into a record.
-func parseRecord(line []byte) (entry, bool) {
-	key, crc, data, ok := canonical(line)
-	if !ok {
-		var rec record
-		if json.Unmarshal(line, &rec) != nil || rec.CRC != recordCRC(rec.Key, rec.Data) {
-			return entry{}, false
+func parseRecord(line []byte, e *entry) bool {
+	key, crc, data, ok := frame(line)
+	if ok && (data == nil || json.Valid(line)) {
+		k := string(key)
+		if crc != recordCRC(k, data) {
+			return false
 		}
-		return entry{rec.Key, rec.Data}, true
+		*e = entry{k, data}
+		return true
 	}
-	k := string(key)
-	if crc != recordCRC(k, data) {
-		return entry{}, false
+	var rec record
+	if json.Unmarshal(line, &rec) != nil || rec.CRC != recordCRC(rec.Key, rec.Data) {
+		return false
 	}
-	return entry{k, data}, true
+	*e = entry{rec.Key, rec.Data}
+	return true
 }
 
-// canonical reads a record line in the exact shape json.Marshal(record)
-// gives it — {"key":K,"crc":C,"data":D} or, without data,
-// {"key":K,"crc":C} — for which json.Unmarshal would return the same key,
-// CRC and data: K is printable ASCII without '"' or '\', so it needs no
-// unescaping; C is an integer as encoding/json writes one and fits a
-// uint32; and D is a JSON object. D is validated as part of the whole
-// line, so that its nesting depth counts from the line's own object as it
-// does for json.Unmarshal. ok is false for every other line.
-func canonical(line []byte) (key []byte, crc uint32, data []byte, ok bool) {
+// parseTyped returns the typed form of the line parser for T. A framed
+// line whose CRC fails is dropped; one whose CRC holds and whose data is
+// exactly what json.Marshal writes for a T is decoded by T's exact
+// decoder, with neither json.Valid nor json.Unmarshal. Every other line
+// takes the raw form, and its data goes through json.Unmarshal, whose
+// error, if any, the record carries with a zero Value.
+func parseTyped[T any]() parseFunc[Decoded[T]] {
+	exact := exactFor(reflect.TypeFor[T]())
+	return func(line []byte, d *Decoded[T]) bool {
+		var zero T
+		if exact != nil {
+			if key, crc, data, ok := frame(line); ok {
+				k := string(key)
+				if crc != recordCRC(k, data) {
+					return false
+				}
+				if decodeExact(exact, data, reflect.ValueOf(&d.Value).Elem()) {
+					d.Key = k
+					return true
+				}
+				d.Value = zero
+			}
+		}
+		var e entry
+		if !parseRecord(line, &e) {
+			return false
+		}
+		d.Key = e.key
+		if d.Err = json.Unmarshal(e.data, &d.Value); d.Err != nil {
+			d.Value = zero
+		}
+		return true
+	}
+}
+
+// frame reads a record line in the exact shape json.Marshal(record) gives
+// it — {"key":K,"crc":C,"data":D} or, without data, {"key":K,"crc":C} —
+// for which json.Unmarshal returns the same key, CRC and data whenever
+// the line is valid JSON: K is printable ASCII without '"' or '\', so it
+// needs no unescaping; C is an integer as encoding/json writes one and
+// fits a uint32; and D starts with '{' and ends with '}'. D itself is left
+// for the caller to check: the raw form runs json.Valid over the whole
+// line, so that D's nesting depth counts from the line's own object as it
+// does for json.Unmarshal, and the typed form reads D with an exact
+// decoder. ok is false for every other line.
+func frame(line []byte) (key []byte, crc uint32, data []byte, ok bool) {
 	const keyTag, crcTag, dataTag = `{"key":"`, `","crc":`, `,"data":`
 	rest, ok := bytes.CutPrefix(line, []byte(keyTag))
 	if !ok {
@@ -179,7 +252,7 @@ func canonical(line []byte) (key []byte, crc uint32, data []byte, ok bool) {
 	// Capped, so that appending to one record's data cannot overwrite the
 	// line after it in the shared buffer.
 	data = rest[len(dataTag) : len(rest)-1 : len(rest)-1]
-	if len(data) < 2 || data[0] != '{' || data[len(data)-1] != '}' || !json.Valid(line) {
+	if len(data) < 2 || data[0] != '{' || data[len(data)-1] != '}' {
 		return nil, 0, nil, false
 	}
 	return key, uint32(v), data, true
@@ -196,51 +269,75 @@ func dropCR(line []byte) []byte {
 // newSet folds runs of intact records, in journal order, into a Set: the
 // last record of each key wins and fixes the key's place in Set.Keys.
 func newSet(runs [][]entry, dropped int) Set {
-	n := 0
-	for _, r := range runs {
-		n += len(r)
-	}
-	s := Set{Records: make(map[string]json.RawMessage, n), Dropped: dropped}
-	keys := make([]string, 0, n)
-	for i := len(runs) - 1; i >= 0; i-- {
-		for j := len(runs[i]) - 1; j >= 0; j-- {
-			e := runs[i][j]
-			if _, seen := s.Records[e.key]; !seen {
-				s.Records[e.key] = e.data
-				keys = append(keys, e.key)
-			}
+	s := Set{Records: make(map[string]json.RawMessage, count(runs)), Dropped: dropped}
+	last := lastOfKey(runs, func(e *entry) bool {
+		if _, seen := s.Records[e.key]; seen {
+			return false
 		}
+		s.Records[e.key] = e.data
+		return true
+	})
+	s.Keys = make([]string, len(last))
+	for i, e := range last {
+		s.Keys[i] = e.key
 	}
-	slices.Reverse(keys)
-	s.Keys = keys
 	return s
 }
 
-// Decoded is one record of a Set after Decode: its key and its data
-// unmarshalled into a T, or, with a zero Value, the error that prevented
-// it.
+// Decoded is one record of a journal read into values of T: its key and
+// its data unmarshalled into a T, or, with a zero Value, the error that
+// prevented it.
 type Decoded[T any] struct {
 	Key   string
 	Value T
 	Err   error
 }
 
-// Decode unmarshals the data of every record of s into a T on GOMAXPROCS
-// goroutines and returns one Decoded per key, in the order of s.Keys.
-func Decode[T any](s Set) []Decoded[T] {
-	out := make([]Decoded[T], len(s.Keys))
-	inParallel(len(out), func(lo, hi int) struct{} {
-		for i := lo; i < hi; i++ {
-			d := &out[i]
-			d.Key = s.Keys[i]
-			if d.Err = json.Unmarshal(s.Records[d.Key], &d.Value); d.Err != nil {
-				var zero T
-				d.Value = zero
+// Typed is a journal read into values of T by LoadAs or LoadSegmentedAs:
+// one Decoded per key in the order of Set.Keys, each at the place of its
+// key's last intact record, and the lines dropped, as Set.Dropped counts
+// them.
+type Typed[T any] struct {
+	Records []Decoded[T]
+	Dropped int
+}
+
+// newTyped is newSet's typed form.
+func newTyped[T any](runs [][]Decoded[T], dropped int) Typed[T] {
+	seen := make(map[string]struct{}, count(runs))
+	last := lastOfKey(runs, func(d *Decoded[T]) bool {
+		if _, ok := seen[d.Key]; ok {
+			return false
+		}
+		seen[d.Key] = struct{}{}
+		return true
+	})
+	return Typed[T]{Records: last, Dropped: dropped}
+}
+
+// lastOfKey visits the records of runs from the journal's end and
+// returns, in journal order, those for which first returns true: first
+// reports whether the record is the first of its key so visited.
+func lastOfKey[E any](runs [][]E, first func(*E) bool) []E {
+	out := make([]E, 0, count(runs))
+	for i := len(runs) - 1; i >= 0; i-- {
+		for j := len(runs[i]) - 1; j >= 0; j-- {
+			if e := &runs[i][j]; first(e) {
+				out = append(out, *e)
 			}
 		}
-		return struct{}{}
-	})
+	}
+	slices.Reverse(out)
 	return out
+}
+
+// count returns how many records runs hold.
+func count[E any](runs [][]E) int {
+	n := 0
+	for _, r := range runs {
+		n += len(r)
+	}
+	return n
 }
 
 // inParallel splits [0, n) into contiguous ranges, one for each of up to

@@ -202,13 +202,13 @@ func TestParseRunSplits(t *testing.T) {
 		appendedLines(t, "a", payload{N: 1, S: "one"}, "b", nil, `q"uote`, payload{N: 2}),
 		[]byte("\n\r\n"), bytes.Replace(line, []byte("\n"), []byte("\r\n"), 1),
 		[]byte("not json\n\n"), line, line[:len(line)-5])
-	whole := parseRun(body, 0, len(body))
+	whole := parseRun(body, 0, len(body), parseRecord)
 	if len(whole.recs) != 5 || whole.dropped != 2 {
 		t.Fatalf("one run: %d records, %d dropped; want 5, 2", len(whole.recs), whole.dropped)
 	}
 	for cut := 0; cut <= len(body); cut++ {
-		a, b := parseRun(body, 0, cut), parseRun(body, cut, len(body))
-		merged := run{append(a.recs, b.recs...), a.dropped + b.dropped, b.tooLong}
+		a, b := parseRun(body, 0, cut, parseRecord), parseRun(body, cut, len(body), parseRecord)
+		merged := run[entry]{append(a.recs, b.recs...), a.dropped + b.dropped, b.tooLong}
 		if !reflect.DeepEqual(merged, whole) {
 			t.Fatalf("cut at %d: two runs %+v, one run %+v", cut, merged, whole)
 		}
@@ -218,45 +218,151 @@ func TestParseRunSplits(t *testing.T) {
 // TestReadLineCap: a line of maxLine bytes or more ends the read with
 // bufio.ErrTooLong and keeps the records before it, as the reference
 // reader's bufio.Scanner does; one byte shorter, it is read (and dropped
-// as malformed).
+// as malformed). The typed form does the same.
 func TestReadLineCap(t *testing.T) {
 	before := appendedLines(t, "before", payload{N: 1})
 	after := append([]byte("\n"), appendedLines(t, "after", payload{N: 2})...)
 	for _, n := range []int{maxLine - 1, maxLine} {
 		long := bytes.Repeat([]byte("x"), n)
 		for _, tail := range [][]byte{nil, after} {
-			set, err := checkAgainstReference(t, slices.Concat(headerLine, before, long, tail))
+			journal := slices.Concat(headerLine, before, long, tail)
+			set, err := checkAgainstReference(t, journal)
 			if (n == maxLine) != errors.Is(err, bufio.ErrTooLong) || !set.Has("before") {
 				t.Errorf("line of %d bytes, %d after it: error %v, records %q", n, len(tail), err, set.Keys)
 			}
+			checkTypedAgainstReference[payload](t, journal)
 		}
 	}
 	checkAgainstReference(t, bytes.Repeat([]byte("x"), maxLine))
+	checkTypedAgainstReference[payload](t, bytes.Repeat([]byte("x"), maxLine))
+}
+
+// referenceDecode is Decode[T] as it was before the typed reader: each
+// record of a loaded Set unmarshalled into a T, in the order of s.Keys,
+// with a zero Value where json.Unmarshal fails.
+func referenceDecode[T any](s Set) []Decoded[T] {
+	out := make([]Decoded[T], len(s.Keys))
+	for i, key := range s.Keys {
+		d := &out[i]
+		d.Key = key
+		if d.Err = json.Unmarshal(s.Records[key], &d.Value); d.Err != nil {
+			var zero T
+			d.Value = zero
+		}
+	}
+	return out
+}
+
+// checkTypedAgainstReference requires the typed reader to return, for
+// journal, what referenceDecode returns over the reference reader's Set:
+// the same keys in journal order, equal values, the same per-record
+// errors, Dropped count and error.
+func checkTypedAgainstReference[T any](t *testing.T, journal []byte) {
+	t.Helper()
+	set, order, wantErr := referenceRead(bytes.NewReader(journal))
+	if set.Records != nil {
+		set.Keys = lastOccurrences(order)
+	}
+	got, gotErr := loadAs[T](journal, nil)
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		t.Fatalf("%T: error %v, reference %v", got, gotErr, wantErr)
+	}
+	checkDecoded(t, got, set)
+}
+
+// checkDecoded requires got to hold what referenceDecode returns for set,
+// and set's Dropped count.
+func checkDecoded[T any](t *testing.T, got Typed[T], set Set) {
+	t.Helper()
+	want := referenceDecode[T](set)
+	if got.Dropped != set.Dropped || len(got.Records) != len(want) {
+		t.Fatalf("%T: %d records, %d dropped; reference %d, %d", got, len(got.Records), got.Dropped, len(want), set.Dropped)
+	}
+	for i, g := range got.Records {
+		if w := want[i]; g.Key != w.Key || !reflect.DeepEqual(g.Value, w.Value) || fmt.Sprint(g.Err) != fmt.Sprint(w.Err) {
+			t.Fatalf("%T: record %d is %q %+v %v, reference %q %+v %v", got, i, g.Key, g.Value, g.Err, w.Key, w.Value, w.Err)
+		}
+	}
+}
+
+// FuzzLoadAs holds the typed reader to referenceDecode over the
+// reference reader, for a type the exact decoder reads (sample) and one
+// it declines (payload, which has tags). The modes are FuzzReadJournal's:
+// 0 reads the fuzzed bytes as record lines, 1 frames the fuzzed key and
+// data into record lines with a matching CRC, so that data of every shape
+// reaches both the exact decoder and json.Unmarshal.
+func FuzzLoadAs(f *testing.F) {
+	var recs []any
+	for i, s := range samples() {
+		recs = append(recs, fmt.Sprintf("s%d", i), s)
+	}
+	recs = append(recs, "p", payload{N: 1, S: "one"}, "nil-data", nil, "s0", samples()[1])
+	intact := appendedLines(f, recs...)
+	f.Add(uint8(0), "", intact)
+	f.Add(uint8(0), "", intact[:len(intact)-9]) // torn tail
+	sampleLine := appendedLines(f, "k", samples()[2])
+	f.Add(uint8(0), "", bytes.Replace(sampleLine, []byte(`"Int":`), []byte(`"Int":0`), 1))
+	f.Add(uint8(0), "", bytes.Replace(sampleLine, []byte(`"crc":`), []byte(`"crc":0`), 1))
+	crcEnd := bytes.Index(sampleLine, []byte(`,"data":`)) - 1
+	flipped := bytes.Clone(sampleLine)
+	flipped[crcEnd] = '0' + (flipped[crcEnd]-'0'+1)%10
+	f.Add(uint8(0), "", flipped) // an exact-shape line with a wrong CRC
+	f.Add(uint8(0), "", bytes.Replace(sampleLine, []byte("}}"), []byte("} }"), 1))
+	f.Add(uint8(0), "", append(bytes.Replace(sampleLine, []byte("\n"), []byte("\r\n"), 1), "\n\n"...))
+	for _, s := range samples() {
+		data, _ := json.Marshal(s)
+		f.Add(uint8(1), "k", data)
+	}
+	f.Add(uint8(1), "k", []byte(`{"n":1,"s":"x"}`))
+	f.Add(uint8(1), "k", []byte(nil))
+	f.Add(uint8(1), "k", []byte(`[1]`))
+	f.Fuzz(func(t *testing.T, mode uint8, key string, data []byte) {
+		body := data
+		if mode%2 == 1 {
+			crc := strconv.FormatUint(uint64(recordCRC(key, data)), 10)
+			var b bytes.Buffer
+			b.WriteString(`{"key":"` + key + `","crc":` + crc)
+			if len(data) > 0 {
+				b.WriteString(`,"data":`)
+				b.Write(data)
+			}
+			b.WriteString("}\n")
+			if line, err := json.Marshal(record{Key: key, CRC: recordCRC(key, data), Data: data}); err == nil {
+				b.Write(append(line, '\n'))
+			}
+			body = b.Bytes()
+		}
+		journal := append(bytes.Clone(headerLine), body...)
+		checkTypedAgainstReference[sample](t, journal)
+		checkTypedAgainstReference[payload](t, journal)
+	})
 }
 
 // TestDecodeInJournalOrder: over a segmented journal whose keys repeat
-// across segments and some of whose records do not decode, Decode returns
-// each key once, at its last intact record's place, with the value or
-// error that json.Unmarshal gives for that record alone.
+// across segments and some of whose records do not decode, the typed
+// reader returns each key once, at its last intact record's place, with
+// the value or error that json.Unmarshal gives for that record alone; for
+// a type with an exact decoder, records in the exact shape and records
+// that need json.Unmarshal mix.
 func TestDecodeInJournalOrder(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenSegmented(dir, "res", 512)
+	s, err := OpenSegmented(dir, "res", 2048)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var order []string
 	for i := 0; i < 60; i++ {
 		key := fmt.Sprintf("k%02d", (i*7)%23)
-		var data any = payload{N: i, S: strings.Repeat("s", i%5)}
+		var data any = samples()[i%len(samples())]
 		switch i % 6 {
 		case 1:
-			data = json.RawMessage(`{"n":"not a number"}`)
+			data = json.RawMessage(`{"Int":"not a number"}`)
 		case 3:
 			data = nil
 		case 4:
-			data = json.RawMessage(`[1,2]`)
+			data = json.RawMessage(`{"n":2,"s":"x"}`)
 		case 5:
-			data = (*payload)(nil)
+			data = payload{N: i, S: strings.Repeat("s", i%5)}
 		}
 		if _, err := s.Append(key, data); err != nil {
 			t.Fatal(err)
@@ -276,22 +382,31 @@ func TestDecodeInJournalOrder(t *testing.T) {
 	if want := lastOccurrences(order); !reflect.DeepEqual(set.Keys, want) {
 		t.Fatalf("keys %q, want %q", set.Keys, want)
 	}
-	got := Decode[payload](set)
-	if len(got) != len(set.Keys) {
-		t.Fatalf("decoded %d records, want %d", len(got), len(set.Keys))
-	}
-	bad := 0
-	for i, d := range got {
-		var want payload
-		wantErr := json.Unmarshal(set.Records[set.Keys[i]], &want)
-		if wantErr != nil {
-			want, bad = payload{}, bad+1
-		}
-		if d.Key != set.Keys[i] || d.Value != want || fmt.Sprint(d.Err) != fmt.Sprint(wantErr) {
-			t.Errorf("record %d: got %q %+v %v, want %q %+v %v", i, d.Key, d.Value, d.Err, set.Keys[i], want, wantErr)
+	checkSegmentedAs[sample](t, dir, set)
+	checkSegmentedAs[payload](t, dir, set)
+	exact, bad := 0, 0
+	for _, key := range set.Keys {
+		var v sample
+		switch {
+		case decodeExact(exactFor(reflect.TypeFor[sample]()), set.Records[key], reflect.ValueOf(&v).Elem()):
+			exact++
+		case json.Unmarshal(set.Records[key], &v) != nil:
+			bad++
 		}
 	}
-	if bad == 0 || bad == len(got) {
-		t.Errorf("precondition: %d of %d records fail to decode", bad, len(got))
+	if exact == 0 || bad == 0 || exact+bad == len(set.Keys) {
+		t.Errorf("precondition: of %d records, %d exact and %d failing to decode as samples", len(set.Keys), exact, bad)
 	}
+}
+
+// checkSegmentedAs requires LoadSegmentedAs[T] to return, for the
+// segmented journal res in dir whose loaded Set is set, what
+// referenceDecode returns for set.
+func checkSegmentedAs[T any](t *testing.T, dir string, set Set) {
+	t.Helper()
+	got, err := LoadSegmentedAs[T](dir, "res")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDecoded(t, got, set)
 }

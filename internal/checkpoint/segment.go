@@ -227,29 +227,48 @@ func LoadSegmented(dir, prefix string) (Set, error) {
 	return loadSegmentsLocked(dir, prefix)
 }
 
-func loadSegmentsLocked(dir, prefix string) (Set, error) {
-	ns, err := segmentNumbers(dir, prefix)
+// LoadSegmentedAs is LoadSegmented's typed form, as LoadAs is Load's.
+func LoadSegmentedAs[T any](dir, prefix string) (Typed[T], error) {
+	runs, dropped, err := readSegments(dir, prefix, parseTyped[T]())
 	if err != nil {
-		if os.IsNotExist(err) {
-			return newSet(nil, 0), nil
-		}
-		return Set{}, err
+		return Typed[T]{}, err
 	}
-	var runs [][]entry
-	dropped := 0
-	for _, n := range ns {
-		one, d, err := readSegment(segmentPath(dir, prefix, n))
-		if err != nil {
-			return Set{}, fmt.Errorf("checkpoint: segment %d: %w", n, err)
-		}
-		runs = append(runs, one...)
-		dropped += d
+	return newTyped(runs, dropped), nil
+}
+
+func loadSegmentsLocked(dir, prefix string) (Set, error) {
+	runs, dropped, err := readSegments(dir, prefix, parseRecord)
+	if err != nil {
+		return Set{}, err
 	}
 	return newSet(runs, dropped), nil
 }
 
+// readSegments parses the intact records of every segment of
+// <dir>/<prefix>-*, in number order and line order.
+func readSegments[E any](dir, prefix string, parse parseFunc[E]) ([][]E, int, error) {
+	ns, err := segmentNumbers(dir, prefix)
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil, 0, nil
+		}
+		return nil, 0, err
+	}
+	var runs [][]E
+	dropped := 0
+	for _, n := range ns {
+		one, d, err := readSegment(segmentPath(dir, prefix, n), parse)
+		if err != nil {
+			return nil, 0, fmt.Errorf("checkpoint: segment %d: %w", n, err)
+		}
+		runs = append(runs, one...)
+		dropped += d
+	}
+	return runs, dropped, nil
+}
+
 // readSegment reads one segment file's intact records in line order.
-func readSegment(path string) ([][]entry, int, error) {
+func readSegment[E any](path string, parse parseFunc[E]) ([][]E, int, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, 0, err
@@ -258,5 +277,5 @@ func readSegment(path string) ([][]entry, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	return parseRecords(body)
+	return parseRecords(body, parse)
 }

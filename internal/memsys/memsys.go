@@ -136,6 +136,22 @@ func (c Config) firstLevels() []LevelConfig {
 	return []LevelConfig{c.L1}
 }
 
+// TagBytes is what New allocates for the tag arrays of a valid c: the
+// cache.Config.AllocBytes of every cache, the TLB's included.
+func (c Config) TagBytes() int64 {
+	var n int64
+	for _, lc := range c.firstLevels() {
+		n += lc.Cache.AllocBytes()
+	}
+	for _, lc := range c.Down {
+		n += lc.Cache.AllocBytes()
+	}
+	if c.TLB.Entries > 0 {
+		n += c.TLB.cacheConfig().AllocBytes()
+	}
+	return n
+}
+
 // DeepestLevel returns the configuration of the cache closest to memory.
 func (c Config) DeepestLevel() LevelConfig {
 	if len(c.Down) > 0 {

@@ -2,6 +2,7 @@ package memsys
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -19,34 +20,52 @@ import (
 // A hierarchy taken from the pool is indistinguishable from a freshly
 // constructed one: Get re-purposes it with ResetFor, whose contract is
 // bit-identical simulation results. A Pool is safe for concurrent use.
+//
+// Idle hierarchies are bounded twice: at most perKey per geometry, and,
+// when the pool has a byte bound, at most that many bytes of tag arrays
+// in all (Config.TagBytes), so that a stream of simulations with distinct
+// large caches does not keep every one of them.
 type Pool struct {
-	mu     sync.Mutex
-	perKey int
-	free   map[string][]*Hierarchy
-	stats  PoolStats
+	mu           sync.Mutex
+	perKey       int
+	maxIdleBytes int64
+	free         map[string][]idle // per geometry, least recently returned first
+	returns      uint64
+	idleBytes    int64
+	stats        PoolStats
+}
+
+// idle is one pooled hierarchy: its tag-array bytes and the count of
+// returns to the pool when it came back, which orders the drops.
+type idle struct {
+	h     *Hierarchy
+	bytes int64
+	seq   uint64
 }
 
 // PoolStats counts pool traffic. Hits/Gets is the reuse rate a service
 // exports; Drops counts hierarchies discarded because their geometry's
-// free list was already full.
+// free list was full or because they would not fit the byte bound.
 type PoolStats struct {
 	Gets  int64
 	Hits  int64
 	Puts  int64
 	Drops int64
 	// Size is the number of hierarchies currently pooled, across all
-	// geometries.
-	Size int
+	// geometries, and IdleBytes the bytes of their tag arrays.
+	Size      int
+	IdleBytes int64
 }
 
 // NewPool returns a pool that keeps at most perKey idle hierarchies per
 // geometry (<= 0 means 4, enough for a small worker pool cycling through
-// one grid's geometries without unbounded retention).
-func NewPool(perKey int) *Pool {
+// one grid's geometries without unbounded retention) and at most
+// maxIdleBytes bytes of idle tag arrays in all (<= 0 means no such bound).
+func NewPool(perKey int, maxIdleBytes int64) *Pool {
 	if perKey <= 0 {
 		perKey = 4
 	}
-	return &Pool{perKey: perKey, free: map[string][]*Hierarchy{}}
+	return &Pool{perKey: perKey, maxIdleBytes: maxIdleBytes, free: map[string][]idle{}}
 }
 
 // Get returns a hierarchy configured for cfg, reusing a pooled one of the
@@ -57,8 +76,7 @@ func (p *Pool) Get(cfg Config) (*Hierarchy, error) {
 	p.stats.Gets++
 	var h *Hierarchy
 	if list := p.free[key]; len(list) > 0 {
-		h = list[len(list)-1]
-		p.free[key] = list[:len(list)-1]
+		h = p.take(key, len(list)-1)
 	}
 	p.mu.Unlock()
 	if h != nil && h.ResetFor(cfg) {
@@ -73,20 +91,55 @@ func (p *Pool) Get(cfg Config) (*Hierarchy, error) {
 }
 
 // Put returns a hierarchy to the pool for later reuse. The caller must not
-// use h afterwards. Hierarchies beyond the per-geometry cap are dropped.
+// use h afterwards. A hierarchy is dropped if its geometry's free list is
+// full or its tag arrays alone exceed the byte bound; past the bound, the
+// least recently returned idle hierarchies are dropped until the pool
+// fits.
 func (p *Pool) Put(h *Hierarchy) {
 	if h == nil {
 		return
 	}
-	key := geometryKey(h.cfg)
+	key, size := geometryKey(h.cfg), h.cfg.TagBytes()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.stats.Puts++
-	if len(p.free[key]) >= p.perKey {
+	if len(p.free[key]) >= p.perKey || p.maxIdleBytes > 0 && size > p.maxIdleBytes {
 		p.stats.Drops++
 		return
 	}
-	p.free[key] = append(p.free[key], h)
+	p.returns++
+	p.free[key] = append(p.free[key], idle{h, size, p.returns})
+	p.idleBytes += size
+	for p.maxIdleBytes > 0 && p.idleBytes > p.maxIdleBytes {
+		p.dropOldest()
+	}
+}
+
+// dropOldest drops the least recently returned idle hierarchy, the first
+// of some geometry's free list.
+func (p *Pool) dropOldest() {
+	oldest := ""
+	for key, list := range p.free {
+		if oldest == "" || list[0].seq < p.free[oldest][0].seq {
+			oldest = key
+		}
+	}
+	p.take(oldest, 0)
+	p.stats.Drops++
+}
+
+// take removes the i-th hierarchy from key's free list and returns it,
+// keeping only non-empty lists, no reference to it and idleBytes in step.
+func (p *Pool) take(key string, i int) *Hierarchy {
+	list := p.free[key]
+	h := list[i].h
+	p.idleBytes -= list[i].bytes
+	if list = slices.Delete(list, i, i+1); len(list) > 0 {
+		p.free[key] = list
+	} else {
+		delete(p.free, key)
+	}
+	return h
 }
 
 // Stats returns a snapshot of the pool's counters.
@@ -97,6 +150,7 @@ func (p *Pool) Stats() PoolStats {
 	for _, list := range p.free {
 		s.Size += len(list)
 	}
+	s.IdleBytes = p.idleBytes
 	return s
 }
 

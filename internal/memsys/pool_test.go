@@ -66,7 +66,7 @@ func TestPoolReuseBitIdentical(t *testing.T) {
 	}
 	want := driveRefs(t, fresh)
 
-	p := NewPool(2)
+	p := NewPool(2, 0)
 	h1, err := p.Get(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestPoolReuseBitIdentical(t *testing.T) {
 
 // TestPoolGeometryMiss: different tag-array geometry must not share.
 func TestPoolGeometryMiss(t *testing.T) {
-	p := NewPool(2)
+	p := NewPool(2, 0)
 	h, err := p.Get(poolTestConfig(64*1024, 30))
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestPoolGeometryMiss(t *testing.T) {
 // TestPoolPerKeyCap: the per-geometry free list is bounded.
 func TestPoolPerKeyCap(t *testing.T) {
 	cfg := poolTestConfig(64*1024, 30)
-	p := NewPool(1)
+	p := NewPool(1, 0)
 	var hs []*Hierarchy
 	for i := 0; i < 3; i++ {
 		h, err := New(cfg)
@@ -142,7 +142,7 @@ func TestPoolPerKeyCap(t *testing.T) {
 // TestPoolConcurrent exercises the pool under the race detector.
 func TestPoolConcurrent(t *testing.T) {
 	cfg := poolTestConfig(16*1024, 20)
-	p := NewPool(4)
+	p := NewPool(4, 0)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -161,5 +161,49 @@ func TestPoolConcurrent(t *testing.T) {
 	wg.Wait()
 	if st := p.Stats(); st.Gets != 80 || st.Hits == 0 {
 		t.Errorf("stats = %+v, want 80 gets with some hits", st)
+	}
+}
+
+// TestPoolIdleBytesBound: past its byte bound the pool drops the least
+// recently returned idle hierarchies, whatever their geometry, and a
+// hierarchy larger alone than the bound is dropped without disturbing
+// the others.
+func TestPoolIdleBytesBound(t *testing.T) {
+	cfgA, cfgB, cfgC := poolTestConfig(64*1024, 30), poolTestConfig(128*1024, 30), poolTestConfig(32*1024, 30)
+	sizeA, sizeB, sizeC := cfgA.TagBytes(), cfgB.TagBytes(), cfgC.TagBytes()
+	if want := int64(2*8192 + 2*64*1024); sizeA != want {
+		t.Fatalf("precondition: TagBytes of a 64 KiB L2 machine = %d, want %d", sizeA, want)
+	}
+	p := NewPool(4, sizeA+sizeB)
+	get := func(cfg Config) *Hierarchy {
+		h, err := p.Get(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	a, b, c := get(cfgA), get(cfgB), get(cfgC)
+	p.Put(a)
+	p.Put(b)
+	if st := p.Stats(); st.IdleBytes != sizeA+sizeB || st.Drops != 0 {
+		t.Fatalf("at the bound: %+v, want %d idle bytes and no drops", st, sizeA+sizeB)
+	}
+	// Returned again, a becomes the most recently returned; c then pushes
+	// the pool past its bound, and b, now the least recent, goes.
+	if get(cfgA) != a {
+		t.Fatal("pool did not reuse a")
+	}
+	p.Put(a)
+	p.Put(c)
+	if st := p.Stats(); st.IdleBytes != sizeA+sizeC || st.Size != 2 || st.Drops != 1 {
+		t.Fatalf("past the bound: %+v, want a and c idle (%d bytes), 1 drop", st, sizeA+sizeC)
+	}
+	if get(cfgB) == b || get(cfgA) != a || get(cfgC) != c {
+		t.Fatal("pool kept b or dropped a or c")
+	}
+	p.Put(a)
+	p.Put(get(poolTestConfig(512*1024, 30)))
+	if st := p.Stats(); st.IdleBytes != sizeA || st.Size != 1 || st.Drops != 2 {
+		t.Errorf("after a hierarchy larger than the bound: %+v, want only a idle, 2 drops", st)
 	}
 }

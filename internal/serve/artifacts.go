@@ -127,12 +127,12 @@ func (s *Server) writeStoreMetrics(w io.Writer) {
 // the offline view of the server's root set, used by the mlcastore CLI
 // to collect a store safely while (or after) a server ran against it.
 func StateArtifactRoots(stateDir string) (map[store.Digest]bool, error) {
-	jobsSet, err := checkpoint.LoadSegmented(stateDir, "jobs")
+	jobs, err := checkpoint.LoadSegmentedAs[jobRecord](stateDir, "jobs")
 	if err != nil {
 		return nil, fmt.Errorf("state dir %s: %w", stateDir, err)
 	}
 	roots := map[store.Digest]bool{}
-	for _, r := range checkpoint.Decode[jobRecord](jobsSet) {
+	for _, r := range jobs.Records {
 		if r.Err != nil || r.Value.Spec.ArtifactDigest == "" {
 			continue
 		}

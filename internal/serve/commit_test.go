@@ -163,8 +163,20 @@ func TestStreamedPointsAreDurable(t *testing.T) {
 	t.Logf("second job: %d of %d points from the cache", secondSeen, npts)
 }
 
-// metricValue reads one unlabelled sample from the server's /metrics.
+// metricValue reads one unlabelled integer sample from the server's
+// /metrics.
 func metricValue(t *testing.T, ts *httptest.Server, name string) int64 {
+	t.Helper()
+	n, err := strconv.ParseInt(metricSample(t, ts, name), 10, 64)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return n
+}
+
+// metricSample reads the value of one unlabelled sample from the
+// server's /metrics.
+func metricSample(t *testing.T, ts *httptest.Server, name string) string {
 	t.Helper()
 	resp, err := ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {
@@ -174,15 +186,11 @@ func metricValue(t *testing.T, ts *httptest.Server, name string) int64 {
 	resp.Body.Close()
 	for _, line := range strings.Split(string(body), "\n") {
 		if v, ok := strings.CutPrefix(line, name+" "); ok {
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				t.Fatalf("%s: %v", line, err)
-			}
-			return n
+			return v
 		}
 	}
 	t.Fatalf("/metrics has no sample %s", name)
-	return 0
+	return ""
 }
 
 // TestResultBatchesOnMetrics: a journaled cold job commits its points in

@@ -118,12 +118,7 @@ func EstimateJob(spec coord.JobSpec, workers int) (JobEstimate, error) {
 	}
 	var hierarchy int64
 	if points > 0 {
-		// The spec's machine always splits its L1.
-		largest := spec.Configure(sweep.Point{L2SizeBytes: slices.Max(spec.SizesBytes), L2Assoc: spec.Assoc})
-		hierarchy = largest.L1I.Cache.AllocBytes() + largest.L1D.Cache.AllocBytes()
-		for _, l := range largest.Down {
-			hierarchy += l.Cache.AllocBytes()
-		}
+		hierarchy = spec.Configure(sweep.Point{L2SizeBytes: slices.Max(spec.SizesBytes), L2Assoc: spec.Assoc}).TagBytes()
 	}
 	est := JobEstimate{
 		Bytes:  refs*refBytes + int64(min(workers, points))*hierarchy,

@@ -293,3 +293,33 @@ func TestAdmissionRejectsWhatNoGateFits(t *testing.T) {
 		})
 	}
 }
+
+// TestPoolIdleBytesBoundedByArenaBudget: one-point jobs with 4, 8, 16 and
+// 32 MiB L2s, each admitted under a 64 MiB arena budget, leave at most
+// 64 MiB of tag arrays in idle pooled hierarchies after every job. The
+// 32 MiB L2's hierarchy holds 64 MiB and 16 KiB of tag arrays, more than
+// the bound alone, and is dropped; /metrics reports the idle bytes.
+func TestPoolIdleBytesBoundedByArenaBudget(t *testing.T) {
+	const budget = 64 << 20
+	s := newTestServer(t, Config{ArenaBudgetBytes: budget, Parallelism: 1})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, mib := range []int64{4, 8, 16, 32} {
+		spec := gridSpec()
+		spec.SizesBytes, spec.CyclesNS, spec.Refs = []int64{mib << 20}, []int64{10}, 2000
+		if js := postJob(t, ts.Client(), ts.URL+"/jobs", spec); !js.gotDone {
+			t.Fatalf("%d MiB L2: job not admitted or not finished (status %d)", mib, js.status)
+		}
+		st := s.pool.Stats()
+		if st.IdleBytes > budget {
+			t.Errorf("after the %d MiB L2 job: %d idle bytes pooled, bound %d", mib, st.IdleBytes, budget)
+		}
+		if got := metricValue(t, ts, "mlcserve_pool_idle_bytes"); got != st.IdleBytes {
+			t.Errorf("mlcserve_pool_idle_bytes = %d, pool reports %d", got, st.IdleBytes)
+		}
+	}
+	if st := s.pool.Stats(); st.Size != 3 || st.Drops != 1 {
+		t.Errorf("pool %+v: want the 4, 8 and 16 MiB hierarchies idle and the 32 MiB one dropped", st)
+	}
+}

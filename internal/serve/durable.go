@@ -9,6 +9,7 @@ import (
 
 	"mlcache/internal/checkpoint"
 	"mlcache/internal/coord"
+	"mlcache/internal/cpu"
 	"mlcache/internal/sweep"
 )
 
@@ -36,11 +37,14 @@ import (
 // renders byte-identically to the original simulation), and jobs still
 // marked running are finished in the background by ResumeInterrupted —
 // together: a SIGKILL'd server recomputes zero completed points and still
-// produces byte-identical tables. Both journals are parsed and decoded on
-// GOMAXPROCS goroutines (checkpoint.Load, checkpoint.Decode), and results
-// enter the cache in journal order, so a journal larger than the cache
-// leaves the most recently journaled points resident, the same ones on
-// every restart.
+// produces byte-identical tables. Both journals are read with
+// checkpoint.LoadSegmentedAs, which parses and decodes their lines on
+// GOMAXPROCS goroutines and reads a cpu.Result in the exact shape
+// json.Marshal wrote it without encoding/json (jobRecord, which has tags,
+// goes through json.Unmarshal). Results enter the cache in journal order,
+// so a journal larger than the cache leaves the most recently journaled
+// points resident, the same ones on every restart; /metrics reports how
+// long the replay took (mlcserve_state_replay_seconds).
 //
 // Journals compact on rotation: results keep only keys still live in the
 // in-memory cache (an evicted point's record is dead weight — recomputing
@@ -100,27 +104,33 @@ type durable struct {
 	jobs    *checkpoint.Segmented
 }
 
+// replay is what a state directory's journals hold at startup.
+type replay struct {
+	results checkpoint.Typed[cpu.Result]
+	jobs    checkpoint.Typed[jobRecord]
+}
+
 // openDurable opens (creating if needed) the state directory's journals
-// and returns them alongside the replayed record sets.
-func openDurable(dir string, segmentBytes int64) (*durable, checkpoint.Set, checkpoint.Set, error) {
-	resultsSet, err := checkpoint.LoadSegmented(dir, "results")
-	if err != nil {
-		return nil, checkpoint.Set{}, checkpoint.Set{}, fmt.Errorf("state dir %s: %w", dir, err)
+// and returns them alongside the records they replay.
+func openDurable(dir string, segmentBytes int64) (*durable, replay, error) {
+	var r replay
+	var err error
+	if r.results, err = checkpoint.LoadSegmentedAs[cpu.Result](dir, "results"); err != nil {
+		return nil, replay{}, fmt.Errorf("state dir %s: %w", dir, err)
 	}
-	jobsSet, err := checkpoint.LoadSegmented(dir, "jobs")
-	if err != nil {
-		return nil, checkpoint.Set{}, checkpoint.Set{}, fmt.Errorf("state dir %s: %w", dir, err)
+	if r.jobs, err = checkpoint.LoadSegmentedAs[jobRecord](dir, "jobs"); err != nil {
+		return nil, replay{}, fmt.Errorf("state dir %s: %w", dir, err)
 	}
 	results, err := checkpoint.OpenSegmented(dir, "results", segmentBytes)
 	if err != nil {
-		return nil, checkpoint.Set{}, checkpoint.Set{}, fmt.Errorf("state dir %s: %w", dir, err)
+		return nil, replay{}, fmt.Errorf("state dir %s: %w", dir, err)
 	}
 	jobs, err := checkpoint.OpenSegmented(dir, "jobs", segmentBytes)
 	if err != nil {
 		results.Close()
-		return nil, checkpoint.Set{}, checkpoint.Set{}, fmt.Errorf("state dir %s: %w", dir, err)
+		return nil, replay{}, fmt.Errorf("state dir %s: %w", dir, err)
 	}
-	return &durable{results: results, jobs: jobs}, resultsSet, jobsSet, nil
+	return &durable{results: results, jobs: jobs}, r, nil
 }
 
 // commitResults commits a batch of a job's finished points: it journals

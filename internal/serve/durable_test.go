@@ -9,6 +9,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"regexp"
+	"slices"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -234,6 +237,45 @@ func TestRestartReplaysInJournalOrder(t *testing.T) {
 			}
 		}
 		s.Close()
+	}
+}
+
+// TestReplayTimedOnMetrics: New times its replay of the state journals,
+// exports it as mlcserve_state_replay_seconds and logs it on the
+// "state: replayed" line; a server without a state directory replays
+// nothing and reads 0.
+func TestReplayTimedOnMetrics(t *testing.T) {
+	dir := t.TempDir()
+	s1 := newTestServer(t, Config{StateDir: dir})
+	ts1 := httptest.NewServer(s1.Handler())
+	if js := postJob(t, ts1.Client(), ts1.URL+"/jobs", gridSpec()); !js.gotDone {
+		t.Fatal("job never finished")
+	}
+	ts1.Close()
+	s1.Close()
+	for _, durable := range []bool{true, false} {
+		t.Run(fmt.Sprintf("durable=%t", durable), func(t *testing.T) {
+			var logged []string
+			cfg := Config{Logf: func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }}
+			if durable {
+				cfg.StateDir = dir
+			}
+			s := newTestServer(t, cfg)
+			defer s.Close()
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			v, err := strconv.ParseFloat(metricSample(t, ts, "mlcserve_state_replay_seconds"), 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if durable != (v > 0) || v < 0 {
+				t.Errorf("mlcserve_state_replay_seconds = %g with a state dir %t", v, durable)
+			}
+			replayLine := regexp.MustCompile(`^state: replayed 4 points in [0-9]+ ms \(`)
+			if found := slices.ContainsFunc(logged, replayLine.MatchString); found != durable {
+				t.Errorf("replay line logged %t, want %t: %q", found, durable, logged)
+			}
+		})
 	}
 }
 

@@ -81,6 +81,7 @@ type metrics struct {
 	resultCommits  atomic.Int64 // AppendBatch calls on the results journal
 	pointsCached   atomic.Int64 // served from the result cache
 	pointsReplayed atomic.Int64 // loaded into the cache from the journal at startup
+	replayNS       atomic.Int64 // startup replay of both journals, cache fill included
 	pointsFailed   atomic.Int64
 	refsTotal      atomic.Int64 // references simulated
 
@@ -169,6 +170,7 @@ func (m *metrics) writePrometheus(w io.Writer, arenas ArenaCacheStats, pool mems
 	counter("mlcserve_results_journal_commits_total", "Batches of simulated points written to the results journal, one fsync each.", m.resultCommits.Load())
 	counter("mlcserve_points_cached_total", "Grid points served from the result cache.", m.pointsCached.Load())
 	counter("mlcserve_points_replayed_total", "Grid points replayed into the result cache from the state journal.", m.pointsReplayed.Load())
+	gaugeF("mlcserve_state_replay_seconds", "Seconds the startup replay of the state journals took: read, check, decode and cache fill (0 without a state dir).", time.Duration(m.replayNS.Load()).Seconds())
 	counter("mlcserve_points_failed_total", "Grid points that failed simulation.", m.pointsFailed.Load())
 	counter("mlcserve_refs_simulated_total", "Trace references simulated.", m.refsTotal.Load())
 	gaugeF("mlcserve_refs_per_second", "Mean simulation throughput since start.", refsPerSec)
@@ -184,6 +186,7 @@ func (m *metrics) writePrometheus(w io.Writer, arenas ArenaCacheStats, pool mems
 	counter("mlcserve_pool_hits_total", "Hierarchy pool reuses (tag arrays recycled).", pool.Hits)
 	counter("mlcserve_pool_puts_total", "Hierarchies returned to the pool.", pool.Puts)
 	gaugeI("mlcserve_pool_size", "Idle pooled hierarchies.", int64(pool.Size))
+	gaugeI("mlcserve_pool_idle_bytes", "Bytes of tag arrays in idle pooled hierarchies, bounded by the arena budget.", pool.IdleBytes)
 
 	name := "mlcserve_job_duration_seconds"
 	fmt.Fprintf(w, "# HELP %s Wall time of completed jobs.\n# TYPE %s histogram\n", name, name)

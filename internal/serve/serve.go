@@ -14,7 +14,8 @@
 //     just path).
 //   - One allocation per geometry: a memsys.Pool recycles hierarchies
 //     (tag arrays) across jobs, extending sweep's per-worker ResetFor
-//     reuse beyond a single grid.
+//     reuse beyond a single grid, and keeps no more idle tag arrays than
+//     the arena budget.
 //   - No re-simulation: a per-point result cache keyed by (workload +
 //     machine, point) serves repeated or overlapping grids from memory.
 //
@@ -72,7 +73,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mlcache/internal/checkpoint"
 	"mlcache/internal/coord"
 	"mlcache/internal/cpu"
 	"mlcache/internal/experiments"
@@ -96,7 +96,9 @@ type Config struct {
 	MaxQueue int
 	// Parallelism bounds each job's simulation workers (0 = GOMAXPROCS).
 	Parallelism int
-	// ArenaBudgetBytes bounds the workload cache (default 1 GiB).
+	// ArenaBudgetBytes bounds the workload cache (default 1 GiB), and the
+	// same number of bytes bounds the tag arrays of the hierarchies the
+	// pool keeps idle between jobs.
 	ArenaBudgetBytes int64
 	// PoolPerGeometry bounds idle pooled hierarchies per geometry
 	// (default 4).
@@ -197,11 +199,17 @@ func (c Config) maxInflightBytes() int64 {
 	case c.Cost.MaxInflightBytes < 0:
 		return 0
 	}
-	budget := c.ArenaBudgetBytes
-	if budget <= 0 {
-		budget = 1 << 30 // ArenaCache's own default
+	return 2 * c.arenaBudget()
+}
+
+// arenaBudget resolves the arena budget: ArenaCache's own default of
+// 1 GiB unless set. It also bounds the tag arrays the hierarchy pool
+// keeps idle.
+func (c Config) arenaBudget() int64 {
+	if c.ArenaBudgetBytes <= 0 {
+		return 1 << 30
 	}
-	return 2 * budget
+	return c.ArenaBudgetBytes
 }
 
 // Server is the resident sweep service. Create with New, serve Handler
@@ -304,7 +312,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		arenas:   NewArenaCache(cfg.ArenaBudgetBytes),
-		pool:     memsys.NewPool(cfg.PoolPerGeometry),
+		pool:     memsys.NewPool(cfg.PoolPerGeometry, cfg.arenaBudget()),
 		results:  newResultCache(cfg.ResultCachePoints),
 		metrics:  newMetrics(),
 		byName:   map[string]*tenant{},
@@ -339,7 +347,8 @@ func New(cfg Config) (*Server, error) {
 		s.artifacts = backend.NewFS(fs)
 	}
 	if cfg.StateDir != "" {
-		d, resultsSet, jobsSet, err := openDurable(cfg.StateDir, cfg.JournalMaxBytes)
+		start := time.Now()
+		d, state, err := openDurable(cfg.StateDir, cfg.JournalMaxBytes)
 		if err != nil {
 			return nil, err
 		}
@@ -347,7 +356,7 @@ func New(cfg Config) (*Server, error) {
 		// Journal order, so that a journal holding more points than the
 		// cache keeps its most recently journaled ones.
 		decoded := 0
-		for _, r := range checkpoint.Decode[cpu.Result](resultsSet) {
+		for _, r := range state.results.Records {
 			if r.Err != nil {
 				s.logf("state: dropping unreadable result %s: %v", r.Key, r.Err)
 				continue
@@ -357,7 +366,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		replayed := s.results.len()
 		s.metrics.pointsReplayed.Store(int64(replayed))
-		for _, r := range checkpoint.Decode[jobRecord](jobsSet) {
+		for _, r := range state.jobs.Records {
 			seq, ok := parseJobKey(r.Key)
 			if !ok {
 				continue
@@ -387,11 +396,13 @@ func New(cfg Config) (*Server, error) {
 			}
 		}
 		sort.Slice(s.pending, func(i, j int) bool { return s.pending[i].id < s.pending[j].id })
-		if dropped := resultsSet.Dropped + jobsSet.Dropped; dropped > 0 {
+		took := time.Since(start)
+		s.metrics.replayNS.Store(int64(took))
+		if dropped := state.results.Dropped + state.jobs.Dropped; dropped > 0 {
 			s.logf("state: dropped %d torn/corrupt journal records (expected after a crash)", dropped)
 		}
-		s.logf("state: replayed %d points (%d more journaled points left out by the %d-point result cache), %d interrupted jobs pending, %d poisoned specs quarantined",
-			replayed, decoded-replayed, s.results.max, len(s.pending), len(s.poisoned))
+		s.logf("state: replayed %d points in %d ms (%d more journaled points left out by the %d-point result cache), %d interrupted jobs pending, %d poisoned specs quarantined",
+			replayed, took.Milliseconds(), decoded-replayed, s.results.max, len(s.pending), len(s.poisoned))
 	}
 	return s, nil
 }

@@ -100,7 +100,7 @@ func TestGeometryScheduleByteIdenticalTable(t *testing.T) {
 		Arena:       arena,
 		CPU:         cpu.Config{CycleNS: 10, WarmupRefs: 5000},
 		Parallelism: 4,
-		Pool:        memsys.NewPool(4),
+		Pool:        memsys.NewPool(4, 0),
 	}
 	got, err := r.RunContext(context.Background(), pts, Options{})
 	if err != nil {

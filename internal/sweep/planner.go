@@ -300,7 +300,7 @@ func (r Runner) run(ctx context.Context, pts []Point, opts Options, n *tagCounts
 	if r.Pool == nil {
 		// A tag pivot's hierarchy then serves its geometry's played
 		// members later in the run instead of being rebuilt.
-		r.Pool = memsys.NewPool(1)
+		r.Pool = memsys.NewPool(1, 0)
 	}
 	r.runPhase(ctx, par, orderByGeometry(pts, phase1), withProbe)
 	// Phase 3 follows phase 2 in one feed: every tag pivot is handed to a

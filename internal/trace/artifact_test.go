@@ -385,8 +385,12 @@ func TestArtifactCloseUnderConcurrentReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Each reader walks the arena and reports what it saw, but keeps its
+	// pin until every Close below has been refused, so that no Close can
+	// run with fewer than the readers' pins however the goroutines are
+	// scheduled.
 	const readers = 4
-	start := make(chan struct{})
+	start, hammered := make(chan struct{}), make(chan struct{})
 	done := make(chan error, readers)
 	for r := 0; r < readers; r++ {
 		if err := a.Pin(); err != nil {
@@ -395,22 +399,8 @@ func TestArtifactCloseUnderConcurrentReaders(t *testing.T) {
 		go func() {
 			defer a.Unpin()
 			<-start
-			c := a.Arena().Cursor()
-			for i := 0; ; i++ {
-				ref, err := c.Next()
-				if err != nil {
-					if i != len(refs) {
-						done <- errors.New("reader stopped early")
-						return
-					}
-					done <- nil
-					return
-				}
-				if ref != refs[i] {
-					done <- errors.New("reader saw a corrupted reference")
-					return
-				}
-			}
+			done <- walkArena(a.Arena(), refs)
+			<-hammered
 		}()
 	}
 
@@ -418,9 +408,11 @@ func TestArtifactCloseUnderConcurrentReaders(t *testing.T) {
 	close(start)
 	for i := 0; i < 100; i++ {
 		if err := a.Close(); !errors.Is(err, ErrArtifactBusy) {
+			close(hammered)
 			t.Fatalf("Close with %d pinned readers = %v, want ErrArtifactBusy", a.Pins(), err)
 		}
 	}
+	close(hammered)
 	for r := 0; r < readers; r++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
@@ -439,6 +431,23 @@ func TestArtifactCloseUnderConcurrentReaders(t *testing.T) {
 	}
 	if err := a.Close(); err != nil {
 		t.Fatalf("second Close = %v", err)
+	}
+}
+
+// walkArena reads every reference of arena through a cursor and reports
+// the first that differs from refs, or a cursor that stops early.
+func walkArena(arena *Arena, refs []Ref) error {
+	c := arena.Cursor()
+	for i := 0; ; i++ {
+		ref, err := c.Next()
+		switch {
+		case err != nil && i != len(refs):
+			return errors.New("reader stopped early")
+		case err != nil:
+			return nil
+		case ref != refs[i]:
+			return errors.New("reader saw a corrupted reference")
+		}
 	}
 }
 
