@@ -7,9 +7,11 @@
 package mlcache
 
 import (
+	"fmt"
 	"io"
 	"testing"
 
+	"mlcache/internal/cpu"
 	"mlcache/internal/experiments"
 	"mlcache/internal/mainmem"
 	"mlcache/internal/memsys"
@@ -215,6 +217,34 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		refs += res.CPUReads + res.Stores
 	}
 	b.ReportMetric(float64(refs)/b.Elapsed().Seconds(), "refs/s")
+}
+
+// BenchmarkHierarchyNewAndRun measures one simulated point of the paper
+// workload whole: memsys.New of the base machine and one cpu.Run over the
+// 25k-reference paper trace (5k warm-up), with a 512 KB and a 4 MB L2. A
+// large L2's tag array is paged, so building it costs what the trace
+// touches rather than its capacity.
+func BenchmarkHierarchyNewAndRun(b *testing.B) {
+	arena, err := synth.PaperArena(1, 25_000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := cpu.Config{CycleNS: experiments.CPUCycleNS, WarmupRefs: 5_000}
+	for _, kb := range []int64{512, 4096} {
+		b.Run(fmt.Sprintf("L2=%dKB", kb), func(b *testing.B) {
+			cfg := experiments.BaseMachine(4, experiments.L2Config(kb*1024, 30, 1), mainmem.Base())
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				h, err := memsys.New(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := cpu.Run(h, arena.Cursor(), run); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // synthSink keeps each generated arena live so the call is not removed.

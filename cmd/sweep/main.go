@@ -434,6 +434,11 @@ func runLocal(ctx context.Context, spec coord.JobSpec, shardI, shardN int, lo lo
 // status. With -checkpoint each new result is journaled, and with -resume
 // journaled points are skipped and shown as ckpt. It writes the table,
 // itemizes failed points and reports an interrupted grid.
+//
+// A finished point is only queued by the simulation worker: one committer
+// goroutine journals everything queued since its last write with one
+// AppendBatch, and the table is written only after it has drained, so an
+// interrupted run has journaled every point it reports done.
 func runGrid(ctx context.Context, pts []sweep.Point, run func(context.Context, []sweep.Point, sweep.Options) ([]sweep.Result, error), g gridOptions) int {
 	prior := map[string]cpu.Result{}
 	if g.resume {
@@ -450,6 +455,7 @@ func runGrid(ctx context.Context, pts []sweep.Point, run func(context.Context, [
 			return ok
 		}
 	}
+	drain := func() {}
 	if g.ckptPath != "" {
 		journal, err := checkpoint.Open(g.ckptPath)
 		if err != nil {
@@ -457,14 +463,21 @@ func runGrid(ctx context.Context, pts []sweep.Point, run func(context.Context, [
 			return 1
 		}
 		defer journal.Close()
-		opts.OnResult = func(res sweep.Result) {
-			if err := journal.Append(res.Point.String(), res.Run); err != nil {
+		commits := sweep.NewCommitter(func(batch []sweep.Result) {
+			entries := make([]checkpoint.Entry, len(batch))
+			for i, res := range batch {
+				entries[i] = checkpoint.Entry{Key: res.Point.String(), Data: res.Run}
+			}
+			if err := journal.AppendBatch(entries); err != nil {
 				log.Printf("checkpoint: %v", err)
 			}
-		}
+		})
+		opts.OnResult = commits.Add
+		drain = commits.Drain
 	}
 
 	results, runErr := run(ctx, pts, opts)
+	drain()
 	if results == nil {
 		log.Print(runErr)
 		return 1

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"log"
 	"net"
 	"net/http"
@@ -16,7 +17,9 @@ import (
 
 	"mlcache/internal/checkpoint"
 	"mlcache/internal/coord"
+	"mlcache/internal/cpu"
 	"mlcache/internal/experiments"
+	"mlcache/internal/report"
 	"mlcache/internal/store"
 	"mlcache/internal/store/backend"
 	"mlcache/internal/store/backend/fakes3"
@@ -278,6 +281,93 @@ func TestRunLocalInterruptedWhileLoading(t *testing.T) {
 			t.Errorf("log lacks %q:\n%s", want, stderr)
 		}
 	})
+}
+
+// TestRunLocalCheckpointInterrupted: a -checkpoint sweep interrupted
+// mid-grid has journaled exactly the points its table reports done, since
+// the table waits for the journal's committer to drain; -resume then
+// simulates only the rest and prints the uninterrupted table.
+func TestRunLocalCheckpointInterrupted(t *testing.T) {
+	arena, closer, _, err := fig41Spec.MaterializeArena(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	runner := fig41Spec.RunnerFor(arena)
+	runner.Parallelism = 1
+	pts := fig41Spec.Points()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var simulated atomic.Int64
+	run := func(ctx context.Context, pts []sweep.Point, opts sweep.Options) ([]sweep.Result, error) {
+		add := opts.OnResult
+		opts.OnResult = func(r sweep.Result) {
+			add(r)
+			if simulated.Add(1) == 7 {
+				cancel()
+			}
+		}
+		return runner.RunContext(ctx, pts, opts)
+	}
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	stdout, stderr, code := captureRunLocal(t, func() int {
+		return runGrid(ctx, pts, run, gridOptions{ckptPath: ckpt, csv: true})
+	})
+	if code != 1 || !strings.Contains(stderr, "interrupted: ") {
+		t.Fatalf("exit status %d, want 1 after an interrupt; log:\n%s", code, stderr)
+	}
+	row := func(pt sweep.Point) string {
+		return fmt.Sprintf("%s,%d,%d,", report.SizeLabel(pt.L2SizeBytes), pt.L2CycleNS/experiments.CPUCycleNS, pt.L2Assoc)
+	}
+	journal, err := checkpoint.LoadAs[cpu.Result](ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journaled := map[string]bool{}
+	for _, r := range journal.Records {
+		journaled[r.Key] = true
+	}
+	done := 0
+	for _, pt := range pts {
+		i := strings.Index(stdout, "\n"+row(pt))
+		if i < 0 {
+			t.Fatalf("table lacks a row for %v:\n%s", pt, stdout)
+		}
+		ok := !strings.HasPrefix(stdout[i+1:], row(pt)+"-")
+		if ok {
+			done++
+		}
+		if ok != journaled[pt.String()] {
+			t.Errorf("%v: reported done %v, journaled %v", pt, ok, journaled[pt.String()])
+		}
+	}
+	if done == 0 || done == len(pts) || len(journal.Records) != done {
+		t.Fatalf("%d of %d points done, %d journaled; want an interrupt mid-grid", done, len(pts), len(journal.Records))
+	}
+	if want := fmt.Sprintf("interrupted: %d of %d points done", done, len(pts)); !strings.Contains(stderr, want) {
+		t.Errorf("log lacks %q:\n%s", want, stderr)
+	}
+
+	simulated.Store(-int64(len(pts))) // never reaches the interrupt again
+	stdout, stderr, code = captureRunLocal(t, func() int {
+		return runGrid(context.Background(), pts, run, gridOptions{ckptPath: ckpt, resume: true, csv: true})
+	})
+	if code != 0 {
+		t.Fatalf("resume: exit status %d, log:\n%s", code, stderr)
+	}
+	if got := simulated.Load() + int64(len(pts)); got != int64(len(pts)-done) {
+		t.Errorf("resume simulated %d points, want the %d not journaled", got, len(pts)-done)
+	}
+	if n := strings.Count(stdout, ",ckpt\n"); n != done {
+		t.Errorf("resumed table has %d ckpt rows, want %d", n, done)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "fig41_20k.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.ReplaceAll(stdout, ",ckpt\n", ",ok\n"); got != string(want) {
+		t.Errorf("resumed table differs from testdata/fig41_20k.csv:\n%s", stdout)
+	}
 }
 
 // captureRunLocal runs f with stdout and the standard logger redirected,

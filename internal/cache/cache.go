@@ -239,19 +239,37 @@ type line struct {
 	// validMask has one bit per resident sub-block; zero means the line is
 	// invalid. Caches without sub-blocking use bit 0 only.
 	validMask uint64
-	dirty     bool
-	// lastUse orders LRU replacement; fillTime orders FIFO replacement.
-	lastUse  uint64
-	fillTime uint64
+	// stamp orders replacement: the fill time under FIFO, the last use
+	// under LRU and Random (where only CheckIntegrity reads it).
+	stamp uint64
+	dirty bool
 }
 
 func (l *line) valid() bool { return l.validMask != 0 }
 
+// A large tag array is kept in pages of pageSets sets, each allocated by
+// the first fill of one of its sets, so that a cache costs the sets a run
+// touches rather than its capacity. An array of at most wholeLines lines
+// (every first level the paper builds) is one page, allocated by New.
+// A set never spans two pages.
+const (
+	pageBits   = 4
+	pageSets   = 1 << pageBits
+	wholeLines = 2048
+)
+
 // Cache is a set-associative cache. It is not safe for concurrent use.
 type Cache struct {
-	cfg        Config
-	sets       [][]line
-	backing    []line // the sets' shared storage, for bulk clearing
+	cfg Config
+	// lines is the whole array of a one-page cache, set si at
+	// lines[si*ways:]; nil when the cache is paged.
+	lines []line
+	// pages is the page directory: page p holds sets p<<pageBits onwards
+	// (the one page of a one-page cache is lines). A nil page was never
+	// filled, and all its lines are invalid.
+	pages      [][]line
+	ways       int
+	wayBits    uint
 	blockBits  uint
 	fetchBits  uint
 	subBlocked bool
@@ -269,33 +287,43 @@ type Cache struct {
 	dirtyDropped int64
 }
 
-// AllocBytes is what New allocates for the tag arrays of a valid c: one
-// line record per block frame and one slice header per set.
-func (c Config) AllocBytes() int64 {
-	sets := c.NumSets()
-	return sets*int64(unsafe.Sizeof([]line(nil))) + sets*int64(c.Ways())*int64(unsafe.Sizeof(line{}))
+// onePage reports whether an array of sets × ways lines is kept whole.
+func onePage(sets, ways int64) bool {
+	return sets <= pageSets || sets*ways <= wholeLines
 }
 
-// New constructs a cache from a validated configuration.
+// AllocBytes is what the tag arrays of a valid c take once every set
+// has been filled: every page of line records and the page directory.
+func (c Config) AllocBytes() int64 {
+	sets, ways := c.NumSets(), int64(c.Ways())
+	pages := int64(1)
+	if !onePage(sets, ways) {
+		pages = sets >> pageBits
+	}
+	return sets*ways*int64(unsafe.Sizeof(line{})) + pages*int64(unsafe.Sizeof([]line(nil)))
+}
+
+// New constructs a cache from a validated configuration. It allocates the
+// page directory, and the whole array only when it is one page.
 func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	numSets := cfg.NumSets()
 	ways := cfg.Ways()
-	sets := make([][]line, numSets)
-	backing := make([]line, numSets*int64(ways))
-	rest := backing
-	for i := range sets {
-		sets[i], rest = rest[:ways], rest[ways:]
-	}
 	c := &Cache{
 		cfg:       cfg,
-		sets:      sets,
-		backing:   backing,
+		ways:      ways,
+		wayBits:   log2(int64(ways)),
 		blockBits: log2(int64(cfg.BlockBytes)),
 		setMask:   uint64(numSets - 1),
 		recording: true,
+	}
+	if onePage(numSets, int64(ways)) {
+		c.lines = make([]line, numSets*int64(ways))
+		c.pages = [][]line{c.lines}
+	} else {
+		c.pages = make([][]line, numSets>>pageBits)
 	}
 	if cfg.SubBlocks() > 1 {
 		c.fetchBits = log2(int64(cfg.EffectiveFetchBytes()))
@@ -315,10 +343,13 @@ func New(cfg Config) (*Cache, error) {
 func (c *Cache) Reset() {
 	// Only an access ticks the clock and only an access makes a line
 	// valid, so a cache whose clock is still zero has nothing to clear: a
-	// replay that never touched this array resets it for free.
+	// replay that never touched this array resets it for free. A paged
+	// cache drops its pages, as New never allocated them.
 	if c.clock != 0 {
-		for i := range c.backing {
-			c.backing[i] = line{}
+		if c.lines != nil {
+			clear(c.lines)
+		} else {
+			clear(c.pages)
 		}
 	}
 	c.clock = 0
@@ -398,12 +429,14 @@ func (c *Cache) BlockAddr(addr uint64) uint64 {
 	return addr &^ (uint64(c.cfg.BlockBytes) - 1)
 }
 
+// The shifts by a field mask it with 63 so that the compiler can drop its
+// check for a shift of 64 or more.
 func (c *Cache) setIndex(addr uint64) uint64 {
-	return (addr >> c.blockBits) & c.setMask
+	return (addr >> (c.blockBits & 63)) & c.setMask
 }
 
 func (c *Cache) tag(addr uint64) uint64 {
-	return addr >> c.blockBits
+	return addr >> (c.blockBits & 63)
 }
 
 // subMask returns the valid-mask bit for addr's sub-block (bit 0 when
@@ -456,6 +489,30 @@ func (c *Cache) AccessQuiet(addr uint64, isWrite bool) Result {
 	return c.access(addr, isWrite, false)
 }
 
+// set returns the ways of set si, or nil when its page was never filled.
+func (c *Cache) set(si uint64) []line {
+	if c.lines != nil {
+		lo := si << (c.wayBits & 63)
+		return c.lines[lo : lo+uint64(c.ways)]
+	}
+	page := c.pages[si>>pageBits]
+	if page == nil {
+		return nil
+	}
+	lo := (si & (pageSets - 1)) << (c.wayBits & 63)
+	return page[lo : lo+uint64(c.ways)]
+}
+
+// fillSet returns the ways of set si, allocating its page first if no
+// fill has touched it yet.
+func (c *Cache) fillSet(si uint64) []line {
+	if set := c.set(si); set != nil {
+		return set
+	}
+	c.pages[si>>pageBits] = make([]line, pageSets<<c.wayBits)
+	return c.set(si)
+}
+
 // TryHit is the hit-only fast path in front of Access. When the access is
 // a full hit that sends nothing downstream — a read hit, or a write hit in
 // a write-back cache — it makes exactly the state and statistics updates
@@ -468,34 +525,50 @@ func (c *Cache) TryHit(addr uint64, isWrite bool) bool {
 	if isWrite && c.cfg.Write != WriteBack {
 		return false
 	}
-	set := c.sets[c.setIndex(addr)]
-	tag := c.tag(addr)
+	si, tag, mask := c.setIndex(addr), c.tag(addr), c.subMask(addr)
+	if c.ways == 1 && c.lines != nil {
+		// Direct-mapped in one page: one compare decides.
+		if l := &c.lines[si]; l.tag == tag && l.validMask&mask != 0 {
+			c.hit(l, isWrite)
+			return true
+		}
+		return false
+	}
+	set := c.set(si)
 	for i := range set {
 		l := &set[i]
 		if l.tag != tag || !l.valid() {
 			continue
 		}
-		if l.validMask&c.subMask(addr) == 0 {
+		if l.validMask&mask == 0 {
 			return false
 		}
-		c.clock++
-		l.lastUse = c.clock
-		if isWrite {
-			if c.recording {
-				c.stats.WriteRefs++
-			}
-			c.markDirty(l)
-		} else if c.recording {
-			c.stats.ReadRefs++
-		}
+		c.hit(l, isWrite)
 		return true
 	}
 	return false
 }
 
+// hit makes TryHit's updates for a full hit on l.
+func (c *Cache) hit(l *line, isWrite bool) {
+	c.clock++
+	if c.cfg.Repl != FIFO {
+		l.stamp = c.clock
+	}
+	if isWrite {
+		if c.recording {
+			c.stats.WriteRefs++
+		}
+		c.markDirty(l)
+	} else if c.recording {
+		c.stats.ReadRefs++
+	}
+}
+
 func (c *Cache) access(addr uint64, isWrite, record bool) Result {
 	c.clock++
-	set := c.sets[c.setIndex(addr)]
+	si := c.setIndex(addr)
+	set := c.set(si)
 	tag := c.tag(addr)
 	mask := c.subMask(addr)
 
@@ -525,7 +598,9 @@ func (c *Cache) access(addr uint64, isWrite, record bool) Result {
 		if !set[i].valid() || set[i].tag != tag {
 			continue
 		}
-		set[i].lastUse = c.clock
+		if c.cfg.Repl != FIFO {
+			set[i].stamp = c.clock
+		}
 		if set[i].validMask&mask != 0 {
 			// Full hit.
 			var res Result
@@ -567,6 +642,9 @@ func (c *Cache) access(addr uint64, isWrite, record bool) Result {
 	if c.subBlocked {
 		res.Partial = true // only the referenced sub-block is fetched
 	}
+	if set == nil {
+		set = c.fillSet(si)
+	}
 	victim := c.victim(set)
 	if set[victim].valid() && set[victim].dirty {
 		res.Writeback = true
@@ -586,8 +664,7 @@ func (c *Cache) access(addr uint64, isWrite, record bool) Result {
 		tag:       tag,
 		validMask: mask,
 		dirty:     dirty,
-		lastUse:   c.clock,
-		fillTime:  c.clock,
+		stamp:     c.clock,
 	}
 	if isWrite && c.cfg.Write == WriteThrough {
 		res.WriteDown = true
@@ -596,39 +673,30 @@ func (c *Cache) access(addr uint64, isWrite, record bool) Result {
 }
 
 // victim picks the way to replace in set: an invalid way if one exists,
-// otherwise according to the replacement policy.
+// otherwise the way with the oldest stamp (last use under LRU, fill under
+// FIFO), or a random way.
 func (c *Cache) victim(set []line) int {
 	for i := range set {
 		if !set[i].valid() {
 			return i
 		}
 	}
-	switch c.cfg.Repl {
-	case Random:
+	if c.cfg.Repl == Random {
 		return c.rng.Intn(len(set))
-	case FIFO:
-		best := 0
-		for i := 1; i < len(set); i++ {
-			if set[i].fillTime < set[best].fillTime {
-				best = i
-			}
-		}
-		return best
-	default: // LRU
-		best := 0
-		for i := 1; i < len(set); i++ {
-			if set[i].lastUse < set[best].lastUse {
-				best = i
-			}
-		}
-		return best
 	}
+	best := 0
+	for i := 1; i < len(set); i++ {
+		if set[i].stamp < set[best].stamp {
+			best = i
+		}
+	}
+	return best
 }
 
 // Probe reports whether the block containing addr is present, without
 // disturbing replacement state or statistics.
 func (c *Cache) Probe(addr uint64) bool {
-	set := c.sets[c.setIndex(addr)]
+	set := c.set(c.setIndex(addr))
 	tag := c.tag(addr)
 	for i := range set {
 		if set[i].valid() && set[i].tag == tag {
@@ -642,7 +710,7 @@ func (c *Cache) Probe(addr uint64) bool {
 // whether it was present and whether it was dirty. Used to model explicit
 // flushes and multi-level consistency actions.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	set := c.sets[c.setIndex(addr)]
+	set := c.set(c.setIndex(addr))
 	tag := c.tag(addr)
 	for i := range set {
 		if set[i].valid() && set[i].tag == tag {
@@ -664,15 +732,14 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 // dirty lines (the writeback set).
 func (c *Cache) Flush() []uint64 {
 	var dirty []uint64
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			l := &c.sets[si][wi]
-			if l.valid() && l.dirty {
+	for _, page := range c.pages {
+		for i := range page {
+			if l := &page[i]; l.valid() && l.dirty {
 				dirty = append(dirty, l.tag<<c.blockBits)
 				c.dirtyDropped++
 			}
-			*l = line{}
 		}
+		clear(page)
 	}
 	return dirty
 }
@@ -680,9 +747,9 @@ func (c *Cache) Flush() []uint64 {
 // Occupancy returns the number of valid blocks currently resident.
 func (c *Cache) Occupancy() int {
 	n := 0
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			if c.sets[si][wi].valid() {
+	for _, page := range c.pages {
+		for i := range page {
+			if page[i].valid() {
 				n++
 			}
 		}

@@ -258,24 +258,34 @@ func TestRecordingToggle(t *testing.T) {
 }
 
 // TestResetClearsEveryLine: after accesses have filled lines — dirty and
-// clean, whole and sub-blocked, in every set — Reset leaves a cache equal
-// to a freshly constructed one, replacement PRNG included.
+// clean, whole and sub-blocked, in every set and every page — Reset leaves
+// a cache equal to a freshly constructed one, replacement PRNG included.
 func TestResetClearsEveryLine(t *testing.T) {
-	for _, repl := range []Replacement{LRU, FIFO, Random} {
-		cfg := smallConfig()
-		cfg.Repl = repl
-		cfg.FetchBytes = 8
-		c := MustNew(cfg)
-		rng := rand.New(rand.NewSource(1))
-		for i := 0; i < 500; i++ {
-			c.Access(uint64(rng.Intn(4096)), rng.Intn(2) == 0)
-		}
-		if c.Occupancy() != int(cfg.SizeBytes)/cfg.BlockBytes {
-			t.Fatalf("%v: only %d lines filled", repl, c.Occupancy())
-		}
-		c.Reset()
-		if !reflect.DeepEqual(c, MustNew(cfg)) {
-			t.Errorf("%v: Reset after use differs from New", repl)
+	multiPage := smallConfig()
+	multiPage.SizeBytes = 64 << 10 // 2048 sets of 2 ways: 128 pages
+	for _, geo := range []struct {
+		cfg  Config
+		refs int
+	}{
+		{smallConfig(), 500},
+		{multiPage, 100000},
+	} {
+		for _, repl := range []Replacement{LRU, FIFO, Random} {
+			cfg := geo.cfg
+			cfg.Repl = repl
+			cfg.FetchBytes = 8
+			c := MustNew(cfg)
+			rng := rand.New(rand.NewSource(1))
+			for i := 0; i < geo.refs; i++ {
+				c.Access(uint64(rng.Intn(16*int(cfg.SizeBytes))), rng.Intn(2) == 0)
+			}
+			if c.Occupancy() != int(cfg.SizeBytes)/cfg.BlockBytes {
+				t.Fatalf("%v: only %d lines filled", repl, c.Occupancy())
+			}
+			c.Reset()
+			if !reflect.DeepEqual(c, MustNew(cfg)) {
+				t.Errorf("%v: Reset after use differs from New", repl)
+			}
 		}
 	}
 }
@@ -479,25 +489,52 @@ func BenchmarkAccess(b *testing.B) {
 	}
 }
 
-// TestAllocBytesMatchesNew: AllocBytes is what New allocates beyond the
-// Cache value itself, from direct-mapped to fully associative.
+// TestAllocBytesMatchesNew: New allocates at most the page directory and
+// one page, and filling every set brings the tag arrays to AllocBytes,
+// from direct-mapped to fully associative and from one page to many.
 func TestAllocBytesMatchesNew(t *testing.T) {
 	for _, cfg := range []Config{
 		{Name: "dm", SizeBytes: 1 << 20, BlockBytes: 32, Assoc: 1},
 		{Name: "4way", SizeBytes: 1 << 20, BlockBytes: 16, Assoc: 4},
 		{Name: "fa", SizeBytes: 64 << 10, BlockBytes: 32},
+		{Name: "l1", SizeBytes: 2 << 10, BlockBytes: 16, Assoc: 1},
 	} {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
+		allocated := func() int64 {
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			return int64(ms.TotalAlloc)
+		}
+		start := allocated()
 		c, err := New(cfg)
-		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := int64(after.TotalAlloc-before.TotalAlloc) - int64(unsafe.Sizeof(*c))
-		// Large allocations round up to whole pages.
-		if want := cfg.AllocBytes(); got < want || got > want+16<<10 {
-			t.Errorf("%s: New allocated %d bytes of tag arrays, AllocBytes says %d", cfg.Name, got, want)
+		built := allocated() - start - int64(unsafe.Sizeof(*c))
+		sets, ways := cfg.NumSets(), int64(cfg.Ways())
+		pages := sets / pageSets
+		if onePage(sets, ways) {
+			pages = 1
+		}
+		page := sets / pages * ways * int64(unsafe.Sizeof(line{}))
+		dir := pages * int64(unsafe.Sizeof([]line(nil)))
+		// Size classes and whole runtime pages round allocations up, and
+		// the runtime counts a small-object span whole when it takes it.
+		const rounding = 16 << 10
+		if built > dir+page+rounding {
+			t.Errorf("%s: New allocated %d bytes of tag arrays, more than the directory (%d) and one page (%d)",
+				cfg.Name, built, dir, page)
+		}
+		for si := int64(0); si < sets; si++ {
+			for w := int64(0); w < ways; w++ {
+				c.Access(uint64((w*sets+si)*int64(cfg.BlockBytes)), false)
+			}
+		}
+		if c.Occupancy() != int(sets*ways) {
+			t.Fatalf("%s: %d of %d lines filled", cfg.Name, c.Occupancy(), sets*ways)
+		}
+		got := allocated() - start - int64(unsafe.Sizeof(*c))
+		if want := cfg.AllocBytes(); got < want || got > want+rounding {
+			t.Errorf("%s: filling every set allocated %d bytes of tag arrays, AllocBytes says %d", cfg.Name, got, want)
 		}
 		runtime.KeepAlive(c)
 	}

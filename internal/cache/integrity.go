@@ -26,9 +26,9 @@ func (c *Cache) markDirty(l *line) {
 // DirtyCount returns the number of dirty lines currently resident.
 func (c *Cache) DirtyCount() int {
 	n := 0
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			if c.sets[si][wi].valid() && c.sets[si][wi].dirty {
+	for _, page := range c.pages {
+		for i := range page {
+			if page[i].valid() && page[i].dirty {
 				n++
 			}
 		}
@@ -41,10 +41,10 @@ func (c *Cache) DirtyCount() int {
 //
 //   - no two valid lines in a set carry the same tag (a duplicate would make
 //     hits nondeterministic and double-count capacity);
-//   - replacement state is well-formed: every valid line's lastUse and
-//     fillTime are no newer than the access clock, and lastUse values are
-//     distinct within a set (the LRU stack is a strict order because each
-//     access ticks the clock exactly once);
+//   - replacement state is well-formed: every valid line's stamp is no
+//     newer than the access clock, and stamps are distinct within a set
+//     (the LRU stack and the FIFO fill order are strict orders because
+//     each access ticks the clock exactly once);
 //   - valid masks carry no bits beyond the configured sub-block count, and
 //     a valid line has at least one resident sub-block;
 //   - a write-through cache holds no dirty lines (it has nothing to write
@@ -53,7 +53,7 @@ func (c *Cache) DirtyCount() int {
 //     clean→dirty transitions minus dirty departures (writebacks,
 //     invalidations, flushes), so no writeback was lost or duplicated.
 //
-// The walk is O(cache size); it is meant for the opt-in
+// The walk is O(allocated pages); it is meant for the opt-in
 // memsys.Config.CheckInvariants debugging mode, not for hot paths.
 func (c *Cache) CheckIntegrity() error {
 	maskLimit := uint64(1)
@@ -62,51 +62,53 @@ func (c *Cache) CheckIntegrity() error {
 	} else {
 		maskLimit = 2 // only bit 0 may be set
 	}
-	for si := range c.sets {
-		set := c.sets[si]
-		for wi := range set {
-			l := &set[wi]
-			if !l.valid() {
-				continue
-			}
-			if l.validMask >= maskLimit {
-				return &IntegrityError{
-					Property: "subblock-mask",
-					Detail: fmt.Sprintf("%s set %d way %d: validMask %#x exceeds %d sub-blocks",
-						c.cfg.Name, si, wi, l.validMask, c.cfg.SubBlocks()),
-				}
-			}
-			if l.lastUse > c.clock || l.fillTime > c.clock {
-				return &IntegrityError{
-					Property: "lru-order",
-					Detail: fmt.Sprintf("%s set %d way %d: lastUse %d / fillTime %d newer than clock %d",
-						c.cfg.Name, si, wi, l.lastUse, l.fillTime, c.clock),
-				}
-			}
-			if c.cfg.Write == WriteThrough && l.dirty {
-				return &IntegrityError{
-					Property: "write-through-dirty",
-					Detail: fmt.Sprintf("%s set %d way %d: dirty line in a write-through cache",
-						c.cfg.Name, si, wi),
-				}
-			}
-			for wj := wi + 1; wj < len(set); wj++ {
-				m := &set[wj]
-				if !m.valid() {
+	for p, page := range c.pages {
+		for off := 0; off < len(page); off += c.ways {
+			si, set := p<<pageBits+off/c.ways, page[off:off+c.ways]
+			for wi := range set {
+				l := &set[wi]
+				if !l.valid() {
 					continue
 				}
-				if m.tag == l.tag {
+				if l.validMask >= maskLimit {
 					return &IntegrityError{
-						Property: "duplicate-tag",
-						Detail: fmt.Sprintf("%s set %d: ways %d and %d both hold tag %#x",
-							c.cfg.Name, si, wi, wj, l.tag),
+						Property: "subblock-mask",
+						Detail: fmt.Sprintf("%s set %d way %d: validMask %#x exceeds %d sub-blocks",
+							c.cfg.Name, si, wi, l.validMask, c.cfg.SubBlocks()),
 					}
 				}
-				if m.lastUse == l.lastUse {
+				if l.stamp > c.clock {
 					return &IntegrityError{
 						Property: "lru-order",
-						Detail: fmt.Sprintf("%s set %d: ways %d and %d share lastUse %d",
-							c.cfg.Name, si, wi, wj, l.lastUse),
+						Detail: fmt.Sprintf("%s set %d way %d: stamp %d newer than clock %d",
+							c.cfg.Name, si, wi, l.stamp, c.clock),
+					}
+				}
+				if c.cfg.Write == WriteThrough && l.dirty {
+					return &IntegrityError{
+						Property: "write-through-dirty",
+						Detail: fmt.Sprintf("%s set %d way %d: dirty line in a write-through cache",
+							c.cfg.Name, si, wi),
+					}
+				}
+				for wj := wi + 1; wj < len(set); wj++ {
+					m := &set[wj]
+					if !m.valid() {
+						continue
+					}
+					if m.tag == l.tag {
+						return &IntegrityError{
+							Property: "duplicate-tag",
+							Detail: fmt.Sprintf("%s set %d: ways %d and %d both hold tag %#x",
+								c.cfg.Name, si, wi, wj, l.tag),
+						}
+					}
+					if m.stamp == l.stamp {
+						return &IntegrityError{
+							Property: "lru-order",
+							Detail: fmt.Sprintf("%s set %d: ways %d and %d share stamp %d",
+								c.cfg.Name, si, wi, wj, l.stamp),
+						}
 					}
 				}
 			}

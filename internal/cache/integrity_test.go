@@ -73,34 +73,34 @@ func TestCheckIntegrityDetectsDuplicateTag(t *testing.T) {
 	c := MustNew(integrityConfig(WriteBack))
 	c.Access(0x0000, false)
 	c.Access(0x1000, false) // same set, different tag
-	c.sets[0][1].tag = c.sets[0][0].tag
+	c.set(0)[1].tag = c.set(0)[0].tag
 	wantViolation(t, c, "duplicate-tag")
 }
 
 func TestCheckIntegrityDetectsLRUCorruption(t *testing.T) {
 	c := MustNew(integrityConfig(WriteBack))
 	c.Access(0x0000, false)
-	c.sets[0][0].lastUse = c.clock + 100
+	c.set(0)[0].stamp = c.clock + 100
 	wantViolation(t, c, "lru-order")
 
 	c = MustNew(integrityConfig(WriteBack))
 	c.Access(0x0000, false)
 	c.Access(0x1000, false)
-	c.sets[0][1].lastUse = c.sets[0][0].lastUse
+	c.set(0)[1].stamp = c.set(0)[0].stamp
 	wantViolation(t, c, "lru-order")
 }
 
 func TestCheckIntegrityDetectsDirtyLeak(t *testing.T) {
 	c := MustNew(integrityConfig(WriteBack))
 	c.Access(0x0000, true)
-	c.sets[0][0].dirty = false // lose the pending writeback
+	c.set(0)[0].dirty = false // lose the pending writeback
 	wantViolation(t, c, "dirty-accounting")
 }
 
 func TestCheckIntegrityDetectsWriteThroughDirty(t *testing.T) {
 	c := MustNew(integrityConfig(WriteThrough))
 	c.Access(0x0000, true)
-	c.sets[0][0].dirty = true
+	c.set(0)[0].dirty = true
 	wantViolation(t, c, "write-through-dirty")
 }
 
@@ -109,6 +109,6 @@ func TestCheckIntegrityDetectsMaskOverflow(t *testing.T) {
 	cfg.FetchBytes = 4 // 4 sub-blocks
 	c := MustNew(cfg)
 	c.Access(0x0000, false)
-	c.sets[0][0].validMask = 1 << 6
+	c.set(0)[0].validMask = 1 << 6
 	wantViolation(t, c, "subblock-mask")
 }

@@ -46,12 +46,14 @@ type record struct {
 	Data json.RawMessage `json:"data,omitempty"`
 }
 
+// recordSep separates a record's key from its data in the CRC.
+var recordSep = []byte{0}
+
+// recordCRC is the IEEE CRC-32 of key, a zero byte and data.
 func recordCRC(key string, data []byte) uint32 {
-	h := crc32.NewIEEE()
-	io.WriteString(h, key)
-	h.Write([]byte{0})
-	h.Write(data)
-	return h.Sum32()
+	crc := crc32.Update(0, crc32.IEEETable, []byte(key))
+	crc = crc32.Update(crc, crc32.IEEETable, recordSep)
+	return crc32.Update(crc, crc32.IEEETable, data)
 }
 
 // Journal is an open checkpoint file being appended to. It is safe for use

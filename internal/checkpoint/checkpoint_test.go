@@ -2,6 +2,9 @@ package checkpoint
 
 import (
 	"encoding/json"
+	"hash/crc32"
+	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -165,5 +168,31 @@ func TestDuplicateKeyKeepsLast(t *testing.T) {
 	json.Unmarshal(set.Records["a"], &p)
 	if p.N != 2 {
 		t.Errorf("duplicate key kept N=%d, want 2", p.N)
+	}
+}
+
+// TestRecordCRCMatchesDigest: recordCRC's three crc32.Update calls give
+// the CRC a crc32.NewIEEE digest fed key, a zero byte and data gives, so
+// every journal written before keeps its CRCs.
+func TestRecordCRCMatchesDigest(t *testing.T) {
+	digest := func(key string, data []byte) uint32 {
+		h := crc32.NewIEEE()
+		io.WriteString(h, key)
+		h.Write([]byte{0})
+		h.Write(data)
+		return h.Sum32()
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		key := make([]byte, rng.Intn(80))
+		data := make([]byte, rng.Intn(1200))
+		rng.Read(key)
+		rng.Read(data)
+		if got, want := recordCRC(string(key), data), digest(string(key), data); got != want {
+			t.Fatalf("recordCRC(%q, %d bytes) = %d, digest %d", key, len(data), got, want)
+		}
+	}
+	if got, want := recordCRC("", nil), digest("", nil); got != want {
+		t.Fatalf("empty record: %d, digest %d", got, want)
 	}
 }

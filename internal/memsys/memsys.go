@@ -136,8 +136,9 @@ func (c Config) firstLevels() []LevelConfig {
 	return []LevelConfig{c.L1}
 }
 
-// TagBytes is what New allocates for the tag arrays of a valid c: the
-// cache.Config.AllocBytes of every cache, the TLB's included.
+// TagBytes is what the tag arrays of a valid c hold once every set has
+// been filled: the cache.Config.AllocBytes of every cache, the TLB's
+// included. New allocates less: a large cache's pages come with fills.
 func (c Config) TagBytes() int64 {
 	var n int64
 	for _, lc := range c.firstLevels() {

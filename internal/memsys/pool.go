@@ -15,7 +15,7 @@ import (
 // geometry; a Pool lets heterogeneous grids, consecutive jobs in a
 // long-running service, and the optimal-search driver hand finished
 // hierarchies back for any later simulation of the same geometry, skipping
-// the tag-array allocation that dominates per-point setup.
+// the construction of its caches, directories and first-level arrays.
 //
 // A hierarchy taken from the pool is indistinguishable from a freshly
 // constructed one: Get re-purposes it with ResetFor, whose contract is
@@ -23,8 +23,9 @@ import (
 //
 // Idle hierarchies are bounded twice: at most perKey per geometry, and,
 // when the pool has a byte bound, at most that many bytes of tag arrays
-// in all (Config.TagBytes), so that a stream of simulations with distinct
-// large caches does not keep every one of them.
+// in all (Config.TagBytes, every set counted as filled, so an upper bound
+// on what they hold), so that a stream of simulations with distinct large
+// caches does not keep every one of them.
 type Pool struct {
 	mu           sync.Mutex
 	perKey       int

@@ -171,7 +171,9 @@ func TestPoolConcurrent(t *testing.T) {
 func TestPoolIdleBytesBound(t *testing.T) {
 	cfgA, cfgB, cfgC := poolTestConfig(64*1024, 30), poolTestConfig(128*1024, 30), poolTestConfig(32*1024, 30)
 	sizeA, sizeB, sizeC := cfgA.TagBytes(), cfgB.TagBytes(), cfgC.TagBytes()
-	if want := int64(2*8192 + 2*64*1024); sizeA != want {
+	// Two 2 KiB L1s of 128 lines and a 64 KiB L2 of 2048, each one page:
+	// 32 bytes a line and a 24-byte directory each.
+	if want := int64(2*(128*32+24) + 2048*32 + 24); sizeA != want {
 		t.Fatalf("precondition: TagBytes of a 64 KiB L2 machine = %d, want %d", sizeA, want)
 	}
 	p := NewPool(4, sizeA+sizeB)

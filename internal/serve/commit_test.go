@@ -12,11 +12,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"mlcache/internal/checkpoint"
 	"mlcache/internal/coord"
-	"mlcache/internal/cpu"
 	"mlcache/internal/sweep"
 )
 
@@ -225,43 +223,6 @@ func TestResultBatchesOnMetrics(t *testing.T) {
 				t.Errorf("mlcserve_results_journal_commits_total = %d without a state dir, want 0", commits)
 			}
 		})
-	}
-}
-
-// TestCommitterBatchesInOrder: points added while a commit is in flight
-// wait for the next one and share it, every point is committed exactly
-// once in the order it was added, and drain returns only after the last
-// commit.
-func TestCommitterBatchesInOrder(t *testing.T) {
-	const n = 200
-	var (
-		got     []int64
-		commits int
-	)
-	c := newCommitter(func(batch []sweep.Result) {
-		commits++
-		for _, res := range batch {
-			got = append(got, res.Run.TimeNS)
-		}
-		time.Sleep(time.Millisecond) // an fsync's worth of wait
-	})
-	for i := int64(0); i < n; i++ {
-		c.add(sweep.Result{Run: cpu.Result{TimeNS: i}})
-		if i%10 == 0 {
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
-	c.drain()
-	if len(got) != n {
-		t.Fatalf("committed %d points, want %d", len(got), n)
-	}
-	for i, v := range got {
-		if v != int64(i) {
-			t.Fatalf("commit order %v, want 0..%d", got, n-1)
-		}
-	}
-	if commits < 1 || commits >= n {
-		t.Errorf("%d commits for %d points added faster than they commit, want them batched", commits, n)
 	}
 }
 

@@ -22,8 +22,9 @@ import (
 //   - Bytes: the arena the workload will materialize, refs × 16 (the
 //     in-memory record size), plus the tag arrays of the hierarchies the
 //     job simulates at once: one per simulation worker, at most one per
-//     point, each as large as the job's largest point's (what cache.New
-//     allocates for its L1s and L2). For artifact-backed specs the
+//     point, each as large as the job's largest point's with every set
+//     of its L1s and L2 filled (cache.Config.AllocBytes; a trace can
+//     touch every set). For artifact-backed specs the
 //     reference count comes from the artifact's 32-byte header; for other
 //     trace files, from the file size (an overestimate — text records are
 //     wider on disk than in memory — which errs on the safe side).

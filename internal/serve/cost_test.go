@@ -11,14 +11,16 @@ import (
 
 	"mlcache/internal/checkpoint"
 	"mlcache/internal/coord"
+	"mlcache/internal/sweep"
 	"mlcache/internal/trace"
 )
 
-// gridSpecHierarchyBytes is the tag arrays of gridSpec's largest point:
-// two direct-mapped 2 KiB L1s of 16-byte blocks (128 sets of one 40-byte
-// line and a 24-byte set header each: 8192 bytes apiece) and a
-// direct-mapped 64 KiB L2 of 32-byte blocks (2048 sets: 131072 bytes).
-const gridSpecHierarchyBytes = 2*8192 + 131072
+// gridSpecHierarchyBytes is the tag arrays of gridSpec's largest point,
+// fully touched: two direct-mapped 2 KiB L1s of 16-byte blocks (128
+// 32-byte lines and a one-page directory of 24 bytes: 4120 bytes apiece)
+// and a direct-mapped 64 KiB L2 of 32-byte blocks (2048 lines, one page
+// too: 65560 bytes).
+const gridSpecHierarchyBytes = 2*4120 + 65560
 
 // TestEstimateJobSynthetic: a synthetic spec prices at refs×16 bytes plus
 // one hierarchy per worker, and at one trace pass plus a sixteenth of a
@@ -208,10 +210,11 @@ func TestInflightGate(t *testing.T) {
 	}
 }
 
-// TestEstimateJobPricesTheHierarchies: a job's tag arrays count, so a
-// one-point job with a 16 GiB direct-mapped L2 (2^29 sets of one 40-byte
-// line and a 24-byte header: 32 GiB) is priced at them, once, however
-// many workers there are; a Fig 4-1-sized grid stays small.
+// TestEstimateJobPricesTheHierarchies: a job's tag arrays count as if a
+// trace touched every set, so a one-point job with a 16 GiB direct-mapped
+// L2 (2^29 32-byte lines in 2^25 pages of 16 sets, each page a 24-byte
+// directory entry: 16.75 GiB) is priced at them, once, however many
+// workers there are; a Fig 4-1-sized grid stays small.
 func TestEstimateJobPricesTheHierarchies(t *testing.T) {
 	spec := gridSpec()
 	spec.SizesBytes, spec.CyclesNS, spec.Refs = []int64{16 << 30}, []int64{10}, 2000
@@ -219,7 +222,7 @@ func TestEstimateJobPricesTheHierarchies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(2000*refBytes + 2*8192 + 1<<35); est.Bytes != want {
+	if want := int64(2000*refBytes + 2*4120 + 1<<34 + 24<<25); est.Bytes != want {
 		t.Errorf("16 GiB L2: Bytes = %d, want %d", est.Bytes, want)
 	}
 
@@ -230,8 +233,9 @@ func TestEstimateJobPricesTheHierarchies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 MiB of 32-byte blocks: 131072 sets of 64 bytes, per worker.
-	if want := int64(200000*refBytes + 4*(2*8192+131072*64)); est.Bytes != want {
+	// 4 MiB of 32-byte blocks: 131072 lines of 32 bytes and 8192 pages,
+	// per worker.
+	if want := int64(200000*refBytes + 4*(2*4120+131072*32+8192*24)); est.Bytes != want {
 		t.Errorf("Fig 4-1 grid: Bytes = %d, want %d", est.Bytes, want)
 	}
 }
@@ -294,20 +298,26 @@ func TestAdmissionRejectsWhatNoGateFits(t *testing.T) {
 	}
 }
 
-// TestPoolIdleBytesBoundedByArenaBudget: one-point jobs with 4, 8, 16 and
-// 32 MiB L2s, each admitted under a 64 MiB arena budget, leave at most
-// 64 MiB of tag arrays in idle pooled hierarchies after every job. The
-// 32 MiB L2's hierarchy holds 64 MiB and 16 KiB of tag arrays, more than
-// the bound alone, and is dropped; /metrics reports the idle bytes.
+// TestPoolIdleBytesBoundedByArenaBudget: one-point jobs with 16, 8, 32
+// and 64 MiB L2s, each admitted under a 48 MiB arena budget, leave at most
+// 48 MiB of tag arrays in idle pooled hierarchies after every job, each
+// priced as if its trace had touched every set (an X MiB direct-mapped L2
+// of 32-byte blocks: X MiB of lines and X×48 KiB of page directory). The
+// 32 MiB L2's hierarchy pushes the pool past the bound, and the least
+// recently returned, the 16 MiB one, goes though the 8 MiB one is smaller;
+// the 64 MiB L2's holds 67 MiB, more than the bound alone, and is dropped.
+// /metrics reports the idle bytes.
 func TestPoolIdleBytesBoundedByArenaBudget(t *testing.T) {
-	const budget = 64 << 20
+	const budget = 48 << 20
 	s := newTestServer(t, Config{ArenaBudgetBytes: budget, Parallelism: 1})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	for _, mib := range []int64{4, 8, 16, 32} {
+	tagBytes := map[int64]int64{}
+	for _, mib := range []int64{16, 8, 32, 64} {
 		spec := gridSpec()
 		spec.SizesBytes, spec.CyclesNS, spec.Refs = []int64{mib << 20}, []int64{10}, 2000
+		tagBytes[mib] = spec.Configure(sweep.Point{L2SizeBytes: mib << 20, L2Assoc: spec.Assoc}).TagBytes()
 		if js := postJob(t, ts.Client(), ts.URL+"/jobs", spec); !js.gotDone {
 			t.Fatalf("%d MiB L2: job not admitted or not finished (status %d)", mib, js.status)
 		}
@@ -319,7 +329,11 @@ func TestPoolIdleBytesBoundedByArenaBudget(t *testing.T) {
 			t.Errorf("mlcserve_pool_idle_bytes = %d, pool reports %d", got, st.IdleBytes)
 		}
 	}
-	if st := s.pool.Stats(); st.Size != 3 || st.Drops != 1 {
-		t.Errorf("pool %+v: want the 4, 8 and 16 MiB hierarchies idle and the 32 MiB one dropped", st)
+	if tagBytes[64] <= budget || tagBytes[16]+tagBytes[8]+tagBytes[32] <= budget {
+		t.Fatalf("precondition: tag bytes %v do not exceed the %d-byte bound as the test needs", tagBytes, budget)
+	}
+	if st := s.pool.Stats(); st.Size != 2 || st.Drops != 2 || st.IdleBytes != tagBytes[8]+tagBytes[32] {
+		t.Errorf("pool %+v: want the 8 and 32 MiB hierarchies idle (%d bytes), the 16 and 64 MiB ones dropped",
+			st, tagBytes[8]+tagBytes[32])
 	}
 }

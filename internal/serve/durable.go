@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"mlcache/internal/checkpoint"
 	"mlcache/internal/coord"
@@ -163,53 +162,6 @@ func (s *Server) commitResults(base string, batch []sweep.Result, publish func(s
 			s.logf("compact results journal: %v", err)
 		}
 	}
-}
-
-// committer carries a job's finished points from the simulation workers
-// to one goroutine that commits them in batches. add queues a point and
-// never waits for the commit; the goroutine commits everything queued
-// since its previous commit in one call, in the order add saw it, so the
-// points that finish during one commit share the next.
-type committer struct {
-	mu     sync.Mutex
-	queued []sweep.Result
-	wake   chan struct{} // holds a token while points may wait; closed by drain
-	done   chan struct{} // closed after the last commit
-}
-
-func newCommitter(commit func([]sweep.Result)) *committer {
-	c := &committer{wake: make(chan struct{}, 1), done: make(chan struct{})}
-	go func() {
-		defer close(c.done)
-		var batch []sweep.Result
-		for range c.wake {
-			c.mu.Lock()
-			batch, c.queued = c.queued, batch[:0]
-			c.mu.Unlock()
-			if len(batch) > 0 {
-				commit(batch)
-			}
-		}
-	}()
-	return c
-}
-
-// add queues one finished point for the next commit.
-func (c *committer) add(res sweep.Result) {
-	c.mu.Lock()
-	c.queued = append(c.queued, res)
-	c.mu.Unlock()
-	select {
-	case c.wake <- struct{}{}:
-	default: // a token is pending; its commit takes this point too
-	}
-}
-
-// drain waits until every queued point is committed and stops the
-// goroutine. Call it once, after the last add has returned.
-func (c *committer) drain() {
-	close(c.wake)
-	<-c.done
 }
 
 // appendJob journals a job-state transition under its stable job key.

@@ -1197,16 +1197,16 @@ func (s *Server) runJob(ctx context.Context, jobID int64, spec coord.JobSpec, tn
 		line.Run = &run
 		sink.send("result", line)
 	}
-	commits := newCommitter(func(batch []sweep.Result) { s.commitResults(base, batch, publish) })
+	commits := sweep.NewCommitter(func(batch []sweep.Result) { s.commitResults(base, batch, publish) })
 	opts := sweep.Options{
 		Skip: func(pt sweep.Point) bool {
 			_, ok := cached[pt]
 			return ok
 		},
-		OnResult: commits.add,
+		OnResult: commits.Add,
 	}
 	results, runErr := runner.RunContext(dctx, pts, opts)
-	commits.drain()
+	commits.Drain()
 	if runErr == nil {
 		// The committer may have found the client gone only after the
 		// last point finished; the job is canceled all the same.
