@@ -195,6 +195,24 @@ func BenchmarkL1Opt(b *testing.B) {
 	b.ReportMetric(float64(largest), "optimal-L1-KB-at-8cyc")
 }
 
+// BenchmarkPaperExperiments runs every experiments.All() entry on a fresh
+// Context over the 25k-reference paper trace (5k warm-up) with 2
+// workers, the work of benchsuite's paper op, in process. Its B/op moves
+// by about 1% between runs, so what the experiments allocate is read
+// here more precisely than from the op's end-to-end time.
+func BenchmarkPaperExperiments(b *testing.B) {
+	opt := experiments.Options{Seed: 1, Refs: 25_000, Warmup: 5_000, Parallelism: 2}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ctx := experiments.NewContext(opt)
+		for _, x := range experiments.All() {
+			if err := x.Run(ctx, io.Discard); err != nil {
+				b.Fatalf("experiment %s: %v", x.ID, err)
+			}
+		}
+	}
+}
+
 // BenchmarkSimulatorThroughput measures the raw timing-simulation speed of
 // the base machine in references per second: the trace is decoded once
 // into an arena outside the timed region (the sweep engine's decode-once

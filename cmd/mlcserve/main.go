@@ -3,9 +3,8 @@
 // coordinator uses) to /jobs and stream per-point results back as NDJSON
 // (or SSE with Accept: text/event-stream), ending with a rendered table
 // byte-identical to `sweep` CLI output for the same grid. One resident
-// process amortizes workload decoding (a shared refcounted arena cache),
-// hierarchy allocation (a geometry-keyed pool), and repeated grids (a
-// per-point result cache) across every client.
+// process amortizes workload decoding (a shared refcounted arena cache)
+// and repeated grids (a per-point result cache) across every client.
 //
 // With -state-dir the service is durable: every completed point and every
 // accepted job is journaled (CRC'd segment-rotated JSONL) before it is
@@ -60,7 +59,6 @@ type options struct {
 	jobs          int
 	queue         int
 	par           int
-	poolPerGeom   int
 	resultPoints  int
 	drainTimeout  time.Duration
 	arenaBudget   int64
@@ -96,9 +94,6 @@ func validate(o options) (*serve.Tenants, error) {
 	}
 	if o.par < 0 {
 		return nil, fmt.Errorf("-par must be non-negative, got %d", o.par)
-	}
-	if o.poolPerGeom <= 0 {
-		return nil, fmt.Errorf("-pool-per-geometry must be positive, got %d", o.poolPerGeom)
 	}
 	if o.resultPoints <= 0 {
 		return nil, fmt.Errorf("-result-cache-points must be positive, got %d", o.resultPoints)
@@ -212,8 +207,7 @@ func main() {
 		jobs         = flag.Int("jobs", 4, "max concurrently running jobs")
 		queue        = flag.Int("queue", 16, "max jobs waiting for a slot per tenant before 429")
 		par          = flag.Int("par", 0, "simulation workers per job (0 = GOMAXPROCS)")
-		arenaBudget  = flag.Int64("arena-budget-mb", 1024, "workload cache budget in MiB; also bounds the tag arrays of idle pooled hierarchies")
-		poolPerGeom  = flag.Int("pool-per-geometry", 4, "idle hierarchies kept per cache geometry")
+		arenaBudget  = flag.Int64("arena-budget-mb", 1024, "workload cache budget in MiB; twice it is the default -max-inflight-bytes")
 		resultPoints = flag.Int("result-cache-points", 65536, "per-point result cache capacity")
 		stateDir     = flag.String("state-dir", "", "journal results and jobs here; restart replays them (empty = in-memory only)")
 		journalMax   = flag.Int64("journal-max-mb", 64, "journal segment rotation threshold in MiB (with -state-dir)")
@@ -248,7 +242,7 @@ func main() {
 		os.Exit(2)
 	}
 	opts := options{
-		jobs: *jobs, queue: *queue, par: *par, poolPerGeom: *poolPerGeom,
+		jobs: *jobs, queue: *queue, par: *par,
 		resultPoints: *resultPoints, drainTimeout: *drainTimeout, arenaBudget: *arenaBudget,
 		stateDir: *stateDir, artifactDir: *artifactDir, journalMaxMB: *journalMax,
 		tenantsPath: *tenantsPath, anonRate: *anonRate, anonBurst: *anonBurst,
@@ -285,7 +279,6 @@ func main() {
 		MaxQueue:          *queue,
 		Parallelism:       *par,
 		ArenaBudgetBytes:  *arenaBudget << 20,
-		PoolPerGeometry:   *poolPerGeom,
 		ResultCachePoints: *resultPoints,
 		StateDir:          *stateDir,
 		ArtifactDir:       *artifactDir,

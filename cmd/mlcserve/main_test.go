@@ -11,7 +11,7 @@ import (
 )
 
 func goodOptions() options {
-	return options{jobs: 4, queue: 16, poolPerGeom: 4, resultPoints: 65536, drainTimeout: 10 * time.Minute,
+	return options{jobs: 4, queue: 16, resultPoints: 65536, drainTimeout: 10 * time.Minute,
 		arenaBudget: 1024, journalMaxMB: 64, maxAttempts: 3}
 }
 
@@ -36,8 +36,6 @@ func TestValidateRejectsBadFlagCombinations(t *testing.T) {
 		{"negative jobs", func(o *options) { o.jobs = -1 }, "-jobs"},
 		{"zero queue", func(o *options) { o.queue = 0 }, "-queue"},
 		{"negative par", func(o *options) { o.par = -2 }, "-par"},
-		{"zero pool", func(o *options) { o.poolPerGeom = 0 }, "-pool-per-geometry"},
-		{"negative pool", func(o *options) { o.poolPerGeom = -1 }, "-pool-per-geometry"},
 		{"zero result cache", func(o *options) { o.resultPoints = 0 }, "-result-cache-points"},
 		{"negative result cache", func(o *options) { o.resultPoints = -3 }, "-result-cache-points"},
 		{"negative drain timeout", func(o *options) { o.drainTimeout = -time.Second }, "-drain-timeout"},

@@ -49,9 +49,12 @@ type record struct {
 // recordSep separates a record's key from its data in the CRC.
 var recordSep = []byte{0}
 
-// recordCRC is the IEEE CRC-32 of key, a zero byte and data.
-func recordCRC(key string, data []byte) uint32 {
-	crc := crc32.Update(0, crc32.IEEETable, []byte(key))
+// recordCRC is the IEEE CRC-32 of key, a zero byte and data. It takes the
+// key as bytes so that the readers can pass the key bytes they framed:
+// crc32.Update makes its argument escape, so converting a string key here
+// would copy it to the heap once per record.
+func recordCRC(key, data []byte) uint32 {
+	crc := crc32.Update(0, crc32.IEEETable, key)
 	crc = crc32.Update(crc, crc32.IEEETable, recordSep)
 	return crc32.Update(crc, crc32.IEEETable, data)
 }
@@ -261,7 +264,7 @@ func recordLine(e Entry) ([]byte, error) {
 		}
 		raw = b
 	}
-	line, err := json.Marshal(record{Key: e.Key, CRC: recordCRC(e.Key, raw), Data: raw})
+	line, err := json.Marshal(record{Key: e.Key, CRC: recordCRC([]byte(e.Key), raw), Data: raw})
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: marshal %q: %w", e.Key, err)
 	}

@@ -157,15 +157,14 @@ func parseRun[E any](body []byte, lo, hi int, parse parseFunc[E]) (r run[E]) {
 func parseRecord(line []byte, e *entry) bool {
 	key, crc, data, ok := frame(line)
 	if ok && (data == nil || json.Valid(line)) {
-		k := string(key)
-		if crc != recordCRC(k, data) {
+		if crc != recordCRC(key, data) {
 			return false
 		}
-		*e = entry{k, data}
+		*e = entry{string(key), data}
 		return true
 	}
 	var rec record
-	if json.Unmarshal(line, &rec) != nil || rec.CRC != recordCRC(rec.Key, rec.Data) {
+	if json.Unmarshal(line, &rec) != nil || rec.CRC != recordCRC([]byte(rec.Key), rec.Data) {
 		return false
 	}
 	*e = entry{rec.Key, rec.Data}
@@ -184,12 +183,11 @@ func parseTyped[T any]() parseFunc[Decoded[T]] {
 		var zero T
 		if exact != nil {
 			if key, crc, data, ok := frame(line); ok {
-				k := string(key)
-				if crc != recordCRC(k, data) {
+				if crc != recordCRC(key, data) {
 					return false
 				}
 				if decodeExact(exact, data, reflect.ValueOf(&d.Value).Elem()) {
-					d.Key = k
+					d.Key = string(key)
 					return true
 				}
 				d.Value = zero

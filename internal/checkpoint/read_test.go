@@ -54,7 +54,7 @@ func referenceRead(r io.Reader) (Set, []string, error) {
 			set.Dropped++
 			continue
 		}
-		if rec.CRC != recordCRC(rec.Key, rec.Data) {
+		if rec.CRC != recordCRC([]byte(rec.Key), rec.Data) {
 			set.Dropped++
 			continue
 		}
@@ -163,7 +163,7 @@ func FuzzReadJournal(f *testing.F) {
 	flipped[crcAt] = '0' + (flipped[crcAt]-'0'+1)%10
 	f.Add(uint8(0), "", flipped)
 	line := appendedLines(f, "k", payload{N: 8})
-	crc := strconv.FormatUint(uint64(recordCRC("k", []byte(`{"n":8,"s":""}`))), 10)
+	crc := strconv.FormatUint(uint64(recordCRC([]byte("k"), []byte(`{"n":8,"s":""}`))), 10)
 	f.Add(uint8(0), "", bytes.Replace(line, []byte(crc), []byte("0"+crc), 1)) // leading-zero CRC
 	f.Add(uint8(0), "", bytes.Replace(line, []byte("}}"), []byte("} }"), 1))  // space before the final }
 	f.Add(uint8(0), "", append(bytes.Replace(line, []byte("\n"), []byte("\r\n"), 1), "\n\n"...))
@@ -176,7 +176,7 @@ func FuzzReadJournal(f *testing.F) {
 	f.Fuzz(func(t *testing.T, mode uint8, key string, data []byte) {
 		body := data
 		if mode%2 == 1 {
-			crc := strconv.FormatUint(uint64(recordCRC(key, data)), 10)
+			crc := strconv.FormatUint(uint64(recordCRC([]byte(key), data)), 10)
 			var b bytes.Buffer
 			b.WriteString(`{"key":"` + key + `","crc":` + crc)
 			if len(data) > 0 {
@@ -184,7 +184,7 @@ func FuzzReadJournal(f *testing.F) {
 				b.Write(data)
 			}
 			b.WriteString("}\n")
-			if line, err := json.Marshal(record{Key: key, CRC: recordCRC(key, data), Data: data}); err == nil {
+			if line, err := json.Marshal(record{Key: key, CRC: recordCRC([]byte(key), data), Data: data}); err == nil {
 				b.Write(append(line, '\n'))
 			}
 			body = b.Bytes()
@@ -319,7 +319,7 @@ func FuzzLoadAs(f *testing.F) {
 	f.Fuzz(func(t *testing.T, mode uint8, key string, data []byte) {
 		body := data
 		if mode%2 == 1 {
-			crc := strconv.FormatUint(uint64(recordCRC(key, data)), 10)
+			crc := strconv.FormatUint(uint64(recordCRC([]byte(key), data)), 10)
 			var b bytes.Buffer
 			b.WriteString(`{"key":"` + key + `","crc":` + crc)
 			if len(data) > 0 {
@@ -327,7 +327,7 @@ func FuzzLoadAs(f *testing.F) {
 				b.Write(data)
 			}
 			b.WriteString("}\n")
-			if line, err := json.Marshal(record{Key: key, CRC: recordCRC(key, data), Data: data}); err == nil {
+			if line, err := json.Marshal(record{Key: key, CRC: recordCRC([]byte(key), data), Data: data}); err == nil {
 				b.Write(append(line, '\n'))
 			}
 			body = b.Bytes()

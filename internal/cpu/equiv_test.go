@@ -214,6 +214,176 @@ func TestResetForEquivalence(t *testing.T) {
 	}
 }
 
+// FuzzResetForVsNew: a hierarchy that ran one configuration and was then
+// re-purposed by ResetFor for another of the same geometry simulates
+// exactly what a fresh memsys.New of the second does. The two draws share
+// the split or unified L1, the level count, the TLB and every cache's
+// geometry, and differ in whatever cache.Compatible leaves free: each
+// level's cycle, write cycles, replacement, write and allocation policy,
+// seed and prefetch, the write buffers, memory timing, the bus and the
+// TLB walk. A changed L2 geometry or structure must be refused, and the
+// refused hierarchy must still Reset to a fresh one.
+func FuzzResetForVsNew(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, []byte{0, 1, 2, 3, 4, 5, 6, 7})
+	f.Add([]byte{1, 3, 1, 5, 2, 1, 1, 1, 2, 7, 1, 0, 2, 1, 2, 1, 1, 2, 1, 0, 3, 2, 1, 0, 1, 4, 2, 1, 1, 1, 1, 1, 2,
+		3, 1, 0, 2, 1, 1, 2, 2, 2, 0, 1, 1, 1, 1, 1, 2, 1, 1, 1, 3, 3, 1, 0, 2, 2, 4, 1, 3, 2, 2, 1, 1},
+		[]byte{255, 17, 3, 200, 9, 64, 128, 31, 77, 12, 250, 6, 90, 33, 4, 181})
+	f.Fuzz(func(t *testing.T, knobs, raw []byte) {
+		if len(raw) < 2 || len(raw) > 4096 {
+			return
+		}
+		refs := make([]trace.Ref, 0, 2*len(raw))
+		for i := 0; i+1 < len(raw); i++ {
+			b, c := raw[i], raw[i+1]
+			refs = append(refs,
+				trace.Ref{Kind: trace.IFetch, Addr: 1<<20 + uint64(i%64)*4},
+				trace.Ref{Kind: trace.Kind(1 + c%2), Addr: uint64(b)<<7 | uint64(c&7)<<4})
+		}
+		arena := trace.NewArena(refs)
+		pick := func(n int) int {
+			if len(knobs) == 0 {
+				return 0
+			}
+			v := int(knobs[0]) % n
+			knobs = knobs[1:]
+			return v
+		}
+
+		shape := resetForShape(pick)
+		first, second := resetForTiming(shape, pick), resetForTiming(shape, pick)
+		if first.Validate() != nil || second.Validate() != nil {
+			return
+		}
+		run := cpu.Config{CycleNS: equivCycleNS, WarmupRefs: int64(pick(3)) * int64(len(refs)) / 4}
+		simulate := func(h *memsys.Hierarchy) cpu.Result {
+			t.Helper()
+			res, err := cpu.Run(h, arena.Cursor(), run)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		fresh := simulate(memsys.MustNew(second))
+
+		h := memsys.MustNew(first)
+		simulate(h)
+		if !h.ResetFor(second) {
+			t.Fatal("ResetFor refused a configuration of the same geometry")
+		}
+		if got := simulate(h); !reflect.DeepEqual(got, fresh) {
+			t.Fatalf("ResetFor run differs from a fresh run:\nfresh:  %+v\nreused: %+v", fresh, got)
+		}
+
+		changed := resetForChange(second, pick)
+		if h.ResetFor(changed) {
+			t.Fatalf("ResetFor accepted a changed geometry: %+v", changed)
+		}
+		h.Reset()
+		if got := simulate(h); !reflect.DeepEqual(got, fresh) {
+			t.Fatalf("Reset after a refused ResetFor differs from a fresh run:\nfresh: %+v\nreset: %+v", fresh, got)
+		}
+	})
+}
+
+// resetForShape draws the geometry FuzzResetForVsNew keeps: a split or
+// unified L1 of 256 B to 2 KiB, an L2 of 4 to 128 KiB (paged past
+// 64 KiB), an optional L3 and an optional TLB, sub-blocked or not.
+func resetForShape(pick func(int) int) memsys.Config {
+	level := func(name string, size int64, block int) memsys.LevelConfig {
+		lc := equivLevel(name, size, block, equivCycleNS)
+		lc.Cache.Assoc = 1 << pick(3)
+		if pick(4) == 0 {
+			lc.Cache.FetchBytes = block / 2
+		}
+		return lc
+	}
+	cfg := memsys.Config{CPUCycleNS: equivCycleNS, Memory: mainmem.Base()}
+	l1 := func(name string) memsys.LevelConfig { return level(name, 256<<pick(4), 16<<pick(2)) }
+	if pick(2) == 0 {
+		cfg.SplitL1, cfg.L1I, cfg.L1D = true, l1("L1I"), l1("L1D")
+	} else {
+		cfg.L1 = l1("L1")
+	}
+	l2 := level("L2", 4096<<pick(6), 32<<pick(2))
+	cfg.Down = []memsys.LevelConfig{l2}
+	if pick(2) == 1 {
+		cfg.Down = append(cfg.Down, level("L3", l2.Cache.SizeBytes<<(1+pick(2)), l2.Cache.BlockBytes<<pick(2)))
+	}
+	if pick(3) == 0 {
+		cfg.TLB = memsys.TLBConfig{Entries: 8 << pick(2), Assoc: 2 * pick(2)}
+	}
+	return cfg
+}
+
+// resetForTiming returns shape with everything cache.Compatible leaves
+// free drawn anew.
+func resetForTiming(shape memsys.Config, pick func(int) int) memsys.Config {
+	cfg := shape
+	cfg.Down = append([]memsys.LevelConfig(nil), shape.Down...)
+	level := func(lc *memsys.LevelConfig, cycles int) {
+		lc.CycleNS = equivCycleNS * int64(cycles+pick(3))
+		lc.WriteCycles = pick(4)
+		lc.Prefetch = pick(4) == 0
+		lc.Cache.Repl = cache.Replacement(pick(3))
+		lc.Cache.Write = cache.WritePolicy(pick(2))
+		lc.Cache.Alloc = cache.AllocPolicy(pick(2))
+		lc.Cache.Seed = int64(pick(3))
+	}
+	if cfg.SplitL1 {
+		level(&cfg.L1I, 1)
+		level(&cfg.L1D, 1)
+	} else {
+		level(&cfg.L1, 1)
+	}
+	for i := range cfg.Down {
+		level(&cfg.Down[i], 2+2*i)
+	}
+	cfg.WBDepth = []int{-1, 0, 1, 2, 8}[pick(5)]
+	cfg.WBCoalesce = pick(2) == 1
+	cfg.Memory = mainmem.Config{
+		ReadNS:     60 + 40*int64(pick(4)),
+		WriteNS:    40 + 30*int64(pick(4)),
+		RecoveryNS: 40 * int64(pick(4)),
+	}
+	if pick(3) == 0 {
+		cfg.Memory = cfg.Memory.WithPageMode(256<<pick(3), 30)
+	}
+	cfg.MemBusWidthBytes = []int{0, 4, 8, 32}[pick(4)]
+	cfg.MemBusCycleNS = equivCycleNS * int64(pick(4))
+	cfg.TLB.WalkLevels = pick(4)
+	return cfg
+}
+
+// resetForChange returns cfg with its L2's size or associativity, the
+// presence of an L3, or the split of its L1 changed.
+func resetForChange(cfg memsys.Config, pick func(int) int) memsys.Config {
+	cfg.Down = append([]memsys.LevelConfig(nil), cfg.Down...)
+	l2 := &cfg.Down[0].Cache
+	switch pick(4) {
+	case 0:
+		l2.SizeBytes *= 2
+	case 1:
+		if l2.Assoc < 8 {
+			l2.Assoc *= 2
+		} else {
+			l2.Assoc /= 2
+		}
+	case 2:
+		if len(cfg.Down) > 1 {
+			cfg.Down = cfg.Down[:1]
+		} else {
+			cfg.Down = append(cfg.Down, equivLevel("L3", 2*l2.SizeBytes, l2.BlockBytes, 4*equivCycleNS))
+		}
+	default:
+		if cfg.SplitL1 {
+			cfg.SplitL1, cfg.L1, cfg.L1I, cfg.L1D = false, cfg.L1D, memsys.LevelConfig{}, memsys.LevelConfig{}
+		} else {
+			cfg.SplitL1, cfg.L1I, cfg.L1D, cfg.L1 = true, cfg.L1, cfg.L1, memsys.LevelConfig{}
+		}
+	}
+	return cfg
+}
+
 func TestInterruptStopsRun(t *testing.T) {
 	arena, err := trace.Materialize(synth.PaperStream(1, equivRefs))
 	if err != nil {

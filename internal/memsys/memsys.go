@@ -399,9 +399,9 @@ func (h *Hierarchy) initMemSide(cfg Config) error {
 
 // Reset returns the hierarchy to its just-constructed state — every cache
 // line invalid, all counters zeroed, all resource schedules idle, recording
-// on — without reallocating the tag arrays. A reset hierarchy produces
-// bit-identical simulation results to a freshly constructed one; sweep
-// workers rely on this to reuse hierarchies across grid points.
+// on — clearing one-page tag arrays in place and dropping a paged cache's
+// pages (see cache.Reset). A reset hierarchy produces bit-identical
+// simulation results to a freshly constructed one.
 func (h *Hierarchy) Reset() {
 	for _, fl := range []*firstLevel{h.l1i, h.l1d, h.l1} {
 		if fl != nil {
@@ -435,9 +435,10 @@ func (h *Hierarchy) Reset() {
 // shapes must match, while timing, policies, write-buffer depth, and the
 // memory model may all change. On success the hierarchy is fully reset
 // under cfg and ready to run; on failure it is untouched and the caller
-// must construct a new one. Sweep grids ordered size-major hit this path
-// for every cycle-time neighbor, skipping the tag-array reallocation that
-// otherwise dominates per-point setup.
+// must construct a new one. A sweep worker fed in geometry order takes
+// this path for every point after the first of its geometry, clearing the
+// first-level arrays (up to 64 KiB each) in place where New would
+// allocate them afresh.
 func (h *Hierarchy) ResetFor(cfg Config) bool {
 	if err := cfg.Validate(); err != nil {
 		return false

@@ -11,7 +11,6 @@ import (
 
 	"mlcache/internal/checkpoint"
 	"mlcache/internal/coord"
-	"mlcache/internal/sweep"
 	"mlcache/internal/trace"
 )
 
@@ -295,45 +294,5 @@ func TestAdmissionRejectsWhatNoGateFits(t *testing.T) {
 				t.Errorf("rejected job left %d journal records", len(set.Records))
 			}
 		})
-	}
-}
-
-// TestPoolIdleBytesBoundedByArenaBudget: one-point jobs with 16, 8, 32
-// and 64 MiB L2s, each admitted under a 48 MiB arena budget, leave at most
-// 48 MiB of tag arrays in idle pooled hierarchies after every job, each
-// priced as if its trace had touched every set (an X MiB direct-mapped L2
-// of 32-byte blocks: X MiB of lines and X×48 KiB of page directory). The
-// 32 MiB L2's hierarchy pushes the pool past the bound, and the least
-// recently returned, the 16 MiB one, goes though the 8 MiB one is smaller;
-// the 64 MiB L2's holds 67 MiB, more than the bound alone, and is dropped.
-// /metrics reports the idle bytes.
-func TestPoolIdleBytesBoundedByArenaBudget(t *testing.T) {
-	const budget = 48 << 20
-	s := newTestServer(t, Config{ArenaBudgetBytes: budget, Parallelism: 1})
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	tagBytes := map[int64]int64{}
-	for _, mib := range []int64{16, 8, 32, 64} {
-		spec := gridSpec()
-		spec.SizesBytes, spec.CyclesNS, spec.Refs = []int64{mib << 20}, []int64{10}, 2000
-		tagBytes[mib] = spec.Configure(sweep.Point{L2SizeBytes: mib << 20, L2Assoc: spec.Assoc}).TagBytes()
-		if js := postJob(t, ts.Client(), ts.URL+"/jobs", spec); !js.gotDone {
-			t.Fatalf("%d MiB L2: job not admitted or not finished (status %d)", mib, js.status)
-		}
-		st := s.pool.Stats()
-		if st.IdleBytes > budget {
-			t.Errorf("after the %d MiB L2 job: %d idle bytes pooled, bound %d", mib, st.IdleBytes, budget)
-		}
-		if got := metricValue(t, ts, "mlcserve_pool_idle_bytes"); got != st.IdleBytes {
-			t.Errorf("mlcserve_pool_idle_bytes = %d, pool reports %d", got, st.IdleBytes)
-		}
-	}
-	if tagBytes[64] <= budget || tagBytes[16]+tagBytes[8]+tagBytes[32] <= budget {
-		t.Fatalf("precondition: tag bytes %v do not exceed the %d-byte bound as the test needs", tagBytes, budget)
-	}
-	if st := s.pool.Stats(); st.Size != 2 || st.Drops != 2 || st.IdleBytes != tagBytes[8]+tagBytes[32] {
-		t.Errorf("pool %+v: want the 8 and 32 MiB hierarchies idle (%d bytes), the 16 and 64 MiB ones dropped",
-			st, tagBytes[8]+tagBytes[32])
 	}
 }

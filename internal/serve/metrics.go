@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"mlcache/internal/memsys"
 )
 
 // latencyBuckets are the per-job duration histogram bounds in seconds,
@@ -132,7 +130,7 @@ func writeHistogram(w io.Writer, name, labels string, h *histogram) {
 // writePrometheus renders every server metric in Prometheus text
 // exposition format (version 0.0.4). tenants must be sorted by name so
 // the exposition is deterministic.
-func (m *metrics) writePrometheus(w io.Writer, arenas ArenaCacheStats, pool memsys.PoolStats, tenants []*tenant) {
+func (m *metrics) writePrometheus(w io.Writer, arenas ArenaCacheStats, tenants []*tenant) {
 	up := time.Since(m.start).Seconds()
 	refsPerSec := 0.0
 	if up > 0 {
@@ -181,12 +179,6 @@ func (m *metrics) writePrometheus(w io.Writer, arenas ArenaCacheStats, pool mems
 	gaugeI("mlcserve_arena_cache_bytes", "Bytes of cached trace arenas.", arenas.Bytes)
 	gaugeI("mlcserve_arena_cache_pinned_bytes", "Bytes of arenas pinned by streaming jobs.", arenas.Pinned)
 	gaugeI("mlcserve_arena_cache_entries", "Cached workloads.", int64(arenas.Entries))
-
-	counter("mlcserve_pool_gets_total", "Hierarchy pool requests.", pool.Gets)
-	counter("mlcserve_pool_hits_total", "Hierarchy pool reuses (tag arrays recycled).", pool.Hits)
-	counter("mlcserve_pool_puts_total", "Hierarchies returned to the pool.", pool.Puts)
-	gaugeI("mlcserve_pool_size", "Idle pooled hierarchies.", int64(pool.Size))
-	gaugeI("mlcserve_pool_idle_bytes", "Bytes of tag arrays in idle pooled hierarchies, bounded by the arena budget.", pool.IdleBytes)
 
 	name := "mlcserve_job_duration_seconds"
 	fmt.Fprintf(w, "# HELP %s Wall time of completed jobs.\n# TYPE %s histogram\n", name, name)

@@ -12,10 +12,6 @@
 //     shares a single materialized trace.Arena across every concurrent
 //     and subsequent job over the same workload (keyed by content, not
 //     just path).
-//   - One allocation per geometry: a memsys.Pool recycles hierarchies
-//     (tag arrays) across jobs, extending sweep's per-worker ResetFor
-//     reuse beyond a single grid, and keeps no more idle tag arrays than
-//     the arena budget.
 //   - No re-simulation: a per-point result cache keyed by (workload +
 //     machine, point) serves repeated or overlapping grids from memory.
 //
@@ -76,7 +72,6 @@ import (
 	"mlcache/internal/coord"
 	"mlcache/internal/cpu"
 	"mlcache/internal/experiments"
-	"mlcache/internal/memsys"
 	"mlcache/internal/store"
 	"mlcache/internal/store/backend"
 	"mlcache/internal/sweep"
@@ -96,13 +91,9 @@ type Config struct {
 	MaxQueue int
 	// Parallelism bounds each job's simulation workers (0 = GOMAXPROCS).
 	Parallelism int
-	// ArenaBudgetBytes bounds the workload cache (default 1 GiB), and the
-	// same number of bytes bounds the tag arrays of the hierarchies the
-	// pool keeps idle between jobs.
+	// ArenaBudgetBytes bounds the workload cache (default 1 GiB); twice
+	// it is the default in-flight admission budget (see Cost).
 	ArenaBudgetBytes int64
-	// PoolPerGeometry bounds idle pooled hierarchies per geometry
-	// (default 4).
-	PoolPerGeometry int
 	// ResultCachePoints bounds the per-point result cache (default 65536).
 	ResultCachePoints int
 	// StateDir, when non-empty, makes the server durable: per-point
@@ -203,8 +194,7 @@ func (c Config) maxInflightBytes() int64 {
 }
 
 // arenaBudget resolves the arena budget: ArenaCache's own default of
-// 1 GiB unless set. It also bounds the tag arrays the hierarchy pool
-// keeps idle.
+// 1 GiB unless set.
 func (c Config) arenaBudget() int64 {
 	if c.ArenaBudgetBytes <= 0 {
 		return 1 << 30
@@ -218,7 +208,6 @@ func (c Config) arenaBudget() int64 {
 type Server struct {
 	cfg       Config
 	arenas    *ArenaCache
-	pool      *memsys.Pool
 	results   *resultCache
 	metrics   *metrics
 	queue     *fairQueue
@@ -312,7 +301,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		arenas:   NewArenaCache(cfg.ArenaBudgetBytes),
-		pool:     memsys.NewPool(cfg.PoolPerGeometry, cfg.arenaBudget()),
 		results:  newResultCache(cfg.ResultCachePoints),
 		metrics:  newMetrics(),
 		byName:   map[string]*tenant{},
@@ -655,7 +643,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.writePrometheus(w, s.arenas.Stats(), s.pool.Stats(), s.sorted)
+	s.metrics.writePrometheus(w, s.arenas.Stats(), s.sorted)
 	s.writeStoreMetrics(w)
 }
 
@@ -1179,7 +1167,6 @@ func (s *Server) runJob(ctx context.Context, jobID int64, spec coord.JobSpec, tn
 	tn.m.pointsCached.Add(int64(len(cached)))
 
 	runner := spec.RunnerFor(wl.Arena())
-	runner.Pool = s.pool
 	runner.Parallelism = s.cfg.Parallelism
 	arenaRefs := int64(wl.Arena().Len())
 

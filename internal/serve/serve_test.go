@@ -205,7 +205,6 @@ func TestJobStreamMatchesCLI(t *testing.T) {
 		fmt.Sprintf("mlcserve_points_total %d", npts),
 		"mlcserve_jobs_total 2",
 		"mlcserve_job_duration_seconds_count 2",
-		"mlcserve_pool_puts_total",
 	} {
 		if !strings.Contains(string(metricsBody), want) {
 			t.Errorf("/metrics missing %q", want)

@@ -65,8 +65,8 @@ func TestGeometryOrderSingleAssocIdentity(t *testing.T) {
 	}
 }
 
-// TestGeometryScheduleByteIdenticalTable: the geometry-ordered, pooled,
-// parallel engine must render exactly the same table bytes as fresh
+// TestGeometryScheduleByteIdenticalTable: the geometry-ordered, parallel
+// engine must render exactly the same table bytes as fresh
 // one-hierarchy-per-point simulations performed in input order.
 func TestGeometryScheduleByteIdenticalTable(t *testing.T) {
 	grid := Grid{
@@ -100,7 +100,6 @@ func TestGeometryScheduleByteIdenticalTable(t *testing.T) {
 		Arena:       arena,
 		CPU:         cpu.Config{CycleNS: 10, WarmupRefs: 5000},
 		Parallelism: 4,
-		Pool:        memsys.NewPool(4, 0),
 	}
 	got, err := r.RunContext(context.Background(), pts, Options{})
 	if err != nil {
@@ -113,8 +112,5 @@ func TestGeometryScheduleByteIdenticalTable(t *testing.T) {
 	if !bytes.Equal(gotTable.Bytes(), wantTable.Bytes()) {
 		t.Errorf("tables differ:\n--- geometry-scheduled ---\n%s--- reference ---\n%s",
 			gotTable.String(), wantTable.String())
-	}
-	if st := r.Pool.Stats(); st.Puts == 0 {
-		t.Errorf("pool stats = %+v, want hierarchies returned at run end", st)
 	}
 }

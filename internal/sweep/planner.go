@@ -297,11 +297,6 @@ func (r Runner) run(ctx context.Context, pts []Point, opts Options, n *tagCounts
 		}
 	}
 
-	if r.Pool == nil {
-		// A tag pivot's hierarchy then serves its geometry's played
-		// members later in the run instead of being rebuilt.
-		r.Pool = memsys.NewPool(1, 0)
-	}
 	r.runPhase(ctx, par, orderByGeometry(pts, phase1), withProbe)
 	// Phase 3 follows phase 2 in one feed: every tag pivot is handed to a
 	// worker before any played member, so a member waits at most for the
@@ -348,11 +343,8 @@ func orderByGeometry(pts []Point, idxs []int) []int {
 }
 
 // runPhase drains one phase's indices through a worker pool. Each worker
-// owns one reusable hierarchy: neighbors that share cache geometry are
-// evaluated by Reset instead of reallocating tag arrays, and a hierarchy
-// displaced by a geometry change waits in the Runner.Pool (the caller's,
-// which keeps it for later jobs, or one local to the run) for the next
-// point of its geometry.
+// owns one hierarchy: neighbors that share cache geometry reuse it through
+// ResetFor, and a geometry change drops it for a new one from memsys.New.
 func (r Runner) runPhase(ctx context.Context, par int, order []int, work func(*workerState, int)) {
 	if len(order) == 0 {
 		return
@@ -366,8 +358,7 @@ func (r Runner) runPhase(ctx context.Context, par int, order []int, work func(*w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ws := &workerState{pool: r.Pool}
-			defer ws.retire()
+			ws := &workerState{}
 			for i := range jobs {
 				work(ws, i)
 			}

@@ -59,7 +59,7 @@ func renderTable(t *testing.T, results []Result) []byte {
 
 // simulateEach is the oracle the planner is checked against: every point
 // gets a fresh memsys.New hierarchy and a cpu.Run over a fresh cursor, in
-// input order, with no planner, worker pool, Pool or hierarchy reuse.
+// input order, with no planner, worker pool or hierarchy reuse.
 func simulateEach(t *testing.T, r Runner, pts []Point) []Result {
 	t.Helper()
 	out := make([]Result, len(pts))

@@ -47,37 +47,26 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("sweep: point %v panicked: %v", e.Point, e.Value)
 }
 
-// workerState is the per-worker reusable simulation state. pool is never
-// nil: Runner.run sets r.Pool before any worker starts.
+// workerState is the per-worker reusable simulation state.
 type workerState struct {
-	h    *memsys.Hierarchy
-	pool *memsys.Pool
+	h *memsys.Hierarchy
 }
 
-// hierarchy returns a hierarchy for cfg, reusing the worker's previous one
-// (via ResetFor) when the cache geometry allows it, and otherwise taking
-// one from the shared pool, which may hold one from an earlier point or
-// run, or builds it. A hierarchy displaced by a geometry change is handed
-// to the pool rather than dropped.
+// hierarchy returns a hierarchy for cfg: the worker's previous one, reset
+// for cfg by ResetFor, while the cache geometry stays the same, and
+// otherwise a new one from memsys.New. GeometryOrder keeps a worker's
+// consecutive points on one geometry.
 func (ws *workerState) hierarchy(cfg memsys.Config) (*memsys.Hierarchy, error) {
 	if ws.h != nil && ws.h.ResetFor(cfg) {
 		return ws.h, nil
 	}
-	ws.pool.Put(ws.h)
 	ws.h = nil
-	h, err := ws.pool.Get(cfg)
+	h, err := memsys.New(cfg)
 	if err != nil {
 		return nil, err
 	}
 	ws.h = h
 	return h, nil
-}
-
-// retire returns the worker's hierarchy to the shared pool when the run
-// ends.
-func (ws *workerState) retire() {
-	ws.pool.Put(ws.h)
-	ws.h = nil
 }
 
 // attemptFunc is one attempt's work on a point; interrupt reports the

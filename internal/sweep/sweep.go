@@ -68,9 +68,10 @@ func SizesPow2(loKB, hiKB int64) []int64 {
 // mmap-ed trace artifact each take a distinct shard and together cover the
 // grid exactly once. The stride-n selection keeps two properties of the
 // size-major enumeration: big-cache points (the slow ones) spread evenly
-// across shards, and consecutive points within a shard usually share cache
-// geometry, so the per-worker ResetFor reuse still hits. Shard panics on
-// an invalid shard spec; callers validate user input with ParseShard.
+// across shards, and the engine regroups each shard's points by geometry
+// (GeometryOrder), so the per-worker ResetFor reuse still hits. Shard
+// panics on an invalid shard spec; callers validate user input with
+// ParseShard.
 func Shard(pts []Point, i, n int) []Point {
 	if n < 1 || i < 0 || i >= n {
 		panic(fmt.Sprintf("sweep: shard %d/%d out of range", i, n))
@@ -123,10 +124,10 @@ func ParseShard(s string) (i, n int, err error) {
 // interleaves associativities between cycle-time neighbors, so feeding
 // workers in grid order breaks the ResetFor reuse chain at every point of
 // a multi-associativity grid; feeding in geometry order makes every
-// within-group transition a timing-only change, which both the per-worker
-// reuse and the hierarchy pool satisfy without reallocating. Scheduling
-// order never affects results — each point is an independent,
-// bit-deterministic simulation reported in input order.
+// within-group transition a timing-only change, which a worker's
+// ResetFor accepts, so only a group's first point on a worker pays for
+// memsys.New. Scheduling order never affects results — each point is an
+// independent, bit-deterministic simulation reported in input order.
 func GeometryOrder(pts []Point) []int {
 	type geom struct {
 		size  int64
@@ -173,12 +174,6 @@ type Runner struct {
 	CPU   cpu.Config
 	// Parallelism bounds concurrent simulations; 0 means GOMAXPROCS.
 	Parallelism int
-	// Pool, when non-nil, shares hierarchies beyond this run: workers draw
-	// from it when their own hierarchy cannot be reset for the next point
-	// and return hierarchies to it when the run ends, so consecutive jobs
-	// over the same geometries (a long-running service) skip tag-array
-	// allocation entirely.
-	Pool *memsys.Pool
 }
 
 // Result pairs a point with its simulation outcome.
