@@ -97,9 +97,3 @@ func (b *Bus) FreeAt() int64 { return b.freeAt }
 
 // BusyCycles returns the cumulative number of bus cycles consumed.
 func (b *Bus) BusyCycles() int64 { return b.cycles }
-
-// Reset clears scheduling state and counters.
-func (b *Bus) Reset() {
-	b.freeAt = 0
-	b.cycles = 0
-}

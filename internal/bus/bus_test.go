@@ -76,10 +76,6 @@ func TestReserveSerializes(t *testing.T) {
 	if b.BusyCycles() != 4 {
 		t.Errorf("BusyCycles = %d, want 4", b.BusyCycles())
 	}
-	b.Reset()
-	if b.FreeAt() != 0 || b.BusyCycles() != 0 {
-		t.Error("Reset did not clear state")
-	}
 }
 
 // Property: Reserve never starts before the requested time or before the

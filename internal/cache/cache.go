@@ -303,27 +303,63 @@ func (c Config) AllocBytes() int64 {
 	return sets*ways*int64(unsafe.Sizeof(line{})) + pages*int64(unsafe.Sizeof([]line(nil)))
 }
 
-// New constructs a cache from a validated configuration. It allocates the
-// page directory, and the whole array only when it is one page.
+// New constructs a cache from a validated configuration: ResetFor on an
+// empty cache. It allocates the page directory, and the whole array only
+// when it is one page.
 func New(cfg Config) (*Cache, error) {
-	if err := cfg.Validate(); err != nil {
+	c := &Cache{}
+	if err := c.ResetFor(cfg); err != nil {
 		return nil, err
 	}
-	numSets := cfg.NumSets()
-	ways := cfg.Ways()
-	c := &Cache{
+	return c, nil
+}
+
+// Reset returns the cache to its just-constructed state: every line
+// invalid, counters zeroed, recording on, and the replacement PRNG
+// reseeded to its deterministic initial seed. Reset-then-run is
+// indistinguishable from constructing a fresh cache.
+func (c *Cache) Reset() {
+	_ = c.ResetFor(c.cfg) // c.cfg passed Validate when the cache adopted it
+}
+
+// ResetFor leaves the cache exactly as New(cfg) would build it. It keeps
+// the tag array when cfg has the same set count and ways, clearing it,
+// and allocates cfg's array otherwise; every other field is rebuilt from
+// cfg. An invalid cfg is refused before anything changes.
+func (c *Cache) ResetFor(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	sets, ways := cfg.NumSets(), cfg.Ways()
+	lines, pages := c.lines, c.pages
+	switch {
+	case ways == c.ways && uint64(sets-1) == c.setMask: // an empty cache has no ways
+		// Only an access ticks the clock and only an access makes a line
+		// valid, so a cache whose clock is still zero has nothing to clear:
+		// a replay that never touched this array resets it for free. A
+		// paged cache drops its pages, as New never allocated them.
+		if c.clock != 0 {
+			if lines != nil {
+				clear(lines)
+			} else {
+				clear(pages)
+			}
+		}
+	case onePage(sets, int64(ways)):
+		lines = make([]line, sets*int64(ways))
+		pages = [][]line{lines}
+	default:
+		lines, pages = nil, make([][]line, sets>>pageBits)
+	}
+	*c = Cache{
 		cfg:       cfg,
+		lines:     lines,
+		pages:     pages,
 		ways:      ways,
 		wayBits:   log2(int64(ways)),
 		blockBits: log2(int64(cfg.BlockBytes)),
-		setMask:   uint64(numSets - 1),
+		setMask:   uint64(sets - 1),
 		recording: true,
-	}
-	if onePage(numSets, int64(ways)) {
-		c.lines = make([]line, numSets*int64(ways))
-		c.pages = [][]line{c.lines}
-	} else {
-		c.pages = make([][]line, numSets>>pageBits)
 	}
 	if cfg.SubBlocks() > 1 {
 		c.fetchBits = log2(int64(cfg.EffectiveFetchBytes()))
@@ -332,62 +368,7 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.Repl == Random {
 		c.rng = rand.New(rand.NewSource(cfg.rngSeed()))
 	}
-	return c, nil
-}
-
-// Reset returns the cache to its just-constructed state: every line
-// invalid, counters zeroed, recording on, and the replacement PRNG
-// reseeded to its deterministic initial seed. Reset-then-run is
-// indistinguishable from constructing a fresh cache, which is what lets
-// sweep workers reuse tag arrays across grid points.
-func (c *Cache) Reset() {
-	// Only an access ticks the clock and only an access makes a line
-	// valid, so a cache whose clock is still zero has nothing to clear: a
-	// replay that never touched this array resets it for free. A paged
-	// cache drops its pages, as New never allocated them.
-	if c.clock != 0 {
-		if c.lines != nil {
-			clear(c.lines)
-		} else {
-			clear(c.pages)
-		}
-	}
-	c.clock = 0
-	c.stats = Stats{}
-	c.dirtyMade, c.dirtyDropped = 0, 0
-	c.recording = true
-	if c.cfg.Repl == Random {
-		c.rng = rand.New(rand.NewSource(c.cfg.rngSeed()))
-	} else {
-		c.rng = nil
-	}
-}
-
-// Compatible reports whether cfg could reuse this cache's allocated tag
-// arrays: the geometry that fixes allocation shape (set count, ways, block
-// size, sub-blocking) must match. Policies, timing, and seeds are free to
-// differ — they live in Config, not in the arrays.
-func (c *Cache) Compatible(cfg Config) bool {
-	if err := cfg.Validate(); err != nil {
-		return false
-	}
-	return cfg.NumSets() == c.cfg.NumSets() && cfg.Ways() == c.cfg.Ways() &&
-		cfg.SubBlocks() == c.cfg.SubBlocks() &&
-		cfg.EffectiveFetchBytes() == c.cfg.EffectiveFetchBytes() &&
-		cfg.BlockBytes == c.cfg.BlockBytes
-}
-
-// ResetFor re-purposes the cache for a new configuration when Compatible
-// allows it, adopting cfg and resetting all state. It reports whether the
-// reuse happened; when it returns false the cache is untouched and the
-// caller must construct a new one.
-func (c *Cache) ResetFor(cfg Config) bool {
-	if !c.Compatible(cfg) {
-		return false
-	}
-	c.cfg = cfg
-	c.Reset()
-	return true
+	return nil
 }
 
 // MustNew is New that panics on configuration errors; intended for tests

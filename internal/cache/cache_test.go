@@ -489,6 +489,11 @@ func BenchmarkAccess(b *testing.B) {
 	}
 }
 
+// allocCache keeps TestAllocBytesMatchesNew's cache on the heap: where
+// New is inlined, a cache held in a local could stay on the stack, and
+// the test would subtract a struct that was never allocated.
+var allocCache *Cache
+
 // TestAllocBytesMatchesNew: New allocates at most the page directory and
 // one page, and filling every set brings the tag arrays to AllocBytes,
 // from direct-mapped to fully associative and from one page to many.
@@ -505,10 +510,12 @@ func TestAllocBytesMatchesNew(t *testing.T) {
 			return int64(ms.TotalAlloc)
 		}
 		start := allocated()
-		c, err := New(cfg)
+		var err error
+		allocCache, err = New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		c := allocCache
 		built := allocated() - start - int64(unsafe.Sizeof(*c))
 		sets, ways := cfg.NumSets(), int64(cfg.Ways())
 		pages := sets / pageSets
@@ -536,6 +543,6 @@ func TestAllocBytesMatchesNew(t *testing.T) {
 		if want := cfg.AllocBytes(); got < want || got > want+rounding {
 			t.Errorf("%s: filling every set allocated %d bytes of tag arrays, AllocBytes says %d", cfg.Name, got, want)
 		}
-		runtime.KeepAlive(c)
 	}
+	allocCache = nil
 }

@@ -252,7 +252,8 @@ func FuzzCacheVsNaive(f *testing.F) {
 		f.Add(seed.geo, []byte(seed.ops))
 	}
 	f.Fuzz(func(t *testing.T, geo uint64, ops []byte) {
-		cfg := fuzzConfig(geo)
+		drawn := fuzzConfig(geo)
+		cfg := drawn
 		c, m := MustNew(cfg), newNaive(cfg)
 		ops = ops[:min(len(ops), 4*128)]
 		for len(ops) >= 4 {
@@ -292,23 +293,24 @@ func FuzzCacheVsNaive(f *testing.F) {
 				c.Reset()
 				m.reset()
 			case 28, 29:
-				// A ResetFor that changes only policies and the seed is taken;
-				// one that changes the geometry is refused with nothing touched.
+				// ResetFor takes new policies and a new seed, keeping the
+				// array, and on a write also toggles between the drawn size
+				// and its double, which changes the set count (the ways when
+				// fully associative) and so the array.
 				next := cfg
 				next.Repl, next.Write, next.Alloc = Replacement(sel%3), WritePolicy(tagSel%2), AllocPolicy(off%2)
 				next.Seed = int64(op)
-				if write {
+				if write && next.SizeBytes == drawn.SizeBytes {
 					next.SizeBytes *= 2
+				} else if write {
+					next.SizeBytes = drawn.SizeBytes
 				}
-				ok := c.ResetFor(next)
-				if ok != !write {
-					t.Fatalf("ResetFor(%+v) = %v from %+v", next, ok, cfg)
+				if err := c.ResetFor(next); err != nil {
+					t.Fatalf("ResetFor(%+v) from %+v: %v", next, cfg, err)
 				}
-				if ok {
-					cfg = next
-					m.cfg = next
-					m.reset()
-				}
+				cfg = next
+				m.cfg = next
+				m.reset()
 			default:
 				continue
 			}

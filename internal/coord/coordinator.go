@@ -60,8 +60,6 @@ type Config struct {
 	// Logf receives operational events (lease grants, expiries, retries);
 	// nil means silent.
 	Logf func(format string, args ...any)
-	// Seed makes the retry jitter deterministic for tests; 0 means 1.
-	Seed int64
 }
 
 type lease struct {
@@ -150,10 +148,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.SpeculateAfter == 0 {
 		cfg.SpeculateAfter = 2 * cfg.LeaseTTL
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	c := &Coordinator{
 		cfg:     cfg,
 		pts:     pts,
@@ -162,7 +156,7 @@ func New(cfg Config) (*Coordinator, error) {
 		skipped: make([]bool, len(pts)),
 		runs:    make([]cpu.Result, len(pts)),
 		workers: map[string]*workerInfo{},
-		rng:     rand.New(rand.NewSource(seed)),
+		rng:     rand.New(rand.NewSource(1)), // deterministic retry jitter
 		doneCh:  make(chan struct{}),
 	}
 	for s := 0; s < cfg.Shards; s++ {

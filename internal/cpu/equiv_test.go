@@ -168,66 +168,90 @@ func TestResetEquivalence(t *testing.T) {
 	}
 }
 
+// TestResetForEquivalence walks one hierarchy through every equivalence
+// configuration and a slower L2: L2 timing and size, an added and a dropped
+// L3, split and unified L1s, a TLB, prefetch and the invariant checker.
+// After each ResetFor, and after the Reset that follows it, a run must
+// equal a fresh hierarchy's. An invalid configuration is then refused, and
+// the hierarchy runs on as if the call had never been made.
 func TestResetForEquivalence(t *testing.T) {
 	arena, err := trace.Materialize(synth.PaperStream(1, equivRefs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same geometry, different L2 timing: the sweep's reuse pattern.
-	mk := func(cyc int64) memsys.Config {
-		cfg := equivConfigs()["base"]
-		cfg.Down[0].CycleNS = cyc
-		return cfg
+	run := func(h *memsys.Hierarchy) cpu.Result {
+		t.Helper()
+		res, err := cpu.Run(h, arena.Cursor(), equivCPU())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	slowCfg := mk(5 * equivCycleNS)
-	fresh := runOn(t, slowCfg, arena.Cursor())
+	cfgs := equivConfigs()
+	slow := equivConfigs()["base"]
+	slow.Down[0].CycleNS = 5 * equivCycleNS
+	cfgs["slow-l2"] = slow
+	names := []string{"base", "slow-l2", "three-level", "unified-l1", "tlb", "base",
+		"checked", "prefetch-l1", "write-through-l1d", "prefetch-l2", "unified-l1", "three-level"}
+	h := memsys.MustNew(cfgs["checked"])
+	run(h)
+	for _, name := range names {
+		cfg := cfgs[name]
+		if err := h.ResetFor(cfg); err != nil {
+			t.Fatalf("ResetFor(%s): %v", name, err)
+		}
+		fresh := runOn(t, cfg, arena.Cursor())
+		if got := run(h); !reflect.DeepEqual(fresh, got) {
+			t.Fatalf("%s: ResetFor run differs from a fresh run:\nfresh:  %+v\nreused: %+v", name, fresh, got)
+		}
+		h.Reset()
+		if got := run(h); !reflect.DeepEqual(fresh, got) {
+			t.Fatalf("%s: Reset run differs from a fresh run:\nfresh: %+v\nreset: %+v", name, fresh, got)
+		}
+	}
 
-	h, err := memsys.New(mk(3 * equivCycleNS))
-	if err != nil {
-		t.Fatal(err)
+	last := cfgs[names[len(names)-1]]
+	bad := last
+	bad.Down = append([]memsys.LevelConfig(nil), last.Down...)
+	bad.Down[1].Cache.SizeBytes = 3 << 20 // not a power of two
+	if err := h.ResetFor(bad); err == nil {
+		t.Fatal("ResetFor accepted an invalid configuration")
 	}
-	if _, err := cpu.Run(h, arena.Cursor(), equivCPU()); err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(h.Config(), last) {
+		t.Fatalf("a refused ResetFor changed the configuration to %+v", h.Config())
 	}
-	if !h.ResetFor(slowCfg) {
-		t.Fatal("ResetFor refused a same-geometry config")
-	}
-	reused, err := cpu.Run(h, arena.Cursor(), equivCPU())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fresh, reused) {
-		t.Fatalf("ResetFor hierarchy diverged from fresh run:\nfresh:  %+v\nreused: %+v", fresh, reused)
-	}
-
-	// Geometry changes must be refused.
-	big := mk(3 * equivCycleNS)
-	big.Down[0].Cache.SizeBytes *= 2
-	if h.ResetFor(big) {
-		t.Fatal("ResetFor accepted a different L2 size")
-	}
-	split := mk(3 * equivCycleNS)
-	split.SplitL1 = false
-	split.L1 = equivLevel("L1", 4*1024, 16, equivCycleNS)
-	if h.ResetFor(split) {
-		t.Fatal("ResetFor accepted a structural change")
+	// h has run last once since its Reset; so has twin. Both run again.
+	twin := memsys.MustNew(last)
+	run(twin)
+	if want, got := run(twin), run(h); !reflect.DeepEqual(want, got) {
+		t.Fatalf("run after a refused ResetFor differs:\nwant: %+v\ngot:  %+v", want, got)
 	}
 }
 
 // FuzzResetForVsNew: a hierarchy that ran one configuration and was then
-// re-purposed by ResetFor for another of the same geometry simulates
-// exactly what a fresh memsys.New of the second does. The two draws share
-// the split or unified L1, the level count, the TLB and every cache's
-// geometry, and differ in whatever cache.Compatible leaves free: each
-// level's cycle, write cycles, replacement, write and allocation policy,
-// seed and prefetch, the write buffers, memory timing, the bus and the
-// TLB walk. A changed L2 geometry or structure must be refused, and the
-// refused hierarchy must still Reset to a fresh one.
+// re-purposed by ResetFor for another simulates exactly what a fresh
+// memsys.New of the second does. The first two draws share the split or
+// unified L1, the level count, the TLB and every cache's geometry, and
+// differ in each level's cycle, write cycles, replacement, write and
+// allocation policy, seed and prefetch, the write buffers, memory timing,
+// the bus and the TLB walk. A third draw then changes the L2's size or
+// associativity, adds or drops an L3, swaps a split L1 for a unified one
+// or back, changes the block or fetch size of the first level or the L2
+// while keeping its sets and ways, or adds or drops the TLB. ResetFor must
+// take it and match a fresh run, and so must the Reset after it; an
+// invalid draw must be refused with the hierarchy left as it was.
 func FuzzResetForVsNew(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, []byte{0, 1, 2, 3, 4, 5, 6, 7})
-	f.Add([]byte{1, 3, 1, 5, 2, 1, 1, 1, 2, 7, 1, 0, 2, 1, 2, 1, 1, 2, 1, 0, 3, 2, 1, 0, 1, 4, 2, 1, 1, 1, 1, 1, 2,
-		3, 1, 0, 2, 1, 1, 2, 2, 2, 0, 1, 1, 1, 1, 1, 2, 1, 1, 1, 3, 3, 1, 0, 2, 2, 4, 1, 3, 2, 2, 1, 1},
-		[]byte{255, 17, 3, 200, 9, 64, 128, 31, 77, 12, 250, 6, 90, 33, 4, 181})
+	shapeKnobs := []byte{2, 1, 1, 1, 2, 7, 1, 0, 2, 1, 2, 1, 1, 2, 1, 0, 3, 2, 1, 0, 1, 4, 2, 1, 1, 1, 1, 1, 2,
+		3, 1, 0, 2, 1, 1, 2, 2, 2, 0, 1, 1, 1, 1, 1, 2, 1, 1, 1, 3, 3, 1, 0, 2, 2, 4, 1, 3, 2, 2, 1, 1}
+	seedRaw := []byte{255, 17, 3, 200, 9, 64, 128, 31, 77, 12, 250, 6, 90, 33, 4, 181}
+	// One seed per kind of change: the first four knobs pick it.
+	for _, change := range [][]byte{{1, 3, 1, 5}, {2, 0, 0, 0}, {3, 0, 0, 0}, {4, 0, 0, 0}, {4, 1, 1, 2}, {5, 0, 1, 0}} {
+		f.Add(append(change, shapeKnobs...), seedRaw)
+	}
+	// An L2 of 64-byte blocks whose fetch size drops to 32: with the
+	// trace's 16-byte data offsets, a stale fetch shift changes the hits.
+	f.Add(append([]byte{4, 1, 1, 0, 0, 0, 0, 0, 1, 2, 0, 0, 1, 2, 1, 0, 1, 0, 1}, shapeKnobs[15:]...), seedRaw)
 	f.Fuzz(func(t *testing.T, knobs, raw []byte) {
 		if len(raw) < 2 || len(raw) > 4096 {
 			return
@@ -240,14 +264,19 @@ func FuzzResetForVsNew(f *testing.F) {
 				trace.Ref{Kind: trace.Kind(1 + c%2), Addr: uint64(b)<<7 | uint64(c&7)<<4})
 		}
 		arena := trace.NewArena(refs)
-		pick := func(n int) int {
-			if len(knobs) == 0 {
-				return 0
+		picker := func(b []byte) func(int) int {
+			return func(n int) int {
+				if len(b) == 0 {
+					return 0
+				}
+				v := int(b[0]) % n
+				b = b[1:]
+				return v
 			}
-			v := int(knobs[0]) % n
-			knobs = knobs[1:]
-			return v
 		}
+		// The change's draws come first, so short inputs reach every kind.
+		k := min(len(knobs), 4)
+		pickChange, pick := picker(knobs[:k]), picker(knobs[k:])
 
 		shape := resetForShape(pick)
 		first, second := resetForTiming(shape, pick), resetForTiming(shape, pick)
@@ -267,20 +296,39 @@ func FuzzResetForVsNew(f *testing.F) {
 
 		h := memsys.MustNew(first)
 		simulate(h)
-		if !h.ResetFor(second) {
-			t.Fatal("ResetFor refused a configuration of the same geometry")
+		if err := h.ResetFor(second); err != nil {
+			t.Fatalf("ResetFor refused a valid configuration: %v", err)
 		}
 		if got := simulate(h); !reflect.DeepEqual(got, fresh) {
 			t.Fatalf("ResetFor run differs from a fresh run:\nfresh:  %+v\nreused: %+v", fresh, got)
 		}
 
-		changed := resetForChange(second, pick)
-		if h.ResetFor(changed) {
-			t.Fatalf("ResetFor accepted a changed geometry: %+v", changed)
+		changed := resetForChange(second, pickChange)
+		if changed.Validate() != nil {
+			if err := h.ResetFor(changed); err == nil {
+				t.Fatalf("ResetFor accepted an invalid configuration: %+v", changed)
+			}
+			if !reflect.DeepEqual(h.Config(), second) {
+				t.Fatalf("a refused ResetFor changed the configuration to %+v", h.Config())
+			}
+			// h has run second once since its ResetFor; so has twin.
+			twin := memsys.MustNew(second)
+			simulate(twin)
+			if want, got := simulate(twin), simulate(h); !reflect.DeepEqual(got, want) {
+				t.Fatalf("run after a refused ResetFor differs:\nwant: %+v\ngot:  %+v", want, got)
+			}
+			return
+		}
+		if err := h.ResetFor(changed); err != nil {
+			t.Fatalf("ResetFor refused a valid configuration: %v", err)
+		}
+		fresh = simulate(memsys.MustNew(changed))
+		if got := simulate(h); !reflect.DeepEqual(got, fresh) {
+			t.Fatalf("ResetFor run after a change differs from a fresh run:\nfresh:  %+v\nreused: %+v", fresh, got)
 		}
 		h.Reset()
 		if got := simulate(h); !reflect.DeepEqual(got, fresh) {
-			t.Fatalf("Reset after a refused ResetFor differs from a fresh run:\nfresh: %+v\nreset: %+v", fresh, got)
+			t.Fatalf("Reset run differs from a fresh run:\nfresh: %+v\nreset: %+v", fresh, got)
 		}
 	})
 }
@@ -315,8 +363,8 @@ func resetForShape(pick func(int) int) memsys.Config {
 	return cfg
 }
 
-// resetForTiming returns shape with everything cache.Compatible leaves
-// free drawn anew.
+// resetForTiming returns shape with everything but its structure and its
+// caches' geometry drawn anew.
 func resetForTiming(shape memsys.Config, pick func(int) int) memsys.Config {
 	cfg := shape
 	cfg.Down = append([]memsys.LevelConfig(nil), shape.Down...)
@@ -355,11 +403,17 @@ func resetForTiming(shape memsys.Config, pick func(int) int) memsys.Config {
 }
 
 // resetForChange returns cfg with its L2's size or associativity, the
-// presence of an L3, or the split of its L1 changed.
+// presence of an L3, the split of its L1, the block or fetch size of its
+// first level or L2 (a block halved with the size and fetch size, so the
+// sets and ways stay), or the presence of a TLB changed.
 func resetForChange(cfg memsys.Config, pick func(int) int) memsys.Config {
 	cfg.Down = append([]memsys.LevelConfig(nil), cfg.Down...)
 	l2 := &cfg.Down[0].Cache
-	switch pick(4) {
+	first := &cfg.L1.Cache
+	if cfg.SplitL1 {
+		first = &cfg.L1D.Cache
+	}
+	switch pick(6) {
 	case 0:
 		l2.SizeBytes *= 2
 	case 1:
@@ -374,11 +428,29 @@ func resetForChange(cfg memsys.Config, pick func(int) int) memsys.Config {
 		} else {
 			cfg.Down = append(cfg.Down, equivLevel("L3", 2*l2.SizeBytes, l2.BlockBytes, 4*equivCycleNS))
 		}
-	default:
+	case 3:
+		// A unified L1 takes the L1I's shape, so it can differ from the L1D's.
 		if cfg.SplitL1 {
-			cfg.SplitL1, cfg.L1, cfg.L1I, cfg.L1D = false, cfg.L1D, memsys.LevelConfig{}, memsys.LevelConfig{}
+			cfg.SplitL1, cfg.L1, cfg.L1I, cfg.L1D = false, cfg.L1I, memsys.LevelConfig{}, memsys.LevelConfig{}
 		} else {
 			cfg.SplitL1, cfg.L1I, cfg.L1D, cfg.L1 = true, cfg.L1, cfg.L1, memsys.LevelConfig{}
+		}
+	case 4:
+		// Sets and ways stay, so the cache keeps its array. Halving an L2
+		// block below the first level's is invalid.
+		c := []*cache.Config{first, l2}[pick(2)]
+		if pick(2) == 0 {
+			c.BlockBytes /= 2
+			c.SizeBytes /= 2
+			c.FetchBytes /= 2
+		} else {
+			c.FetchBytes = c.BlockBytes >> (1 + pick(3))
+		}
+	default:
+		if cfg.TLB.Entries > 0 {
+			cfg.TLB = memsys.TLBConfig{}
+		} else {
+			cfg.TLB = memsys.TLBConfig{Entries: 8 << pick(2), Assoc: 2 * pick(2)}
 		}
 	}
 	return cfg

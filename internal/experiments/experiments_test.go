@@ -295,15 +295,19 @@ func TestRenderedExperimentsSmoke(t *testing.T) {
 	}
 }
 
-func TestL1GlobalMissRatio(t *testing.T) {
-	m4, err := L1GlobalMissRatio(4, testOptions())
+// TestMissRatiosL1GlobalMiss: M_L1, the first level's global read miss ratio
+// that the Figure 3 curves report, falls as the L1 grows.
+func TestMissRatiosL1GlobalMiss(t *testing.T) {
+	ctx := NewContext(testOptions())
+	r4, err := ctx.MissRatios(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m32, err := L1GlobalMissRatio(32, testOptions())
+	r32, err := ctx.MissRatios(32)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m4, m32 := r4.L1GlobalMiss, r32.L1GlobalMiss
 	if m32 >= m4 {
 		t.Errorf("32KB L1 miss (%.4f) not below 4KB (%.4f)", m32, m4)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"mlcache/internal/cpu"
 	"mlcache/internal/mainmem"
 	"mlcache/internal/memsys"
 	"mlcache/internal/sweep"
@@ -126,21 +125,3 @@ func soloDoubling(rows []MissRatioRow) float64 {
 
 // Fig3Sizes is the L2 size range of Figures 3-1/3-2: 8 KB to 4 MB.
 func Fig3Sizes() []int64 { return sweep.SizesPow2(8, 4096) }
-
-// L1GlobalMissRatio runs the base machine once and returns the first
-// level's global read miss ratio, the M_L1 of the analytical model.
-func L1GlobalMissRatio(l1TotalKB int, opt Options) (float64, error) {
-	arena, err := opt.arena()
-	if err != nil {
-		return 0, err
-	}
-	h, err := memsys.New(BaseMachine(l1TotalKB, L2Config(512*1024, 3*CPUCycleNS, 1), mainmem.Base()))
-	if err != nil {
-		return 0, err
-	}
-	run, err := cpu.Run(h, arena.Cursor(), opt.CPU())
-	if err != nil {
-		return 0, err
-	}
-	return run.Mem.L1GlobalReadMissRatio(), nil
-}

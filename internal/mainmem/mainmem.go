@@ -173,10 +173,3 @@ func (m *Memory) Stats() (reads, writes, stallNS int64) {
 
 // PageHits reports open-row hits (page mode only).
 func (m *Memory) PageHits() int64 { return m.pageHits }
-
-// Reset clears scheduling state and counters.
-func (m *Memory) Reset() {
-	m.lastStart, m.lastEnd, m.started = 0, 0, false
-	m.reads, m.writes, m.stallNS = 0, 0, 0
-	m.rowOpen, m.openRow, m.pageHits = false, 0, 0
-}

@@ -83,20 +83,6 @@ func TestFreeAtBeforeFirstOp(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	m := MustNew(Base())
-	m.Read(0, 0)
-	m.Write(0, 500)
-	m.Reset()
-	if m.FreeAt() != 0 {
-		t.Error("Reset did not clear schedule")
-	}
-	r, w, s := m.Stats()
-	if r != 0 || w != 0 || s != 0 {
-		t.Error("Reset did not clear stats")
-	}
-}
-
 // Property: operations never overlap and successive starts are at least
 // RecoveryNS apart.
 func TestQuickSpacing(t *testing.T) {

@@ -259,17 +259,38 @@ type firstLevel struct {
 	// readExtra and writeExtra are the CPU stall of a read hit and of a
 	// write hit beyond the one base cycle the caller charges: nonzero only
 	// when the level cycles slower than the CPU, or for the extra write
-	// cycles. Derived from cfg by setTiming.
+	// cycles.
 	readExtra  int64
 	writeExtra int64
 }
 
-// setTiming adopts lc and precomputes its hit extras for a CPU cycling
-// every cpuCycleNS.
-func (fl *firstLevel) setTiming(lc LevelConfig, cpuCycleNS int64) {
-	fl.cfg = lc
-	fl.readExtra = max(lc.CycleNS-cpuCycleNS, 0)
-	fl.writeExtra = max(lc.WriteNS()-cpuCycleNS, 0)
+// newFirstLevel builds the first level of lc for a CPU cycling every
+// cpuCycleNS, on old's cache reset for lc.Cache (a new cache when old is
+// nil).
+func newFirstLevel(old *firstLevel, lc LevelConfig, cpuCycleNS int64) *firstLevel {
+	var c *cache.Cache
+	if old != nil {
+		c = old.cache
+	}
+	return &firstLevel{
+		cfg:        lc,
+		cache:      resetCache(c, lc.Cache),
+		readExtra:  max(lc.CycleNS-cpuCycleNS, 0),
+		writeExtra: max(lc.WriteNS()-cpuCycleNS, 0),
+	}
+}
+
+// resetCache returns c, or a new cache when c is nil, reset for cfg by
+// cache.ResetFor. Config.Validate checks every cache's configuration, so
+// a refusal here is a bug.
+func resetCache(c *cache.Cache, cfg cache.Config) *cache.Cache {
+	if c == nil {
+		c = &cache.Cache{}
+	}
+	if err := c.ResetFor(cfg); err != nil {
+		panic(err)
+	}
+	return c
 }
 
 // Hierarchy is a runnable memory hierarchy. It is not safe for concurrent
@@ -304,205 +325,87 @@ type Hierarchy struct {
 	tap *DownRecorder
 }
 
-// New constructs a hierarchy from a validated configuration.
+// New constructs a hierarchy from a validated configuration: ResetFor on
+// an empty hierarchy.
 func New(cfg Config) (*Hierarchy, error) {
-	if err := cfg.Validate(); err != nil {
+	h := &Hierarchy{}
+	if err := h.ResetFor(cfg); err != nil {
 		return nil, err
 	}
-	h := &Hierarchy{cfg: cfg}
-
-	mkFirst := func(lc LevelConfig) (*firstLevel, error) {
-		c, err := cache.New(lc.Cache)
-		if err != nil {
-			return nil, err
-		}
-		fl := &firstLevel{cache: c}
-		fl.setTiming(lc, cfg.CPUCycleNS)
-		return fl, nil
-	}
-	var err error
-	if cfg.SplitL1 {
-		if h.l1i, err = mkFirst(cfg.L1I); err != nil {
-			return nil, err
-		}
-		if h.l1d, err = mkFirst(cfg.L1D); err != nil {
-			return nil, err
-		}
-	} else {
-		if h.l1, err = mkFirst(cfg.L1); err != nil {
-			return nil, err
-		}
-	}
-
-	for _, lc := range cfg.Down {
-		c, err := cache.New(lc.Cache)
-		if err != nil {
-			return nil, err
-		}
-		h.down = append(h.down, &level{cfg: lc, writeNS: lc.WriteNS(), cache: c, recording: true})
-	}
-
-	h.deepBlockBytes = cfg.DeepestLevel().Cache.BlockBytes
-	h.deepFetchBytes = cfg.DeepestLevel().Cache.EffectiveFetchBytes()
-
-	if cfg.TLB.Entries > 0 {
-		tc, err := cache.New(cfg.TLB.cacheConfig())
-		if err != nil {
-			return nil, err
-		}
-		h.tlb = &tlb{cfg: cfg.TLB, cache: tc, recording: true}
-	}
-
-	if err := h.initMemSide(cfg); err != nil {
-		return nil, err
-	}
-
-	h.checks = cfg.CheckInvariants
-	h.SetRecording(true)
 	return h, nil
-}
-
-// initMemSide (re)builds the cheap per-run resources — backplane bus, main
-// memory, and the write buffers — from cfg. Shared by New and ResetFor:
-// these carry no large allocations, so rebuilding them is how a reused
-// hierarchy adopts new timing parameters.
-func (h *Hierarchy) initMemSide(cfg Config) error {
-	busCycle := cfg.MemBusCycleNS
-	if busCycle == 0 {
-		busCycle = cfg.DeepestLevel().CycleNS
-	}
-	busWidth := cfg.MemBusWidthBytes
-	if busWidth == 0 {
-		busWidth = 4 * bus.WordBytes
-	}
-	var err error
-	h.memBus, err = bus.New(bus.Config{Name: "membus", WidthBytes: busWidth, CycleNS: busCycle})
-	if err != nil {
-		return err
-	}
-	h.mem, err = mainmem.New(cfg.Memory)
-	if err != nil {
-		return err
-	}
-
-	// Write buffers: one in front of each downstream level, one in front
-	// of memory.
-	depth := cfg.wbDepth()
-	for i, lvl := range h.down {
-		lvl.inBuf = wbuf.MustNew(depth, &levelSink{h: h, idx: i})
-		lvl.inBuf.SetCoalescing(cfg.WBCoalesce)
-	}
-	h.memBuf = wbuf.MustNew(depth, &memSink{h: h})
-	h.memBuf.SetCoalescing(cfg.WBCoalesce)
-	return nil
 }
 
 // Reset returns the hierarchy to its just-constructed state — every cache
 // line invalid, all counters zeroed, all resource schedules idle, recording
 // on — clearing one-page tag arrays in place and dropping a paged cache's
-// pages (see cache.Reset). A reset hierarchy produces bit-identical
+// pages (see cache.ResetFor). A reset hierarchy produces bit-identical
 // simulation results to a freshly constructed one.
 func (h *Hierarchy) Reset() {
-	for _, fl := range []*firstLevel{h.l1i, h.l1d, h.l1} {
-		if fl != nil {
-			fl.cache.Reset()
-			fl.prefetches = 0
-		}
-	}
-	for _, lvl := range h.down {
-		lvl.cache.Reset()
-		lvl.res.freeAt = 0
-		lvl.inBuf.Reset()
-		lvl.storeFills, lvl.storeFillMisses, lvl.prefetches = 0, 0, 0
-		lvl.tags, lvl.played = nil, false
-	}
-	if h.tlb != nil {
-		h.tlb.cache.Reset()
-		h.tlb.stats = TLBStats{}
-	}
-	h.memBus.Reset()
-	h.mem.Reset()
-	h.memBuf.Reset()
-	h.invErr = nil
-	h.lastNow = 0
-	h.tap = nil
-	h.SetRecording(true)
+	_ = h.ResetFor(h.cfg) // h.cfg passed Validate when the hierarchy adopted it
 }
 
-// ResetFor re-purposes the hierarchy for a new configuration when every
-// cache's allocated geometry is compatible (see cache.Compatible): the
-// structure (split L1, level count, TLB presence) and per-level tag-array
-// shapes must match, while timing, policies, write-buffer depth, and the
-// memory model may all change. On success the hierarchy is fully reset
-// under cfg and ready to run; on failure it is untouched and the caller
-// must construct a new one. A sweep worker fed in geometry order takes
-// this path for every point after the first of its geometry, clearing the
-// first-level arrays (up to 64 KiB each) in place where New would
-// allocate them afresh.
-func (h *Hierarchy) ResetFor(cfg Config) bool {
+// ResetFor leaves the hierarchy exactly as New(cfg) would build it, for
+// any valid cfg: it builds every level, the TLB, the bus, main memory and
+// the write buffers afresh, and hands each old cache to cache.ResetFor
+// for the cache in the same position (L1I, L1D or L1; Down[i]; the TLB),
+// which keeps its tag array when the set count and ways still fit. A
+// sweep worker runs all its points on one hierarchy this way. An invalid
+// cfg is refused before anything changes.
+func (h *Hierarchy) ResetFor(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
-		return false
+		return err
 	}
-	if cfg.SplitL1 != h.cfg.SplitL1 || len(cfg.Down) != len(h.down) {
-		return false
+	old := *h
+	deepest := cfg.DeepestLevel()
+	*h = Hierarchy{
+		cfg:            cfg,
+		deepBlockBytes: deepest.Cache.BlockBytes,
+		deepFetchBytes: deepest.Cache.EffectiveFetchBytes(),
+		checks:         cfg.CheckInvariants,
 	}
-	if (cfg.TLB.Entries > 0) != (h.tlb != nil) {
-		return false
-	}
-	for i, lc := range cfg.firstLevels() {
-		if !h.firstLevels()[i].cache.Compatible(lc.Cache) {
-			return false
-		}
-	}
-	for i, lvl := range h.down {
-		if !lvl.cache.Compatible(cfg.Down[i].Cache) {
-			return false
-		}
-	}
-	if h.tlb != nil && !h.tlb.cache.Compatible(cfg.TLB.cacheConfig()) {
-		return false
+	if cfg.SplitL1 {
+		h.l1i = newFirstLevel(old.l1i, cfg.L1I, cfg.CPUCycleNS)
+		h.l1d = newFirstLevel(old.l1d, cfg.L1D, cfg.CPUCycleNS)
+	} else {
+		h.l1 = newFirstLevel(old.l1, cfg.L1, cfg.CPUCycleNS)
 	}
 
-	// Commit: adopt the new configuration everywhere, then reset state.
-	h.cfg = cfg
-	for i, lc := range cfg.firstLevels() {
-		fl := h.firstLevels()[i]
-		fl.setTiming(lc, cfg.CPUCycleNS)
-		fl.cache.ResetFor(lc.Cache)
-		fl.prefetches = 0
+	// Write buffers: one in front of each downstream level, one in front
+	// of memory.
+	depth := cfg.wbDepth()
+	for i, lc := range cfg.Down {
+		var c *cache.Cache
+		if i < len(old.down) {
+			c = old.down[i].cache
+		}
+		lvl := &level{cfg: lc, writeNS: lc.WriteNS(), cache: resetCache(c, lc.Cache)}
+		lvl.inBuf = wbuf.MustNew(depth, &levelSink{h: h, idx: i})
+		lvl.inBuf.SetCoalescing(cfg.WBCoalesce)
+		h.down = append(h.down, lvl)
 	}
-	for i, lvl := range h.down {
-		lvl.cfg, lvl.writeNS = cfg.Down[i], cfg.Down[i].WriteNS()
-		lvl.cache.ResetFor(cfg.Down[i].Cache)
-		lvl.res.freeAt = 0
-		lvl.storeFills, lvl.storeFillMisses, lvl.prefetches = 0, 0, 0
-		lvl.tags, lvl.played = nil, false
+	h.memBuf = wbuf.MustNew(depth, &memSink{h: h})
+	h.memBuf.SetCoalescing(cfg.WBCoalesce)
+
+	if cfg.TLB.Entries > 0 {
+		var c *cache.Cache
+		if old.tlb != nil {
+			c = old.tlb.cache
+		}
+		h.tlb = &tlb{cfg: cfg.TLB, cache: resetCache(c, cfg.TLB.cacheConfig())}
 	}
-	if h.tlb != nil {
-		h.tlb.cfg = cfg.TLB
-		h.tlb.cache.ResetFor(cfg.TLB.cacheConfig())
-		h.tlb.stats = TLBStats{}
+
+	busCycle := cfg.MemBusCycleNS
+	if busCycle == 0 {
+		busCycle = deepest.CycleNS
 	}
-	h.deepBlockBytes = cfg.DeepestLevel().Cache.BlockBytes
-	h.deepFetchBytes = cfg.DeepestLevel().Cache.EffectiveFetchBytes()
-	if err := h.initMemSide(cfg); err != nil {
-		// Unreachable after Validate, but keep the contract honest.
-		return false
+	busWidth := cfg.MemBusWidthBytes
+	if busWidth == 0 {
+		busWidth = 4 * bus.WordBytes
 	}
-	h.checks = cfg.CheckInvariants
-	h.invErr = nil
-	h.lastNow = 0
-	h.tap = nil
+	h.memBus = bus.MustNew(bus.Config{Name: "membus", WidthBytes: busWidth, CycleNS: busCycle})
+	h.mem = mainmem.MustNew(cfg.Memory)
 	h.SetRecording(true)
-	return true
-}
-
-// firstLevels returns the live first-level caches in configuration order.
-func (h *Hierarchy) firstLevels() []*firstLevel {
-	if h.cfg.SplitL1 {
-		return []*firstLevel{h.l1i, h.l1d}
-	}
-	return []*firstLevel{h.l1}
+	return nil
 }
 
 // MustNew is New that panics on configuration errors.

@@ -167,8 +167,8 @@ func TestHitExtrasFollowResetFor(t *testing.T) {
 	if read, store := hitCosts(h); read != 10 || store != 30 {
 		t.Errorf("slow L1D hit extras = %d, %d; want 10, 30", read, store)
 	}
-	if !h.ResetFor(baseConfig()) {
-		t.Fatal("ResetFor refused an L1 timing change")
+	if err := h.ResetFor(baseConfig()); err != nil {
+		t.Fatalf("ResetFor refused an L1 timing change: %v", err)
 	}
 	if read, store := hitCosts(h); read != 0 || store != 10 {
 		t.Errorf("hit extras after ResetFor = %d, %d; want 0, 10", read, store)

@@ -451,16 +451,16 @@ func TestPlayedStateClearedByReset(t *testing.T) {
 	script := recordTags(t, base, log)
 	cold, _ := capture(t, base, a, 0)
 	slow := variant(base, timingVariants["slow L2"])
-	for name, reuse := range map[string]func(h *memsys.Hierarchy) bool{
-		"Reset":    func(h *memsys.Hierarchy) bool { h.Reset(); return true },
-		"ResetFor": func(h *memsys.Hierarchy) bool { return h.ResetFor(slow) },
+	for name, reuse := range map[string]func(h *memsys.Hierarchy) error{
+		"Reset":    func(h *memsys.Hierarchy) error { h.Reset(); return nil },
+		"ResetFor": func(h *memsys.Hierarchy) error { return h.ResetFor(slow) },
 	} {
 		h := memsys.MustNew(slow)
 		if _, err := h.PlayTags(log, script, nil); err != nil {
 			t.Fatalf("%s: play: %v", name, err)
 		}
-		if !reuse(h) {
-			t.Fatalf("%s: reuse refused", name)
+		if err := reuse(h); err != nil {
+			t.Fatalf("%s: reuse refused: %v", name, err)
 		}
 		gotNS, err := h.ReplayDown(cold, nil)
 		if err != nil {
@@ -471,8 +471,8 @@ func TestPlayedStateClearedByReset(t *testing.T) {
 		if err := h.RecordTags(); err != nil {
 			t.Fatal(err)
 		}
-		if !reuse(h) {
-			t.Fatalf("%s: reuse refused", name)
+		if err := reuse(h); err != nil {
+			t.Fatalf("%s: reuse refused: %v", name, err)
 		}
 		if s := h.TagScript(); s != nil {
 			t.Errorf("%s: hierarchy still recording a %d-op script", name, s.Len())

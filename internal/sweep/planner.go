@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -297,11 +297,16 @@ func (r Runner) run(ctx context.Context, pts []Point, opts Options, n *tagCounts
 		}
 	}
 
-	r.runPhase(ctx, par, orderByGeometry(pts, phase1), withProbe)
+	// The phases were gathered from a walk over a map: sort them so the
+	// feed is the same on every run.
+	slices.Sort(phase1)
+	slices.Sort(phase2)
+	slices.Sort(phase3)
+	r.runPhase(ctx, par, phase1, withProbe)
 	// Phase 3 follows phase 2 in one feed: every tag pivot is handed to a
 	// worker before any played member, so a member waits at most for the
 	// few tag pivots still running, never for a phase barrier.
-	r.runPhase(ctx, par, append(orderByGeometry(pts, phase2), orderByGeometry(pts, phase3)...), withProbe)
+	r.runPhase(ctx, par, append(phase2, phase3...), withProbe)
 
 	if err := ctx.Err(); err != nil {
 		// Points never attempted inherit the cancellation error so the
@@ -326,25 +331,9 @@ func (r Runner) configure(pt Point) (cfg memsys.Config, err error) {
 	return r.Configure(pt), nil
 }
 
-// orderByGeometry sorts idxs in place and returns them regrouped so points
-// sharing an L2 tag-array shape are adjacent, which keeps each worker's
-// hierarchy reusable by ResetFor. The schedule never affects results.
-func orderByGeometry(pts []Point, idxs []int) []int {
-	sort.Ints(idxs)
-	sub := make([]Point, len(idxs))
-	for j, i := range idxs {
-		sub[j] = pts[i]
-	}
-	out := make([]int, len(idxs))
-	for j, p := range GeometryOrder(sub) {
-		out[j] = idxs[p]
-	}
-	return out
-}
-
 // runPhase drains one phase's indices through a worker pool. Each worker
-// owns one hierarchy: neighbors that share cache geometry reuse it through
-// ResetFor, and a geometry change drops it for a new one from memsys.New.
+// owns one hierarchy, which it builds for its first point and resets for
+// each later one (workerState.hierarchy).
 func (r Runner) runPhase(ctx context.Context, par int, order []int, work func(*workerState, int)) {
 	if len(order) == 0 {
 		return
@@ -389,7 +378,6 @@ func (r Runner) simulate(hcfg memsys.Config, ws *workerState, rec *memsys.DownRe
 	cfg.Interrupt = interrupt
 	if rec != nil {
 		h.SetTap(rec)
-		defer h.SetTap(nil) // the hierarchy is reused for later points
 		cfg.OnRecordingStart = rec.MarkRecordingStart
 		if cfg.WarmupRefs == 0 {
 			rec.MarkRecordingStart(0)

@@ -47,26 +47,27 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("sweep: point %v panicked: %v", e.Point, e.Value)
 }
 
-// workerState is the per-worker reusable simulation state.
+// workerState is what a worker keeps between its points: one hierarchy.
 type workerState struct {
 	h *memsys.Hierarchy
 }
 
-// hierarchy returns a hierarchy for cfg: the worker's previous one, reset
-// for cfg by ResetFor, while the cache geometry stays the same, and
-// otherwise a new one from memsys.New. GeometryOrder keeps a worker's
-// consecutive points on one geometry.
+// hierarchy returns a hierarchy for cfg: a new one from memsys.New for the
+// worker's first point, and its previous one, reset for cfg by ResetFor,
+// for every later point, whatever its geometry.
 func (ws *workerState) hierarchy(cfg memsys.Config) (*memsys.Hierarchy, error) {
-	if ws.h != nil && ws.h.ResetFor(cfg) {
-		return ws.h, nil
+	if ws.h == nil {
+		h, err := memsys.New(cfg)
+		if err != nil {
+			return nil, err
+		}
+		ws.h = h
+		return h, nil
 	}
-	ws.h = nil
-	h, err := memsys.New(cfg)
-	if err != nil {
+	if err := ws.h.ResetFor(cfg); err != nil {
 		return nil, err
 	}
-	ws.h = h
-	return h, nil
+	return ws.h, nil
 }
 
 // attemptFunc is one attempt's work on a point; interrupt reports the

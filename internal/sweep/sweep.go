@@ -9,7 +9,6 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -66,11 +65,9 @@ func SizesPow2(loKB, hiKB int64) []int64 {
 // Shard returns shard i of n from a point list: the points at indices
 // congruent to i mod n, in grid order. Several processes sharing one
 // mmap-ed trace artifact each take a distinct shard and together cover the
-// grid exactly once. The stride-n selection keeps two properties of the
-// size-major enumeration: big-cache points (the slow ones) spread evenly
-// across shards, and the engine regroups each shard's points by geometry
-// (GeometryOrder), so the per-worker ResetFor reuse still hits. Shard
-// panics on an invalid shard spec; callers validate user input with
+// grid exactly once. The stride-n selection spreads the size-major
+// enumeration's big-cache points (the slow ones) evenly across shards.
+// Shard panics on an invalid shard spec; callers validate user input with
 // ParseShard.
 func Shard(pts []Point, i, n int) []Point {
 	if n < 1 || i < 0 || i >= n {
@@ -115,41 +112,6 @@ func ParseShard(s string) (i, n int, err error) {
 		return 0, 0, fmt.Errorf("sweep: shard spec %q: index %d out of range for %d shard(s) (want 0..%d)", s, i, n, n-1)
 	}
 	return i, n, nil
-}
-
-// GeometryOrder returns a scheduling permutation of pts grouped by cache
-// geometry: all points sharing an L2 tag-array shape (size, associativity)
-// are adjacent, with the original order preserved inside each group and
-// groups ordered by first appearance. The size-major grid enumeration
-// interleaves associativities between cycle-time neighbors, so feeding
-// workers in grid order breaks the ResetFor reuse chain at every point of
-// a multi-associativity grid; feeding in geometry order makes every
-// within-group transition a timing-only change, which a worker's
-// ResetFor accepts, so only a group's first point on a worker pays for
-// memsys.New. Scheduling order never affects results — each point is an
-// independent, bit-deterministic simulation reported in input order.
-func GeometryOrder(pts []Point) []int {
-	type geom struct {
-		size  int64
-		assoc int
-	}
-	first := make(map[geom]int, len(pts))
-	for i, pt := range pts {
-		g := geom{pt.L2SizeBytes, pt.L2Assoc}
-		if _, ok := first[g]; !ok {
-			first[g] = i
-		}
-	}
-	idx := make([]int, len(pts))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ga := geom{pts[idx[a]].L2SizeBytes, pts[idx[a]].L2Assoc}
-		gb := geom{pts[idx[b]].L2SizeBytes, pts[idx[b]].L2Assoc}
-		return first[ga] < first[gb]
-	})
-	return idx
 }
 
 // CyclesRange returns cycle times from lo to hi CPU cycles inclusive, in

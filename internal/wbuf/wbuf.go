@@ -222,9 +222,3 @@ func (b *Buffer) FlushAll(now int64) int64 {
 	}
 	return now
 }
-
-// Reset discards all entries and counters.
-func (b *Buffer) Reset() {
-	b.head, b.n = 0, 0
-	b.stats = Stats{}
-}

@@ -168,16 +168,6 @@ func TestUnbufferedWrites(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	ds := &fakeDownstream{serviceNS: 50}
-	b := MustNew(4, ds)
-	b.Push(0x0, 100)
-	b.Reset()
-	if b.Len() != 0 || b.Stats() != (Stats{}) {
-		t.Error("Reset incomplete")
-	}
-}
-
 // Property: every pushed block is eventually written downstream exactly
 // once (after a FlushAll), in FIFO order.
 func TestQuickFIFOCompleteness(t *testing.T) {
