@@ -93,11 +93,13 @@ func NewMix(cfg MixConfig) (*Mix, error) {
 		rng:   newRNG(cfg.Seed),
 		pCont: 1 - 1/float64(cfg.MeanSwitchRefs),
 	}
+	tables := depthTables{}
 	for _, pc := range cfg.Processes {
 		p, err := NewProcess(pc)
 		if err != nil {
 			return nil, err
 		}
+		p.tables = tables
 		m.procs = append(m.procs, p)
 	}
 	if cfg.System != nil {
@@ -105,6 +107,7 @@ func NewMix(cfg MixConfig) (*Mix, error) {
 		if err != nil {
 			return nil, err
 		}
+		sys.tables = tables
 		m.sys = sys
 		// Burst lengths are geometric with mean SystemBurst; to spend
 		// SystemFrac of cycles in bursts, enter at rate

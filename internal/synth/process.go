@@ -79,6 +79,9 @@ type Process struct {
 	inRun  bool
 	daddr  uint64
 	dInRun bool
+	// tables are the depth tables the process's stacks share with the
+	// other processes of its Mix, if it has one.
+	tables depthTables
 	// pending holds a data reference to emit after the current ifetch.
 	pending    trace.Ref
 	hasPending bool
@@ -91,9 +94,10 @@ func NewProcess(cfg ProcessConfig) (*Process, error) {
 		return nil, err
 	}
 	return &Process{
-		cfg:   cfg,
-		iCont: 1 - 1/cfg.MeanIRunWords,
-		dCont: 1 - 1/cfg.MeanDRunWords,
+		cfg:    cfg,
+		tables: depthTables{},
+		iCont:  1 - 1/cfg.MeanIRunWords,
+		dCont:  1 - 1/cfg.MeanDRunWords,
 	}, nil
 }
 
@@ -101,8 +105,8 @@ func NewProcess(cfg ProcessConfig) (*Process, error) {
 // data stack, from it. NewProcess validated both stack configurations.
 func (p *Process) start() {
 	p.rng = newRNG(p.cfg.Seed)
-	p.code = MustNewStack(p.cfg.Code, p.rng)
-	p.data = MustNewStack(p.cfg.Data, p.rng)
+	p.code = newStack(p.cfg.Code, p.rng, p.tables.get(p.cfg.Code))
+	p.data = newStack(p.cfg.Data, p.rng, p.tables.get(p.cfg.Data))
 }
 
 // MustNewProcess is NewProcess that panics on configuration errors.

@@ -80,3 +80,39 @@ func (r *rng) Intn(n int) int {
 	}
 	return int(int32(r.Int63()>>32) & int32(n-1))
 }
+
+// int31n is rand.Rand.Shuffle's draw of j in [0, n) for n < 2^31
+// (rand.Rand.int31n): Lemire's multiply-shift over Uint32, redrawing while
+// the low half falls below 2^32 mod n. Like math/rand, it computes that
+// bound only for a low half below n, which every smaller one is.
+func (r *rng) int31n(n uint32) uint32 {
+	prod := uint64(uint32(r.Int63()>>31)) * uint64(n)
+	for low := uint32(prod); low < n && low < -n%n; low = uint32(prod) {
+		prod = uint64(uint32(r.Int63()>>31)) * uint64(n)
+	}
+	return uint32(prod >> 32)
+}
+
+// skipShuffle leaves r where rand.Rand.Shuffle of n elements leaves it: past
+// one int31n(i+1) for each i from n-1 down to 1, rejected draws included,
+// with each draw tested as int31n tests it but no j computed. It reads the
+// window directly, refilling it as Int63 would.
+func (r *rng) skipShuffle(n int) {
+	i, pos := uint32(max(n, 1)-1), r.pos
+	for i > 0 {
+		if pos >= rngLen {
+			r.refill()
+			pos = 0
+		}
+		for ; pos < rngLen && i > 0; pos++ {
+			// The low half of Lemire's product, as uint32 arithmetic
+			// keeps it; Int63's dropped top bit is above the 32 used.
+			n := i + 1
+			if low := uint32(r.w[pos]>>31) * n; low < n && low < -n%n {
+				continue
+			}
+			i--
+		}
+	}
+	r.pos = pos
+}

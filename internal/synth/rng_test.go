@@ -59,7 +59,7 @@ func TestRNGReplicatesMathRand(t *testing.T) {
 	}
 }
 
-// TestNewStackReplicatesShuffle: a new stack holds the permutation
+// TestNewStackReplicatesShuffle: a new stack, settled, holds the permutation
 // rand.Rand.Shuffle makes of the identity, and leaves its generator where
 // Shuffle leaves math/rand's. The largest size makes 196607 draws of
 // Shuffle's rejection-sampled int31n per seed.
@@ -74,6 +74,7 @@ func TestNewStackReplicatesShuffle(t *testing.T) {
 			want.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 			r := newRNG(seed)
 			s := MustNewStack(StackConfig{Lines: n, Alpha: 1, XM: 1}, r)
+			s.settle(0)
 			if !slices.Equal(s.stack, perm) {
 				t.Fatalf("n %d, seed %d: permutation differs from rand.Shuffle's", n, seed)
 			}

@@ -19,6 +19,8 @@ func TestStackConfigValidate(t *testing.T) {
 		{Lines: 0, Alpha: 1, XM: 1},
 		{Lines: 10, Alpha: 0, XM: 1},
 		{Lines: 10, Alpha: 1, XM: 0},
+		{Lines: 10, Alpha: math.NaN(), XM: 1},
+		{Lines: 10, Alpha: 1, XM: math.NaN()},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -35,7 +37,9 @@ func TestStackPrepopulated(t *testing.T) {
 	if s.Lines() != 64 {
 		t.Errorf("Lines = %d, want 64", s.Lines())
 	}
-	// Every id in [0,64) appears exactly once.
+	// Every id in [0,64) appears exactly once, once every position holds
+	// its id.
+	s.settle(0)
 	seen := map[uint32]bool{}
 	for _, id := range s.stack {
 		if seen[id] {
@@ -295,6 +299,7 @@ func TestQuickStackPermutation(t *testing.T) {
 				return false
 			}
 		}
+		s.settle(0)
 		seen := map[uint32]bool{}
 		for _, id := range s.stack {
 			if seen[id] {
