@@ -56,29 +56,27 @@ import (
 // options collects every flag value so validation is testable apart from
 // flag parsing and process exit.
 type options struct {
-	jobs          int
-	queue         int
-	par           int
-	resultPoints  int
-	drainTimeout  time.Duration
-	arenaBudget   int64
-	stateDir      string
-	artifactDir   string
-	journalMaxMB  int64
-	tenantsPath   string
-	anonRate      float64
-	anonBurst     int
-	maxAttempts   int
-	maxJobBytes   int64
-	maxJobCost    int64
-	maxInflight   int64
-	maxDeadline   time.Duration
-	streamTimeout time.Duration
-	faultPoint    string
-	sec           store.Security
-	s3            backend.S3Config
-	gcInterval    time.Duration
-	gcGrace       time.Duration
+	jobs         int
+	queue        int
+	par          int
+	resultPoints int
+	drainTimeout time.Duration
+	arenaBudget  int64
+	stateDir     string
+	artifactDir  string
+	journalMaxMB int64
+	tenantsPath  string
+	anonRate     float64
+	anonBurst    int
+	maxAttempts  int
+	maxJobBytes  int64
+	maxJobCost   int64
+	maxDeadline  time.Duration
+	faultPoint   string
+	sec          store.Security
+	s3           backend.S3Config
+	gcInterval   time.Duration
+	gcGrace      time.Duration
 }
 
 // validate rejects unusable flag combinations up front — an unwritable
@@ -247,8 +245,8 @@ func main() {
 		stateDir: *stateDir, artifactDir: *artifactDir, journalMaxMB: *journalMax,
 		tenantsPath: *tenantsPath, anonRate: *anonRate, anonBurst: *anonBurst,
 		maxAttempts: *maxAttempts, maxJobBytes: *maxJobBytes,
-		maxJobCost: *maxJobCost, maxInflight: *maxInflight, maxDeadline: *maxDeadline,
-		streamTimeout: *streamWrite, faultPoint: *faultPoint, sec: sec, s3: s3,
+		maxJobCost: *maxJobCost, maxDeadline: *maxDeadline,
+		faultPoint: *faultPoint, sec: sec, s3: s3,
 		gcInterval: *gcInterval, gcGrace: *gcGrace,
 	}
 	tenants, err := validate(opts)

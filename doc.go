@@ -13,7 +13,7 @@
 //   - internal/trace, internal/synth, internal/workload: reference traces,
 //     the calibrated synthetic multiprogramming workload, and program-like
 //     kernels
-//   - internal/analytic: the paper's Equations 1-3 and derived predictions
+//   - internal/analytic: the paper's Equation 1 and derived predictions
 //   - internal/sweep, internal/contour, internal/experiments: the design
 //     space exploration machinery and one driver per paper figure
 //

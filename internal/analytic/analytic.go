@@ -1,9 +1,9 @@
-// Package analytic implements the paper's analytical models (§4–§5): the
-// execution-time equation over global miss ratios (Equation 1), the
-// speed–size balance condition exposing the optimal second-level cache
-// (Equation 2), the break-even implementation times for set associativity
-// (Equation 3), and the derived predictions — contour shifts per L1
-// doubling and break-even multipliers — quoted in §4 and §6.
+// Package analytic implements the paper's execution-time equation over
+// global miss ratios (Equation 1, §4), the power-law miss model fitted to a
+// measured miss curve, and the two predictions that the derived claims
+// compare with measurement: the shift of the lines of constant performance
+// per L1 doubling (§4) and the growth of downstream break-even times per L1
+// doubling (§5).
 //
 // Times in this package are expressed in whatever unit the caller uses
 // consistently (the experiments use CPU cycles or nanoseconds); the
@@ -18,61 +18,19 @@ import (
 // MissModel is the paper's empirical miss-rate law: a doubling of cache
 // size decreases the (solo ≈ global) miss ratio by a constant factor, i.e.
 //
-//	M(size) = max(Floor, M0 · (size/S0)^-Alpha)
+//	M(size) = M0 · (size/S0)^-Alpha
 //
 // The paper measures the factor 2^-Alpha ≈ 0.69 (Alpha ≈ 0.54) for its
-// traces, with a plateau (Floor) for very large caches.
+// traces.
 type MissModel struct {
 	M0    float64 // miss ratio at the reference size
 	S0    float64 // reference size (any unit, used consistently)
 	Alpha float64 // power-law exponent
-	Floor float64 // plateau for very large caches (may be 0)
 }
-
-// Validate checks the model parameters.
-func (m MissModel) Validate() error {
-	if m.M0 <= 0 || m.M0 > 1 {
-		return fmt.Errorf("analytic: M0 %v outside (0,1]", m.M0)
-	}
-	if m.S0 <= 0 {
-		return fmt.Errorf("analytic: S0 %v must be positive", m.S0)
-	}
-	if m.Alpha <= 0 {
-		return fmt.Errorf("analytic: alpha %v must be positive", m.Alpha)
-	}
-	if m.Floor < 0 || m.Floor > 1 {
-		return fmt.Errorf("analytic: floor %v outside [0,1]", m.Floor)
-	}
-	return nil
-}
-
-// Ratio returns the modeled miss ratio at the given size.
-func (m MissModel) Ratio(size float64) float64 {
-	r := m.M0 * math.Pow(size/m.S0, -m.Alpha)
-	if r < m.Floor {
-		return m.Floor
-	}
-	if r > 1 {
-		return 1
-	}
-	return r
-}
-
-// Slope returns dM/dsize at the given size (zero on the plateau).
-func (m MissModel) Slope(size float64) float64 {
-	if m.Ratio(size) <= m.Floor {
-		return 0
-	}
-	return -m.Alpha / size * m.Ratio(size)
-}
-
-// DoublingFactor returns the multiplicative miss-ratio change per size
-// doubling, the paper's ≈0.69.
-func (m MissModel) DoublingFactor() float64 { return math.Pow(2, -m.Alpha) }
 
 // FitMissModel fits a power law through measured (size, ratio) points by
 // least squares in log-log space. Points with non-positive ratios are
-// rejected. The returned model has S0 = sizes[0] and Floor = 0.
+// rejected. The returned model has S0 = sizes[0].
 func FitMissModel(sizes, ratios []float64) (MissModel, error) {
 	if len(sizes) != len(ratios) {
 		return MissModel{}, fmt.Errorf("analytic: %d sizes but %d ratios", len(sizes), len(ratios))
@@ -124,72 +82,9 @@ type ExecParams struct {
 	ML2      float64 // M_L2: second-level global read miss ratio
 }
 
-// Validate checks the parameters.
-func (p ExecParams) Validate() error {
-	if p.Reads < 0 || p.Stores < 0 {
-		return fmt.Errorf("analytic: negative reference counts")
-	}
-	if p.NL1 < 0 || p.NL2 < 0 || p.NMM < 0 || p.TL1Write < 0 {
-		return fmt.Errorf("analytic: negative times")
-	}
-	if p.ML1 < 0 || p.ML1 > 1 || p.ML2 < 0 || p.ML2 > 1 {
-		return fmt.Errorf("analytic: miss ratios outside [0,1]")
-	}
-	return nil
-}
-
 // Total evaluates Equation 1.
 func (p ExecParams) Total() float64 {
 	return p.Reads*(p.NL1+p.ML1*p.NL2+p.ML2*p.NMM) + p.Stores*p.TL1Write
-}
-
-// BreakEvenPerDoubling evaluates the speed–size tradeoff of Equation 2 in
-// discrete form: the allowed increase in the L2 cycle time across a size
-// doubling from `size` that exactly balances the miss-ratio improvement:
-//
-//	Δt_be = (M_L2(size) − M_L2(2·size)) · n_MMread / M_L1
-//
-// The 1/M_L1 factor — absent in the single-level version — is what pulls
-// second-level caches toward "larger and slower" (§4).
-func BreakEvenPerDoubling(m MissModel, size, nMM, ml1 float64) float64 {
-	if ml1 <= 0 {
-		return math.Inf(1)
-	}
-	return (m.Ratio(size) - m.Ratio(2*size)) * nMM / ml1
-}
-
-// BreakEvenAssociativity evaluates Equation 3: the cycle-time degradation
-// allowed across an associativity increase that improves the global miss
-// ratio by dMGlobal:
-//
-//	Δt_a = ΔM_global · n_MMread / M_L1
-//
-// For a single-level cache use ml1 = 1 (there is no filtering upstream),
-// which reproduces the paper's earlier single-level result.
-func BreakEvenAssociativity(dMGlobal, nMM, ml1 float64) float64 {
-	if ml1 <= 0 {
-		return math.Inf(1)
-	}
-	return dMGlobal * nMM / ml1
-}
-
-// OptimalSize returns the performance-optimal cache size under the model:
-// the size at which the break-even cycle-time allowance per doubling falls
-// to the actual cycle-time cost per doubling (costPerDoubling). It scans
-// doublings from minSize to maxSize and returns the last size whose
-// doubling is still worthwhile. On the plateau no doubling is ever
-// worthwhile ("further increases in the cache size are never worthwhile,
-// regardless of how small the cycle time penalty is", §4).
-func OptimalSize(m MissModel, costPerDoubling, nMM, ml1, minSize, maxSize float64) float64 {
-	best := minSize
-	for s := minSize; 2*s <= maxSize; s *= 2 {
-		if BreakEvenPerDoubling(m, s, nMM, ml1) > costPerDoubling {
-			best = 2 * s
-		} else {
-			break
-		}
-	}
-	return best
 }
 
 // PredictedShiftPerL1Doubling returns the model's predicted rightward shift

@@ -68,14 +68,6 @@ func (b *Bus) TransferNS(n int) int64 {
 	return int64(beats) * b.cfg.CycleNS
 }
 
-// Beats returns the number of bus cycles needed to move n bytes.
-func (b *Bus) Beats(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return (n + b.cfg.WidthBytes - 1) / b.cfg.WidthBytes
-}
-
 // Reserve claims the bus for dur nanoseconds no earlier than earliest,
 // returning the actual start and completion times. The bus serves requests
 // in arrival order (no preemption).

@@ -46,12 +46,6 @@ func TestTransferNS(t *testing.T) {
 			t.Errorf("TransferNS(%d) = %d, want %d", c.bytes, got, c.want)
 		}
 	}
-	if got := b.Beats(32); got != 2 {
-		t.Errorf("Beats(32) = %d, want 2", got)
-	}
-	if got := b.Beats(0); got != 0 {
-		t.Errorf("Beats(0) = %d, want 0", got)
-	}
 }
 
 func TestReserveSerializes(t *testing.T) {

@@ -430,12 +430,6 @@ func (c *Cache) subMask(addr uint64) uint64 {
 	return 1 << sub
 }
 
-// FetchAddr returns the fetch-unit-aligned address containing addr: the
-// region downstream must supply on a fill.
-func (c *Cache) FetchAddr(addr uint64) uint64 {
-	return addr &^ (uint64(c.cfg.EffectiveFetchBytes()) - 1)
-}
-
 // Result reports the outcome of an access.
 type Result struct {
 	Hit bool
@@ -723,17 +717,4 @@ func (c *Cache) Flush() []uint64 {
 		clear(page)
 	}
 	return dirty
-}
-
-// Occupancy returns the number of valid blocks currently resident.
-func (c *Cache) Occupancy() int {
-	n := 0
-	for _, page := range c.pages {
-		for i := range page {
-			if page[i].valid() {
-				n++
-			}
-		}
-	}
-	return n
 }

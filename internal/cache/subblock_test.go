@@ -90,20 +90,6 @@ func TestSubBlockMissOnUnfetchedPart(t *testing.T) {
 	}
 }
 
-func TestSubBlockFetchAddr(t *testing.T) {
-	c := MustNew(subConfig())
-	if got := c.FetchAddr(0x35); got != 0x30 {
-		t.Errorf("FetchAddr(0x35) = %#x, want 0x30", got)
-	}
-	whole := MustNew(Config{
-		Name: "w", SizeBytes: 512, BlockBytes: 64, Assoc: 2,
-		Repl: LRU, Write: WriteBack, Alloc: WriteAllocate,
-	})
-	if got := whole.FetchAddr(0x35); got != 0x00 {
-		t.Errorf("whole-block FetchAddr(0x35) = %#x, want 0", got)
-	}
-}
-
 func TestSubBlockWriteDirty(t *testing.T) {
 	c := MustNew(subConfig())
 	c.Access(0x00, true) // write miss: partial fill + dirty

@@ -310,9 +310,6 @@ func (s Set) Has(key string) bool {
 // alias one buffer holding the whole file, so callers must not modify it.
 func Load(path string) (Set, error) { return load(os.ReadFile(path)) }
 
-// Read is Load over any reader.
-func Read(r io.Reader) (Set, error) { return load(io.ReadAll(r)) }
-
 // LoadAs is Load with each record's data unmarshalled into a T, on the
 // goroutines that parse the lines: it returns the same keys in the same
 // order, the Dropped count and error Load returns, and for each key the

@@ -16,13 +16,13 @@ import (
 	"testing"
 )
 
-// referenceRead is Read as it was before the canonical-line reader: every
-// line through bufio.Scanner and json.Unmarshal. It also returns the key
-// of every intact record in line order, from which the expected Set.Keys
-// follows. Its scanner starts from 4 KiB rather than 64 KiB: the buffer
-// still grows to the same 16 MiB cap, so lines and errors are the same,
-// and a 64 KiB allocation per input stalls FuzzReadJournal's progress
-// reports.
+// referenceRead is the journal reader as it was before the canonical-line
+// reader: every line through bufio.Scanner and json.Unmarshal. It also
+// returns the key of every intact record in line order, from which the
+// expected Set.Keys follows. Its scanner starts from 4 KiB rather than
+// 64 KiB: the buffer still grows to the same 16 MiB cap, so lines and
+// errors are the same, and a 64 KiB allocation per input stalls
+// FuzzReadJournal's progress reports.
 func referenceRead(r io.Reader) (Set, []string, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 4*1024), 16*1024*1024)
@@ -87,12 +87,12 @@ var headerLine = func() []byte {
 	return append(b, '\n')
 }()
 
-// checkAgainstReference requires Read to return what referenceRead does
+// checkAgainstReference requires load to return what referenceRead does
 // for journal, and Keys in journal order.
 func checkAgainstReference(t *testing.T, journal []byte) (Set, error) {
 	t.Helper()
 	want, order, wantErr := referenceRead(bytes.NewReader(journal))
-	got, gotErr := Read(bytes.NewReader(journal))
+	got, gotErr := load(journal, nil)
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 		t.Fatalf("error %v, reference %v", gotErr, wantErr)
 	}
@@ -137,7 +137,7 @@ func appendedLines(t testing.TB, recs ...any) []byte {
 	return bytes.TrimPrefix(raw, headerLine)
 }
 
-// FuzzReadJournal requires Read to return the same records, drop count
+// FuzzReadJournal requires load to return the same records, drop count
 // and error as the reference reader on every journal. Mode 0 reads the
 // fuzzed bytes as the journal's lines after a valid header. Mode 1 builds
 // record lines from the fuzzed key and data with a matching CRC, spliced

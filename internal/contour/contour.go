@@ -172,38 +172,12 @@ func Region(slope float64, boundaries []float64) int {
 	return n
 }
 
-// ShiftFactor measures the mean rightward shift, as a size factor, between
-// the constant-performance structure of two grids: for each level present
-// in both, the sizes at which each grid's line reaches a reference cycle
-// time are compared. This is the quantity behind the paper's "the lines of
-// constant performance shifted by a factor of 1.74" for an 8× larger L1.
-// Levels that do not produce comparable crossings are skipped; ShiftFactor
-// returns 0 when nothing is comparable.
-func ShiftFactor(a, b *Grid, levels []float64, refCycleNS float64) float64 {
-	var logs []float64
-	for _, level := range levels {
-		sa, oka := sizeAtCycle(a, level, refCycleNS)
-		sb, okb := sizeAtCycle(b, level, refCycleNS)
-		if oka && okb && sa > 0 {
-			logs = append(logs, math.Log2(sb/sa))
-		}
-	}
-	if len(logs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, l := range logs {
-		sum += l
-	}
-	return math.Pow(2, sum/float64(len(logs)))
-}
-
 // BoundaryShift measures the rightward shift, as a size factor, of the
 // equal-performance slope structure between two design spaces: for each
 // cycle-time row, the (log-interpolated) size at which the local slope
 // falls through boundaryNS is found in both grids, and the geometric mean
-// of the size ratios b/a is returned. Unlike ShiftFactor this compares the
-// *structure* of the tradeoff, not absolute performance levels, so it is
+// of the size ratios b/a is returned. It compares the *structure* of the
+// tradeoff, not absolute performance levels, so it is
 // meaningful between machines of different overall speed — it is the
 // quantity behind the paper's "a larger L1 shifts the lines of constant
 // performance right" and "slower memory shifts the shaded regions right".
@@ -359,22 +333,4 @@ func overlapRange(a, b []float64) (lo, hi float64, ok bool) {
 	lo = math.Max(aMin, bMin)
 	hi = math.Min(aMax, bMax)
 	return lo, hi, hi > lo
-}
-
-// sizeAtCycle finds the size at which the level's contour line crosses the
-// reference cycle time, interpolating in log2(size).
-func sizeAtCycle(g *Grid, level, refCycleNS float64) (float64, bool) {
-	line := g.Line(level)
-	for i := 0; i+1 < len(line); i++ {
-		lo, hi := line[i].CycleNS, line[i+1].CycleNS
-		if (lo <= refCycleNS && refCycleNS <= hi) || (hi <= refCycleNS && refCycleNS <= lo) {
-			if hi == lo {
-				return line[i].SizeBytes, true
-			}
-			f := (refCycleNS - lo) / (hi - lo)
-			logSize := math.Log2(line[i].SizeBytes) + f*(math.Log2(line[i+1].SizeBytes)-math.Log2(line[i].SizeBytes))
-			return math.Pow(2, logSize), true
-		}
-	}
-	return 0, false
 }

@@ -190,8 +190,8 @@ func TestBoundaryShift(t *testing.T) {
 		return g
 	}
 	a := mk(1, 1)
-	// b: structure 4x right AND uniformly 2x faster — ShiftFactor on
-	// levels would be meaningless here, BoundaryShift is not.
+	// b: structure 4x right AND uniformly 2x faster — comparing levels
+	// would be meaningless here, BoundaryShift is not.
 	b := mk(4, 0.5)
 	got := BoundaryShift(a, b, 10.0)
 	if math.Abs(got-4) > 0.8 {
@@ -220,40 +220,5 @@ func TestOptimalSizeShift(t *testing.T) {
 	}
 	if got := OptimalSizeShift(a, analyticGrid(0.1)); math.Abs(got-1) > 0.03 {
 		t.Errorf("self shift = %v, want 1", got)
-	}
-}
-
-// TestShiftFactor: scaling the miss term of the model left/right in size by
-// a known factor must be recovered.
-func TestShiftFactor(t *testing.T) {
-	mk := func(scale float64) *Grid {
-		sizes := []int64{}
-		for kb := int64(8); kb <= 4096; kb *= 2 {
-			sizes = append(sizes, kb*1024)
-		}
-		cycles := []int64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
-		g := &Grid{SizesBytes: sizes, CyclesNS: cycles}
-		for _, s := range sizes {
-			var row []float64
-			for _, c := range cycles {
-				miss := 0.05 * math.Pow(float64(s)/scale/(8*1024), -0.54)
-				row = append(row, 1+0.009*float64(c)+miss*30)
-			}
-			g.Rel = append(g.Rel, row)
-		}
-		return g
-	}
-	a, b := mk(1), mk(4) // b's structure sits 4x to the right
-	got := ShiftFactor(a, b, a.Levels(0.1), 50)
-	if math.Abs(got-4) > 0.4 {
-		t.Errorf("ShiftFactor = %v, want ≈ 4", got)
-	}
-	// Identical grids shift by 1.
-	if got := ShiftFactor(a, mk(1), a.Levels(0.1), 50); math.Abs(got-1) > 0.01 {
-		t.Errorf("self shift = %v, want 1", got)
-	}
-	// Nothing comparable yields 0.
-	if got := ShiftFactor(a, b, []float64{999}, 50); got != 0 {
-		t.Errorf("incomparable shift = %v, want 0", got)
 	}
 }

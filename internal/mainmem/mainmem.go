@@ -60,16 +60,6 @@ func (c Config) WithPageMode(pageBytes, hitReadNS int64) Config {
 	return c
 }
 
-// Scale returns the configuration with every component multiplied by f,
-// used for memory-speed sweeps.
-func (c Config) Scale(f float64) Config {
-	return Config{
-		ReadNS:     int64(float64(c.ReadNS) * f),
-		WriteNS:    int64(float64(c.WriteNS) * f),
-		RecoveryNS: int64(float64(c.RecoveryNS) * f),
-	}
-}
-
 // Memory is a time-tracked main-memory resource. It is not safe for
 // concurrent use.
 type Memory struct {
@@ -82,7 +72,6 @@ type Memory struct {
 	stallNS   int64 // time requests spent waiting on the memory
 	openRow   int64
 	rowOpen   bool
-	pageHits  int64
 }
 
 // New constructs a Memory.
@@ -137,9 +126,6 @@ func (m *Memory) touchRow(addr uint64) bool {
 	row := int64(addr / uint64(m.cfg.PageBytes))
 	hit := m.rowOpen && row == m.openRow
 	m.openRow, m.rowOpen = row, true
-	if hit {
-		m.pageHits++
-	}
 	return hit
 }
 
@@ -170,6 +156,3 @@ func (m *Memory) Write(addr uint64, earliest int64) (done int64) {
 func (m *Memory) Stats() (reads, writes, stallNS int64) {
 	return m.reads, m.writes, m.stallNS
 }
-
-// PageHits reports open-row hits (page mode only).
-func (m *Memory) PageHits() int64 { return m.pageHits }

@@ -95,15 +95,6 @@ func NewGrid(blockBytes int, sizesBytes []int64, assocs []int) (*Grid, error) {
 	return g, nil
 }
 
-// MustNewGrid is NewGrid that panics on bad configuration.
-func MustNewGrid(blockBytes int, sizesBytes []int64, assocs []int) *Grid {
-	g, err := NewGrid(blockBytes, sizesBytes, assocs)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // Access records one reference.
 func (g *Grid) Access(addr uint64) {
 	block := addr >> g.blockBits

@@ -14,10 +14,7 @@
 // trace length.
 package stackdist
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Profiler accumulates a stack-distance histogram. The zero value is not
 // ready; use New.
@@ -217,24 +214,6 @@ func (p *Profiler) Histogram() []Bin {
 		}
 	}
 	return out
-}
-
-// MeanDistance returns the mean finite stack distance (NaN if none).
-func (p *Profiler) MeanDistance() float64 {
-	var sum, n float64
-	for d, c := range p.exact {
-		sum += float64(d) * float64(c)
-		n += float64(c)
-	}
-	for i, c := range p.deep {
-		mid := float64(int64(exactCap)<<uint(i)) * 1.5
-		sum += mid * float64(c)
-		n += float64(c)
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return sum / n
 }
 
 // fenwick is a binary indexed tree over {0,1} slots with suffix sums.

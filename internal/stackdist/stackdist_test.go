@@ -1,7 +1,6 @@
 package stackdist
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -186,19 +185,6 @@ func TestCurveMatchesSimulationOnSynth(t *testing.T) {
 		if got != want {
 			t.Errorf("%dKB: profiler %d, simulation %d", kb, got, want)
 		}
-	}
-}
-
-func TestMeanDistance(t *testing.T) {
-	p := MustNew(16)
-	if !math.IsNaN(p.MeanDistance()) {
-		t.Error("empty profiler mean not NaN")
-	}
-	p.Access(0)
-	p.Access(16)
-	p.Access(0) // distance 2
-	if got := p.MeanDistance(); got != 2 {
-		t.Errorf("mean distance = %v, want 2", got)
 	}
 }
 

@@ -133,20 +133,6 @@ func (s *Server) PutObject(key string, data []byte) {
 	s.objects[key] = object{data: append([]byte(nil), data...), modTime: s.clock}
 }
 
-// CorruptObject flips one byte of a stored blob in place — simulated
-// bit rot in the bucket itself.
-func (s *Server) CorruptObject(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	o, ok := s.objects[key]
-	if !ok || len(o.data) == 0 {
-		return false
-	}
-	o.data[len(o.data)/2] ^= 0x40
-	s.objects[key] = o
-	return true
-}
-
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path == "/fakes3/stats" {
 		w.Header().Set("Content-Type", "application/json")

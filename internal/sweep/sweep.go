@@ -178,30 +178,3 @@ func (r Runner) RunPoints(pts []Point) ([]Result, error) {
 	}
 	return results, nil
 }
-
-// RelTimeMatrix arranges results from a size × cycle grid (single
-// associativity) into a matrix indexed [sizeIdx][cycleIdx] of relative
-// execution times.
-func RelTimeMatrix(grid Grid, results []Result) ([][]float64, error) {
-	na := len(grid.Assocs)
-	if na == 0 {
-		na = 1
-	}
-	if na != 1 {
-		return nil, fmt.Errorf("sweep: RelTimeMatrix needs a single-associativity grid, got %d", na)
-	}
-	want := len(grid.SizesBytes) * len(grid.CyclesNS)
-	if len(results) != want {
-		return nil, fmt.Errorf("sweep: %d results for a %d-point grid", len(results), want)
-	}
-	m := make([][]float64, len(grid.SizesBytes))
-	k := 0
-	for i := range grid.SizesBytes {
-		m[i] = make([]float64, len(grid.CyclesNS))
-		for j := range grid.CyclesNS {
-			m[i][j] = results[k].Run.RelTime
-			k++
-		}
-	}
-	return m, nil
-}

@@ -109,19 +109,17 @@ func TestRunnerRunsGrid(t *testing.T) {
 	if len(results) != 4 {
 		t.Fatalf("results = %d, want 4", len(results))
 	}
-	m, err := RelTimeMatrix(g, results)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Results are size-major: size i at cycle j is results[2*i+j].
+	rel := func(i, j int) float64 { return results[2*i+j].Run.RelTime }
 	// A slower L2 can never be faster overall, for either size.
-	for i := range m {
-		if m[i][1] < m[i][0] {
-			t.Errorf("size %d: rel time decreased with slower L2: %v", i, m[i])
+	for i := range g.SizesBytes {
+		if rel(i, 1) < rel(i, 0) {
+			t.Errorf("size %d: rel time decreased with slower L2: %v then %v", i, rel(i, 0), rel(i, 1))
 		}
 	}
 	// A larger L2 at equal cycle time can only help (same trace).
-	if m[1][0] > m[0][0] {
-		t.Errorf("larger L2 slower at 1 cycle: %v vs %v", m[1][0], m[0][0])
+	if rel(1, 0) > rel(0, 0) {
+		t.Errorf("larger L2 slower at 1 cycle: %v vs %v", rel(1, 0), rel(0, 0))
 	}
 	// Every run must see identical instruction streams.
 	for _, res := range results[1:] {
@@ -167,17 +165,6 @@ func TestRunnerErrors(t *testing.T) {
 	}
 	if _, err := bad.Run(Grid{SizesBytes: []int64{8192}, CyclesNS: []int64{10}}); err == nil {
 		t.Error("invalid config not propagated")
-	}
-}
-
-func TestRelTimeMatrixErrors(t *testing.T) {
-	g := Grid{SizesBytes: []int64{8192}, CyclesNS: []int64{10}, Assocs: []int{1, 2}}
-	if _, err := RelTimeMatrix(g, nil); err == nil {
-		t.Error("multi-assoc grid accepted")
-	}
-	g.Assocs = nil
-	if _, err := RelTimeMatrix(g, make([]Result, 5)); err == nil {
-		t.Error("mismatched result count accepted")
 	}
 }
 

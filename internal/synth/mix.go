@@ -12,40 +12,14 @@ import (
 // multiprogramming traces were.
 type MixConfig struct {
 	Processes []ProcessConfig
-	// MeanSwitchRefs is the mean context-switch interval in references;
-	// actual intervals are geometrically distributed. The paper
-	// interleaved uniprocessor traces "to match the context switch
-	// intervals seen in the VAX traces".
-	MeanSwitchRefs int
-	Seed           int64
-
-	// System optionally models operating-system activity (the ATUM VAX
-	// traces "contain system references"): a single shared kernel address
-	// space entered in bursts from any process. Kernel code and data are
-	// shared across processes, which is visible to physically-indexed
-	// caches. Nil disables it.
-	System *ProcessConfig
-	// SystemFrac is the target fraction of cycles spent in the kernel
-	// (bursts are geometric with mean SystemBurst cycles).
-	SystemFrac  float64
-	SystemBurst int
-}
-
-// validateSystem checks the optional system component.
-func (c MixConfig) validateSystem() error {
-	if c.System == nil {
-		return nil
-	}
-	if err := c.System.Validate(); err != nil {
-		return fmt.Errorf("system: %w", err)
-	}
-	if c.SystemFrac <= 0 || c.SystemFrac >= 1 {
-		return fmt.Errorf("synth: system fraction %v outside (0,1)", c.SystemFrac)
-	}
-	if c.SystemBurst < 1 {
-		return fmt.Errorf("synth: system burst %d must be positive", c.SystemBurst)
-	}
-	return nil
+	// MeanSwitchCycles is the mean context-switch interval in cycles (an
+	// instruction fetch and the data reference it may carry); actual
+	// intervals are geometrically distributed. With processes whose
+	// DataRefProb is p, an interval spans about (1+p)× as many
+	// references. The paper interleaved uniprocessor traces "to match the
+	// context switch intervals seen in the VAX traces".
+	MeanSwitchCycles int
+	Seed             int64
 }
 
 // Validate checks the configuration.
@@ -53,34 +27,27 @@ func (c MixConfig) Validate() error {
 	if len(c.Processes) == 0 {
 		return fmt.Errorf("synth: mix needs at least one process")
 	}
-	if c.MeanSwitchRefs <= 0 {
-		return fmt.Errorf("synth: mean switch interval %d must be positive", c.MeanSwitchRefs)
+	if c.MeanSwitchCycles <= 0 {
+		return fmt.Errorf("synth: mean switch interval %d must be positive", c.MeanSwitchCycles)
 	}
 	for i, pc := range c.Processes {
 		if err := pc.Validate(); err != nil {
 			return fmt.Errorf("process %d: %w", i, err)
 		}
 	}
-	return c.validateSystem()
+	return nil
 }
 
 // Mix is a multiprogrammed reference stream. It implements trace.Stream
 // and is infinite; bound it with trace.Limit, or take a prefix with Fill.
 // Context switches happen only at cycle boundaries (never between an
-// ifetch and its data reference). Each process, the kernel's included,
-// starts when the schedule first reaches it.
+// ifetch and its data reference). Each process starts when the schedule
+// first reaches it.
 type Mix struct {
-	cfg   MixConfig
 	rng   *rng
 	procs []*Process
 	cur   int
-	left  int
 	pCont float64
-
-	sys      *Process
-	sysEnter float64 // per-cycle probability of entering the kernel
-	sysCont  float64 // per-cycle probability a kernel burst continues
-	inSys    bool
 }
 
 // NewMix constructs a multiprogramming mixer.
@@ -89,9 +56,8 @@ func NewMix(cfg MixConfig) (*Mix, error) {
 		return nil, err
 	}
 	m := &Mix{
-		cfg:   cfg,
 		rng:   newRNG(cfg.Seed),
-		pCont: 1 - 1/float64(cfg.MeanSwitchRefs),
+		pCont: 1 - 1/float64(cfg.MeanSwitchCycles),
 	}
 	tables := depthTables{}
 	for _, pc := range cfg.Processes {
@@ -101,19 +67,6 @@ func NewMix(cfg MixConfig) (*Mix, error) {
 		}
 		p.tables = tables
 		m.procs = append(m.procs, p)
-	}
-	if cfg.System != nil {
-		sys, err := NewProcess(*cfg.System)
-		if err != nil {
-			return nil, err
-		}
-		sys.tables = tables
-		m.sys = sys
-		// Burst lengths are geometric with mean SystemBurst; to spend
-		// SystemFrac of cycles in bursts, enter at rate
-		// frac/((1-frac)·burst) per user cycle.
-		m.sysCont = 1 - 1/float64(cfg.SystemBurst)
-		m.sysEnter = cfg.SystemFrac / ((1 - cfg.SystemFrac) * float64(cfg.SystemBurst))
 	}
 	return m, nil
 }
@@ -139,41 +92,13 @@ func (m *Mix) Fill(refs []trace.Ref) {
 }
 
 func (m *Mix) next() trace.Ref {
-	// Kernel bursts: entered from (and attributed to) the current user
-	// process, sharing one kernel address space. Transitions happen only
-	// between cycles, so ifetch+data bundles stay intact.
-	if m.sys != nil {
-		if m.inSys && !m.sys.hasPending && m.rng.Float64() >= m.sysCont {
-			m.inSys = false
-		}
-		if m.inSys {
-			r := m.sys.next()
-			r.PID = m.procs[m.cur].cfg.PID
-			return r
-		}
-	}
-
 	p := m.procs[m.cur]
-	if !p.hasPending {
-		// Switch processes only between cycles.
-		if m.rng.Float64() >= m.pCont {
-			m.cur = (m.cur + 1) % len(m.procs)
-			p = m.procs[m.cur]
-		}
-		if m.sys != nil && m.rng.Float64() < m.sysEnter {
-			m.inSys = true
-			r := m.sys.next()
-			r.PID = p.cfg.PID
-			return r
-		}
+	// Switch processes only between cycles.
+	if !p.hasPending && m.rng.Float64() >= m.pCont {
+		m.cur = (m.cur + 1) % len(m.procs)
+		p = m.procs[m.cur]
 	}
 	return p.next()
-}
-
-// Workload bundles a ready-made MixConfig approximating the paper's traces.
-type Workload struct {
-	Name string
-	Cfg  MixConfig
 }
 
 // PaperMix returns the default multiprogramming workload used by the
@@ -202,9 +127,9 @@ func PaperMix(seed int64) MixConfig {
 		})
 	}
 	return MixConfig{
-		Processes:      procs,
-		MeanSwitchRefs: 20000,
-		Seed:           seed,
+		Processes:        procs,
+		MeanSwitchCycles: 20000,
+		Seed:             seed,
 	}
 }
 
@@ -233,29 +158,4 @@ func PaperArena(seed, n int64) (*trace.Arena, error) {
 	refs := make([]trace.Ref, n)
 	MustNewMix(PaperMix(seed)).Fill(refs)
 	return trace.NewArena(refs), nil
-}
-
-// PaperMixWithSystem returns the default workload extended with a shared
-// kernel address space entered in bursts — approximating the ATUM traces'
-// system references (the MIPS traces in the paper "do not contain system
-// references"; the VAX ones do). sysFrac is the fraction of cycles spent
-// in the kernel.
-func PaperMixWithSystem(seed int64, sysFrac float64) MixConfig {
-	cfg := PaperMix(seed)
-	cfg.System = &ProcessConfig{
-		PID:  0, // overridden per burst with the interrupted process's PID
-		Seed: seed*101 + 31337,
-		Base: 0xFFFF << 32, // one shared kernel space
-		// The kernel: moderate code footprint, small hot data (stacks,
-		// control blocks), long sequential handler runs.
-		Code:          StackConfig{Lines: 16 * 1024, Alpha: 1.2, XM: 2.0},
-		Data:          StackConfig{Lines: 32 * 1024, Alpha: 1.2, XM: 4.0},
-		DataRefProb:   0.5,
-		LoadFrac:      0.35,
-		MeanIRunWords: 8,
-		MeanDRunWords: 1.5,
-	}
-	cfg.SystemFrac = sysFrac
-	cfg.SystemBurst = 150
-	return cfg
 }

@@ -109,15 +109,6 @@ func (p *Process) start() {
 	p.data = newStack(p.cfg.Data, p.rng, p.tables.get(p.cfg.Data))
 }
 
-// MustNewProcess is NewProcess that panics on configuration errors.
-func MustNewProcess(cfg ProcessConfig) *Process {
-	p, err := NewProcess(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // Next emits the next reference: an instruction fetch, optionally followed
 // (on the subsequent call) by the data reference sharing its cycle.
 func (p *Process) Next() (trace.Ref, error) { return p.next(), nil }

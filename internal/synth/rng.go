@@ -10,7 +10,7 @@ const (
 )
 
 // rng reproduces rand.New(rand.NewSource(seed)) draw for draw, for exactly
-// the draws this package makes (NewStack makes rand.Rand.Shuffle's from
+// the draws this package makes (newStack makes rand.Rand.Shuffle's from
 // Int63), without the rand.Source interface call behind each one. Every
 // generated trace, and so every golden output of the simulator, is pinned
 // to math/rand's stream: the generator family cannot change without moving

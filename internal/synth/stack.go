@@ -49,7 +49,7 @@ func (c StackConfig) Validate() error {
 	}
 	if c.Lines > math.MaxInt32 {
 		// Beyond 2^31-1 elements rand.Rand.Shuffle switches to a draw
-		// that NewStack, which reproduces it, does not have.
+		// that newStack, which reproduces it, does not have.
 		return fmt.Errorf("synth: stack lines %d exceed %d", c.Lines, math.MaxInt32)
 	}
 	if !(c.Alpha > 0) {
@@ -78,23 +78,15 @@ type Stack struct {
 	// identity.
 	stack   []uint32
 	settled int
-	// shuffle is the generator as NewStack found it, still to make
+	// shuffle is the generator as newStack found it, still to make
 	// Shuffle's draws for the steps below settled.
 	shuffle rng
 }
 
-// NewStack constructs a pre-populated stack model drawing from r. The
-// initial order is the permutation rand.Rand.Shuffle would make with r's
-// draws, and r is left where Shuffle would leave it.
-func NewStack(cfg StackConfig, r *rng) (*Stack, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return newStack(cfg, r, newDepthTable(cfg.XM, cfg.Alpha)), nil
-}
-
-// newStack is NewStack of a valid cfg with depths, the table of its XM and
-// Alpha.
+// newStack constructs a pre-populated stack model of a valid cfg drawing
+// from r, with depths the table of its XM and Alpha. The initial order is
+// the permutation rand.Rand.Shuffle would make with r's draws, and r is
+// left where Shuffle would leave it.
 func newStack(cfg StackConfig, r *rng, depths *depthTable) *Stack {
 	s := &Stack{
 		rng:     r,
@@ -119,15 +111,6 @@ func (s *Stack) settle(to int) {
 		st[i] = vj
 	}
 	s.settled = min(s.settled, to)
-}
-
-// MustNewStack is NewStack that panics on configuration errors.
-func MustNewStack(cfg StackConfig, r *rng) *Stack {
-	s, err := NewStack(cfg, r)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // sampleDepth draws a reuse depth in [1, len(stack)] from the truncated
@@ -287,19 +270,3 @@ func (t *depthTable) lookup(u float64) (int, bool) {
 
 // Lines returns the footprint in lines.
 func (s *Stack) Lines() int { return len(s.stack) }
-
-// TailProb returns the model's analytical P(depth > n): the expected miss
-// ratio of a fully-associative LRU cache holding n of this stack's lines.
-func (c StackConfig) TailProb(n int) float64 {
-	if n <= 0 {
-		return 1
-	}
-	if n >= c.Lines {
-		return 0
-	}
-	p := math.Pow(float64(n)/c.XM, -c.Alpha)
-	if p > 1 {
-		return 1
-	}
-	return p
-}

@@ -99,16 +99,15 @@ func powDepth(xm, alpha float64, lines int, u float64) int {
 
 // TestDepthTableMatchesPow: every draw a depth table answers has the depth
 // math.Pow gives it, over 10^7 draws of the generator and every float
-// within 2^11 ULPs of each boundary and of 1, for the paper mixes'
-// configurations, those of the other tests and a small Alpha. The table
-// answers every draw above its floor but those in its guard bands.
+// within 2^11 ULPs of each boundary and of 1, for the paper mix's
+// configurations, a hotter data stack (XM 4), those of the other tests and
+// a small Alpha. The table answers every draw above its floor but those in
+// its guard bands.
 func TestDepthTableMatchesPow(t *testing.T) {
+	p := PaperMix(1).Processes[0]
 	configs := []StackConfig{
 		{Alpha: 1, XM: 1}, {Alpha: 0.8, XM: 1}, {Alpha: 1, XM: 2}, {Alpha: 0.1, XM: 1},
-	}
-	mix := PaperMixWithSystem(1, 0.2)
-	for _, p := range []ProcessConfig{mix.Processes[0], *mix.System} {
-		configs = append(configs, p.Code, p.Data)
+		p.Code, p.Data, {Alpha: 1.2, XM: 4},
 	}
 	const draws = 10_000_000
 	r := newRNG(1)
@@ -155,6 +154,7 @@ func TestDepthTableMatchesPow(t *testing.T) {
 func FuzzDepthTable(f *testing.F) {
 	f.Add(6.4, 1.2, uint32(196608), math.Float64bits(0.5))
 	f.Add(2.0, 1.2, uint32(32768), math.Float64bits(math.Pow(3.0/2, -1.2)))
+	f.Add(4.0, 1.2, uint32(32768), math.Float64bits(math.Pow(5.0/4, -1.2)))
 	f.Add(1.0, 0.1, uint32(1000), math.Float64bits(0.01))
 	f.Add(1.9999999, 1e3, uint32(10), math.Float64bits(1-0x1p-40))
 	f.Fuzz(func(t *testing.T, xm, alpha float64, lines uint32, bits uint64) {

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"mlcache/internal/cache"
 	"mlcache/internal/trace"
 )
 
@@ -228,7 +227,7 @@ func TestMixConfigValidate(t *testing.T) {
 		t.Error("empty mix accepted")
 	}
 	bad = good
-	bad.MeanSwitchRefs = 0
+	bad.MeanSwitchCycles = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("zero switch interval accepted")
 	}
@@ -314,103 +313,34 @@ func TestQuickStackPermutation(t *testing.T) {
 	}
 }
 
-func TestSystemValidation(t *testing.T) {
-	good := PaperMixWithSystem(1, 0.2)
-	if err := good.Validate(); err != nil {
-		t.Fatalf("system mix rejected: %v", err)
-	}
-	bad := good
-	bad.SystemFrac = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero system fraction accepted")
-	}
-	bad = good
-	bad.SystemFrac = 1.0
-	if err := bad.Validate(); err == nil {
-		t.Error("fraction 1 accepted")
-	}
-	bad = good
-	bad.SystemBurst = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero burst accepted")
-	}
-	bad = good
-	sys := *good.System
-	sys.Code.Lines = 0
-	bad.System = &sys
-	if err := bad.Validate(); err == nil {
-		t.Error("invalid system process accepted")
-	}
-}
-
-// TestSystemReferences: kernel addresses appear under multiple PIDs (the
-// shared address space), the kernel fraction lands near the target, and
-// bundles stay intact across kernel entry/exit.
-func TestSystemReferences(t *testing.T) {
-	m := MustNewMix(PaperMixWithSystem(5, 0.25))
-	const n = 400_000
-	kernelBase := uint64(0xFFFF) << 32
-	kernelPIDs := map[uint16]bool{}
-	var kernelRefs, total int
-	prevWasIFetch := false
-	for i := 0; i < n; i++ {
-		r, err := m.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Kind != trace.IFetch && !prevWasIFetch {
-			t.Fatalf("ref %d: bundle broken across kernel boundary", i)
-		}
-		prevWasIFetch = r.Kind == trace.IFetch
-		total++
-		if r.Addr >= kernelBase {
-			kernelRefs++
-			kernelPIDs[r.PID] = true
-			if r.PID == 0 {
-				t.Fatal("kernel ref with PID 0: attribution missing")
+// TestMixSwitchInterval: the switch interval is counted in cycles, so with
+// DataRefProb 0.5 an interval spans about 1.5× as many references. Two
+// processes make every switch a change of PID at an instruction fetch.
+func TestMixSwitchInterval(t *testing.T) {
+	const n, mean = 400_000, 50
+	for seed := int64(1); seed <= 3; seed++ {
+		mix := PaperMix(seed)
+		mix.Processes = mix.Processes[:2]
+		mix.MeanSwitchCycles = mean
+		refs := make([]trace.Ref, n)
+		MustNewMix(mix).Fill(refs)
+		cycles, switches := 0, 0
+		for i, r := range refs {
+			if r.Kind != trace.IFetch {
+				continue
+			}
+			cycles++
+			if i > 0 && r.PID != refs[i-1].PID {
+				switches++
 			}
 		}
-	}
-	frac := float64(kernelRefs) / float64(total)
-	if frac < 0.15 || frac > 0.35 {
-		t.Errorf("kernel fraction = %.3f, want ≈ 0.25", frac)
-	}
-	if len(kernelPIDs) < 3 {
-		t.Errorf("kernel space shared by only %d processes", len(kernelPIDs))
-	}
-}
-
-// TestSystemSharingImprovesLargeCacheBehaviour: with a shared kernel, the
-// effective multiprogramming footprint shrinks (one kernel instead of
-// per-process code), so a large cache misses less than the same mix
-// without sharing would suggest... assert the direct effect: kernel lines
-// referenced under one PID hit when referenced under another.
-func TestSystemSharingVisible(t *testing.T) {
-	m := MustNewMix(PaperMixWithSystem(7, 0.3))
-	c := cache.MustNew(cache.Config{
-		Name: "l2", SizeBytes: 1 << 20, BlockBytes: 32, Assoc: 2,
-		Repl: cache.LRU, Write: cache.WriteBack, Alloc: cache.WriteAllocate,
-	})
-	kernelBase := uint64(0xFFFF) << 32
-	type key struct{ addr uint64 }
-	firstPID := map[key]uint16{}
-	crossPIDHits := 0
-	for i := 0; i < 300_000; i++ {
-		r, _ := m.Next()
-		hit := c.Access(r.Addr, r.Kind == trace.Store).Hit
-		if r.Addr < kernelBase {
-			continue
+		perSwitch := float64(cycles) / float64(switches)
+		if math.Abs(perSwitch-mean) > 0.05*mean {
+			t.Errorf("seed %d: %.1f cycles per switch, want %d ± 5%%", seed, perSwitch, mean)
 		}
-		k := key{r.Addr &^ 31}
-		if p, ok := firstPID[k]; ok {
-			if hit && p != r.PID {
-				crossPIDHits++
-			}
-		} else {
-			firstPID[k] = r.PID
+		refsPerSwitch := float64(n) / float64(switches)
+		if want := 1.5 * mean; math.Abs(refsPerSwitch-want) > 0.05*want {
+			t.Errorf("seed %d: %.1f references per switch, want %.0f ± 5%%", seed, refsPerSwitch, want)
 		}
-	}
-	if crossPIDHits == 0 {
-		t.Error("no cross-process kernel hits: sharing not visible to the cache")
 	}
 }

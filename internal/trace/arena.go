@@ -112,8 +112,5 @@ func (c *Cursor) Chunk(max int) ([]Ref, error) {
 	return out, nil
 }
 
-// Remaining returns how many references are left to read.
-func (c *Cursor) Remaining() int { return len(c.refs) - c.pos }
-
 // Reset rewinds the cursor to the start of the arena.
 func (c *Cursor) Reset() { c.pos = 0 }

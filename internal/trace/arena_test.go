@@ -114,7 +114,7 @@ func TestCursorChunkAliasesArena(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		start := 10 - c.Remaining() - len(chunk)
+		start := c.pos - len(chunk)
 		if &chunk[0] != &a.Refs()[start] {
 			t.Fatalf("chunk at ref %d is a copy, want an alias of the arena", start)
 		}
@@ -146,12 +146,12 @@ func TestCursorMixedNextAndReadRefs(t *testing.T) {
 	if buf[0] != refs[1] || buf[2] != refs[3] {
 		t.Fatalf("batch after Next misaligned: %v", buf[:n])
 	}
-	if c.Remaining() != 2 {
-		t.Fatalf("Remaining = %d, want 2", c.Remaining())
+	if c.pos != 4 {
+		t.Fatalf("position %d, want 4", c.pos)
 	}
 	c.Reset()
-	if c.Remaining() != 6 {
-		t.Fatalf("Remaining after Reset = %d, want 6", c.Remaining())
+	if c.pos != 0 {
+		t.Fatalf("position after Reset %d, want 0", c.pos)
 	}
 }
 

@@ -223,10 +223,10 @@ func writeArtifactTo(f *os.File, refs []Ref) error {
 var ErrArtifactBusy = errors.New("trace: artifact pinned by active readers")
 
 // Artifact is an open trace artifact: an Arena plus the resources backing
-// it. When Mapped reports true the arena aliases the mapped file — shared
-// page cache, zero per-process copy — and every Cursor and Refs slice is
-// invalidated by Close. The copying fallback has no such constraint, but
-// callers should treat Close as the end of the arena's life either way.
+// it. A mapped artifact's arena aliases the file — shared page cache, zero
+// per-process copy — and every Cursor and Refs slice is invalidated by
+// Close. The copying fallback has no such constraint, but callers should
+// treat Close as the end of the arena's life either way.
 //
 // Concurrent readers guard their cursors with Pin/Unpin: a pinned
 // artifact refuses to Close (ErrArtifactBusy) instead of racing the
@@ -245,15 +245,11 @@ type Artifact struct {
 }
 
 // Arena returns the artifact's trace. It must not be used after Close when
-// the artifact is Mapped.
+// the artifact is mapped.
 func (a *Artifact) Arena() *Arena { return a.arena }
 
 // Len returns the number of references in the artifact.
 func (a *Artifact) Len() int { return a.arena.Len() }
-
-// Mapped reports whether the arena aliases an mmap-ed file rather than a
-// private heap copy.
-func (a *Artifact) Mapped() bool { return a.mapped }
 
 // Path returns the file the artifact was opened from.
 func (a *Artifact) Path() string { return a.srcPath }
@@ -321,7 +317,7 @@ func (a *Artifact) Close() error {
 // page cache; there is no per-reference decode and no per-process copy.
 // When mmap is unavailable, fails, or the host layout does not match the
 // format, OpenArtifact falls back to reading and decoding a private copy.
-// The caller must Close the artifact; a Mapped artifact's arena is invalid
+// The caller must Close the artifact; a mapped artifact's arena is invalid
 // afterwards.
 func OpenArtifact(path string) (*Artifact, error) {
 	f, err := os.Open(path)

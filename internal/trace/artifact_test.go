@@ -89,7 +89,7 @@ func TestArtifactMappedAndCopiedAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer copied.Close()
-	if copied.Mapped() {
+	if copied.mapped {
 		t.Fatal("openCopied produced a mapped artifact")
 	}
 	m, c := mapped.Arena().Refs(), copied.Arena().Refs()
@@ -265,7 +265,7 @@ func TestOpenArtifactZeroDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapped := probe.Mapped()
+	mapped := probe.mapped
 	probe.Close()
 	if mapped {
 		allocs := testing.AllocsPerRun(5, func() {

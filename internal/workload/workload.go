@@ -84,52 +84,6 @@ func MatMul(cfg MatMulConfig) (trace.Trace, error) {
 	return e.out, nil
 }
 
-// BlockedMatMulConfig parameterizes a tiled matrix multiply: the same
-// arithmetic as MatMul but iterated over B×B tiles that fit in the cache,
-// the canonical capacity-miss optimization. Comparing its trace against
-// the naive order demonstrates that the reference *order* — not the
-// reference *set* — determines the miss ratio.
-type BlockedMatMulConfig struct {
-	N    int
-	B    int // tile edge; must divide N
-	PID  uint16
-	Base uint64
-}
-
-// BlockedMatMul generates the trace of a tiled i-j-k matrix multiply.
-func BlockedMatMul(cfg BlockedMatMulConfig) (trace.Trace, error) {
-	if cfg.N <= 0 || cfg.B <= 0 {
-		return nil, fmt.Errorf("workload: blocked matmul N %d and B %d must be positive", cfg.N, cfg.B)
-	}
-	if cfg.N%cfg.B != 0 {
-		return nil, fmt.Errorf("workload: tile %d must divide N %d", cfg.B, cfg.N)
-	}
-	n, bb := uint64(cfg.N), uint64(cfg.B)
-	const elem = 8
-	a := cfg.Base
-	b := a + n*n*elem
-	c := b + n*n*elem
-	e := newEmitter(cfg.PID, cfg.Base-4096, 16)
-	for i0 := uint64(0); i0 < n; i0 += bb {
-		for j0 := uint64(0); j0 < n; j0 += bb {
-			for k0 := uint64(0); k0 < n; k0 += bb {
-				for i := i0; i < i0+bb; i++ {
-					for j := j0; j < j0+bb; j++ {
-						e.op(c+(i*n+j)*elem, trace.Load) // C[i][j]
-						for k := k0; k < k0+bb; k++ {
-							e.op(a+(i*n+k)*elem, trace.Load)
-							e.op(b+(k*n+j)*elem, trace.Load)
-							e.alu()
-						}
-						e.op(c+(i*n+j)*elem, trace.Store)
-					}
-				}
-			}
-		}
-	}
-	return e.out, nil
-}
-
 // PointerChaseConfig parameterizes a linked-list traversal: nodes are
 // scattered through memory and each step loads the next pointer, defeating
 // spatial locality entirely — the worst case for long cache blocks.

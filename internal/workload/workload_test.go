@@ -77,51 +77,6 @@ func TestMatMulCapacityEffect(t *testing.T) {
 	}
 }
 
-func TestBlockedMatMulValidation(t *testing.T) {
-	if _, err := BlockedMatMul(BlockedMatMulConfig{N: 0, B: 4}); err == nil {
-		t.Error("N=0 accepted")
-	}
-	if _, err := BlockedMatMul(BlockedMatMulConfig{N: 8, B: 0}); err == nil {
-		t.Error("B=0 accepted")
-	}
-	if _, err := BlockedMatMul(BlockedMatMulConfig{N: 10, B: 4}); err == nil {
-		t.Error("non-dividing tile accepted")
-	}
-}
-
-// TestBlockingReducesMisses: the tiled multiply touches the same data with
-// the same arithmetic but far better locality — blocking must cut the data
-// miss ratio on a cache that holds a tile set but not whole matrices.
-func TestBlockingReducesMisses(t *testing.T) {
-	const n = 48 // 3 matrices x 48²x8 = 54 KB >> 8 KB cache
-	naive, err := MatMul(MatMulConfig{N: n, Base: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiled, err := BlockedMatMul(BlockedMatMulConfig{N: n, B: 8, Base: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mNaive := dataMissRatio(t, naive, 8, 32)
-	mTiled := dataMissRatio(t, tiled, 8, 32)
-	if mTiled >= mNaive/2 {
-		t.Errorf("blocking did not halve the miss ratio: naive %.4f, tiled %.4f", mNaive, mTiled)
-	}
-	// Same multiply: identical load counts per inner flop structure.
-	count := func(tr trace.Trace, k trace.Kind) int {
-		n := 0
-		for _, r := range tr {
-			if r.Kind == k {
-				n++
-			}
-		}
-		return n
-	}
-	if count(tiled, trace.Store) != n*n*(n/8) {
-		t.Errorf("tiled stores = %d, want %d", count(tiled, trace.Store), n*n*(n/8))
-	}
-}
-
 func TestPointerChaseValidation(t *testing.T) {
 	if _, err := PointerChase(PointerChaseConfig{Nodes: 0, Steps: 10}); err == nil {
 		t.Error("Nodes=0 accepted")
