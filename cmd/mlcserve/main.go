@@ -71,7 +71,9 @@ type options struct {
 	maxAttempts  int
 	maxJobBytes  int64
 	maxJobCost   int64
+	maxInflight  int64
 	maxDeadline  time.Duration
+	streamWrite  time.Duration
 	faultPoint   string
 	sec          store.Security
 	s3           backend.S3Config
@@ -163,6 +165,41 @@ func validate(o options) (*serve.Tenants, error) {
 	return tenants, nil
 }
 
+// serveConfig builds the server's configuration from options that
+// validate accepted, the tenants table it returned and the store
+// buildArtifacts built.
+func serveConfig(o options, tenants *serve.Tenants, artifacts backend.Store) serve.Config {
+	// The flag says "0 disables the stream timeout"; the Config says
+	// "0 means default, negative disables". Translate.
+	streamTimeout := o.streamWrite
+	if streamTimeout == 0 {
+		streamTimeout = -1
+	}
+	return serve.Config{
+		MaxJobs:           o.jobs,
+		MaxQueue:          o.queue,
+		Parallelism:       o.par,
+		ArenaBudgetBytes:  o.arenaBudget << 20,
+		ResultCachePoints: o.resultPoints,
+		StateDir:          o.stateDir,
+		ArtifactDir:       o.artifactDir,
+		Artifacts:         artifacts,
+		JournalMaxBytes:   o.journalMaxMB << 20,
+		Tenants:           tenants,
+		AnonRatePerSec:    o.anonRate,
+		AnonBurst:         o.anonBurst,
+		MaxJobAttempts:    o.maxAttempts,
+		Cost: serve.CostModel{
+			MaxJobBytes:      o.maxJobBytes,
+			MaxJobCost:       o.maxJobCost,
+			MaxInflightBytes: o.maxInflight,
+		},
+		MaxJobDeadline:     o.maxDeadline,
+		StreamWriteTimeout: streamTimeout,
+		FaultPoint:         o.faultPoint,
+	}
+}
+
 // buildArtifacts builds the bucket store when -s3-endpoint is set and
 // returns nil otherwise; serve.New then opens the -artifact-store
 // directory itself. The serve layer mmaps artifacts from local paths, so
@@ -233,7 +270,6 @@ func main() {
 	)
 	flag.Parse()
 
-	sec := store.Security{CertFile: *tlsCert, KeyFile: *tlsKey, Insecure: *insecure}
 	s3, err := s3Flags.Config(*insecure)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mlcserve: %v\n", err)
@@ -245,9 +281,11 @@ func main() {
 		stateDir: *stateDir, artifactDir: *artifactDir, journalMaxMB: *journalMax,
 		tenantsPath: *tenantsPath, anonRate: *anonRate, anonBurst: *anonBurst,
 		maxAttempts: *maxAttempts, maxJobBytes: *maxJobBytes,
-		maxJobCost: *maxJobCost, maxDeadline: *maxDeadline,
-		faultPoint: *faultPoint, sec: sec, s3: s3,
+		maxJobCost: *maxJobCost, maxInflight: *maxInflight,
+		maxDeadline: *maxDeadline, streamWrite: *streamWrite,
+		faultPoint: *faultPoint, s3: s3,
 		gcInterval: *gcInterval, gcGrace: *gcGrace,
+		sec: store.Security{CertFile: *tlsCert, KeyFile: *tlsKey, Insecure: *insecure},
 	}
 	tenants, err := validate(opts)
 	if err != nil {
@@ -266,35 +304,7 @@ func main() {
 	}
 	defer stopProf()
 
-	// The flag says "0 disables the stream timeout"; the Config says
-	// "0 means default, negative disables". Translate.
-	streamTimeout := *streamWrite
-	if streamTimeout == 0 {
-		streamTimeout = -1
-	}
-	cfg := serve.Config{
-		MaxJobs:           *jobs,
-		MaxQueue:          *queue,
-		Parallelism:       *par,
-		ArenaBudgetBytes:  *arenaBudget << 20,
-		ResultCachePoints: *resultPoints,
-		StateDir:          *stateDir,
-		ArtifactDir:       *artifactDir,
-		Artifacts:         artifacts,
-		JournalMaxBytes:   *journalMax << 20,
-		Tenants:           tenants,
-		AnonRatePerSec:    *anonRate,
-		AnonBurst:         *anonBurst,
-		MaxJobAttempts:    *maxAttempts,
-		Cost: serve.CostModel{
-			MaxJobBytes:      *maxJobBytes,
-			MaxJobCost:       *maxJobCost,
-			MaxInflightBytes: *maxInflight,
-		},
-		MaxJobDeadline:     *maxDeadline,
-		StreamWriteTimeout: streamTimeout,
-		FaultPoint:         *faultPoint,
-	}
+	cfg := serveConfig(opts, tenants, artifacts)
 	if !*quiet {
 		cfg.Logf = log.Printf
 	}
@@ -304,30 +314,30 @@ func main() {
 		os.Exit(2)
 	}
 	if n := s.ResumeInterrupted(); n > 0 {
-		log.Printf("resuming %d interrupted jobs from %s", n, *stateDir)
+		log.Printf("resuming %d interrupted jobs from %s", n, opts.stateDir)
 	}
 	if backendDesc != "" {
 		log.Printf("artifact backend: %s", backendDesc)
 	}
 
-	if *faultPoint != "" {
-		log.Printf("WARNING: -fault-point %s armed; this process will crash on matching jobs (testing only)", *faultPoint)
+	if opts.faultPoint != "" {
+		log.Printf("WARNING: -fault-point %s armed; this process will crash on matching jobs (testing only)", opts.faultPoint)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *gcInterval > 0 {
-		s.StartArtifactGC(ctx, *gcInterval, *gcGrace)
-		log.Printf("artifact gc: every %v, grace %v", *gcInterval, *gcGrace)
+	if opts.gcInterval > 0 {
+		s.StartArtifactGC(ctx, opts.gcInterval, opts.gcGrace)
+		log.Printf("artifact gc: every %v, grace %v", opts.gcInterval, opts.gcGrace)
 	}
 
-	srv, serveErr, err := serve.Listen(*addr, s.Handler(), sec)
+	srv, serveErr, err := serve.Listen(*addr, s.Handler(), opts.sec)
 	if err != nil {
 		log.Fatalf("serve %s: %v", *addr, err)
 	}
 	scheme := "http"
-	if sec.TLSServer() {
+	if opts.sec.TLSServer() {
 		scheme = "https"
 	}
 	log.Printf("listening on %s (%s; POST /jobs, GET /healthz, GET /metrics)", *addr, scheme)
@@ -340,10 +350,10 @@ func main() {
 
 	// Graceful drain: refuse new work, let streaming grids finish.
 	s.Drain()
-	shutCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	shutCtx, cancel := context.WithTimeout(context.Background(), opts.drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.Canceled) {
-		log.Printf("drain incomplete after %v: %v", *drainTimeout, err)
+		log.Printf("drain incomplete after %v: %v", opts.drainTimeout, err)
 		os.Exit(1)
 	}
 	s.Close()

@@ -3,10 +3,12 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"mlcache/internal/serve"
 	"mlcache/internal/store/backend"
 )
 
@@ -205,5 +207,38 @@ func TestBuildArtifactsBackends(t *testing.T) {
 		if !strings.Contains(desc, "s3.example.com/traces") || !strings.Contains(desc, tc.wantTier) {
 			t.Errorf("%s: description %q does not name the bucket and %s", tc.name, desc, tc.wantTier)
 		}
+	}
+}
+
+// TestServeConfigFromOptions: the server runs with the values validate
+// checked. Every field of serve.Config that a flag sets comes from
+// options, MiB flags become bytes, and a zero -stream-write-timeout (the
+// flag's "disabled") becomes the Config's negative "disabled".
+func TestServeConfigFromOptions(t *testing.T) {
+	o := options{
+		jobs: 3, queue: 7, par: 2, resultPoints: 99, arenaBudget: 5,
+		stateDir: "/state", artifactDir: "/art", journalMaxMB: 6,
+		anonRate: 1.5, anonBurst: 4, maxAttempts: 8, maxJobBytes: 1000,
+		maxJobCost: 2000, maxInflight: -1, maxDeadline: time.Minute,
+		streamWrite: 30 * time.Second, faultPoint: "runjob:seed=7",
+	}
+	tenants := &serve.Tenants{}
+	var artifacts backend.Store = backend.NewFS(nil)
+	want := serve.Config{
+		MaxJobs: 3, MaxQueue: 7, Parallelism: 2,
+		ArenaBudgetBytes: 5 << 20, ResultCachePoints: 99,
+		StateDir: "/state", ArtifactDir: "/art", Artifacts: artifacts,
+		JournalMaxBytes: 6 << 20, Tenants: tenants,
+		AnonRatePerSec: 1.5, AnonBurst: 4, MaxJobAttempts: 8,
+		Cost:           serve.CostModel{MaxJobBytes: 1000, MaxJobCost: 2000, MaxInflightBytes: -1},
+		MaxJobDeadline: time.Minute, StreamWriteTimeout: 30 * time.Second,
+		FaultPoint: "runjob:seed=7",
+	}
+	if got := serveConfig(o, tenants, artifacts); !reflect.DeepEqual(got, want) {
+		t.Errorf("serveConfig:\n got %+v\nwant %+v", got, want)
+	}
+	o.streamWrite = 0
+	if got := serveConfig(o, tenants, artifacts).StreamWriteTimeout; got >= 0 {
+		t.Errorf("-stream-write-timeout 0 gave StreamWriteTimeout %v, want negative (disabled)", got)
 	}
 }

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -26,23 +27,31 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("paper: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run regenerates the experiments args select and writes them to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("paper", flag.ExitOnError)
 	var (
-		fig   = flag.String("fig", "", "experiment id to run (see -list)")
-		all   = flag.Bool("all", false, "run every experiment")
-		list  = flag.Bool("list", false, "list experiment ids")
-		quick = flag.Bool("quick", false, "use the reduced trace length")
-		refs  = flag.Int64("refs", 0, "override trace length in references")
-		seed  = flag.Int64("seed", 1, "workload seed")
-		par   = flag.Int("par", 0, "max parallel simulations (0 = GOMAXPROCS)")
-		out   = flag.String("o", "", "also write the output to this file")
+		fig   = fs.String("fig", "", "experiment id to run (see -list)")
+		all   = fs.Bool("all", false, "run every experiment")
+		list  = fs.Bool("list", false, "list experiment ids")
+		quick = fs.Bool("quick", false, "use the reduced trace length")
+		refs  = fs.Int64("refs", 0, "override trace length in references")
+		seed  = fs.Int64("seed", 1, "workload seed")
+		par   = fs.Int("par", 0, "max parallel simulations (0 = GOMAXPROCS)")
+		out   = fs.String("o", "", "also write the output to this file")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: a bad flag exits with usage
 
 	if *list {
 		for _, e := range experiments.All() {
-			fmt.Printf("%-8s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "%-8s %s\n", e.ID, e.Title)
 		}
-		return
+		return nil
 	}
 
 	opt := experiments.DefaultOptions()
@@ -64,29 +73,30 @@ func main() {
 	case *fig != "":
 		e, ok := experiments.ByID(*fig)
 		if !ok {
-			log.Fatalf("unknown experiment %q; known: %s", *fig, strings.Join(experiments.IDs(), ", "))
+			return fmt.Errorf("unknown experiment %q; known: %s", *fig, strings.Join(experiments.IDs(), ", "))
 		}
 		toRun = []experiments.Experiment{e}
 	default:
-		log.Fatal("nothing to do: pass -fig <id>, -all, or -list")
+		return errors.New("nothing to do: pass -fig <id>, -all, or -list")
 	}
 
-	var w io.Writer = os.Stdout
+	w := stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer f.Close()
-		w = io.MultiWriter(os.Stdout, f)
+		w = io.MultiWriter(stdout, f)
 	}
 
 	for _, e := range toRun {
 		start := time.Now()
 		fmt.Fprintf(w, "==== %s: %s ====\n", e.ID, e.Title)
 		if err := e.Run(ctx, w); err != nil {
-			log.Fatalf("experiment %s: %v", e.ID, err)
+			return fmt.Errorf("experiment %s: %w", e.ID, err)
 		}
 		fmt.Fprintf(w, "---- (%s, %d refs) ----\n\n", time.Since(start).Round(time.Millisecond), opt.Refs)
 	}
+	return nil
 }

@@ -64,7 +64,6 @@ func recordCRC(key, data []byte) uint32 {
 // serialize Append and AppendBatch themselves.
 type Journal struct {
 	f    *os.File
-	path string
 	size int64
 	err  error
 }
@@ -99,7 +98,7 @@ func Open(path string) (*Journal, error) {
 		f.Close()
 		return nil, err
 	}
-	j := &Journal{f: f, path: path}
+	j := &Journal{f: f}
 	writeHeader := func() error {
 		hdr, _ := json.Marshal(header{Format: Format, Version: Version})
 		if _, err := f.Write(append(hdr, '\n')); err != nil {
@@ -270,9 +269,6 @@ func recordLine(e Entry) ([]byte, error) {
 	}
 	return line, nil
 }
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
 
 // Size returns the journal's current byte size (header included).
 func (j *Journal) Size() int64 { return j.size }

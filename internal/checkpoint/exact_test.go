@@ -191,7 +191,8 @@ func TestExactDecodesSimulatedResults(t *testing.T) {
 	if dec == nil {
 		t.Fatal("cpu.Result has no exact decoder")
 	}
-	j, err := Open(filepath.Join(t.TempDir(), "results.ckpt"))
+	path := filepath.Join(t.TempDir(), "results.ckpt")
+	j, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestExactDecodesSimulatedResults(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	typed, err := LoadAs[cpu.Result](j.Path())
+	typed, err := LoadAs[cpu.Result](path)
 	if err != nil || typed.Dropped != 0 || len(typed.Records) != len(results) {
 		t.Fatalf("LoadAs: %d records, %d dropped, %v; want %d, 0, nil", len(typed.Records), typed.Dropped, err, len(results))
 	}

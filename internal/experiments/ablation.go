@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -9,6 +10,8 @@ import (
 	"mlcache/internal/mainmem"
 	"mlcache/internal/memsys"
 	"mlcache/internal/report"
+	"mlcache/internal/sweep"
+	"mlcache/internal/trace"
 )
 
 // The ablations quantify the design decisions the paper asserts but does
@@ -17,7 +20,10 @@ import (
 // the value of a third level once memory gets slower (§6's prediction for
 // future hierarchies).
 
-// AblationRow is one configuration of an ablation study.
+// AblationRow is one configuration of an ablation study. Rows are
+// simulated on the grid engine, so a row whose configuration shares its
+// first level with another row's may be a replay: its Run then has empty
+// PerPID and StallHist, which no table reads.
 type AblationRow struct {
 	Label   string
 	Run     cpu.Result
@@ -31,37 +37,107 @@ type AblationResult struct {
 	Rows  []AblationRow
 }
 
-func runConfigs(opt Options, title string, configs []struct {
-	label string
-	cfg   memsys.Config
-}) (AblationResult, error) {
-	res := AblationResult{Title: title}
-	arena, err := opt.arena()
-	if err != nil {
-		return res, err
-	}
-	for _, c := range configs {
-		h, err := memsys.New(c.cfg)
-		if err != nil {
-			return res, fmt.Errorf("%s / %s: %w", title, c.label, err)
-		}
-		run, err := cpu.Run(h, arena.Cursor(), opt.CPU())
-		if err != nil {
-			return res, fmt.Errorf("%s / %s: %w", title, c.label, err)
-		}
-		res.Rows = append(res.Rows, AblationRow{
-			Label:   c.label,
-			Run:     run,
-			RelTime: run.RelTime,
-			CPI:     run.CPI,
-		})
-	}
-	return res, nil
+// ablationStudy declares one ablation table: its title and the labelled
+// configurations it compares.
+type ablationStudy struct {
+	title   string
+	configs []labelledConfig
 }
 
-type labelledConfig = struct {
+type labelledConfig struct {
 	label string
 	cfg   memsys.Config
+	// flush simulates the configuration with cpu.Config.FlushOnSwitch;
+	// its label then gains the number of switches flushed.
+	flush bool
+}
+
+// ablationStudies declares every study, in the order All lists them.
+func ablationStudies() []ablationStudy {
+	return []ablationStudy{
+		writeBufferStudy(), writePolicyStudy(), l2BlockStudy(), prefetchStudy(),
+		thirdLevelStudy(), flushStudy(), pageModeStudy(), tlbStudy(),
+	}
+}
+
+// runStudy simulates one study on its own trace.
+func runStudy(opt Options, s ablationStudy) (AblationResult, error) {
+	arena, err := opt.arena()
+	if err != nil {
+		return AblationResult{}, err
+	}
+	res, err := runStudies(arena, opt, []ablationStudy{s})
+	if err != nil {
+		return AblationResult{}, err
+	}
+	return res[0], nil
+}
+
+// runStudies simulates every configuration of the studies over one arena
+// in one sweep.Runner pass, so configurations sharing a first level share
+// one capture. The flushed configurations differ in their cpu.Config and
+// run on a second Runner over the same arena.
+func runStudies(arena *trace.Arena, opt Options, studies []ablationStudy) ([]AblationResult, error) {
+	out := make([]AblationResult, len(studies))
+	for i, s := range studies {
+		out[i] = AblationResult{Title: s.title, Rows: make([]AblationRow, len(s.configs))}
+	}
+	type cell struct{ study, row int }
+	for _, flush := range []bool{false, true} {
+		var cfgs []memsys.Config
+		var cells []cell
+		for i, s := range studies {
+			for j, c := range s.configs {
+				if c.flush == flush {
+					cfgs = append(cfgs, c.cfg)
+					cells = append(cells, cell{i, j})
+				}
+			}
+		}
+		if len(cfgs) == 0 {
+			continue
+		}
+		runner := sweep.Runner{
+			// Point.L2Assoc carries the configuration's index for this sweep.
+			Configure:   func(pt sweep.Point) memsys.Config { return cfgs[pt.L2Assoc] },
+			Arena:       arena,
+			CPU:         opt.CPU(),
+			Parallelism: opt.Parallelism,
+		}
+		runner.CPU.FlushOnSwitch = flush
+		pts := make([]sweep.Point, len(cfgs))
+		for i := range pts {
+			pts[i] = sweep.Point{L2Assoc: i}
+		}
+		results, err := runner.RunContext(context.Background(), pts, sweep.Options{})
+		if err != nil {
+			return nil, err
+		}
+		for i, r := range results {
+			s := studies[cells[i].study]
+			c := s.configs[cells[i].row]
+			if r.Err != nil {
+				return nil, fmt.Errorf("%s / %s: %w", s.title, c.label, r.Err)
+			}
+			label := c.label
+			if flush {
+				label = fmt.Sprintf("%s (%d switches)", label, r.Run.Switches)
+			}
+			out[cells[i].study].Rows[cells[i].row] = AblationRow{
+				Label:   label,
+				Run:     r.Run,
+				RelTime: r.Run.RelTime,
+				CPI:     r.Run.CPI,
+			}
+		}
+	}
+	return out, nil
+}
+
+// baseConfig is the base machine with the 512 KB, 3-cycle L2 every
+// ablation varies.
+func baseConfig(mem mainmem.Config) memsys.Config {
+	return BaseMachine(4, L2Config(512*1024, 3*CPUCycleNS, 1), mem)
 }
 
 // AblateWriteBuffers varies the write-buffer depth on the base machine.
@@ -69,28 +145,36 @@ type labelledConfig = struct {
 // caches with a large amount of write buffering. The writes are mostly
 // hidden between the read requests." Removing the buffers exposes them.
 func AblateWriteBuffers(opt Options) (AblationResult, error) {
-	var configs []labelledConfig
+	return runStudy(opt, writeBufferStudy())
+}
+
+func writeBufferStudy() ablationStudy {
+	s := ablationStudy{title: "write-buffer depth (base machine)"}
 	for _, depth := range []int{-1, 1, 2, 4, 8} {
-		cfg := BaseMachine(4, L2Config(512*1024, 3*CPUCycleNS, 1), mainmem.Base())
+		cfg := baseConfig(mainmem.Base())
 		cfg.WBDepth = depth
 		label := fmt.Sprintf("depth %d", depth)
 		if depth == -1 {
 			label = "unbuffered"
 		}
-		configs = append(configs, labelledConfig{label, cfg})
+		s.configs = append(s.configs, labelledConfig{label: label, cfg: cfg})
 	}
-	return runConfigs(opt, "write-buffer depth (base machine)", configs)
+	return s
 }
 
 // AblateWritePolicy compares write-back against write-through first-level
 // data caches (with and without allocation).
 func AblateWritePolicy(opt Options) (AblationResult, error) {
+	return runStudy(opt, writePolicyStudy())
+}
+
+func writePolicyStudy() ablationStudy {
 	mk := func(label string, mutate func(*memsys.Config)) labelledConfig {
-		cfg := BaseMachine(4, L2Config(512*1024, 3*CPUCycleNS, 1), mainmem.Base())
+		cfg := baseConfig(mainmem.Base())
 		mutate(&cfg)
-		return labelledConfig{label, cfg}
+		return labelledConfig{label: label, cfg: cfg}
 	}
-	configs := []labelledConfig{
+	return ablationStudy{title: "L1D write policy (base machine)", configs: []labelledConfig{
 		mk("write-back", func(*memsys.Config) {}),
 		mk("write-through, allocate", func(c *memsys.Config) {
 			c.L1D.Cache.Write = cache.WriteThrough
@@ -99,50 +183,56 @@ func AblateWritePolicy(opt Options) (AblationResult, error) {
 			c.L1D.Cache.Write = cache.WriteThrough
 			c.L1D.Cache.Alloc = cache.NoWriteAllocate
 		}),
-	}
-	return runConfigs(opt, "L1D write policy (base machine)", configs)
+	}}
 }
 
 // AblateL2Block varies the L2 block size at fixed 512 KB capacity: longer
 // blocks exploit spatial locality but raise the miss penalty (more bus
 // beats) and can raise the miss ratio through prefetch pollution.
 func AblateL2Block(opt Options) (AblationResult, error) {
-	var configs []labelledConfig
+	return runStudy(opt, l2BlockStudy())
+}
+
+func l2BlockStudy() ablationStudy {
+	s := ablationStudy{title: "L2 block size at 512KB (base machine)"}
 	for _, block := range []int{16, 32, 64, 128} {
-		l2 := L2Config(512*1024, 3*CPUCycleNS, 1)
-		l2.Cache.BlockBytes = block
-		cfg := BaseMachine(4, l2, mainmem.Base())
-		configs = append(configs, labelledConfig{fmt.Sprintf("%dB blocks", block), cfg})
+		cfg := baseConfig(mainmem.Base())
+		cfg.Down[0].Cache.BlockBytes = block
+		s.configs = append(s.configs, labelledConfig{label: fmt.Sprintf("%dB blocks", block), cfg: cfg})
 	}
-	return runConfigs(opt, "L2 block size at 512KB (base machine)", configs)
+	return s
 }
 
 // AblatePrefetch toggles next-block prefetching at each level of the base
 // machine.
 func AblatePrefetch(opt Options) (AblationResult, error) {
+	return runStudy(opt, prefetchStudy())
+}
+
+func prefetchStudy() ablationStudy {
 	mk := func(label string, l1, l2 bool) labelledConfig {
-		cfg := BaseMachine(4, L2Config(512*1024, 3*CPUCycleNS, 1), mainmem.Base())
+		cfg := baseConfig(mainmem.Base())
 		cfg.L1I.Prefetch = l1
 		cfg.L1D.Prefetch = l1
 		cfg.Down[0].Prefetch = l2
-		return labelledConfig{label, cfg}
+		return labelledConfig{label: label, cfg: cfg}
 	}
-	configs := []labelledConfig{
+	return ablationStudy{title: "next-block prefetch (base machine)", configs: []labelledConfig{
 		mk("none", false, false),
 		mk("L1 only", true, false),
 		mk("L2 only", false, true),
 		mk("L1 + L2", true, true),
-	}
-	return runConfigs(opt, "next-block prefetch (base machine)", configs)
+	}}
 }
 
 // AblateThirdLevel compares two- and three-level hierarchies under the
 // base and the 2x-slower memory: the paper's §6 — as the CPU–memory gap
 // grows, deeper hierarchies win.
 func AblateThirdLevel(opt Options) (AblationResult, error) {
-	two := func(mem mainmem.Config) memsys.Config {
-		return BaseMachine(4, L2Config(512*1024, 3*CPUCycleNS, 1), mem)
-	}
+	return runStudy(opt, thirdLevelStudy())
+}
+
+func thirdLevelStudy() ablationStudy {
 	three := func(mem mainmem.Config) memsys.Config {
 		cfg := BaseMachine(4, L2Config(64*1024, 2*CPUCycleNS, 1), mem)
 		l3 := L2Config(2*1024*1024, 5*CPUCycleNS, 1)
@@ -151,13 +241,12 @@ func AblateThirdLevel(opt Options) (AblationResult, error) {
 		cfg.Down = append(cfg.Down, l3)
 		return cfg
 	}
-	configs := []labelledConfig{
-		{"2-level, base memory", two(mainmem.Base())},
-		{"3-level, base memory", three(mainmem.Base())},
-		{"2-level, slow memory", two(mainmem.Slow())},
-		{"3-level, slow memory", three(mainmem.Slow())},
-	}
-	return runConfigs(opt, "hierarchy depth vs memory speed", configs)
+	return ablationStudy{title: "hierarchy depth vs memory speed", configs: []labelledConfig{
+		{label: "2-level, base memory", cfg: baseConfig(mainmem.Base())},
+		{label: "3-level, base memory", cfg: three(mainmem.Base())},
+		{label: "2-level, slow memory", cfg: baseConfig(mainmem.Slow())},
+		{label: "3-level, slow memory", cfg: three(mainmem.Slow())},
+	}}
 }
 
 // AblatePageModeDRAM compares the paper's flat memory model against
@@ -165,22 +254,26 @@ func AblateThirdLevel(opt Options) (AblationResult, error) {
 // without write-buffer coalescing — two memory-system refinements the
 // paper's era was adopting.
 func AblatePageModeDRAM(opt Options) (AblationResult, error) {
+	return runStudy(opt, pageModeStudy())
+}
+
+func pageModeStudy() ablationStudy {
 	mk := func(label string, pageMode, coalesce bool) labelledConfig {
 		mem := mainmem.Base()
 		if pageMode {
 			mem = mem.WithPageMode(2048, 60)
 		}
-		cfg := BaseMachine(4, L2Config(512*1024, 3*CPUCycleNS, 1), mem)
+		cfg := baseConfig(mem)
 		cfg.WBCoalesce = coalesce
-		return labelledConfig{label, cfg}
+		return labelledConfig{label: label, cfg: cfg}
 	}
 	wt := func(label string, coalesce bool) labelledConfig {
-		cfg := BaseMachine(4, L2Config(512*1024, 3*CPUCycleNS, 1), mainmem.Base())
+		cfg := baseConfig(mainmem.Base())
 		cfg.L1D.Cache.Write = cache.WriteThrough
 		cfg.WBCoalesce = coalesce
-		return labelledConfig{label, cfg}
+		return labelledConfig{label: label, cfg: cfg}
 	}
-	configs := []labelledConfig{
+	return ablationStudy{title: "memory-system refinements (base machine)", configs: []labelledConfig{
 		mk("flat memory (paper)", false, false),
 		mk("page-mode DRAM", true, false),
 		// Coalescing barely matters for write-back victims (distinct
@@ -190,59 +283,42 @@ func AblatePageModeDRAM(opt Options) (AblationResult, error) {
 		mk("page-mode + coalescing", true, true),
 		wt("write-through L1D", false),
 		wt("write-through + coalescing", true),
-	}
-	return runConfigs(opt, "memory-system refinements (base machine)", configs)
+	}}
 }
 
 // AblateFlushOnSwitch compares the paper's physical (never-flushed) L1s
 // against virtually-indexed L1s flushed at every context switch, on the
 // multiprogramming workload.
 func AblateFlushOnSwitch(opt Options) (AblationResult, error) {
-	res := AblationResult{Title: "L1 flushing at context switches (base machine)"}
-	arena, err := opt.arena()
-	if err != nil {
-		return res, err
-	}
-	for _, flush := range []bool{false, true} {
-		h, err := memsys.New(BaseMachine(4, L2Config(512*1024, 3*CPUCycleNS, 1), mainmem.Base()))
-		if err != nil {
-			return res, err
-		}
-		cpuCfg := opt.CPU()
-		cpuCfg.FlushOnSwitch = flush
-		run, err := cpu.Run(h, arena.Cursor(), cpuCfg)
-		if err != nil {
-			return res, err
-		}
-		label := "physical L1 (no flush)"
-		if flush {
-			label = fmt.Sprintf("flush on switch (%d switches)", run.Switches)
-		}
-		res.Rows = append(res.Rows, AblationRow{
-			Label:   label,
-			Run:     run,
-			RelTime: run.RelTime,
-			CPI:     run.CPI,
-		})
-	}
-	return res, nil
+	return runStudy(opt, flushStudy())
+}
+
+func flushStudy() ablationStudy {
+	return ablationStudy{title: "L1 flushing at context switches (base machine)", configs: []labelledConfig{
+		{label: "physical L1 (no flush)", cfg: baseConfig(mainmem.Base())},
+		{label: "flush on switch", cfg: baseConfig(mainmem.Base()), flush: true},
+	}}
 }
 
 // AblateTLB adds address translation to the base machine at several TLB
 // reaches. The paper's simulator runs on post-translation traces (no TLB);
 // this quantifies what that omission is worth.
 func AblateTLB(opt Options) (AblationResult, error) {
-	var configs []labelledConfig
+	return runStudy(opt, tlbStudy())
+}
+
+func tlbStudy() ablationStudy {
+	s := ablationStudy{title: "TLB reach (base machine)"}
 	for _, entries := range []int{0, 16, 64, 256} {
-		cfg := BaseMachine(4, L2Config(512*1024, 3*CPUCycleNS, 1), mainmem.Base())
+		cfg := baseConfig(mainmem.Base())
 		cfg.TLB = memsys.TLBConfig{Entries: entries}
 		label := fmt.Sprintf("%d-entry TLB", entries)
 		if entries == 0 {
 			label = "no TLB (paper)"
 		}
-		configs = append(configs, labelledConfig{label, cfg})
+		s.configs = append(s.configs, labelledConfig{label: label, cfg: cfg})
 	}
-	return runConfigs(opt, "TLB reach (base machine)", configs)
+	return s
 }
 
 // RenderAblation renders an ablation table.

@@ -12,6 +12,8 @@
 package experiments
 
 import (
+	"sync/atomic"
+
 	"mlcache/internal/cache"
 	"mlcache/internal/cpu"
 	"mlcache/internal/mainmem"
@@ -45,12 +47,18 @@ func QuickOptions() Options {
 	return Options{Seed: 1, Refs: 200_000, Warmup: 40_000}
 }
 
-// arena materializes the experiment workload. Each driver calls it once
-// and shares the arena across all of its simulations through cursors; the
-// arena is dropped when the driver returns.
+// arena materializes the experiment workload. Each computation that a
+// Context memoizes, and each driver run without one, calls it once and
+// shares the arena across all of its simulations through cursors; the
+// arena is dropped when the computation returns.
 func (o Options) arena() (*trace.Arena, error) {
+	generations.Add(1)
 	return synth.PaperArena(o.Seed, o.Refs)
 }
+
+// generations counts the calls of arena, so tests can pin how many times
+// one pass over All generates the trace.
+var generations atomic.Int64
 
 // CPU returns the CPU configuration for the options.
 func (o Options) CPU() cpu.Config {

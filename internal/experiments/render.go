@@ -30,22 +30,22 @@ func All() []Experiment {
 		{"5-2", "Set size 4 break-even times (Figure 5-2)", runFig5(4)},
 		{"5-3", "Set size 8 break-even times (Figure 5-3)", runFig5(8)},
 		{"derived", "Derived scalar claims (§4-§6)", runDerived},
-		{"abl-wbuf", "Ablation: write-buffer depth (§4 footnote 2)", runAblation(AblateWriteBuffers)},
-		{"abl-policy", "Ablation: L1D write policy", runAblation(AblateWritePolicy)},
-		{"abl-block", "Ablation: L2 block size", runAblation(AblateL2Block)},
-		{"abl-prefetch", "Ablation: next-block prefetch", runAblation(AblatePrefetch)},
-		{"abl-3level", "Ablation: hierarchy depth vs memory speed (§6)", runAblation(AblateThirdLevel)},
-		{"abl-flush", "Ablation: L1 flushing at context switches", runAblation(AblateFlushOnSwitch)},
-		{"abl-dram", "Ablation: page-mode DRAM and write coalescing", runAblation(AblatePageModeDRAM)},
-		{"abl-tlb", "Ablation: TLB reach and walk cost", runAblation(AblateTLB)},
+		{"abl-wbuf", "Ablation: write-buffer depth (§4 footnote 2)", runAblation(writeBufferStudy)},
+		{"abl-policy", "Ablation: L1D write policy", runAblation(writePolicyStudy)},
+		{"abl-block", "Ablation: L2 block size", runAblation(l2BlockStudy)},
+		{"abl-prefetch", "Ablation: next-block prefetch", runAblation(prefetchStudy)},
+		{"abl-3level", "Ablation: hierarchy depth vs memory speed (§6)", runAblation(thirdLevelStudy)},
+		{"abl-flush", "Ablation: L1 flushing at context switches", runAblation(flushStudy)},
+		{"abl-dram", "Ablation: page-mode DRAM and write coalescing", runAblation(pageModeStudy)},
+		{"abl-tlb", "Ablation: TLB reach and walk cost", runAblation(tlbStudy)},
 		{"l1opt", "Optimal L1 size vs L2 cycle time (§6)", runL1Size},
 		{"model-check", "Equation 1 vs timing simulation", runModelCheck},
 	}
 }
 
-func runAblation(f func(Options) (AblationResult, error)) func(*Context, io.Writer) error {
+func runAblation(study func() ablationStudy) func(*Context, io.Writer) error {
 	return func(ctx *Context, w io.Writer) error {
-		res, err := f(ctx.Opt)
+		res, err := ctx.ablation(study().title)
 		if err != nil {
 			return err
 		}

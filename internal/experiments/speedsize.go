@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"mlcache/internal/contour"
 	"mlcache/internal/mainmem"
 	"mlcache/internal/memsys"
 	"mlcache/internal/sweep"
+	"mlcache/internal/trace"
 )
 
 // SpeedSizeResult is the data behind Figure 4-1 (relative execution time
@@ -31,11 +33,27 @@ type SpeedSizeResult struct {
 // the base machine (Figures 4-1/4-2/4-3) or the 2×-slower memory of
 // Figure 4-4.
 func SpeedSize(l1TotalKB int, assoc int, mem mainmem.Config, grid sweep.Grid, opt Options) (SpeedSizeResult, error) {
-	res := SpeedSizeResult{L1TotalKB: l1TotalKB, Memory: mem, Grid: grid}
 	arena, err := opt.arena()
 	if err != nil {
-		return res, err
+		return SpeedSizeResult{}, err
 	}
+	rs, err := speedSizes(arena, l1TotalKB, mem, []surfaceSpec{{assoc, grid}}, opt)
+	if err != nil {
+		return SpeedSizeResult{}, err
+	}
+	return rs[0], nil
+}
+
+// surfaceSpec is one speed–size surface of a sweep: an L2 set size and the
+// grid it covers.
+type surfaceSpec struct {
+	assoc int
+	grid  sweep.Grid
+}
+
+// speedSizes computes the surface of every spec over one arena in one
+// sweep. The specs share the L1 and the memory, hence one capture.
+func speedSizes(arena *trace.Arena, l1TotalKB int, mem mainmem.Config, specs []surfaceSpec, opt Options) ([]SpeedSizeResult, error) {
 	runner := sweep.Runner{
 		Configure: func(pt sweep.Point) memsys.Config {
 			return BaseMachine(l1TotalKB, L2Config(pt.L2SizeBytes, pt.L2CycleNS, pt.L2Assoc), mem)
@@ -45,29 +63,75 @@ func SpeedSize(l1TotalKB int, assoc int, mem mainmem.Config, grid sweep.Grid, op
 		Parallelism: opt.Parallelism,
 	}
 	var pts []sweep.Point
-	for _, s := range grid.SizesBytes {
-		for _, c := range grid.CyclesNS {
-			pts = append(pts, sweep.Point{L2SizeBytes: s, L2CycleNS: c, L2Assoc: assoc})
+	for _, sp := range specs {
+		for _, s := range sp.grid.SizesBytes {
+			for _, c := range sp.grid.CyclesNS {
+				pts = append(pts, sweep.Point{L2SizeBytes: s, L2CycleNS: c, L2Assoc: sp.assoc})
+			}
 		}
 	}
 	results, err := runner.RunPoints(pts)
 	if err != nil {
-		return res, fmt.Errorf("speed-size sweep: %w", err)
+		return nil, fmt.Errorf("speed-size sweep: %w", err)
 	}
+	out := make([]SpeedSizeResult, len(specs))
 	k := 0
-	res.Rel = make([][]float64, len(grid.SizesBytes))
-	res.TimeNS = make([][]int64, len(grid.SizesBytes))
-	for i := range grid.SizesBytes {
-		res.Rel[i] = make([]float64, len(grid.CyclesNS))
-		res.TimeNS[i] = make([]int64, len(grid.CyclesNS))
-		for j := range grid.CyclesNS {
-			res.Rel[i][j] = results[k].Run.RelTime
-			res.TimeNS[i][j] = results[k].Run.TimeNS
-			k++
+	for n, sp := range specs {
+		res := SpeedSizeResult{L1TotalKB: l1TotalKB, Memory: mem, Grid: sp.grid}
+		res.Rel = make([][]float64, len(sp.grid.SizesBytes))
+		res.TimeNS = make([][]int64, len(sp.grid.SizesBytes))
+		res.L1GlobalMiss = results[k].Run.Mem.L1GlobalReadMissRatio()
+		for i := range sp.grid.SizesBytes {
+			res.Rel[i] = make([]float64, len(sp.grid.CyclesNS))
+			res.TimeNS[i] = make([]int64, len(sp.grid.CyclesNS))
+			for j := range sp.grid.CyclesNS {
+				res.Rel[i][j] = results[k].Run.RelTime
+				res.TimeNS[i][j] = results[k].Run.TimeNS
+				k++
+			}
+		}
+		out[n] = res
+	}
+	return out, nil
+}
+
+// subSurface returns the part of r on grid when r's grid holds every size
+// and cycle time of grid: r itself when the grids are equal, a copy of the
+// sub-matrix otherwise. The L1 is the same at every point, so the copy
+// keeps r's L1GlobalMiss.
+func (r SpeedSizeResult) subSurface(grid sweep.Grid) (SpeedSizeResult, bool) {
+	if slices.Equal(r.Grid.SizesBytes, grid.SizesBytes) && slices.Equal(r.Grid.CyclesNS, grid.CyclesNS) {
+		return r, true
+	}
+	rows := indexesIn(r.Grid.SizesBytes, grid.SizesBytes)
+	cols := indexesIn(r.Grid.CyclesNS, grid.CyclesNS)
+	if rows == nil || cols == nil {
+		return SpeedSizeResult{}, false
+	}
+	sub := SpeedSizeResult{L1TotalKB: r.L1TotalKB, Memory: r.Memory, Grid: grid, L1GlobalMiss: r.L1GlobalMiss}
+	sub.Rel = make([][]float64, len(rows))
+	sub.TimeNS = make([][]int64, len(rows))
+	for i, ri := range rows {
+		sub.Rel[i] = make([]float64, len(cols))
+		sub.TimeNS[i] = make([]int64, len(cols))
+		for j, cj := range cols {
+			sub.Rel[i][j] = r.Rel[ri][cj]
+			sub.TimeNS[i][j] = r.TimeNS[ri][cj]
 		}
 	}
-	res.L1GlobalMiss = results[0].Run.Mem.L1GlobalReadMissRatio()
-	return res, nil
+	return sub, true
+}
+
+// indexesIn returns the index in have of each value of want, or nil when
+// have lacks one of them.
+func indexesIn(have, want []int64) []int {
+	idx := make([]int, len(want))
+	for i, v := range want {
+		if idx[i] = slices.Index(have, v); idx[i] < 0 {
+			return nil
+		}
+	}
+	return idx
 }
 
 // Fig4Grid is the design space of Figures 4-1 through 4-4: L2 sizes

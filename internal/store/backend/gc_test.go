@@ -175,7 +175,8 @@ func TestGCTieredReclaimsBothTiers(t *testing.T) {
 // running concurrently with fetches never delete a reachable (rooted)
 // or pinned object. Fetched bytes must verify after every cycle.
 func TestGCConcurrentWithFetches(t *testing.T) {
-	tiered, fake := newTiered(t)
+	dir := t.TempDir()
+	tiered, fake := newTieredAt(t, dir)
 	ctx := context.Background()
 
 	// Live set: rooted objects workers fetch throughout. Garbage: aged
@@ -198,9 +199,9 @@ func TestGCConcurrentWithFetches(t *testing.T) {
 	// safety for live objects must come from roots and pins alone.
 	ageLocal := func() {
 		old := time.Now().Add(-24 * time.Hour)
-		ents, _ := os.ReadDir(tiered.Local.Dir())
+		ents, _ := os.ReadDir(dir)
 		for _, e := range ents {
-			p := tiered.Local.Dir() + "/" + e.Name()
+			p := dir + "/" + e.Name()
 			os.Chtimes(p, old, old)
 		}
 	}

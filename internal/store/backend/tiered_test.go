@@ -29,8 +29,14 @@ import (
 // newTiered composes an empty local tier over a fake-S3 remote.
 func newTiered(t *testing.T) (*backend.Tiered, *fakes3.Server) {
 	t.Helper()
+	return newTieredAt(t, t.TempDir())
+}
+
+// newTieredAt is newTiered with the local tier in dir.
+func newTieredAt(t *testing.T, dir string) (*backend.Tiered, *fakes3.Server) {
+	t.Helper()
 	s3, fake := newFakeS3(t)
-	local, err := store.OpenFileStore(t.TempDir())
+	local, err := store.OpenFileStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +530,8 @@ func TestTieredLyingOriginCommitsNothing(t *testing.T) {
 				w.Write(tc.body)
 			}))
 			defer srv.Close()
-			local, err := store.OpenFileStore(t.TempDir())
+			dir := t.TempDir()
+			local, err := store.OpenFileStore(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -533,7 +540,7 @@ func TestTieredLyingOriginCommitsNothing(t *testing.T) {
 			if _, err := tiered.Resolve(d); !errors.Is(err, store.ErrDigestMismatch) {
 				t.Fatalf("want ErrDigestMismatch, got %v", err)
 			}
-			ents, _ := os.ReadDir(local.Dir())
+			ents, _ := os.ReadDir(dir)
 			for _, e := range ents {
 				t.Errorf("failed fill left %s behind", e.Name())
 			}
@@ -550,7 +557,8 @@ func TestTieredLyingOriginCommitsNothing(t *testing.T) {
 func TestTieredAbsentObjectIsTerminal(t *testing.T) {
 	backend.ShortenRetryWaits(t)
 	remote, gets := httpOrigin(t, store.Static{})
-	local, err := store.OpenFileStore(t.TempDir())
+	dir := t.TempDir()
+	local, err := store.OpenFileStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,7 +572,7 @@ func TestTieredAbsentObjectIsTerminal(t *testing.T) {
 	if n := gets.Load(); n != 1 {
 		t.Fatalf("%d GETs for an absent object, want 1", n)
 	}
-	ents, _ := os.ReadDir(local.Dir())
+	ents, _ := os.ReadDir(dir)
 	for _, e := range ents {
 		t.Errorf("failed fill left %s behind", e.Name())
 	}
@@ -603,13 +611,14 @@ func TestTieredSurvivesS3Faults(t *testing.T) {
 		})
 	}
 	t.Run("gives up cleanly", func(t *testing.T) {
-		tiered, fake := newTiered(t)
+		dir := t.TempDir()
+		tiered, fake := newTieredAt(t, dir)
 		d := seedObject(fake, testBlob(8192, 5))
 		fake.SetFaults(fakes3.Faults{CorruptGets: 100})
 		if _, err := tiered.Resolve(d); !errors.Is(err, store.ErrDigestMismatch) {
 			t.Fatalf("fill of a permanently corrupt object: %v, want ErrDigestMismatch", err)
 		}
-		ents, _ := os.ReadDir(tiered.Local.Dir())
+		ents, _ := os.ReadDir(dir)
 		for _, e := range ents {
 			t.Errorf("failed fill left %s behind", e.Name())
 		}
@@ -691,7 +700,8 @@ func TestTieredDeadRemoteCostsOneBudget(t *testing.T) {
 				tc.serve(w, requests.Add(1))
 			}))
 			defer srv.Close()
-			local, err := store.OpenFileStore(t.TempDir())
+			dir := t.TempDir()
+			local, err := store.OpenFileStore(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -703,7 +713,7 @@ func TestTieredDeadRemoteCostsOneBudget(t *testing.T) {
 			if n := requests.Load(); n != tc.want {
 				t.Fatalf("%d requests for one promotion, want %d", n, tc.want)
 			}
-			ents, _ := os.ReadDir(local.Dir())
+			ents, _ := os.ReadDir(dir)
 			for _, e := range ents {
 				t.Errorf("failed fill left %s behind", e.Name())
 			}

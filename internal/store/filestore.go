@@ -106,9 +106,6 @@ func OpenFileStore(dir string) (*FileStore, error) {
 	return &FileStore{dir: dir}, nil
 }
 
-// Dir returns the store's directory.
-func (s *FileStore) Dir() string { return s.dir }
-
 func (s *FileStore) objectPath(d Digest) string {
 	return filepath.Join(s.dir, d.Hex()+objectSuffix)
 }

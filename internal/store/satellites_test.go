@@ -51,7 +51,7 @@ func TestFileStorePutConcurrentDistinctDigests(t *testing.T) {
 	// Wait until A's Put is actually staging (holding its digest lock).
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		ents, _ := os.ReadDir(s.Dir())
+		ents, _ := os.ReadDir(s.dir)
 		staging := false
 		for _, e := range ents {
 			if strings.HasSuffix(e.Name(), ".tmp") {

@@ -77,7 +77,7 @@ func TestFileStorePutVerifyAndReject(t *testing.T) {
 	if _, err := fs.Resolve(bogus); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("mismatched upload was committed: %v", err)
 	}
-	ents, _ := os.ReadDir(fs.Dir())
+	ents, _ := os.ReadDir(fs.dir)
 	for _, e := range ents {
 		if strings.HasSuffix(e.Name(), ".tmp") {
 			t.Fatalf("staging file %s left behind", e.Name())

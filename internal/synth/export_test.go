@@ -44,3 +44,6 @@ func (c StackConfig) TailProb(n int) float64 {
 	}
 	return p
 }
+
+// Lines returns the footprint in lines.
+func (s *Stack) Lines() int { return len(s.stack) }

@@ -267,6 +267,3 @@ func (t *depthTable) lookup(u float64) (int, bool) {
 	st := &t.steps[j]
 	return st.depth, u < st.hi
 }
-
-// Lines returns the footprint in lines.
-func (s *Stack) Lines() int { return len(s.stack) }

@@ -251,9 +251,6 @@ func (a *Artifact) Arena() *Arena { return a.arena }
 // Len returns the number of references in the artifact.
 func (a *Artifact) Len() int { return a.arena.Len() }
 
-// Path returns the file the artifact was opened from.
-func (a *Artifact) Path() string { return a.srcPath }
-
 // Checksum returns the CRC-32C of the artifact's record region, the
 // content identity a workload cache keys on.
 func (a *Artifact) Checksum() uint32 { return a.checksum }
@@ -280,13 +277,6 @@ func (a *Artifact) Unpin() {
 		panic("trace: artifact Unpin without Pin")
 	}
 	a.pins--
-}
-
-// Pins returns the current reader count.
-func (a *Artifact) Pins() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.pins
 }
 
 // Close releases the mapping (if any). While readers hold pins it fails

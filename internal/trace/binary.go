@@ -31,7 +31,6 @@ type BinaryWriter struct {
 	prevAddr uint64
 	prevPID  uint16
 	started  bool
-	n        int64
 	err      error
 }
 
@@ -81,7 +80,6 @@ func (b *BinaryWriter) Write(r Ref) error {
 		b.prevPID = r.PID
 	}
 	b.prevAddr = r.Addr
-	b.n++
 	return nil
 }
 
@@ -102,9 +100,6 @@ func (b *BinaryWriter) Flush() error {
 	b.err = b.w.Flush()
 	return b.err
 }
-
-// Count returns the number of references written so far.
-func (b *BinaryWriter) Count() int64 { return b.n }
 
 // BinaryReader reads references in the binary format. It implements Stream.
 type BinaryReader struct {

@@ -60,9 +60,6 @@ func (t *TextWriter) Flush() error {
 	return t.err
 }
 
-// Count returns the number of references written so far.
-func (t *TextWriter) Count() int64 { return t.n }
-
 // TextReader reads references in the text format. It implements Stream.
 type TextReader struct {
 	sc   *bufio.Scanner

@@ -127,9 +127,6 @@ type Counts struct {
 // Total returns the total number of references counted.
 func (c Counts) Total() int64 { return c.IFetch + c.Load + c.Store }
 
-// Reads returns the number of read references (ifetches + loads).
-func (c Counts) Reads() int64 { return c.IFetch + c.Load }
-
 // Add increments the tally for one reference kind.
 func (c *Counts) Add(k Kind) {
 	switch k {
@@ -139,22 +136,5 @@ func (c *Counts) Add(k Kind) {
 		c.Load++
 	case Store:
 		c.Store++
-	}
-}
-
-// Count consumes the entire stream and tallies it. When s is a Lenient
-// stream the records it skipped land in Counts.Skipped.
-func Count(s Stream) (Counts, error) {
-	var c Counts
-	for {
-		r, err := s.Next()
-		if errors.Is(err, io.EOF) {
-			c.Skipped, _ = Skips(s)
-			return c, nil
-		}
-		if err != nil {
-			return c, err
-		}
-		c.Add(r.Kind)
 	}
 }
