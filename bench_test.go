@@ -131,62 +131,26 @@ func BenchmarkDerived(b *testing.B) {
 	b.ReportMetric(shift, "contour-shift-8x")
 }
 
-func benchAblation(b *testing.B, f func(experiments.Options) (experiments.AblationResult, error)) {
+// BenchmarkAblations regenerates one ablation table (abl-wbuf, §4
+// footnote 2) on a fresh Context, which simulates all eight studies in one
+// sweep over one trace: any other abl-* table would time the same work.
+func BenchmarkAblations(b *testing.B) {
+	e, _ := experiments.ByID("abl-wbuf")
 	b.ReportAllocs()
-	var spread float64
 	for i := 0; i < b.N; i++ {
-		res, err := f(benchOptions())
-		if err != nil {
+		if err := e.Run(experiments.NewContext(benchOptions()), io.Discard); err != nil {
 			b.Fatal(err)
 		}
-		lo, hi := res.Rows[0].RelTime, res.Rows[0].RelTime
-		for _, r := range res.Rows {
-			if r.RelTime < lo {
-				lo = r.RelTime
-			}
-			if r.RelTime > hi {
-				hi = r.RelTime
-			}
-		}
-		spread = hi - lo
 	}
-	b.ReportMetric(spread, "reltime-spread")
 }
 
-// BenchmarkAblationWriteBuffers regenerates the write-buffer-depth
-// ablation (§4 footnote 2).
-func BenchmarkAblationWriteBuffers(b *testing.B) {
-	benchAblation(b, experiments.AblateWriteBuffers)
-}
-
-// BenchmarkAblationWritePolicy regenerates the L1D write-policy ablation.
-func BenchmarkAblationWritePolicy(b *testing.B) {
-	benchAblation(b, experiments.AblateWritePolicy)
-}
-
-// BenchmarkAblationL2Block regenerates the L2 block-size ablation.
-func BenchmarkAblationL2Block(b *testing.B) {
-	benchAblation(b, experiments.AblateL2Block)
-}
-
-// BenchmarkAblationPrefetch regenerates the prefetch ablation.
-func BenchmarkAblationPrefetch(b *testing.B) {
-	benchAblation(b, experiments.AblatePrefetch)
-}
-
-// BenchmarkAblationThirdLevel regenerates the hierarchy-depth ablation
-// (§6).
-func BenchmarkAblationThirdLevel(b *testing.B) {
-	benchAblation(b, experiments.AblateThirdLevel)
-}
-
-// BenchmarkL1Opt regenerates the §6 optimal-L1-vs-L2-cycle-time table.
+// BenchmarkL1Opt regenerates the §6 optimal-L1-vs-L2-cycle-time table on a
+// fresh Context: the full 6 L1 sizes × 8 L2 cycle times.
 func BenchmarkL1Opt(b *testing.B) {
 	b.ReportAllocs()
 	var largest int
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.L1Size([]int{2, 4, 8, 16, 32},
-			[]int64{10, 30, 50, 80}, 1.5, benchOptions())
+		res, err := experiments.NewContext(benchOptions()).L1Size()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -164,7 +164,7 @@ func main() {
 		log.Fatal("-s3-endpoint needs -join: only workers fill their artifact cache from a bucket")
 	}
 
-	loS, hiS, err := parseRange(*sizesArg)
+	loS, hiS, err := parseSizes(*sizesArg)
 	if err != nil {
 		log.Fatalf("bad -sizes: %v", err)
 	}
@@ -570,6 +570,19 @@ func parseRange(s string) (lo, hi int64, err error) {
 	}
 	if lo <= 0 || hi < lo {
 		return 0, 0, fmt.Errorf("range %q out of order", s)
+	}
+	return lo, hi, nil
+}
+
+// parseSizes parses -sizes: a range whose bounds are powers of two. The
+// sweep doubles the size from lo while it is at most hi, so another hi
+// would silently go unswept and another lo names caches memsys refuses.
+func parseSizes(s string) (lo, hi int64, err error) {
+	if lo, hi, err = parseRange(s); err != nil {
+		return 0, 0, err
+	}
+	if lo&(lo-1) != 0 || hi&(hi-1) != 0 {
+		return 0, 0, fmt.Errorf("range %q: bounds must be powers of two", s)
 	}
 	return lo, hi, nil
 }

@@ -49,6 +49,25 @@ func TestParseRange(t *testing.T) {
 	}
 }
 
+func TestParseSizes(t *testing.T) {
+	for _, tc := range []struct {
+		in     string
+		lo, hi int64
+		ok     bool
+	}{
+		{"16-4096", 16, 4096, true},
+		{"1-1", 1, 1, true},
+		{"16-24", 0, 0, false},
+		{"24-96", 0, 0, false},
+		{"64-16", 0, 0, false},
+	} {
+		lo, hi, err := parseSizes(tc.in)
+		if (err == nil) != tc.ok || lo != tc.lo || hi != tc.hi {
+			t.Errorf("parseSizes(%q) = %d, %d, %v; want %d, %d, ok=%v", tc.in, lo, hi, err, tc.lo, tc.hi, tc.ok)
+		}
+	}
+}
+
 // digestJob writes a 20k-reference artifact and returns a job spec that
 // names it by digest alone, the artifact's path and digest, and the CSV a
 // local run of the same grid prints.

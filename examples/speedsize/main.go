@@ -23,7 +23,7 @@ func main() {
 		SizesBytes: sweep.SizesPow2(16, 1024),
 		CyclesNS:   sweep.CyclesRange(1, 6, experiments.CPUCycleNS),
 	}
-	res, err := experiments.SpeedSize(4, 1, mainmem.Base(), grid, opt)
+	res, err := experiments.NewContext(opt).Surface(4, 1, mainmem.Base(), grid)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -124,10 +124,15 @@ var (
 	ErrRefsOutOfRange     = errors.New("coord: reference count out of bounds")
 	ErrLenientOutOfRange  = errors.New("coord: lenient skip budget out of bounds")
 	ErrDeadlineOutOfRange = errors.New("coord: deadline out of bounds")
+	// ErrMachineInvalid wraps memsys's refusal of a grid point's machine
+	// (say, an associativity or size that is not a power of two), which
+	// would otherwise fail every point after the trace is loaded.
+	ErrMachineInvalid = errors.New("coord: machine cannot be built")
 )
 
-// Validate rejects a spec that cannot enumerate a grid, plus any spec
-// whose stated dimensions exceed the admission bounds above.
+// Validate rejects a spec that cannot enumerate a grid, any spec whose
+// stated dimensions exceed the admission bounds above, and any spec whose
+// machines memsys cannot build.
 func (s JobSpec) Validate() error {
 	if len(s.SizesBytes) == 0 || len(s.CyclesNS) == 0 {
 		return fmt.Errorf("coord: job needs at least one L2 size and one cycle time")
@@ -192,6 +197,13 @@ func (s JobSpec) Validate() error {
 	if s.ArtifactDigest != "" {
 		if _, err := store.ParseDigest(s.ArtifactDigest); err != nil {
 			return err
+		}
+	}
+	// A machine's shape depends on the point only through its L2 size; the
+	// cycle time need only be positive, which the bounds above checked.
+	for _, b := range s.SizesBytes {
+		if err := s.Configure(sweep.Point{L2SizeBytes: b, L2CycleNS: s.CyclesNS[0], L2Assoc: s.Assoc}).Validate(); err != nil {
+			return fmt.Errorf("%w: %w", ErrMachineInvalid, err)
 		}
 	}
 	return nil

@@ -28,7 +28,8 @@ func repeatInt64(v int64, n int) []int64 {
 
 // TestValidateBounds: JobSpec crosses trust boundaries, so absurd specs —
 // the kind that would OOM or wedge the process at materialization time —
-// are rejected at admission with a distinct sentinel per bound.
+// are rejected at admission with a distinct sentinel per bound, and so are
+// machines memsys cannot build, which would fail every point.
 func TestValidateBounds(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -54,6 +55,9 @@ func TestValidateBounds(t *testing.T) {
 		{"lenient too large", func(s *JobSpec) { s.Lenient = MaxLenientBudget + 1 }, ErrLenientOutOfRange},
 		{"deadline negative", func(s *JobSpec) { s.DeadlineSec = -5 }, ErrDeadlineOutOfRange},
 		{"deadline absurd", func(s *JobSpec) { s.DeadlineSec = MaxDeadlineSec + 1 }, ErrDeadlineOutOfRange},
+		{"assoc not a power of two", func(s *JobSpec) { s.Assoc = 3 }, ErrMachineInvalid},
+		{"L1 not a power of two", func(s *JobSpec) { s.L1KB = 3 }, ErrMachineInvalid},
+		{"L2 size not a power of two", func(s *JobSpec) { s.SizesBytes[1] = 24 * 1024 }, ErrMachineInvalid},
 	}
 	for _, tc := range cases {
 		spec := boundTestSpec()

@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"context"
+	"errors"
 	"fmt"
 	"io"
 
@@ -10,7 +10,6 @@ import (
 	"mlcache/internal/mainmem"
 	"mlcache/internal/memsys"
 	"mlcache/internal/report"
-	"mlcache/internal/sweep"
 	"mlcache/internal/trace"
 )
 
@@ -60,23 +59,10 @@ func ablationStudies() []ablationStudy {
 	}
 }
 
-// runStudy simulates one study on its own trace.
-func runStudy(opt Options, s ablationStudy) (AblationResult, error) {
-	arena, err := opt.arena()
-	if err != nil {
-		return AblationResult{}, err
-	}
-	res, err := runStudies(arena, opt, []ablationStudy{s})
-	if err != nil {
-		return AblationResult{}, err
-	}
-	return res[0], nil
-}
-
-// runStudies simulates every configuration of the studies over one arena
-// in one sweep.Runner pass, so configurations sharing a first level share
-// one capture. The flushed configurations differ in their cpu.Config and
-// run on a second Runner over the same arena.
+// runStudies simulates every configuration of the studies over one arena,
+// so configurations sharing a first level share one capture. The flushed
+// configurations differ in their cpu.Config and run in a second sweep over
+// the same arena.
 func runStudies(arena *trace.Arena, opt Options, studies []ablationStudy) ([]AblationResult, error) {
 	out := make([]AblationResult, len(studies))
 	for i, s := range studies {
@@ -94,40 +80,26 @@ func runStudies(arena *trace.Arena, opt Options, studies []ablationStudy) ([]Abl
 				}
 			}
 		}
-		if len(cfgs) == 0 {
-			continue
+		runs, err := simulate(arena, opt, cfgs, flush)
+		var me *machineError
+		if errors.As(err, &me) {
+			c := cells[me.index]
+			return nil, fmt.Errorf("%s / %s: %w", studies[c.study].title, studies[c.study].configs[c.row].label, me.err)
 		}
-		runner := sweep.Runner{
-			// Point.L2Assoc carries the configuration's index for this sweep.
-			Configure:   func(pt sweep.Point) memsys.Config { return cfgs[pt.L2Assoc] },
-			Arena:       arena,
-			CPU:         opt.CPU(),
-			Parallelism: opt.Parallelism,
-		}
-		runner.CPU.FlushOnSwitch = flush
-		pts := make([]sweep.Point, len(cfgs))
-		for i := range pts {
-			pts[i] = sweep.Point{L2Assoc: i}
-		}
-		results, err := runner.RunContext(context.Background(), pts, sweep.Options{})
 		if err != nil {
 			return nil, err
 		}
-		for i, r := range results {
-			s := studies[cells[i].study]
-			c := s.configs[cells[i].row]
-			if r.Err != nil {
-				return nil, fmt.Errorf("%s / %s: %w", s.title, c.label, r.Err)
-			}
-			label := c.label
+		for i, run := range runs {
+			c := cells[i]
+			label := studies[c.study].configs[c.row].label
 			if flush {
-				label = fmt.Sprintf("%s (%d switches)", label, r.Run.Switches)
+				label = fmt.Sprintf("%s (%d switches)", label, run.Switches)
 			}
-			out[cells[i].study].Rows[cells[i].row] = AblationRow{
+			out[c.study].Rows[c.row] = AblationRow{
 				Label:   label,
-				Run:     r.Run,
-				RelTime: r.Run.RelTime,
-				CPI:     r.Run.CPI,
+				Run:     run,
+				RelTime: run.RelTime,
+				CPI:     run.CPI,
 			}
 		}
 	}
@@ -140,14 +112,10 @@ func baseConfig(mem mainmem.Config) memsys.Config {
 	return BaseMachine(4, L2Config(512*1024, 3*CPUCycleNS, 1), mem)
 }
 
-// AblateWriteBuffers varies the write-buffer depth on the base machine.
-// The paper: "the write effects are small because we are using write-back
+// writeBufferStudy varies the write-buffer depth on the base machine. The
+// paper: "the write effects are small because we are using write-back
 // caches with a large amount of write buffering. The writes are mostly
 // hidden between the read requests." Removing the buffers exposes them.
-func AblateWriteBuffers(opt Options) (AblationResult, error) {
-	return runStudy(opt, writeBufferStudy())
-}
-
 func writeBufferStudy() ablationStudy {
 	s := ablationStudy{title: "write-buffer depth (base machine)"}
 	for _, depth := range []int{-1, 1, 2, 4, 8} {
@@ -162,12 +130,8 @@ func writeBufferStudy() ablationStudy {
 	return s
 }
 
-// AblateWritePolicy compares write-back against write-through first-level
+// writePolicyStudy compares write-back against write-through first-level
 // data caches (with and without allocation).
-func AblateWritePolicy(opt Options) (AblationResult, error) {
-	return runStudy(opt, writePolicyStudy())
-}
-
 func writePolicyStudy() ablationStudy {
 	mk := func(label string, mutate func(*memsys.Config)) labelledConfig {
 		cfg := baseConfig(mainmem.Base())
@@ -186,13 +150,9 @@ func writePolicyStudy() ablationStudy {
 	}}
 }
 
-// AblateL2Block varies the L2 block size at fixed 512 KB capacity: longer
+// l2BlockStudy varies the L2 block size at fixed 512 KB capacity: longer
 // blocks exploit spatial locality but raise the miss penalty (more bus
 // beats) and can raise the miss ratio through prefetch pollution.
-func AblateL2Block(opt Options) (AblationResult, error) {
-	return runStudy(opt, l2BlockStudy())
-}
-
 func l2BlockStudy() ablationStudy {
 	s := ablationStudy{title: "L2 block size at 512KB (base machine)"}
 	for _, block := range []int{16, 32, 64, 128} {
@@ -203,12 +163,8 @@ func l2BlockStudy() ablationStudy {
 	return s
 }
 
-// AblatePrefetch toggles next-block prefetching at each level of the base
+// prefetchStudy toggles next-block prefetching at each level of the base
 // machine.
-func AblatePrefetch(opt Options) (AblationResult, error) {
-	return runStudy(opt, prefetchStudy())
-}
-
 func prefetchStudy() ablationStudy {
 	mk := func(label string, l1, l2 bool) labelledConfig {
 		cfg := baseConfig(mainmem.Base())
@@ -225,13 +181,9 @@ func prefetchStudy() ablationStudy {
 	}}
 }
 
-// AblateThirdLevel compares two- and three-level hierarchies under the
+// thirdLevelStudy compares two- and three-level hierarchies under the
 // base and the 2x-slower memory: the paper's §6 — as the CPU–memory gap
 // grows, deeper hierarchies win.
-func AblateThirdLevel(opt Options) (AblationResult, error) {
-	return runStudy(opt, thirdLevelStudy())
-}
-
 func thirdLevelStudy() ablationStudy {
 	three := func(mem mainmem.Config) memsys.Config {
 		cfg := BaseMachine(4, L2Config(64*1024, 2*CPUCycleNS, 1), mem)
@@ -249,14 +201,10 @@ func thirdLevelStudy() ablationStudy {
 	}}
 }
 
-// AblatePageModeDRAM compares the paper's flat memory model against
-// page-mode DRAM (open-row hits complete in a third of the time), with and
-// without write-buffer coalescing — two memory-system refinements the
-// paper's era was adopting.
-func AblatePageModeDRAM(opt Options) (AblationResult, error) {
-	return runStudy(opt, pageModeStudy())
-}
-
+// pageModeStudy compares the paper's flat memory model against page-mode
+// DRAM (open-row hits complete in a third of the time), with and without
+// write-buffer coalescing — two memory-system refinements the paper's era
+// was adopting.
 func pageModeStudy() ablationStudy {
 	mk := func(label string, pageMode, coalesce bool) labelledConfig {
 		mem := mainmem.Base()
@@ -286,13 +234,9 @@ func pageModeStudy() ablationStudy {
 	}}
 }
 
-// AblateFlushOnSwitch compares the paper's physical (never-flushed) L1s
-// against virtually-indexed L1s flushed at every context switch, on the
+// flushStudy compares the paper's physical (never-flushed) L1s against
+// virtually-indexed L1s flushed at every context switch, on the
 // multiprogramming workload.
-func AblateFlushOnSwitch(opt Options) (AblationResult, error) {
-	return runStudy(opt, flushStudy())
-}
-
 func flushStudy() ablationStudy {
 	return ablationStudy{title: "L1 flushing at context switches (base machine)", configs: []labelledConfig{
 		{label: "physical L1 (no flush)", cfg: baseConfig(mainmem.Base())},
@@ -300,13 +244,9 @@ func flushStudy() ablationStudy {
 	}}
 }
 
-// AblateTLB adds address translation to the base machine at several TLB
+// tlbStudy adds address translation to the base machine at several TLB
 // reaches. The paper's simulator runs on post-translation traces (no TLB);
 // this quantifies what that omission is worth.
-func AblateTLB(opt Options) (AblationResult, error) {
-	return runStudy(opt, tlbStudy())
-}
-
 func tlbStudy() ablationStudy {
 	s := ablationStudy{title: "TLB reach (base machine)"}
 	for _, entries := range []int{0, 16, 64, 256} {

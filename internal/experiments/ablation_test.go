@@ -3,13 +3,26 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"mlcache/internal/mainmem"
 )
 
-func TestAblateWriteBuffers(t *testing.T) {
-	res, err := AblateWriteBuffers(testOptions())
+// studyAlone simulates one study over its own trace.
+func studyAlone(t *testing.T, opt Options, s ablationStudy) AblationResult {
+	t.Helper()
+	arena, err := opt.arena()
 	if err != nil {
 		t.Fatal(err)
 	}
+	rs, err := runStudies(arena, opt, []ablationStudy{s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs[0]
+}
+
+func TestAblateWriteBuffers(t *testing.T) {
+	res := studyAlone(t, testOptions(), writeBufferStudy())
 	if len(res.Rows) != 5 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -29,10 +42,7 @@ func TestAblateWriteBuffers(t *testing.T) {
 }
 
 func TestAblateWritePolicy(t *testing.T) {
-	res, err := AblateWritePolicy(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := studyAlone(t, testOptions(), writePolicyStudy())
 	wb := res.Rows[0]
 	for _, wt := range res.Rows[1:] {
 		// Write-through multiplies downstream write traffic: every store
@@ -45,10 +55,7 @@ func TestAblateWritePolicy(t *testing.T) {
 }
 
 func TestAblateL2Block(t *testing.T) {
-	res, err := AblateL2Block(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := studyAlone(t, testOptions(), l2BlockStudy())
 	// Larger L2 blocks must cut the L2 miss count on this spatially-local
 	// workload (same capacity, fewer compulsory+capacity misses per byte).
 	first := res.Rows[0].Run.Mem.Down[0].Cache.ReadMisses
@@ -59,10 +66,7 @@ func TestAblateL2Block(t *testing.T) {
 }
 
 func TestAblatePrefetch(t *testing.T) {
-	res, err := AblatePrefetch(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := studyAlone(t, testOptions(), prefetchStudy())
 	none := res.Rows[0]
 	l1 := res.Rows[1]
 	if l1.Run.Mem.L1I.Prefetches == 0 {
@@ -78,10 +82,7 @@ func TestAblatePrefetch(t *testing.T) {
 }
 
 func TestAblateThirdLevel(t *testing.T) {
-	res, err := AblateThirdLevel(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := studyAlone(t, testOptions(), thirdLevelStudy())
 	if len(res.Rows) != 4 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -95,10 +96,7 @@ func TestAblateThirdLevel(t *testing.T) {
 }
 
 func TestRenderAblation(t *testing.T) {
-	res, err := AblateWritePolicy(Options{Seed: 1, Refs: 40_000, Warmup: 8_000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := studyAlone(t, Options{Seed: 1, Refs: 40_000, Warmup: 8_000}, writePolicyStudy())
 	var sb strings.Builder
 	if err := RenderAblation(&sb, res); err != nil {
 		t.Fatal(err)
@@ -109,10 +107,7 @@ func TestRenderAblation(t *testing.T) {
 }
 
 func TestAblateFlushOnSwitch(t *testing.T) {
-	res, err := AblateFlushOnSwitch(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := studyAlone(t, testOptions(), flushStudy())
 	noFlush, flush := res.Rows[0], res.Rows[1]
 	if flush.Run.Switches == 0 {
 		t.Fatal("no context switches observed")
@@ -134,10 +129,7 @@ func TestAblateFlushOnSwitch(t *testing.T) {
 }
 
 func TestAblatePageModeDRAM(t *testing.T) {
-	res, err := AblatePageModeDRAM(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := studyAlone(t, testOptions(), pageModeStudy())
 	flat, page := res.Rows[0], res.Rows[1]
 	// Page-mode can only help (row hits shorten some reads).
 	if page.RelTime > flat.RelTime {
@@ -152,10 +144,7 @@ func TestAblatePageModeDRAM(t *testing.T) {
 }
 
 func TestCoalescingRescuesWriteThrough(t *testing.T) {
-	res, err := AblatePageModeDRAM(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := studyAlone(t, testOptions(), pageModeStudy())
 	wt, wtCoal := res.Rows[4], res.Rows[5]
 	// Coalescing absorbs repeated stores to hot blocks: less L2 write
 	// traffic and no slower overall.
@@ -169,10 +158,7 @@ func TestCoalescingRescuesWriteThrough(t *testing.T) {
 }
 
 func TestAblateTLB(t *testing.T) {
-	res, err := AblateTLB(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := studyAlone(t, testOptions(), tlbStudy())
 	none, small, big := res.Rows[0], res.Rows[1], res.Rows[2]
 	if none.Run.Mem.TLB != nil {
 		t.Error("no-TLB run has TLB stats")
@@ -190,5 +176,25 @@ func TestAblateTLB(t *testing.T) {
 	if big.Run.Mem.TLB.MissRatio() >= small.Run.Mem.TLB.MissRatio() {
 		t.Errorf("bigger TLB did not cut the miss ratio: %.4f vs %.4f",
 			big.Run.Mem.TLB.MissRatio(), small.Run.Mem.TLB.MissRatio())
+	}
+}
+
+// TestStudyErrorNamesMachine: a machine that cannot be built fails its
+// sweep with an error naming its study and label.
+func TestStudyErrorNamesMachine(t *testing.T) {
+	bad := baseConfig(mainmem.Base())
+	bad.Down[0].Cache.Assoc = 3
+	s := ablationStudy{title: "odd ways", configs: []labelledConfig{
+		{label: "direct-mapped", cfg: baseConfig(mainmem.Base())},
+		{label: "3-way", cfg: bad},
+	}}
+	opt := Options{Seed: 1, Refs: 3_000, Warmup: 600}
+	arena, err := opt.arena()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = runStudies(arena, opt, []ablationStudy{s})
+	if err == nil || !strings.HasPrefix(err.Error(), "odd ways / 3-way: ") {
+		t.Errorf("error %v does not name the study and label", err)
 	}
 }

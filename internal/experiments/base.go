@@ -1,4 +1,4 @@
-// Package experiments implements one driver per figure of the paper's
+// Package experiments computes every figure and table of the paper's
 // evaluation, over the base machine of §2: a 10 ns RISC-like CPU with a
 // split 4 KB on-chip L1 (2 KB I + 2 KB D, direct-mapped, 4-word blocks,
 // write-back, 2-cycle write hits), an external unified L2 (default 512 KB,
@@ -6,18 +6,22 @@
 // buses cycling at the L2 rate, 4-entry write buffers between levels, and
 // main memory with 180 ns reads / 100 ns writes / 120 ns recovery.
 //
-// Every driver consumes the synthetic multiprogramming workload of package
-// synth (see DESIGN.md §2 for the substitution argument) and returns
-// structured results; rendering lives in render.go.
+// A Context computes the tables (All lists them) from the synthetic
+// multiprogramming workload of package synth (see DESIGN.md §2 for the
+// substitution argument), each computation's machines in one sweep, and
+// returns structured results; rendering lives in render.go.
 package experiments
 
 import (
+	"context"
+	"fmt"
 	"sync/atomic"
 
 	"mlcache/internal/cache"
 	"mlcache/internal/cpu"
 	"mlcache/internal/mainmem"
 	"mlcache/internal/memsys"
+	"mlcache/internal/sweep"
 	"mlcache/internal/synth"
 	"mlcache/internal/trace"
 )
@@ -48,17 +52,60 @@ func QuickOptions() Options {
 }
 
 // arena materializes the experiment workload. Each computation that a
-// Context memoizes, and each driver run without one, calls it once and
-// shares the arena across all of its simulations through cursors; the
-// arena is dropped when the computation returns.
+// Context memoizes, and MissRatios, calls it once and shares the arena
+// across all of its simulations through cursors; the arena is dropped when
+// the computation returns.
 func (o Options) arena() (*trace.Arena, error) {
 	generations.Add(1)
 	return synth.PaperArena(o.Seed, o.Refs)
 }
 
-// generations counts the calls of arena, so tests can pin how many times
-// one pass over All generates the trace.
-var generations atomic.Int64
+// generations counts the calls of arena and simulations the machines
+// simulate runs, so tests can pin the work of one pass over All.
+var generations, simulations atomic.Int64
+
+// simulate runs every configuration over the arena in one sweep.Runner
+// pass and returns their runs in order; configurations that share a first
+// level share one capture (see sweep.Runner.RunContext). flush sets
+// cpu.Config.FlushOnSwitch for all of them. The error of a machine that
+// fails is a *machineError.
+func simulate(arena *trace.Arena, opt Options, cfgs []memsys.Config, flush bool) ([]cpu.Result, error) {
+	simulations.Add(int64(len(cfgs)))
+	runner := sweep.Runner{
+		// Point.L2Assoc carries the configuration's index.
+		Configure:   func(pt sweep.Point) memsys.Config { return cfgs[pt.L2Assoc] },
+		Arena:       arena,
+		CPU:         opt.CPU(),
+		Parallelism: opt.Parallelism,
+	}
+	runner.CPU.FlushOnSwitch = flush
+	pts := make([]sweep.Point, len(cfgs))
+	for i := range pts {
+		pts[i] = sweep.Point{L2Assoc: i}
+	}
+	results, err := runner.RunContext(context.Background(), pts, sweep.Options{})
+	if err != nil {
+		return nil, err
+	}
+	runs := make([]cpu.Result, len(results))
+	for i, r := range results {
+		if r.Err != nil {
+			return nil, &machineError{i, r.Err}
+		}
+		runs[i] = r.Run
+	}
+	return runs, nil
+}
+
+// machineError is the failure of the configuration at index of simulate's
+// list.
+type machineError struct {
+	index int
+	err   error
+}
+
+func (e *machineError) Error() string { return fmt.Sprintf("machine %d: %v", e.index, e.err) }
+func (e *machineError) Unwrap() error { return e.err }
 
 // CPU returns the CPU configuration for the options.
 func (o Options) CPU() cpu.Config {

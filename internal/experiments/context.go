@@ -8,16 +8,20 @@ import (
 	"mlcache/internal/sweep"
 )
 
-// Context computes the work that experiments share once per process and
-// memoizes the results, never a trace: each computation generates the
-// trace it reads and drops it on return. A surface request is answered
-// from any memoized surface of the same L1, set size and memory whose grid
-// holds every requested point (4-1/4-2 share a surface, and 5-1..5-3 read
-// the direct-mapped surface of 4-1). BreakEven computes its two surfaces
-// in one sweep when neither is memoized. The first request for an
-// ablation table simulates all eight in one sweep over one trace. A
-// Context is safe for concurrent use; two requests that miss at once both
-// compute, and the results are the same.
+// Context is how every table is computed: it computes the work that
+// experiments share once per process and memoizes the results, never a
+// trace. Each computation generates the trace it reads, simulates its
+// machines through simulate and drops the trace on return.
+//
+// A surface request is answered from any memoized surface of the same L1,
+// set size and memory whose grid holds every requested point: 4-1/4-2
+// share a surface, 5-1..5-3 read 4-1's direct-mapped surface, and l1opt
+// reads its 4, 8 and 32 KB rows from 4-1's, derived's 8 KB-L1 and 4-3's.
+// The surfaces no memo holds are computed together in one sweep. A Figure
+// 3 curve computed after another takes the other's solo column. The first
+// request for an ablation table simulates all eight studies in one sweep
+// over one trace. A Context is safe for concurrent use; two requests that
+// miss at once both compute, and the results are the same.
 type Context struct {
 	Opt Options
 
@@ -42,16 +46,26 @@ func NewContext(opt Options) *Context {
 	}
 }
 
-// MissRatios returns the (memoized) Figure 3 curve for an L1 size.
+// MissRatios returns the (memoized) Figure 3 curve for an L1 size. The
+// solo machine has no L1, so a curve computed after another takes the
+// other's solo column and simulates only its two-level machines.
 func (c *Context) MissRatios(l1TotalKB int) (MissRatioResult, error) {
 	c.mu.Lock()
-	if r, ok := c.missCurve[l1TotalKB]; ok {
-		c.mu.Unlock()
-		return r, nil
+	r, ok := c.missCurve[l1TotalKB]
+	var solo []MissRatioRow
+	for _, other := range c.missCurve {
+		solo = other.Rows
+		break
 	}
 	c.mu.Unlock()
-	r, err := MissRatios(l1TotalKB, Fig3Sizes(), c.Opt)
+	if ok {
+		return r, nil
+	}
+	arena, err := c.Opt.arena()
 	if err != nil {
+		return r, err
+	}
+	if r, err = missRatios(arena, l1TotalKB, Fig3Sizes(), solo, c.Opt); err != nil {
 		return r, err
 	}
 	c.mu.Lock()
@@ -62,23 +76,23 @@ func (c *Context) MissRatios(l1TotalKB int) (MissRatioResult, error) {
 
 // Surface returns the (memoized) speed–size surface for the parameters.
 func (c *Context) Surface(l1TotalKB, assoc int, mem mainmem.Config, grid sweep.Grid) (SpeedSizeResult, error) {
-	rs, err := c.surfacesFor(l1TotalKB, mem, []surfaceSpec{{assoc, grid}})
+	rs, err := c.surfacesFor([]surfaceSpec{{surfaceKey{l1TotalKB, assoc, mem}, grid}})
 	if err != nil {
 		return SpeedSizeResult{}, err
 	}
 	return rs[0], nil
 }
 
-// surfacesFor returns the surface of each spec on one L1 and memory,
-// computing those that no memoized surface holds in one sweep.
-func (c *Context) surfacesFor(l1TotalKB int, mem mainmem.Config, specs []surfaceSpec) ([]SpeedSizeResult, error) {
+// surfacesFor returns the surface of each spec, computing those that no
+// memoized surface holds in one sweep.
+func (c *Context) surfacesFor(specs []surfaceSpec) ([]SpeedSizeResult, error) {
 	out := make([]SpeedSizeResult, len(specs))
 	var missing []surfaceSpec
 	var at []int
 	c.mu.Lock()
 	for n, sp := range specs {
 		found := false
-		for _, r := range c.surfaces[surfaceKey{l1TotalKB, sp.assoc, mem}] {
+		for _, r := range c.surfaces[sp.surfaceKey] {
 			if out[n], found = r.subSurface(sp.grid); found {
 				break
 			}
@@ -96,14 +110,13 @@ func (c *Context) surfacesFor(l1TotalKB int, mem mainmem.Config, specs []surface
 	if err != nil {
 		return nil, err
 	}
-	rs, err := speedSizes(arena, l1TotalKB, mem, missing, c.Opt)
+	rs, err := speedSizes(arena, missing, c.Opt)
 	if err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
 	for k, n := range at {
-		key := surfaceKey{l1TotalKB, missing[k].assoc, mem}
-		c.surfaces[key] = append(c.surfaces[key], rs[k])
+		c.surfaces[missing[k].surfaceKey] = append(c.surfaces[missing[k].surfaceKey], rs[k])
 		out[n] = rs[k]
 	}
 	c.mu.Unlock()
@@ -150,7 +163,10 @@ func (c *Context) BreakEven(l1TotalKB, setSize int, grid sweep.Grid) (BreakEvenR
 		return res, fmt.Errorf("experiments: set size %d must be at least 2", setSize)
 	}
 	extGrid := sweep.Grid{SizesBytes: grid.SizesBytes, CyclesNS: extendCycles(grid.CyclesNS, 8)}
-	rs, err := c.surfacesFor(l1TotalKB, mainmem.Base(), []surfaceSpec{{1, grid}, {setSize, extGrid}})
+	rs, err := c.surfacesFor([]surfaceSpec{
+		{surfaceKey{l1TotalKB, 1, mainmem.Base()}, grid},
+		{surfaceKey{l1TotalKB, setSize, mainmem.Base()}, extGrid},
+	})
 	if err != nil {
 		return res, err
 	}

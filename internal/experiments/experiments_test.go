@@ -98,7 +98,7 @@ func TestMissRatiosL1Independence(t *testing.T) {
 }
 
 func TestSpeedSizeSurface(t *testing.T) {
-	res, err := SpeedSize(4, 1, mainmem.Base(), smallGrid(), testOptions())
+	res, err := NewContext(testOptions()).Surface(4, 1, mainmem.Base(), smallGrid())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +128,12 @@ func TestSpeedSizeSurface(t *testing.T) {
 // miss penalty, which increases the slopes of the lines of constant
 // performance (§4, Figure 4-4).
 func TestSlowMemorySteepensSlopes(t *testing.T) {
-	base, err := SpeedSize(4, 1, mainmem.Base(), smallGrid(), testOptions())
+	ctx := NewContext(testOptions())
+	base, err := ctx.Surface(4, 1, mainmem.Base(), smallGrid())
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := SpeedSize(4, 1, mainmem.Slow(), smallGrid(), testOptions())
+	slow, err := ctx.Surface(4, 1, mainmem.Slow(), smallGrid())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"mlcache/internal/mainmem"
-	"mlcache/internal/memsys"
 	"mlcache/internal/report"
 	"mlcache/internal/sweep"
 )
@@ -13,7 +12,7 @@ import (
 // L1SizeResult is the data behind the paper's §6 claim: "as the L2 cycle
 // time gets much above 4 CPU cycles, the optimal L1 cache size is
 // significantly increased above its minimum." For each L2 cycle time, the
-// execution time is measured across L1 sizes; OptimalL1KB[j] is the
+// execution time is measured across L1 sizes; OptimalL1[j] is the
 // fastest L1 for L2 cycle time CyclesNS[j]. (The tension: a larger L1 cuts
 // the number of trips to a slow L2 but in a real design would slow the CPU
 // clock; here the CPU clock is held constant, so the experiment isolates
@@ -28,57 +27,36 @@ type L1SizeResult struct {
 	L1CostNS float64
 }
 
-// L1Size sweeps L1 total size × L2 cycle time on the base machine with a
-// 512 KB L2. l1CostNS models the CPU cycle-time cost per L1 doubling
-// (larger on-chip caches are slower); the optimum minimizes
-// rel · (cpuCycle + cost·doublings)/cpuCycle, i.e. total wall time under
-// the slowed clock.
-func L1Size(l1KBs []int, cyclesNS []int64, l1CostNS float64, opt Options) (L1SizeResult, error) {
-	res := L1SizeResult{L1KBs: l1KBs, CyclesNS: cyclesNS, L1CostNS: l1CostNS}
-	arena, err := opt.arena()
+// L1Size returns the §6 table: L1 total sizes of 2–64 KB × L2 cycle times
+// of 1–8 CPU cycles on the base machine with a 512 KB L2, one
+// (memoized) surface per L1 size. The optimum charges each L1 doubling
+// 1.5 ns of CPU cycle time (larger on-chip caches are slower): it
+// minimizes rel · (cpuCycle + cost·doublings)/cpuCycle, i.e. total wall
+// time under the slowed clock.
+func (c *Context) L1Size() (L1SizeResult, error) {
+	res := L1SizeResult{
+		L1KBs:    []int{2, 4, 8, 16, 32, 64},
+		CyclesNS: sweep.CyclesRange(1, 8, CPUCycleNS),
+		L1CostNS: 1.5,
+	}
+	grid := sweep.Grid{SizesBytes: []int64{512 * 1024}, CyclesNS: res.CyclesNS}
+	specs := make([]surfaceSpec, len(res.L1KBs))
+	for i, kb := range res.L1KBs {
+		specs[i] = surfaceSpec{surfaceKey{kb, 1, mainmem.Base()}, grid}
+	}
+	surfaces, err := c.surfacesFor(specs)
 	if err != nil {
 		return res, err
 	}
-	runner := sweep.Runner{
-		Configure: func(pt sweep.Point) memsys.Config {
-			// Point.L2Assoc carries the L1 size in KB for this sweep.
-			return BaseMachine(pt.L2Assoc, L2Config(512*1024, pt.L2CycleNS, 1), mainmem.Base())
-		},
-		Arena:       arena,
-		CPU:         opt.CPU(),
-		Parallelism: opt.Parallelism,
+	for _, s := range surfaces {
+		res.Rel = append(res.Rel, s.Rel[0])
 	}
-	var pts []sweep.Point
-	for _, kb := range l1KBs {
-		for _, c := range cyclesNS {
-			pts = append(pts, sweep.Point{L2SizeBytes: 512 * 1024, L2CycleNS: c, L2Assoc: kb})
-		}
-	}
-	results, err := runner.RunPoints(pts)
-	if err != nil {
-		return res, err
-	}
-	k := 0
-	res.Rel = make([][]float64, len(l1KBs))
-	for i := range l1KBs {
-		res.Rel[i] = make([]float64, len(cyclesNS))
-		for j := range cyclesNS {
-			res.Rel[i][j] = results[k].Run.RelTime
-			k++
-		}
-	}
-	// Pick the optimum per L2 cycle time under the slowed-clock model.
-	doublings := func(kb int) float64 {
-		d := 0.0
-		for v := l1KBs[0]; v < kb; v *= 2 {
-			d++
-		}
-		return d
-	}
-	for j := range cyclesNS {
-		best, bestCost := l1KBs[0], 0.0
-		for i, kb := range l1KBs {
-			clock := float64(CPUCycleNS) + l1CostNS*doublings(kb)
+	// Pick the optimum per L2 cycle time under the slowed-clock model; the
+	// sizes double, so size i is i doublings above the first.
+	for j := range res.CyclesNS {
+		best, bestCost := res.L1KBs[0], 0.0
+		for i, kb := range res.L1KBs {
+			clock := float64(CPUCycleNS) + res.L1CostNS*float64(i)
 			cost := res.Rel[i][j] * clock
 			if i == 0 || cost < bestCost {
 				best, bestCost = kb, cost
@@ -116,7 +94,7 @@ func RenderL1Size(w io.Writer, res L1SizeResult) error {
 }
 
 func runL1Size(ctx *Context, w io.Writer) error {
-	res, err := L1Size([]int{2, 4, 8, 16, 32, 64}, sweep.CyclesRange(1, 8, CPUCycleNS), 1.5, ctx.Opt)
+	res, err := ctx.L1Size()
 	if err != nil {
 		return err
 	}

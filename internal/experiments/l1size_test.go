@@ -3,24 +3,20 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"mlcache/internal/sweep"
 )
 
 func TestL1SizeSweep(t *testing.T) {
-	kbs := []int{2, 8, 32}
-	cycles := sweep.CyclesRange(1, 8, CPUCycleNS)
-	res, err := L1Size(kbs, []int64{cycles[0], cycles[7]}, 1.5, testOptions())
+	res, err := NewContext(testOptions()).L1Size()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rel) != 3 || len(res.Rel[0]) != 2 {
-		t.Fatalf("shape %dx%d", len(res.Rel), len(res.Rel[0]))
+	if len(res.Rel) != 6 || len(res.Rel[0]) != 8 || len(res.OptimalL1) != 8 {
+		t.Fatalf("shape %dx%d, %d optima", len(res.Rel), len(res.Rel[0]), len(res.OptimalL1))
 	}
 	// At fixed L2 cycle time, a bigger L1 is never slower (CPU clock held
 	// constant inside Rel).
-	for j := 0; j < 2; j++ {
-		for i := 1; i < 3; i++ {
+	for j := range res.CyclesNS {
+		for i := 1; i < len(res.L1KBs); i++ {
 			if res.Rel[i][j] > res.Rel[i-1][j] {
 				t.Errorf("bigger L1 slower at cycle idx %d: %v", j, res.Rel)
 			}
@@ -28,19 +24,13 @@ func TestL1SizeSweep(t *testing.T) {
 	}
 	// §6: the optimal L1 under the clock-cost model grows (or stays) as
 	// the L2 slows.
-	if res.OptimalL1[1] < res.OptimalL1[0] {
+	if last := len(res.OptimalL1) - 1; res.OptimalL1[last] < res.OptimalL1[0] {
 		t.Errorf("optimal L1 shrank with slower L2: %v", res.OptimalL1)
-	}
-	// With a fast L2 and a real clock cost, the optimum is not the
-	// largest L1 (the paper's "small, short cycle time L1" preference).
-	if res.OptimalL1[0] == kbs[len(kbs)-1] && res.OptimalL1[1] == res.OptimalL1[0] {
-		t.Logf("note: optimum saturated at the largest L1 for both cycle times")
 	}
 }
 
 func TestRenderL1Size(t *testing.T) {
-	res, err := L1Size([]int{2, 8}, []int64{10, 60}, 1.5,
-		Options{Seed: 1, Refs: 60_000, Warmup: 12_000})
+	res, err := NewContext(Options{Seed: 1, Refs: 20_000, Warmup: 4_000}).L1Size()
 	if err != nil {
 		t.Fatal(err)
 	}

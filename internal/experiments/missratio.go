@@ -7,6 +7,7 @@ import (
 	"mlcache/internal/mainmem"
 	"mlcache/internal/memsys"
 	"mlcache/internal/sweep"
+	"mlcache/internal/trace"
 )
 
 // MissRatioRow is one point of Figures 3-1 / 3-2: the three miss ratios of
@@ -41,60 +42,52 @@ type MissRatioResult struct {
 // (l1TotalKB = 32): L2 local, global, and solo read miss ratios as the L2
 // size is varied, with the default 3-CPU-cycle L2.
 func MissRatios(l1TotalKB int, sizesBytes []int64, opt Options) (MissRatioResult, error) {
-	res := MissRatioResult{L1TotalKB: l1TotalKB}
 	arena, err := opt.arena()
 	if err != nil {
-		return res, err
+		return MissRatioResult{L1TotalKB: l1TotalKB}, err
 	}
+	return missRatios(arena, l1TotalKB, sizesBytes, nil, opt)
+}
 
-	// Two-level runs across the sizes.
-	twoLevel := sweep.Runner{
-		Configure: func(pt sweep.Point) memsys.Config {
-			return BaseMachine(l1TotalKB, L2Config(pt.L2SizeBytes, pt.L2CycleNS, pt.L2Assoc), mainmem.Base())
-		},
-		Arena:       arena,
-		CPU:         opt.CPU(),
-		Parallelism: opt.Parallelism,
-	}
-	var pts []sweep.Point
+// missRatios computes the curve over arena, its two-level and solo
+// machines in one sweep. With solo non-nil (the rows of another curve over
+// the same sizes) it takes their solo column instead of simulating it.
+func missRatios(arena *trace.Arena, l1TotalKB int, sizesBytes []int64, solo []MissRatioRow, opt Options) (MissRatioResult, error) {
+	res := MissRatioResult{L1TotalKB: l1TotalKB}
+	var cfgs []memsys.Config
 	for _, s := range sizesBytes {
-		pts = append(pts, sweep.Point{L2SizeBytes: s, L2CycleNS: 3 * CPUCycleNS, L2Assoc: 1})
+		cfgs = append(cfgs, BaseMachine(l1TotalKB, L2Config(s, 3*CPUCycleNS, 1), mainmem.Base()))
 	}
-	twoRes, err := twoLevel.RunPoints(pts)
+	if solo == nil {
+		for _, s := range sizesBytes {
+			cfgs = append(cfgs, SoloMachine(L2Config(s, 3*CPUCycleNS, 1), mainmem.Base()))
+		}
+	}
+	runs, err := simulate(arena, opt, cfgs, false)
 	if err != nil {
-		return res, fmt.Errorf("two-level runs: %w", err)
+		return res, fmt.Errorf("miss-ratio sweep: %w", err)
 	}
 
-	// Solo runs: the L2 alone in the system.
-	solo := sweep.Runner{
-		Configure: func(pt sweep.Point) memsys.Config {
-			return SoloMachine(L2Config(pt.L2SizeBytes, pt.L2CycleNS, pt.L2Assoc), mainmem.Base())
-		},
-		Arena:       arena,
-		CPU:         opt.CPU(),
-		Parallelism: opt.Parallelism,
-	}
-	soloRes, err := solo.RunPoints(pts)
-	if err != nil {
-		return res, fmt.Errorf("solo runs: %w", err)
-	}
-
-	for i := range pts {
-		two := twoRes[i].Run
+	for i, s := range sizesBytes {
+		two := runs[i]
 		l2 := two.Mem.Down[0]
 		row := MissRatioRow{
-			L2SizeBytes: pts[i].L2SizeBytes,
+			L2SizeBytes: s,
 			Local:       l2.LocalReadMissRatio(),
 			Global:      l2.GlobalReadMissRatio(two.CPUReads),
-			Solo:        soloRes[i].Run.Mem.L1.LocalReadMissRatio(),
+		}
+		if solo == nil {
+			row.Solo = runs[len(sizesBytes)+i].Mem.L1.LocalReadMissRatio()
+		} else {
+			row.Solo = solo[i].Solo
 		}
 		if l2.StoreFills > 0 {
 			row.StoreFillMiss = float64(l2.StoreFillMisses) / float64(l2.StoreFills)
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	res.L1GlobalMiss = twoRes[0].Run.Mem.L1GlobalReadMissRatio()
-	if d := twoRes[0].Run.Mem.L1D; d != nil && d.Cache.WriteRefs > 0 {
+	res.L1GlobalMiss = runs[0].Mem.L1GlobalReadMissRatio()
+	if d := runs[0].Mem.L1D; d != nil && d.Cache.WriteRefs > 0 {
 		res.L1DWriteMissRatio = float64(d.Cache.WriteMisses) / float64(d.Cache.WriteRefs)
 	}
 	res.SoloDoublingFactor = soloDoubling(res.Rows)

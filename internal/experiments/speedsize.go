@@ -27,66 +27,41 @@ type SpeedSizeResult struct {
 	L1GlobalMiss float64
 }
 
-// SpeedSize reproduces the Figure 4-1 sweep: L2 sizes from 4 KB to 4 MB and
-// L2 cycle times from 1 to 10 CPU cycles (Assoc selects the set size; the
-// paper's Figure 4-1 uses direct-mapped). The memory configuration selects
-// the base machine (Figures 4-1/4-2/4-3) or the 2×-slower memory of
-// Figure 4-4.
-func SpeedSize(l1TotalKB int, assoc int, mem mainmem.Config, grid sweep.Grid, opt Options) (SpeedSizeResult, error) {
-	arena, err := opt.arena()
-	if err != nil {
-		return SpeedSizeResult{}, err
-	}
-	rs, err := speedSizes(arena, l1TotalKB, mem, []surfaceSpec{{assoc, grid}}, opt)
-	if err != nil {
-		return SpeedSizeResult{}, err
-	}
-	return rs[0], nil
-}
-
-// surfaceSpec is one speed–size surface of a sweep: an L2 set size and the
-// grid it covers.
+// surfaceSpec is one speed–size surface: the machines of its key over a
+// grid of L2 sizes and cycle times.
 type surfaceSpec struct {
-	assoc int
-	grid  sweep.Grid
+	surfaceKey
+	grid sweep.Grid
 }
 
 // speedSizes computes the surface of every spec over one arena in one
-// sweep. The specs share the L1 and the memory, hence one capture.
-func speedSizes(arena *trace.Arena, l1TotalKB int, mem mainmem.Config, specs []surfaceSpec, opt Options) ([]SpeedSizeResult, error) {
-	runner := sweep.Runner{
-		Configure: func(pt sweep.Point) memsys.Config {
-			return BaseMachine(l1TotalKB, L2Config(pt.L2SizeBytes, pt.L2CycleNS, pt.L2Assoc), mem)
-		},
-		Arena:       arena,
-		CPU:         opt.CPU(),
-		Parallelism: opt.Parallelism,
-	}
-	var pts []sweep.Point
+// sweep; specs that share an L1 share its capture.
+func speedSizes(arena *trace.Arena, specs []surfaceSpec, opt Options) ([]SpeedSizeResult, error) {
+	var cfgs []memsys.Config
 	for _, sp := range specs {
 		for _, s := range sp.grid.SizesBytes {
 			for _, c := range sp.grid.CyclesNS {
-				pts = append(pts, sweep.Point{L2SizeBytes: s, L2CycleNS: c, L2Assoc: sp.assoc})
+				cfgs = append(cfgs, BaseMachine(sp.l1TotalKB, L2Config(s, c, sp.assoc), sp.mem))
 			}
 		}
 	}
-	results, err := runner.RunPoints(pts)
+	runs, err := simulate(arena, opt, cfgs, false)
 	if err != nil {
 		return nil, fmt.Errorf("speed-size sweep: %w", err)
 	}
 	out := make([]SpeedSizeResult, len(specs))
 	k := 0
 	for n, sp := range specs {
-		res := SpeedSizeResult{L1TotalKB: l1TotalKB, Memory: mem, Grid: sp.grid}
+		res := SpeedSizeResult{L1TotalKB: sp.l1TotalKB, Memory: sp.mem, Grid: sp.grid}
 		res.Rel = make([][]float64, len(sp.grid.SizesBytes))
 		res.TimeNS = make([][]int64, len(sp.grid.SizesBytes))
-		res.L1GlobalMiss = results[k].Run.Mem.L1GlobalReadMissRatio()
+		res.L1GlobalMiss = runs[k].Mem.L1GlobalReadMissRatio()
 		for i := range sp.grid.SizesBytes {
 			res.Rel[i] = make([]float64, len(sp.grid.CyclesNS))
 			res.TimeNS[i] = make([]int64, len(sp.grid.CyclesNS))
 			for j := range sp.grid.CyclesNS {
-				res.Rel[i][j] = results[k].Run.RelTime
-				res.TimeNS[i][j] = results[k].Run.TimeNS
+				res.Rel[i][j] = runs[k].RelTime
+				res.TimeNS[i][j] = runs[k].TimeNS
 				k++
 			}
 		}
