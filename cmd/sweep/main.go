@@ -98,7 +98,6 @@ func main() {
 		ckptPath = flag.String("checkpoint", "", "journal completed points to this file")
 		resume   = flag.Bool("resume", false, "skip points already journaled in -checkpoint")
 		timeout  = flag.Duration("point-timeout", 0, "per-point simulation timeout (0 = none)")
-		retries  = flag.Int("retries", 0, "extra attempts for a failed point")
 		check    = flag.Bool("check", false, "validate cache-state invariants after every access (slow)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -152,7 +151,7 @@ func main() {
 			log.Fatal("-serve and -join are mutually exclusive")
 		}
 		wo := workerOptions{
-			id: *workerID, par: *par, retries: *retries,
+			id: *workerID, par: *par,
 			cacheDir: *cacheDir, cacheMB: *cacheMB, throttleBPS: *throttle, sec: sec, s3: s3,
 		}
 		if err := runWorker(ctx, *join, wo); err != nil && !errors.Is(err, context.Canceled) {
@@ -236,7 +235,7 @@ func main() {
 	}
 
 	code := runLocal(ctx, spec, shardI, shardN, localOptions{
-		par: *par, timeout: *timeout, retries: *retries, gridOptions: grid,
+		par: *par, timeout: *timeout, gridOptions: grid,
 	})
 	stop()
 	stopProf()
@@ -246,7 +245,6 @@ func main() {
 type workerOptions struct {
 	id          string
 	par         int
-	retries     int
 	cacheDir    string
 	cacheMB     int64
 	throttleBPS int64
@@ -315,13 +313,12 @@ func runWorker(ctx context.Context, addr string, wo workerOptions) error {
 	cache.Budget = wo.cacheMB << 20
 	cache.Logf = log.Printf
 	w := &coord.Worker{
-		ID:           id,
-		Coordinator:  addr,
-		Client:       client,
-		Parallelism:  wo.par,
-		PointRetries: wo.retries,
-		Artifacts:    cache,
-		Logf:         log.Printf,
+		ID:          id,
+		Coordinator: addr,
+		Client:      client,
+		Parallelism: wo.par,
+		Artifacts:   cache,
+		Logf:        log.Printf,
 	}
 	err = w.Run(ctx)
 	if st := cache.Stats(); st.Promotions > 0 || st.LocalHits > 0 {
@@ -393,7 +390,6 @@ type localOptions struct {
 	gridOptions
 	par     int
 	timeout time.Duration
-	retries int
 }
 
 // runLocal is the classic single-process sweep, built on the same job spec
@@ -424,7 +420,7 @@ func runLocal(ctx context.Context, spec coord.JobSpec, shardI, shardN int, lo lo
 	runner := spec.RunnerFor(arena)
 	runner.Parallelism = lo.par
 	return runGrid(ctx, pts, func(ctx context.Context, pts []sweep.Point, opts sweep.Options) ([]sweep.Result, error) {
-		opts.PointTimeout, opts.Retries, opts.Backoff = lo.timeout, lo.retries, 200*time.Millisecond
+		opts.PointTimeout = lo.timeout
 		return runner.RunContext(ctx, pts, opts)
 	}, lo.gridOptions)
 }
@@ -507,9 +503,9 @@ func runGrid(ctx context.Context, pts []sweep.Point, run func(context.Context, [
 	for _, r := range results {
 		// On interrupt, skip the flood of "context canceled" lines for the
 		// points that never ran; per-point failures (including timeouts)
-		// are always itemized.
+		// are always itemized, each error naming its point.
 		if r.Err != nil && !(runErr != nil && sweep.Canceled(r.Err)) {
-			log.Printf("point %v failed after %d attempt(s): %v", r.Point, r.Attempts, r.Err)
+			log.Print(r.Err)
 		}
 	}
 	switch {

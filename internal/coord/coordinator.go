@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"mlcache/internal/cpu"
 	"mlcache/internal/sweep"
 )
 
@@ -77,8 +76,8 @@ type shardState struct {
 	// leases holds the active grants: at most one primary plus one
 	// speculative duplicate.
 	leases []lease
-	// excluded workers failed this shard (lease expiry or release) and
-	// are retried only when no other live worker can take it.
+	// excluded workers let a lease of this shard expire and are retried
+	// only when no other live worker can take it.
 	excluded map[string]bool
 	// history records every worker ever granted this shard, so a late
 	// upload from an expired lease is still accepted (its results are
@@ -106,9 +105,8 @@ type Coordinator struct {
 	started      bool // RunContext has applied its Skip; leases may be granted
 	onResult     func(sweep.Result)
 	shards       []*shardState
-	have         []bool
-	skipped      []bool
-	runs         []cpu.Result
+	have         []bool         // the point is merged or skipped
+	results      []sweep.Result // each point's merged Run or Err, or Skipped
 	workers      map[string]*workerInfo
 	remaining    int // shards not yet done
 	leaseSeq     uint64
@@ -153,11 +151,13 @@ func New(cfg Config) (*Coordinator, error) {
 		pts:     pts,
 		now:     time.Now,
 		have:    make([]bool, len(pts)),
-		skipped: make([]bool, len(pts)),
-		runs:    make([]cpu.Result, len(pts)),
+		results: make([]sweep.Result, len(pts)),
 		workers: map[string]*workerInfo{},
 		rng:     rand.New(rand.NewSource(1)), // deterministic retry jitter
 		doneCh:  make(chan struct{}),
+	}
+	for i, pt := range pts {
+		c.results[i].Point = pt
 	}
 	for s := 0; s < cfg.Shards; s++ {
 		st := &shardState{id: s, excluded: map[string]bool{}, history: map[string]bool{}}
@@ -220,19 +220,11 @@ func (c *Coordinator) backoffLocked(attempts int) time.Duration {
 	return d + time.Duration(c.rng.Int63n(int64(d/2)+1))
 }
 
-// failShardLocked handles a lost lease (expiry or release): the shard goes
-// back to pending behind a backoff gate, and the worker that lost it is
-// excluded from the retry so the shard lands elsewhere.
-func (c *Coordinator) failShardLocked(sh *shardState, worker, why string, now time.Time) {
-	sh.excluded[worker] = true
-	sh.attempts++
-	sh.notBefore = now.Add(c.backoffLocked(sh.attempts))
-	c.logf("coord: shard %d lost by %s (%s); retry %d after %s",
-		sh.id, worker, why, sh.attempts, sh.notBefore.Sub(now).Round(time.Millisecond))
-}
-
 // expireLocked sweeps lease deadlines and relaxes exclusions that would
-// otherwise deadlock a shard (every live worker excluded).
+// otherwise deadlock a shard (every live worker excluded). A shard whose
+// lease expired goes back to pending behind a backoff gate, and the
+// worker that lost it is excluded from the retry so the shard lands
+// elsewhere.
 func (c *Coordinator) expireLocked(now time.Time) {
 	for _, sh := range c.shards {
 		if sh.done {
@@ -242,9 +234,13 @@ func (c *Coordinator) expireLocked(now time.Time) {
 		for _, l := range sh.leases {
 			if l.deadline.After(now) {
 				kept = append(kept, l)
-			} else {
-				c.failShardLocked(sh, l.worker, "lease expired", now)
+				continue
 			}
+			sh.excluded[l.worker] = true
+			sh.attempts++
+			sh.notBefore = now.Add(c.backoffLocked(sh.attempts))
+			c.logf("coord: shard %d lost by %s (lease expired); retry %d after %s",
+				sh.id, l.worker, sh.attempts, sh.notBefore.Sub(now).Round(time.Millisecond))
 		}
 		sh.leases = kept
 		if len(sh.leases) == 0 && len(sh.excluded) > 0 && !c.anyEligibleWorkerLocked(sh, now) {
@@ -392,7 +388,8 @@ func (c *Coordinator) grantLocked(worker string, now time.Time) LeaseResponse {
 // absorbLocked merges point results first-writer-wins. Indices outside the
 // shard's stride are rejected (a confused worker cannot corrupt other
 // shards); duplicates are ignored, which is what makes retransmission,
-// speculation, and late uploads all safe.
+// speculation, and late uploads all safe. A failed point is merged with
+// its error and, as in a local sweep, never reaches onResult.
 func (c *Coordinator) absorbLocked(sh *shardState, results []PointResult) {
 	for _, pr := range results {
 		if pr.Index < 0 || pr.Index >= len(c.pts) || pr.Index%c.cfg.Shards != sh.id {
@@ -403,10 +400,15 @@ func (c *Coordinator) absorbLocked(sh *shardState, results []PointResult) {
 			continue
 		}
 		c.have[pr.Index] = true
-		c.runs[pr.Index] = pr.Run
 		sh.left--
+		res := &c.results[pr.Index]
+		if pr.Err != "" {
+			res.Err = errors.New(pr.Err)
+			continue
+		}
+		res.Run = pr.Run
 		if c.onResult != nil {
-			c.onResult(sweep.Result{Point: c.pts[pr.Index], Run: pr.Run})
+			c.onResult(*res)
 		}
 	}
 	if sh.left == 0 {
@@ -423,8 +425,7 @@ func (c *Coordinator) shard(id int) (*shardState, error) {
 
 // Heartbeat renews a lease and merges the worker's completed points so
 // far. Cancel in the response tells the worker its lease is gone (expired,
-// released, or the shard finished elsewhere) and the shard should be
-// abandoned.
+// or the shard finished elsewhere) and the shard should be abandoned.
 func (c *Coordinator) Heartbeat(req HeartbeatRequest) (HeartbeatResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -491,32 +492,6 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	return CompleteResponse{OK: true, Done: c.remaining == 0}, nil
 }
 
-// Release hands back a lease the worker cannot finish, reassigning the
-// shard immediately (with the worker excluded) instead of waiting out the
-// TTL. Releasing an already-lost lease is a no-op.
-func (c *Coordinator) Release(req ReleaseRequest) (ReleaseResponse, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.now()
-	c.touchLocked(req.Worker, now)
-	sh, err := c.shard(req.Shard)
-	if err != nil {
-		return ReleaseResponse{}, err
-	}
-	for i := range sh.leases {
-		if sh.leases[i].worker == req.Worker && sh.leases[i].token == req.Lease {
-			sh.leases = append(sh.leases[:i], sh.leases[i+1:]...)
-			why := req.Reason
-			if why == "" {
-				why = "released"
-			}
-			c.failShardLocked(sh, req.Worker, why, now)
-			break
-		}
-	}
-	return ReleaseResponse{OK: true}, nil
-}
-
 // RunContext runs pts, which must be the job's grid (Job.Points()), on
 // the coordinator's workers and returns a result for every point in grid
 // order, like sweep.Runner.RunContext. Serve Handler concurrently;
@@ -525,12 +500,13 @@ func (c *Coordinator) Release(req ReleaseRequest) (ReleaseResponse, error) {
 //
 // Points opts.Skip selects come back Skipped with no Run and are never
 // merged; a shard made only of them is never leased. opts.OnResult is
-// called once per newly merged point, under the coordinator's lock, so
-// calls are serialized. opts.PointTimeout, Retries and Backoff do not
-// apply: workers own per-point retries (Worker.PointRetries).
+// called once per newly merged point that a worker simulated, under the
+// coordinator's lock, so calls are serialized. opts.PointTimeout does not
+// apply.
 //
 // RunContext drives lease expiry, exclusion relaxation and the local
-// fallback. It returns nil once every point is merged, or ctx.Err() on
+// fallback. It returns nil once every point is merged, a point a worker
+// failed carrying that worker's error as its Err, or ctx.Err() on
 // cancellation, which every point never merged then carries as its Err.
 // It stops the fallback Worker and waits for it before returning, so the
 // points the fallback finished before a cancellation reach opts.OnResult
@@ -546,14 +522,9 @@ func (c *Coordinator) RunContext(ctx context.Context, pts []sweep.Point, opts sw
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]sweep.Result, len(c.pts))
-	for i, pt := range c.pts {
-		out[i] = sweep.Result{Point: pt, Skipped: c.skipped[i]}
-		switch {
-		case c.skipped[i]:
-		case c.have[i]:
-			out[i].Run = c.runs[i]
-		default:
+	out := slices.Clone(c.results)
+	for i := range out {
+		if !c.have[i] {
 			out[i].Err = err
 		}
 	}
@@ -578,7 +549,7 @@ func (c *Coordinator) start(opts sweep.Options) error {
 		if !skip[i] {
 			continue
 		}
-		c.have[i], c.skipped[i] = true, true
+		c.have[i], c.results[i].Skipped = true, true
 		sh := c.shards[i%c.cfg.Shards]
 		sh.left--
 		if sh.left == 0 {
@@ -649,12 +620,11 @@ func (c *Coordinator) drive(ctx context.Context) error {
 // LocalFallbackAfter instead of following on the next tick.
 func (c *Coordinator) localLoop(ctx context.Context) {
 	w := &Worker{
-		ID:           LocalWorkerID,
-		Coordinator:  "http://in-process",
-		Client:       &http.Client{Transport: handlerTransport{c.Handler()}},
-		Parallelism:  c.cfg.LocalParallelism,
-		PointRetries: 1,
-		Logf:         c.cfg.Logf,
+		ID:          LocalWorkerID,
+		Coordinator: "http://in-process",
+		Client:      &http.Client{Transport: handlerTransport{c.Handler()}},
+		Parallelism: c.cfg.LocalParallelism,
+		Logf:        c.cfg.Logf,
 	}
 	err := w.Run(ctx)
 	c.mu.Lock()
@@ -704,7 +674,6 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc(PathLease, handleJSON(c.Lease))
 	mux.HandleFunc(PathHeartbeat, handleJSON(c.Heartbeat))
 	mux.HandleFunc(PathComplete, handleJSON(c.Complete))
-	mux.HandleFunc(PathRelease, handleJSON(c.Release))
 	return mux
 }
 

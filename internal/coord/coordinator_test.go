@@ -150,32 +150,33 @@ func TestExpiredLeaseHeartbeatCancels(t *testing.T) {
 	}
 }
 
-func TestReleaseReassignsImmediatelyAndRelaxesExclusion(t *testing.T) {
+// TestLeaseExpiryExclusionRelaxesForLoneWorker: a worker whose lease
+// expired is excluded from that shard while it has other work, and is
+// granted the shard again once it is the only live worker left to take it.
+func TestLeaseExpiryExclusionRelaxesForLoneWorker(t *testing.T) {
 	cfg := Config{
 		Job: stateTestSpec(), Shards: 2,
-		LeaseTTL: time.Minute, RetryBase: 100 * time.Millisecond, RetryMax: time.Second,
+		LeaseTTL: time.Second, RetryBase: 100 * time.Millisecond, RetryMax: time.Second,
 		SpeculateAfter: -1,
 	}
 	c, clk := testCoord(t, cfg, sweep.Options{})
 	a := mustLease(t, c, "w1")
-	if _, err := c.Release(ReleaseRequest{Worker: "w1", Shard: a.Shard, Lease: a.Lease, Reason: "poison point"}); err != nil {
-		t.Fatal(err)
-	}
-	// w1 is excluded from the released shard, so it gets the other one.
+	clk.advance(1100 * time.Millisecond)
+	// a's lease has expired and its shard waits out its backoff, so w1
+	// gets the other one.
 	b := mustLease(t, c, "w1")
-	if b.Shard == a.Shard {
-		t.Fatalf("releasing worker was immediately re-granted shard %d", a.Shard)
+	if b.WaitMS > 0 || b.Done || b.Shard == a.Shard {
+		t.Fatalf("lease after expiry = %+v, want the other shard than %d", b, a.Shard)
 	}
-	// w1 is the only live worker; once the backoff passes, exclusion must
-	// relax rather than stall the grid. (Finish shard b first so w1 is
-	// idle.)
 	if _, err := c.Complete(CompleteRequest{Worker: "w1", Shard: b.Shard, Lease: b.Lease, Results: shardResults(c, b.Shard)}); err != nil {
 		t.Fatal(err)
 	}
+	// w1 is the only live worker; once the backoff passes, exclusion must
+	// relax rather than stall the grid.
 	clk.advance(2 * time.Second)
 	again := mustLease(t, c, "w1")
-	if again.WaitMS > 0 || again.Done || again.Shard != a.Shard {
-		t.Fatalf("lone worker lease = %+v, want relaxed re-grant of shard %d", again, a.Shard)
+	if again.WaitMS > 0 || again.Done || again.Shard != a.Shard || again.Lease == a.Lease {
+		t.Fatalf("lone worker lease = %+v, want a new lease of shard %d", again, a.Shard)
 	}
 }
 

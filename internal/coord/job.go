@@ -4,13 +4,14 @@
 // the trace (an mmap-ed .mlca artifact, a decoded trace file, or the
 // synthetic workload) and stream per-point results back with their
 // heartbeats. Robustness is the design center: leases expire and are
-// reassigned with capped exponential backoff, a failed shard is retried on
-// a different worker, stragglers are speculatively re-executed, results
-// merge first-writer-wins keyed by grid index (the engine is
-// bit-deterministic, so duplicates are identical and no fault schedule can
-// double-count or drop a point), and the coordinator degrades to local
-// in-process execution when no workers show up. The merged output is
-// byte-identical to a single-process `sweep -par 1` run.
+// reassigned with capped exponential backoff, preferably to a different
+// worker, stragglers are speculatively re-executed, results merge
+// first-writer-wins keyed by grid index (the engine is bit-deterministic,
+// so duplicates are identical and no fault schedule can double-count or
+// drop a point; a point that fails is merged with its error, since every
+// worker would fail it), and the coordinator degrades to local in-process
+// execution when no workers show up. The merged output is byte-identical
+// to a single-process `sweep -par 1` run.
 package coord
 
 import (

@@ -11,19 +11,20 @@ import (
 // v3 added JobSpec.DeadlineSec and the Validate admission bounds: a v2
 // worker would silently drop a job's deadline and accept specs a v3
 // coordinator rejects, so the gate keeps fleets in step.
-const ProtocolVersion = 3
+// v4 dropped the release endpoint: a failed point travels in complete
+// with its error (PointResult.Err), and a v3 worker would release its
+// shard instead.
+const ProtocolVersion = 4
 
 // Endpoint paths. All endpoints are POST with JSON bodies and JSON
 // responses; every request is idempotent, so a client that saw a torn or
 // lost response simply retries. The lease endpoint re-grants a worker's
-// outstanding lease, heartbeat/complete merge first-writer-wins, and
-// release of an already-released lease is a no-op.
+// outstanding lease, and heartbeat/complete merge first-writer-wins.
 const (
 	PathRegister  = "/v1/register"
 	PathLease     = "/v1/lease"
 	PathHeartbeat = "/v1/heartbeat"
 	PathComplete  = "/v1/complete"
-	PathRelease   = "/v1/release"
 )
 
 // RegisterRequest announces a worker to the coordinator.
@@ -64,7 +65,7 @@ type LeaseResponse struct {
 	WaitMS int64 `json:"wait_ms,omitempty"`
 	// Shard i of Shards, strided like sweep.Shard: the lease covers grid
 	// points at indices ≡ Shard (mod Shards). Lease is the fencing token
-	// the worker must present on heartbeat, complete, and release.
+	// the worker must present on heartbeat and complete.
 	Shard  int    `json:"shard"`
 	Shards int    `json:"shards,omitempty"`
 	Lease  uint64 `json:"lease"`
@@ -78,6 +79,10 @@ type LeaseResponse struct {
 type PointResult struct {
 	Index int        `json:"index"`
 	Run   cpu.Result `json:"run"`
+	// Err is the point's failure, and then Run is meaningless. The engine
+	// is deterministic, so any worker would fail the point the same way:
+	// the failure is merged as the point's result.
+	Err string `json:"err,omitempty"`
 }
 
 // HeartbeatRequest renews a lease and streams results: Done carries every
@@ -95,15 +100,16 @@ type HeartbeatRequest struct {
 }
 
 // HeartbeatResponse acknowledges a beat. Cancel tells the worker its lease
-// is gone — expired, released, or the shard was finished by a speculative
-// twin — and it should abandon the shard (its results so far are already
-// merged) and ask for a new lease.
+// is gone — expired, or the shard was finished by a speculative twin — and
+// it should abandon the shard (its results so far are already merged) and
+// ask for a new lease.
 type HeartbeatResponse struct {
 	Cancel bool `json:"cancel,omitempty"`
 }
 
 // CompleteRequest uploads a finished shard: the full result set for every
-// point of the shard (self-sufficient even if every heartbeat was lost).
+// point of the shard, failed points with their errors (self-sufficient
+// even if every heartbeat was lost).
 type CompleteRequest struct {
 	Worker       string        `json:"worker"`
 	Shard        int           `json:"shard"`
@@ -118,20 +124,4 @@ type CompleteRequest struct {
 type CompleteResponse struct {
 	OK   bool `json:"ok"`
 	Done bool `json:"done,omitempty"`
-}
-
-// ReleaseRequest returns a lease the worker cannot finish (a poisoned
-// point, a local fault) so the coordinator can reassign immediately instead
-// of waiting for the TTL. The releasing worker is excluded from the
-// shard's retry.
-type ReleaseRequest struct {
-	Worker string `json:"worker"`
-	Shard  int    `json:"shard"`
-	Lease  uint64 `json:"lease"`
-	Reason string `json:"reason,omitempty"`
-}
-
-// ReleaseResponse acknowledges the release.
-type ReleaseResponse struct {
-	OK bool `json:"ok"`
 }

@@ -42,8 +42,6 @@ type Worker struct {
 	Client *http.Client
 	// Parallelism bounds the shard simulation pool (0 = GOMAXPROCS).
 	Parallelism int
-	// PointRetries is the per-point retry budget within a shard attempt.
-	PointRetries int
 	// Artifacts is the artifact cache backing jobs whose spec names the
 	// trace by digest: a local FileStore tier filled from the
 	// coordinator's /artifacts/ endpoint (backend.HTTP) or straight from
@@ -216,10 +214,11 @@ func (w *Worker) openArtifact(ctx context.Context, d store.Digest, wantCRC uint3
 
 // runShard simulates one leased shard. Completed points stream to the
 // coordinator with every heartbeat (cumulatively, so lost beats cost
-// nothing); the final upload carries the full shard. Returns a nil error
-// when the shard was finished, abandoned (lease revoked), or released
-// (local failure) — only an unreachable coordinator or cancelled ctx is an
-// error — and gridDone when the upload completed the whole grid.
+// nothing); the final upload carries the full shard, failed points with
+// their errors. Returns a nil error when the shard was finished or
+// abandoned (lease revoked) — only an unreachable coordinator or
+// cancelled ctx is an error — and gridDone when the upload completed the
+// whole grid.
 func (w *Worker) runShard(ctx context.Context, runner sweep.Runner, all []sweep.Point, lr LeaseResponse, reg RegisterResponse, traceSkipped int64) (gridDone bool, _ error) {
 	shardPts := sweep.Shard(all, lr.Shard, lr.Shards)
 	index := map[sweep.Point]int{}
@@ -275,8 +274,6 @@ func (w *Worker) runShard(ctx context.Context, runner sweep.Runner, all []sweep.
 
 	runner.Parallelism = w.Parallelism
 	opts := sweep.Options{
-		Retries: w.PointRetries,
-		Backoff: 100 * time.Millisecond,
 		OnResult: func(r sweep.Result) {
 			mu.Lock()
 			done = append(done, PointResult{Index: index[r.Point], Run: r.Run})
@@ -304,29 +301,18 @@ func (w *Worker) runShard(ctx context.Context, runner sweep.Runner, all []sweep.
 		// streamed; the rest belong to whoever holds the shard now.
 		return false, nil
 	}
-	var failed error
+	// A failed point is final: the engine is deterministic, so any worker
+	// would fail it the same way.
+	up := snapshot()
 	for _, r := range results {
-		if r.Err != nil && !sweep.Canceled(r.Err) {
-			failed = r.Err
-			break
+		if r.Err != nil {
+			up = append(up, PointResult{Index: index[r.Point], Err: r.Err.Error()})
 		}
-	}
-	if failed != nil {
-		// A point this worker cannot simulate: hand the shard back so the
-		// coordinator retries it elsewhere, and exclude us from it.
-		w.logf("worker %s: releasing shard %d: %v", w.ID, lr.Shard, failed)
-		var rel ReleaseResponse
-		if err := w.post(ctx, PathRelease, ReleaseRequest{
-			Worker: w.ID, Shard: lr.Shard, Lease: lr.Lease, Reason: failed.Error(),
-		}, &rel); err != nil {
-			return false, fmt.Errorf("coord: release: %w", err)
-		}
-		return false, nil
 	}
 	var cr CompleteResponse
 	if err := w.post(ctx, PathComplete, CompleteRequest{
 		Worker: w.ID, Shard: lr.Shard, Lease: lr.Lease,
-		Results: snapshot(), TraceSkipped: traceSkipped,
+		Results: up, TraceSkipped: traceSkipped,
 	}, &cr); err != nil {
 		return false, fmt.Errorf("coord: complete shard %d: %w", lr.Shard, err)
 	}

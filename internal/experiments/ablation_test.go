@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mlcache/internal/mainmem"
+	"mlcache/internal/sweep"
 )
 
 // studyAlone simulates one study over its own trace.
@@ -196,5 +197,20 @@ func TestStudyErrorNamesMachine(t *testing.T) {
 	_, err = runStudies(arena, opt, []ablationStudy{s})
 	if err == nil || !strings.HasPrefix(err.Error(), "odd ways / 3-way: ") {
 		t.Errorf("error %v does not name the study and label", err)
+	}
+}
+
+// TestSurfaceErrorNamesMachine: a surface machine that cannot be built
+// fails with an error naming its configuration, not the index-encoded
+// point the engine simulated it as.
+func TestSurfaceErrorNamesMachine(t *testing.T) {
+	opt := Options{Seed: 1, Refs: 3_000, Warmup: 600}
+	grid := sweep.Grid{SizesBytes: []int64{16 * 1024}, CyclesNS: []int64{30}}
+	_, err := NewContext(opt).Surface(4, 3, mainmem.Base(), grid)
+	if err == nil {
+		t.Fatal("a 3-way L2 surface built")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "machine L1=4KB L2=16KB/30ns/3-way: cache L2: ") || strings.Contains(msg, "0KB/0ns/0-way") {
+		t.Errorf("error %q does not name the 4 KB-L1, 16 KB/30 ns/3-way machine alone", msg)
 	}
 }

@@ -14,6 +14,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -68,7 +69,9 @@ var generations, simulations atomic.Int64
 // pass and returns their runs in order; configurations that share a first
 // level share one capture (see sweep.Runner.RunContext). flush sets
 // cpu.Config.FlushOnSwitch for all of them. The error of a machine that
-// fails is a *machineError.
+// fails is a *machineError: it names the machine by its configuration and
+// wraps the engine's cause without the engine's prefix, which names only
+// the index-encoded point.
 func simulate(arena *trace.Arena, opt Options, cfgs []memsys.Config, flush bool) ([]cpu.Result, error) {
 	simulations.Add(int64(len(cfgs)))
 	runner := sweep.Runner{
@@ -90,21 +93,35 @@ func simulate(arena *trace.Arena, opt Options, cfgs []memsys.Config, flush bool)
 	runs := make([]cpu.Result, len(results))
 	for i, r := range results {
 		if r.Err != nil {
-			return nil, &machineError{i, r.Err}
+			return nil, &machineError{i, cfgs[i], errors.Unwrap(r.Err)}
 		}
 		runs[i] = r.Run
 	}
 	return runs, nil
 }
 
-// machineError is the failure of the configuration at index of simulate's
-// list.
+// machineError is the failure of cfg, the configuration at index of
+// simulate's list.
 type machineError struct {
 	index int
+	cfg   memsys.Config
 	err   error
 }
 
-func (e *machineError) Error() string { return fmt.Sprintf("machine %d: %v", e.index, e.err) }
+// Error names the machine by its L1 size, or "solo", and its L2.
+func (e *machineError) Error() string {
+	l1, l2 := "solo", e.cfg.L1 // the solo machine's one level is the L2
+	if len(e.cfg.Down) > 0 {
+		size := e.cfg.L1.Cache.SizeBytes
+		if e.cfg.SplitL1 {
+			size = e.cfg.L1I.Cache.SizeBytes + e.cfg.L1D.Cache.SizeBytes
+		}
+		l1, l2 = fmt.Sprintf("L1=%dKB", size/1024), e.cfg.Down[0]
+	}
+	pt := sweep.Point{L2SizeBytes: l2.Cache.SizeBytes, L2CycleNS: l2.CycleNS, L2Assoc: l2.Cache.Assoc}
+	return fmt.Sprintf("machine %s %v: %v", l1, pt, e.err)
+}
+
 func (e *machineError) Unwrap() error { return e.err }
 
 // CPU returns the CPU configuration for the options.

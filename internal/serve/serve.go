@@ -417,7 +417,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	if s.grid != nil {
-		for _, p := range []string{coord.PathRegister, coord.PathLease, coord.PathHeartbeat, coord.PathComplete, coord.PathRelease} {
+		for _, p := range []string{coord.PathRegister, coord.PathLease, coord.PathHeartbeat, coord.PathComplete} {
 			mux.Handle(p, s.requireTenant(s.grid))
 		}
 	}
@@ -432,7 +432,7 @@ func (s *Server) Handler() http.Handler {
 }
 
 // Lease makes the server host c's grid, job: Handler then answers the
-// coordinator protocol's five endpoints for c and serves job's trace
+// coordinator protocol's four endpoints for c and serves job's trace
 // artifact by digest from the trace's own path, without copying it into
 // a store. Both sit behind tenant auth. A server hosts one grid; call
 // Lease before Handler.

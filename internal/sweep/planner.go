@@ -200,9 +200,8 @@ func (r Runner) run(ctx context.Context, pts []Point, opts Options, n *tagCounts
 		results[i] = Result{Point: pt}
 	}
 
-	// Classification calls Configure once per point. A panic there is the
-	// point's first attempt; the point then takes the full path, whose
-	// retry loop calls Configure again while the budget lasts.
+	// Classification calls Configure once per point, and only here: a
+	// panic there is the point's result.
 	cfgs := make([]*memsys.Config, len(pts))
 	var phase1, phase2, phase3 []int
 	byKey := map[upstreamKey][]int{}
@@ -215,7 +214,6 @@ func (r Runner) run(ctx context.Context, pts []Point, opts Options, n *tagCounts
 		cfg, err := r.configure(res.Point)
 		if err != nil {
 			res.Attempts, res.Err = 1, fmt.Errorf("sweep: point %v: %w", res.Point, err)
-			phase1 = append(phase1, i)
 			continue
 		}
 		cfgs[i] = &cfg
@@ -251,21 +249,14 @@ func (r Runner) run(ctx context.Context, pts []Point, opts Options, n *tagCounts
 		g, tg := groupOf[i], tagOf[i]
 		runPoint(ctx, opts, ws, res, func(interrupt func() error) (cpu.Result, error) {
 			switch {
-			case g == nil:
-				cfg := cfgs[i]
-				if cfg == nil { // Configure panicked during classification
-					c := r.Configure(res.Point)
-					cfg = &c
-				}
-				return r.simulate(*cfg, ws, nil, nil, interrupt)
-			case g.pivot == i:
+			case g != nil && g.pivot == i:
 				rec := memsys.NewDownRecorder()
 				run, err := r.simulate(*cfgs[i], ws, rec, tg, interrupt)
 				if err == nil {
 					g.log, g.run = rec.Finish(run.TimeNS), run
 				}
 				return run, err
-			case g.log == nil: // demoted: the pivot's capture never completed
+			case g == nil || g.log == nil: // alone, or demoted: the pivot's capture never completed
 				return r.simulate(*cfgs[i], ws, nil, nil, interrupt)
 			default:
 				return replay(*cfgs[i], g, tg, i, ws, n, interrupt)

@@ -13,16 +13,10 @@ import (
 
 // Options tunes the fault-tolerant sweep engine.
 type Options struct {
-	// PointTimeout bounds one simulation attempt; 0 means no limit. A
+	// PointTimeout bounds one point's simulation; 0 means no limit. A
 	// point that exceeds it fails with context.DeadlineExceeded (wrapped
 	// in its Result.Err) without disturbing the rest of the grid.
 	PointTimeout time.Duration
-	// Retries is the number of extra attempts for a failed point. Grid
-	// cancellation is never retried; everything else (including panics,
-	// which may be environmental) is, up to this budget.
-	Retries int
-	// Backoff is the wait before the first retry, doubling per attempt.
-	Backoff time.Duration
 	// Skip, when non-nil, is consulted before simulating a point; true
 	// marks the point's Result as Skipped without running it. The resume
 	// path uses this to avoid re-simulating journaled points.
@@ -42,9 +36,10 @@ type PanicError struct {
 	Stack []byte
 }
 
-// Error describes the panic; the captured stack is in Stack.
+// Error describes the panic; the captured stack is in Stack. It does not
+// name the point: the engine's per-point error that wraps it does.
 func (e *PanicError) Error() string {
-	return fmt.Sprintf("sweep: point %v panicked: %v", e.Point, e.Value)
+	return fmt.Sprintf("panicked: %v", e.Value)
 }
 
 // workerState is what a worker keeps between its points: one hierarchy.
@@ -70,58 +65,35 @@ func (ws *workerState) hierarchy(cfg memsys.Config) (*memsys.Hierarchy, error) {
 	return ws.h, nil
 }
 
-// attemptFunc is one attempt's work on a point; interrupt reports the
-// grid's cancellation or the attempt's timeout.
+// attemptFunc is one point's work; interrupt reports the grid's
+// cancellation or the point's timeout.
 type attemptFunc func(interrupt func() error) (cpu.Result, error)
 
-// runPoint evaluates one point, filling res in place: attempts run until
-// one succeeds, the retry budget is spent, or ctx ends, with a doubling
-// backoff between them. An attempt already recorded in res (a Configure
-// panic during classification) counts against the budget.
+// runPoint evaluates one point once, filling res in place, unless ctx has
+// already ended. The engine is deterministic, so a point that failed would
+// fail again: its failure is its result.
 func runPoint(ctx context.Context, opts Options, ws *workerState, res *Result, work attemptFunc) {
-	backoff := opts.Backoff
-	for {
-		if res.Attempts > 0 {
-			// The previous attempt failed. The grid being cancelled is not
-			// a per-point fault; don't burn retries on it.
-			if ctx.Err() != nil || res.Attempts > opts.Retries {
-				return
-			}
-			if backoff > 0 {
-				t := time.NewTimer(backoff)
-				select {
-				case <-ctx.Done():
-					t.Stop()
-					return
-				case <-t.C:
-				}
-				backoff *= 2
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			if res.Err == nil {
-				res.Err = err
-			}
-			return
-		}
-		res.Attempts++
-		run, err := ws.attempt(ctx, opts.PointTimeout, res.Point, work)
-		if err == nil {
-			res.Run, res.Err = run, nil
-			return
-		}
-		res.Err = fmt.Errorf("sweep: point %v: %w", res.Point, err)
+	if err := ctx.Err(); err != nil {
+		res.Err = err
+		return
 	}
+	res.Attempts = 1
+	run, err := ws.attempt(ctx, opts.PointTimeout, res.Point, work)
+	if err != nil {
+		res.Err = fmt.Errorf("sweep: point %v: %w", res.Point, err)
+		return
+	}
+	res.Run = run
 }
 
-// attempt performs one attempt at pt, converting a panic into a
-// *PanicError and bounding it by timeout through work's interrupt, which
-// the CPU loop and the replay poll once per batch.
+// attempt runs work for pt, converting a panic into a *PanicError and
+// bounding it by timeout through work's interrupt, which the CPU loop and
+// the replay poll once per batch.
 func (ws *workerState) attempt(ctx context.Context, timeout time.Duration, pt Point, work attemptFunc) (run cpu.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			// A panic may have left the cached hierarchy mid-update; drop
-			// it so the retry (and later points) start from clean state.
+			// it so later points start from clean state.
 			ws.h = nil
 			err = &PanicError{Point: pt, Value: p, Stack: debug.Stack()}
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -126,6 +127,9 @@ func TestRunContextPanicIsolated(t *testing.T) {
 			if pe.Value != "injected fault" || len(pe.Stack) == 0 {
 				t.Errorf("PanicError = %v, stack %d bytes", pe.Value, len(pe.Stack))
 			}
+			if n := strings.Count(res.Err.Error(), bad.String()); n != 1 {
+				t.Errorf("error %q names the point %d times, want once", res.Err, n)
+			}
 			panicked++
 			continue
 		}
@@ -138,30 +142,26 @@ func TestRunContextPanicIsolated(t *testing.T) {
 	}
 }
 
-func TestRunContextRetries(t *testing.T) {
-	var calls int32
+// TestRunContextFailsPointOnce: a point whose Configure panics is
+// configured once, tried once, and fails with a *PanicError.
+func TestRunContextFailsPointOnce(t *testing.T) {
+	var calls atomic.Int32
 	r := Runner{
-		Configure: func(pt Point) memsys.Config {
-			if atomic.AddInt32(&calls, 1) == 1 {
-				panic("transient fault")
-			}
-			return testConfigure(pt)
+		Configure: func(Point) memsys.Config {
+			calls.Add(1)
+			panic("fault")
 		},
 		Arena: testArena(t),
 		CPU:   cpu.Config{CycleNS: 10},
 	}
-	results, err := r.RunContext(context.Background(), gridPoints(1, 1), Options{
-		Retries: 2,
-		Backoff: time.Millisecond,
-	})
+	results, err := r.RunContext(context.Background(), gridPoints(1, 1), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !results[0].OK() {
-		t.Fatalf("point failed after retries: %v", results[0].Err)
-	}
-	if results[0].Attempts != 2 {
-		t.Errorf("attempts = %d, want 2", results[0].Attempts)
+	var pe *PanicError
+	if res := results[0]; calls.Load() != 1 || res.Attempts != 1 || !errors.As(res.Err, &pe) {
+		t.Errorf("Configure called %d times, %d attempt(s), err %v; want once, once and a *PanicError",
+			calls.Load(), res.Attempts, res.Err)
 	}
 }
 

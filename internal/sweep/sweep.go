@@ -149,8 +149,10 @@ type Result struct {
 	// Skipped marks a point that Options.Skip excluded (already journaled
 	// by a previous run); neither Run nor Err is set.
 	Skipped bool
-	// Attempts is how many simulation attempts the point consumed (> 1
-	// only when Options.Retries allowed a retry after a failure).
+	// Attempts is 1 once the engine has tried the point, whether it ran or
+	// failed, and 0 for a point it never reached: a skipped one, or one
+	// the grid's cancellation cut off. A point is tried once: the engine
+	// is deterministic, so a point that failed would fail again.
 	Attempts int
 }
 
